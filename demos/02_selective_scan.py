@@ -13,7 +13,8 @@ import numpy as np
 
 from sumnet import tensor as T
 from sumnet.rng import SplitMix64
-from sumnet.scan import cross_merge, cross_scan, fit_loglog_slope, ssm_recurrence, time_scan
+from sumnet.scan import (bench_lengths, cross_merge, cross_scan, fit_loglog_slope,
+                         ssm_recurrence)
 
 
 def main():
@@ -40,7 +41,7 @@ def main():
 
     # -- 3. linear wall-clock growth ------------------------------------
     lengths = [256, 512, 1024, 2048]
-    meds = [float(np.median(time_scan(n, runs=3))) for n in lengths]
+    meds = list(bench_lengths(lengths, channels=4, state_size=4, runs=3).values())
     for n, t in zip(lengths, meds):
         print(f"L={n:5d}  {t * 1e3:8.2f} ms")
     print("log-log slope:", round(fit_loglog_slope(lengths, meds), 3),

@@ -256,6 +256,8 @@ def cmd_bench_scan(args) -> int:
     lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
     if len(lengths) < 2 or any(n < 2 for n in lengths):
         raise ConfigError(f"need at least two lengths >= 2, got {lengths}")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     meds = bench_lengths(lengths, runs=args.repeats)
     print("L,seconds")
     for n in lengths:

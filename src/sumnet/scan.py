@@ -4,8 +4,11 @@ A feature grid [H, W, C] is flattened into four 1-D traversals (row-major
 forward/backward, column-major forward/backward), each traversal runs an
 input-dependent linear state-space recurrence left to right, and the four
 outputs are scattered back to the grid and summed.  The recurrence is the
-O(L) sequential form; hidden states are kept for the backward pass, trading
-memory for a simple exact reverse sweep (no parallel prefix tricks here).
+O(L) sequential form (no parallel prefix tricks here).  Its state arrays are
+time-major, [L, B, N, C], and both sweeps update them in place one contiguous
+step at a time: the cost is memory traffic through these arrays, not FLOPs.
+The hidden states and the decay factors are kept for the backward pass,
+trading memory for an exact reverse sweep without recomputation.
 
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
@@ -112,52 +115,65 @@ def cross_merge(seqs: DirectionalSequences) -> Tensor:
 # recurrence kernel (forward + hand-derived backward)
 
 
-def _scan_forward(delta, a, b_seq, c_seq, x):
-    """Raw numpy recurrence.  All inputs batched: delta/x [B,L,C], b/c [B,L,N].
+def _time_major(v):
+    """Swap the batch and time axes of a [B, L, K] array (a view; self-inverse)."""
+    return v.transpose(1, 0, 2)
 
-    Returns (y [B,L,C], hidden [B,L,C,N], abar [B,L,C,N]).
+
+def _scan_forward(delta, a, b_seq, c_seq, x):
+    """Raw numpy recurrence.  Inputs batch-major: delta/x [B,L,C], b/c [B,L,N].
+
+    Returns (y [B,L,C], hidden [L,B,N,C], abar [L,B,N,C]).  The state arrays
+    are time-major, so each sweep step reads and writes one contiguous
+    [B, N, C] block.  du = delta x B is built directly in the hidden buffer
+    and swept in place through one preallocated temporary; hidden and abar
+    are all the backward pass keeps.  A fresh full-size buffer costs more
+    than the arithmetic on it, hence the in-place exp; einsum builds the
+    outer products because broadcasting runs an inner loop only C long.
     """
-    bsz, length, ch = x.shape
-    n = a.shape[1]
-    abar = np.exp(delta[..., None] * a[None, None])  # [B,L,C,N]
-    du = (delta * x)[..., None] * b_seq[:, :, None, :]  # [B,L,C,N]
-    hidden = np.empty((bsz, length, ch, n))
-    h = np.zeros((bsz, ch, n))
-    for t in range(length):
-        h = abar[:, t] * h + du[:, t]
-        hidden[:, t] = h
-    y = np.einsum("blcn,bln->blc", hidden, c_seq)
-    return y, hidden, abar
+    delta_t = _time_major(delta)
+    abar = delta_t[:, :, None, :] * np.ascontiguousarray(a.T)
+    np.exp(abar, out=abar)
+    hidden = np.einsum("lbc,lbn->lbnc", delta_t * _time_major(x), _time_major(b_seq))
+    tmp = np.empty(hidden.shape[1:])
+    for ab, h_prev, h in zip(abar[1:], hidden[:-1], hidden[1:]):
+        np.multiply(ab, h_prev, out=tmp)
+        h += tmp
+    y = np.matmul(_time_major(c_seq)[:, :, None, :], hidden)[:, :, 0]
+    return np.ascontiguousarray(_time_major(y)), hidden, abar
 
 
 def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
-    """Reverse sweep for the recurrence above.
+    """Reverse sweep for the recurrence above; returns batch-major gradients.
 
     With dh_t the gradient reaching h_t, the recurrence h_t = abar_t h_{t-1}
     + du_t gives dh_t = g_t * C_t + abar_{t+1} * dh_{t+1}, accumulated right
-    to left; every parameter gradient then factors through dh.
+    to left; every parameter gradient then factors through dh.  g (x) C is
+    built in the one [L, B, N, C] buffer this pass allocates and swept in
+    place like the forward.  Once the gradients into du (delta x and B) are
+    contracted out of it, the same buffer becomes the gradient into delta * a,
+    dh_t * h_{t-1} * abar_t, with h_{t-1} read as the slice hidden[:-1]
+    (h_{-1} = 0, so step 0 contributes nothing).
     """
-    bsz, length, ch = x.shape
-    n = a.shape[1]
-    g_c = np.einsum("blcn,blc->bln", hidden, g)
-    direct = g[..., None] * c_seq[:, :, None, :]  # [B,L,C,N]
-    dh = np.empty_like(hidden)
-    run = np.zeros((bsz, ch, n))
-    for t in range(length - 1, -1, -1):
-        if t == length - 1:
-            run = direct[:, t].copy()
-        else:
-            run = direct[:, t] + abar[:, t + 1] * run
-        dh[:, t] = run
-    h_prev = np.concatenate([np.zeros((bsz, 1, ch, n)), hidden[:, :-1]], axis=1)
-    g_abar = dh * h_prev  # gradient into abar = exp(delta * a)
-    g_da = g_abar * abar  # gradient into (delta * a)
-    g_delta_state = np.einsum("blcn,cn->blc", g_da, a)
-    g_a = np.einsum("blcn,blc->cn", g_da, delta)
-    g_dx = np.einsum("blcn,bln->blc", dh, b_seq)  # gradient into (delta * x)
-    g_b = np.einsum("blcn,blc->bln", dh, delta * x)
-    g_delta = g_delta_state + g_dx * x
-    g_x = g_dx * delta
+    g_t, delta_t, x_t = _time_major(g), _time_major(delta), _time_major(x)
+    dx = delta_t * x_t
+    g_c = np.matmul(hidden, g_t[..., None])[..., 0]  # [L,B,N]
+    dh = np.einsum("lbc,lbn->lbnc", g_t, _time_major(c_seq))
+    tmp = np.empty(dh.shape[1:])
+    for ab_next, dh_next, dh_cur in zip(abar[:0:-1], dh[:0:-1], dh[-2::-1]):
+        np.multiply(ab_next, dh_next, out=tmp)
+        dh_cur += tmp
+    g_dx = np.matmul(_time_major(b_seq)[:, :, None, :], dh)[:, :, 0]  # into delta * x
+    g_b = np.matmul(dh, dx[..., None])[..., 0]
+    g_da = dh[1:]
+    g_da *= hidden[:-1]
+    g_da *= abar[1:]
+    g_delta = g_dx * x_t
+    g_delta[1:] += np.einsum("lbnc,cn->lbc", g_da, a)
+    g_a = np.einsum("lbnc,lbc->cn", g_da, delta_t[1:])
+    g_x = g_dx * delta_t
+    g_delta, g_b, g_c, g_x = (np.ascontiguousarray(_time_major(v))
+                              for v in (g_delta, g_b, g_c, g_x))
     return g_delta, g_a, g_b, g_c, g_x
 
 
@@ -306,20 +322,6 @@ def ss2d(f: Tensor, params: SS2DParams) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # timing harness (linear-complexity evidence)
-
-
-def time_scan(length: int, channels: int = 4, state_size: int = 4,
-              runs: int = 5, seed: int = 0) -> list:
-    """Median-friendly raw timings of the forward recurrence at one length."""
-    p = init_ssm_params(channels, state_size, seed, "bench")
-    x = Tensor(uniform_array((length, channels), -1.0, 1.0, derive(seed, "bench-x", length)))
-    selective_scan(x, p)  # warm-up
-    out = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        selective_scan(x, p)
-        out.append(time.perf_counter() - t0)
-    return out
 
 
 def bench_lengths(lengths, channels: int = 16, state_size: int = 8,

@@ -330,6 +330,12 @@ def test_bench_scan_rejects_bad_lengths(lengths, capsys):
     assert cli.main(["bench-scan", "--lengths", lengths, "--repeats", "1"]) == 2
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_scan_rejects_non_positive_repeats(repeats, capsys):
+    assert cli.main(["bench-scan", "--lengths", "64,128", "--repeats", repeats]) == 2
+    assert "--repeats" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # environment knobs and argparse plumbing
 
