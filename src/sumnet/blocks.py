@@ -83,11 +83,31 @@ def init_layer_norm(channels: int) -> LayerNormParams:
 
 
 def ln_core(x: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Normalize the trailing channel axis to zero mean, unit variance."""
-    mu = T.reduce_mean(x, -1, keepdims=True)
-    centered = T.sub(x, mu)
-    var = T.reduce_mean(T.mul(centered, centered), -1, keepdims=True)
-    return T.div(centered, T.sqrt(T.add(var, eps)))
+    """Normalize the trailing channel axis to zero mean, unit variance.
+
+    One tape node.  With x_hat the output and sigma = sqrt(var + eps), the
+    gradient is (g - mean(g) - x_hat * mean(g * x_hat)) / sigma, means taken
+    over the channel axis.
+    """
+    x = T.as_tensor(x)
+    axis = (x.ndim - 1,)
+    mu = x.data.mean(axis=axis, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out_data = centered / sigma
+
+    def make():
+        def grad_fn(g):
+            gx = g - g.mean(axis=axis, keepdims=True)
+            gx -= out_data * (g * out_data).mean(axis=axis, keepdims=True)
+            gx /= sigma
+            return (gx,)
+
+        return grad_fn
+
+    return T._emit("ln_core", (x,), out_data, make)
 
 
 def layer_norm(x: Tensor, p: LayerNormParams, eps: float = LN_EPS) -> Tensor:
@@ -113,26 +133,42 @@ def init_dwconv(channels: int, seed: int, name: str) -> DWConvParams:
 
 
 def depthwise_conv3x3(x: Tensor, p: DWConvParams) -> Tensor:
-    """Per-channel 3x3 conv, zero-padded, stride 1; no cross-channel mixing."""
+    """Per-channel 3x3 conv, zero-padded, stride 1; no cross-channel mixing.
+
+    One tape node over (x, kernel, bias).  The backward scatters g * k[:, dy,
+    dx] into one padded gradient buffer, takes each tap's kernel gradient as
+    a contraction of g with that tap's window, and sums g for the bias.
+    """
     x = T.as_tensor(x)
     if x.ndim not in (3, 4):
         raise ShapeError(f"expected a grid, got {x.shape}")
     if x.shape[-1] != p.kernel.shape[0]:
         raise ShapeError(f"grid has {x.shape[-1]} channels, kernel has {p.kernel.shape[0]}")
-    h_ax, w_ax = x.ndim - 3, x.ndim - 2
-    h, w = x.shape[h_ax], x.shape[w_ax]
-    pw = [(0, 0)] * x.ndim
-    pw[h_ax] = (1, 1)
-    pw[w_ax] = (1, 1)
-    padded = T.pad(x, pw)
+    h, w = x.shape[-3], x.shape[-2]
     lead = (slice(None),) * (x.ndim - 3)
-    acc = None
-    for dy in range(3):
-        for dx in range(3):
-            window = padded[lead + (slice(dy, dy + h), slice(dx, dx + w), slice(None))]
-            term = T.mul(window, p.kernel[:, dy, dx])
-            acc = term if acc is None else T.add(acc, term)
-    return T.add(acc, p.bias)
+    windows = [lead + (slice(dy, dy + h), slice(dx, dx + w))
+               for dy in range(3) for dx in range(3)]
+    taps = "bhwc,bhwc->c" if x.ndim == 4 else "hwc,hwc->c"
+    k9 = p.kernel.data.reshape(-1, 9)  # column dy * 3 + dx is tap (dy, dx)
+    padded = np.pad(x.data, [(0, 0)] * (x.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
+    acc = padded[windows[0]] * k9[:, 0]
+    for tap, win in enumerate(windows[1:], 1):
+        acc += padded[win] * k9[:, tap]
+    out_data = acc + p.bias.data
+
+    def make():
+        def grad_fn(g):
+            g_pad = np.zeros(padded.shape)
+            g_k = np.empty(k9.shape)
+            for tap, win in enumerate(windows):
+                g_pad[win] += g * k9[:, tap]
+                g_k[:, tap] = np.einsum(taps, padded[win], g)
+            g_x = np.ascontiguousarray(g_pad[lead + (slice(1, h + 1), slice(1, w + 1))])
+            return g_x, g_k.reshape(-1, 3, 3), g.sum(axis=tuple(range(g.ndim - 1)))
+
+        return grad_fn
+
+    return T._emit("depthwise_conv3x3", (x, p.kernel, p.bias), out_data, make)
 
 
 # ---------------------------------------------------------------------------

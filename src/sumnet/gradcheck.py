@@ -81,7 +81,7 @@ def check_tensor_ops() -> list:
 
 
 def check_scan() -> list:
-    """Recurrence inputs, the parameterized scan, and the 4-direction grid."""
+    """Recurrence inputs, the parameterized scan, the merge, and the 4-direction grid."""
     rows = []
     b, length, c, n = 2, 5, 3, 2
     delta = _arr((b, length, c), 0.05, 0.5, "delta")
@@ -119,6 +119,14 @@ def check_scan() -> list:
     rows.append(("selective_scan.input",
                  _check(lambda t: _weighted_sum(S.selective_scan(t, p), "ss.in"), seq), OP_TOL))
 
+    h, w = 2, 3
+    seqs = [_arr((b, h * w, c), tag=f"merge.{d}") for d in S.DIRECTION_ORDER]
+    for k, d in enumerate(S.DIRECTION_ORDER):
+        def merge(t, k=k):
+            parts = [t if j == k else Tensor(v) for j, v in enumerate(seqs)]
+            return _weighted_sum(S.cross_merge(S.DirectionalSequences(*parts, h, w)), "merge")
+        rows.append((f"cross_merge.{d}", _check(merge, seqs[k]), OP_TOL))
+
     grid = _arr((4, 4, c), tag="grid")
     p2 = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-params"), "g2")
     rows.append(("ss2d.input",
@@ -134,16 +142,23 @@ def check_blocks() -> list:
     ln = B.init_layer_norm(c)
     rows.append(("layer_norm.input", _check(
         lambda t: _weighted_sum(B.layer_norm(t, ln), "ln.in"), x), OP_TOL))
+    rows.append(("ln_core.input", _check(
+        lambda t: _weighted_sum(B.ln_core(t), "lnc.in"), _arr((2, 3, 3, c), tag="lncx")),
+        OP_TOL))
     rows.append(("layer_norm.gamma", _check(
         lambda t: _weighted_sum(B.layer_norm(Tensor(x), B.LayerNormParams(t, ln.beta)),
                                 "ln.g"), ln.gamma.data.copy()), OP_TOL))
 
     dw = B.init_dwconv(c, derive(_SEED, "dw"), "g")
     rows.append(("depthwise_conv.input", _check(
-        lambda t: _weighted_sum(B.depthwise_conv3x3(t, dw), "dw.in"), x), OP_TOL))
+        lambda t: _weighted_sum(B.depthwise_conv3x3(t, dw), "dw.in"),
+        _arr((2, 4, 3, c), tag="dwx")), OP_TOL))
     rows.append(("depthwise_conv.kernel", _check(
         lambda t: _weighted_sum(B.depthwise_conv3x3(Tensor(x), B.DWConvParams(t, dw.bias)),
                                 "dw.k"), dw.kernel.data.copy()), OP_TOL))
+    rows.append(("depthwise_conv.bias", _check(
+        lambda t: _weighted_sum(B.depthwise_conv3x3(Tensor(x), B.DWConvParams(dw.kernel, t)),
+                                "dw.b"), _arr((c,), tag="dwb")), OP_TOL))
 
     lin = B.init_linear(c, 3, derive(_SEED, "lin"), "g")
     rows.append(("linear.weight", _check(
@@ -226,6 +241,16 @@ def check_objective() -> list:
     ]
     for name, f in probes:
         rows.append((name, _check(f, pred0), OP_TOL))
+
+    # a stack, built like the single map above: per-map statistics, then
+    # the mean over rows
+    gts = uniform_array((3, size, size), 0.01, 1.0, derive(_SEED, "gts"))
+    gts = gts / gts.sum(axis=(1, 2), keepdims=True)
+    fixes = np.zeros((3, size, size))
+    fixes[:, 1, 2] = fixes[0, 4, 4] = fixes[2, 0, 5] = 1.0
+    preds = uniform_array((3, size, size), 0.05, 0.95, derive(_SEED, "preds"))
+    rows.append(("composite_loss.batch",
+                 _check(lambda t: O.composite_loss(gts, fixes, t), preds), OP_TOL))
     return rows
 
 

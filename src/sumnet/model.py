@@ -483,17 +483,13 @@ def _stack_batch(samples, idxs):
 
 
 def batch_loss(model: Model, samples, idxs) -> Tensor:
-    """Mean composite loss over one batch (per-sample loss on each slice)."""
+    """Mean composite loss over one batch: the mean of the per-sample losses."""
     imgs, labels = _stack_batch(samples, idxs)
     pred = model.forward(imgs, labels)
-    total = None
-    for row, i in enumerate(idxs):
-        s = samples[i]
-        term = composite_loss(s.smap, s.fmap, pred[row],
-                              weights=model.cfg.loss_weights,
-                              kl_literal=model.cfg.kl_literal)
-        total = term if total is None else T.add(total, term)
-    return T.mul(total, 1.0 / len(idxs))
+    smaps = np.stack([samples[i].smap for i in idxs])
+    fmaps = np.stack([samples[i].fmap for i in idxs])
+    return composite_loss(smaps, fmaps, pred, weights=model.cfg.loss_weights,
+                          kl_literal=model.cfg.kl_literal)
 
 
 def evaluate(model: Model, samples, batch_size: int = 16):

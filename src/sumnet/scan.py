@@ -70,45 +70,90 @@ def _grid4(f: Tensor):
     raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
 
 
+def _flatten(grid: np.ndarray, direction: str) -> np.ndarray:
+    """One traversal of a [B, H, W, C] array as a fresh [B, H*W, C] array.
+
+    Reversing a row-major flattening is the same as reversing both spatial
+    axes before it; column-major is row-major of the transposed grid.
+    """
+    b, h, w, c = grid.shape
+    if direction.startswith("col"):
+        grid = grid.transpose(0, 2, 1, 3)
+    if direction.endswith("bwd"):
+        grid = grid[:, ::-1, ::-1]
+    return np.array(grid, order="C").reshape(b, h * w, c)
+
+
+def _unflatten(seq: np.ndarray, direction: str, h: int, w: int) -> np.ndarray:
+    """Inverse of _flatten: a [B, H*W, C] traversal as a [B, H, W, C] view."""
+    b, _, c = seq.shape
+    col = direction.startswith("col")
+    grid = seq.reshape((b, w, h, c) if col else (b, h, w, c))
+    if direction.endswith("bwd"):
+        grid = grid[:, ::-1, ::-1]
+    return grid.transpose(0, 2, 1, 3) if col else grid
+
+
 def cross_scan(f: Tensor) -> DirectionalSequences:
     """Flatten a grid into the four traversal orders (fresh buffers, not views).
 
     A [H, W, C] grid yields [L, C] sequences; [B, H, W, C] yields [B, L, C].
+    Each traversal is one tape node whose backward scatters the sequence
+    gradient back onto the grid.
     """
-    f4, had_batch = _grid4(T.as_tensor(f))
-    b, h, w, c = f4.shape
-    row_fwd = T.copy(T.reshape(f4, (b, h * w, c)))
-    row_bwd = T.flip(row_fwd, 1)
-    col_fwd = T.reshape(T.transpose(f4, (0, 2, 1, 3)), (b, h * w, c))
-    col_bwd = T.flip(col_fwd, 1)
-    if not had_batch:
-        row_fwd, row_bwd, col_fwd, col_bwd = (
-            T.reshape(t, (h * w, c)) for t in (row_fwd, row_bwd, col_fwd, col_bwd)
-        )
-    return DirectionalSequences(row_fwd, row_bwd, col_fwd, col_bwd, h, w)
+    f = T.as_tensor(f)
+    if f.ndim not in (3, 4):
+        raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
+    f4 = f.data if f.ndim == 4 else f.data[None]
+    _, h, w, _ = f4.shape
+    fshape = f.shape
+
+    def traversal(direction):
+        seq = _flatten(f4, direction)
+
+        def make():
+            def grad_fn(g):
+                g3 = g if g.ndim == 3 else g[None]
+                return (np.ascontiguousarray(_unflatten(g3, direction, h, w)).reshape(fshape),)
+
+            return grad_fn
+
+        out = seq if f.ndim == 4 else seq[0]
+        return T._emit("cross_scan", (f,), out, make)
+
+    return DirectionalSequences(*map(traversal, DIRECTION_ORDER), h, w)
 
 
 def cross_merge(seqs: DirectionalSequences) -> Tensor:
     """Invert each traversal back to the grid and sum the four grids.
 
     Summation is pairwise, (row_fwd + row_bwd) + (col_fwd + col_bwd), so that
-    merging four identical grids is exact doubling twice (bit-exact 4x).
+    merging four identical grids is exact doubling twice (bit-exact 4x).  One
+    tape node over the four sequences; each one's gradient is the traversal
+    of the grid gradient in its own order.
     """
     h, w = seqs.height, seqs.width
-    parts = [seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, seqs.col_bwd]
-    had_batch = parts[0].ndim == 3
-    if not had_batch:
-        parts = [T.reshape(t, (1,) + t.shape) for t in parts]
-    b, l, c = parts[0].shape
-    if l != h * w:
-        raise ShapeError(f"sequence length {l} does not match grid {h}x{w}")
-    laxis = 1
-    rf = T.reshape(parts[0], (b, h, w, c))
-    rb = T.reshape(T.flip(parts[1], laxis), (b, h, w, c))
-    cf = T.transpose(T.reshape(parts[2], (b, w, h, c)), (0, 2, 1, 3))
-    cb = T.transpose(T.reshape(T.flip(parts[3], laxis), (b, w, h, c)), (0, 2, 1, 3))
-    merged = T.add(T.add(rf, rb), T.add(cf, cb))
-    return merged if had_batch else T.reshape(merged, (h, w, c))
+    parts = tuple(T.as_tensor(t) for _, t in seqs.as_list())
+    shape = parts[0].shape
+    if parts[0].ndim not in (2, 3) or any(t.shape != shape for t in parts):
+        raise ShapeError(f"cross_merge needs four equal [.., L, C] sequences, "
+                         f"got {[t.shape for t in parts]}")
+    if shape[-2] != h * w:
+        raise ShapeError(f"sequence length {shape[-2]} does not match grid {h}x{w}")
+    had_batch = len(shape) == 3
+    rf, rb, cf, cb = (_unflatten(t.data if had_batch else t.data[None], d, h, w)
+                      for d, t in zip(DIRECTION_ORDER, parts))
+    merged = rf + rb  # C-ordered; the column pair is added into it in place
+    merged += cf + cb
+
+    def make():
+        def grad_fn(g):
+            g4 = g if had_batch else g[None]
+            return tuple(_flatten(g4, d).reshape(shape) for d in DIRECTION_ORDER)
+
+        return grad_fn
+
+    return T._emit("cross_merge", parts, merged if had_batch else merged[0], make)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +376,11 @@ def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
     Interleaving the lengths spreads any scheduler or frequency burst over
     at most one sample per length instead of a whole length's window, so
     the medians stay meaningful on busy machines.  Returns {length: median
-    seconds} in input order.
+    seconds} in input order; `runs` below 1 is a ValueError.
     """
+    runs = int(runs)
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     setups = []
     for n in lengths:
         p = init_ssm_params(channels, state_size, seed, "bench")
@@ -341,7 +389,7 @@ def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
         selective_scan(x, p)  # warm-up + allocator touch
         setups.append((n, p, x))
     times = {n: [] for n in lengths}
-    for _ in range(max(1, int(runs))):
+    for _ in range(runs):
         for n, p, x in setups:
             t0 = time.perf_counter()
             selective_scan(x, p)

@@ -1,7 +1,10 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
-All math in the package flows through the primitives here.  Tensors wrap
-C-order float64 numpy arrays.  When a Tape is active and an input requires
+The generic primitives live here; fused primitives in `blocks` and `scan`
+(layer-norm core, depthwise conv, directional scan and merge, the scan
+recurrence) compute their forward in numpy and record one node each, with a
+hand-derived backward, through the same `_emit` path.  Tensors wrap C-order
+float64 numpy arrays.  When a Tape is active and an input requires
 gradients, each operation appends a node (op kind, input node ids, output
 node id, backward closure over saved values) to the tape; `backward` replays
 the node list once in reverse, accumulating gradients additively so a value
@@ -486,31 +489,6 @@ def gelu(x) -> Tensor:
     return _emit("gelu", (x,), 0.5 * xd * (1.0 + t), make)
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "min": minimum,
-    "max": maximum,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "sigmoid": sigmoid,
-    "silu": silu,
-    "gelu": gelu,
-    "softplus": softplus,
-}
-
-
-def elementwise(kind: str, *operands) -> Tensor:
-    """Dispatch by op name; unknown names raise ValueError."""
-    fn = _ELEMENTWISE.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown elementwise op {kind!r}")
-    return fn(*operands)
-
-
 # ---------------------------------------------------------------------------
 # matmul and reductions
 
@@ -597,16 +575,6 @@ def reduce_var(x, axes=None, keepdims: bool = False) -> Tensor:
         )
 
     return _emit("var", (x,), out_data, make)
-
-
-_REDUCE = {"sum": reduce_sum, "mean": reduce_mean, "var": reduce_var}
-
-
-def reduce(kind: str, x, axes=None, keepdims: bool = False) -> Tensor:
-    fn = _REDUCE.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown reduction {kind!r}")
-    return fn(x, axes, keepdims)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 import sumnet.tensor as T
 from sumnet.blocks import (
+    LN_EPS,
     ConditionerParams,
     DomainLabel,
+    DWConvParams,
     ModulationParams,
     conditioner,
     conditioner_param_count,
@@ -118,6 +120,88 @@ def test_dwconv_batched_matches_single():
     for i in range(2):
         yi = depthwise_conv3x3(Tensor(xb.data[i]), p)
         assert np.array_equal(yb.data[i], yi.data)
+
+
+# ---------------------------------------------------------------------------
+# fused primitives against the tape compositions they replaced
+
+
+def _reference_ln_core(x, eps=LN_EPS):
+    mu = T.reduce_mean(x, -1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.reduce_mean(T.mul(centered, centered), -1, keepdims=True)
+    return T.div(centered, T.sqrt(T.add(var, eps)))
+
+
+def _reference_depthwise_conv3x3(x, p):
+    x = T.as_tensor(x)
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"expected a grid, got {x.shape}")
+    if x.shape[-1] != p.kernel.shape[0]:
+        raise ShapeError(f"grid has {x.shape[-1]} channels, kernel has {p.kernel.shape[0]}")
+    h_ax, w_ax = x.ndim - 3, x.ndim - 2
+    h, w = x.shape[h_ax], x.shape[w_ax]
+    pw = [(0, 0)] * x.ndim
+    pw[h_ax] = (1, 1)
+    pw[w_ax] = (1, 1)
+    padded = T.pad(x, pw)
+    lead = (slice(None),) * (x.ndim - 3)
+    acc = None
+    for dy in range(3):
+        for dx in range(3):
+            window = padded[lead + (slice(dy, dy + h), slice(dx, dx + w), slice(None))]
+            term = T.mul(window, p.kernel[:, dy, dx])
+            acc = term if acc is None else T.add(acc, term)
+    return T.add(acc, p.bias)
+
+
+def _forward_and_grads(fn, arrays, seed):
+    """fn's output, the gradients of a random weighting of it, and the op nodes.
+
+    A plain sum would hide layer-norm gradients: each normalized row sums
+    to zero by construction.
+    """
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with T.Tape() as tape:
+        out = fn(*leaves)
+        n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
+        weights = T.uniform(out.shape, 0.1, 1.0, seed).data
+        T.backward(tape, T.reduce_sum(T.mul(out, weights)))
+    return out.data, [t.grad for t in leaves], n_ops
+
+
+def _assert_grads_close(got, want):
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape, i
+        assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300), i
+
+
+# C >= 3: with two channels a normalized row is +-1 whatever x is, so its
+# gradient is pure round-off and no relative bound can hold
+FUSED_GRIDS = [(1, 1, 4), (5, 6, 3), (1, 1, 1, 3), (2, 4, 3, 5)]
+
+
+@pytest.mark.parametrize("shape", FUSED_GRIDS)
+def test_ln_core_matches_reference_composition(shape):
+    x = rnd(shape, 41, -2.0, 2.0).data
+    got, got_g, n_ops = _forward_and_grads(ln_core, [x], 42)
+    want, want_g, _ = _forward_and_grads(_reference_ln_core, [x], 42)
+    assert n_ops == 1
+    assert np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)
+
+
+@pytest.mark.parametrize("shape", FUSED_GRIDS)
+def test_dwconv_matches_reference_composition(shape):
+    c = shape[-1]
+    inputs = [rnd(shape, 43).data, rnd((c, 3, 3), 44).data, rnd((c,), 45).data]
+    got, got_g, n_ops = _forward_and_grads(
+        lambda x, k, b: depthwise_conv3x3(x, DWConvParams(k, b)), inputs, 46)
+    want, want_g, _ = _forward_and_grads(
+        lambda x, k, b: _reference_depthwise_conv3x3(x, DWConvParams(k, b)), inputs, 46)
+    assert n_ops == 1
+    assert np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)  # x, kernel and bias
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,38 @@ def test_adam_is_deterministic():
 # loss plumbing and training
 
 
+def _reference_batch_loss(model, samples, idxs):
+    imgs, labels = M._stack_batch(samples, idxs)
+    pred = model.forward(imgs, labels)
+    total = None
+    for row, i in enumerate(idxs):
+        s = samples[i]
+        term = composite_loss(s.smap, s.fmap, pred[row],
+                              weights=model.cfg.loss_weights,
+                              kl_literal=model.cfg.kl_literal)
+        total = term if total is None else T.add(total, term)
+    return T.mul(total, 1.0 / len(idxs))
+
+
+@pytest.mark.parametrize("kl_literal", [False, True])
+def test_batch_loss_matches_per_sample_loop(kl_literal):
+    m = Model(micro_cfg(kl_literal=kl_literal))
+    samples = micro_samples(3)
+
+    def run(loss_fn):
+        with T.Tape() as tape:
+            loss = loss_fn(m, samples, [2, 0, 1])
+            grads = T.backward(tape, loss)
+        return float(loss.data), {n: grads[t] for n, t in m.params().items()}
+
+    value, grads = run(batch_loss)
+    want, want_grads = run(_reference_batch_loss)
+    assert abs(value - want) <= 1e-12 * abs(want)
+    for name, g in grads.items():
+        w = want_grads[name]
+        assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300), name
+
+
 def test_batch_loss_matches_manual_mean():
     m = Model(micro_cfg())
     samples = micro_samples(3)

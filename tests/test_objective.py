@@ -108,6 +108,8 @@ def test_mse_oracle_and_shape_guard():
         mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         mse_loss(np.zeros(4), np.zeros(4))
+    with pytest.raises(ShapeError, match="stack"):
+        mse_loss(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2)))
 
 
 def test_normalize_guards():
@@ -148,6 +150,54 @@ def test_composite_weight_count():
     g = rmap((4, 4), 11)
     with pytest.raises(ValueError):
         composite_loss(g, g, g, weights=(1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# [B, H, W] stacks
+
+
+def _stack_case(b=3, size=6):
+    gt = np.stack([rmap((size, size), 30 + i) for i in range(b)])
+    pred = np.stack([rmap((size, size), 40 + i) for i in range(b)])
+    fix = np.zeros((b, size, size))
+    for i in range(b):
+        fix[i, i, (2 * i + 1) % size] = fix[i, size - 1 - i, i] = 1.0
+    return gt, fix, pred
+
+
+@pytest.mark.parametrize("kl_literal", [False, True])
+def test_stack_is_mean_of_per_map_calls(kl_literal):
+    gt, fix, pred = _stack_case()
+    cases = [
+        ("kl", lambda g, f, p: kl_loss(g, p, literal=kl_literal)),
+        ("cc", lambda g, f, p: cc_loss(g, p)),
+        ("sim", lambda g, f, p: sim_loss(g, p)),
+        ("nss", lambda g, f, p: nss_loss(f, p)),
+        ("mse", lambda g, f, p: mse_loss(g, p)),
+        ("composite", lambda g, f, p: composite_loss(g, f, p, kl_literal=kl_literal)),
+    ]
+    for name, fn in cases:
+        stacked = fn(gt, fix, pred)
+        assert stacked.shape == (), name
+        per_map = np.mean([fn(gt[i], fix[i], pred[i]).item() for i in range(len(gt))])
+        assert abs(stacked.item() - per_map) <= 1e-12 * abs(per_map), name
+
+
+@pytest.mark.parametrize("case,message", [
+    ("negative", "pred map row 2 has negative entries"),
+    ("no mass", "gt map row 1 has no mass to normalize"),
+    ("no fixations", "fixation map row 2 has no fixations"),
+])
+def test_stack_errors_name_the_row(case, message):
+    gt, fix, pred = _stack_case()
+    if case == "negative":
+        pred[2, 3, 3] = -0.5
+    elif case == "no mass":
+        gt[1] = 0.0
+    else:
+        fix[2] = 0.0
+    with pytest.raises(NormalizationError, match=message):
+        composite_loss(gt, fix, pred)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 
 import sumnet.tensor as T
 from sumnet.scan import (
+    DIRECTION_ORDER,
     DirectionalSequences,
+    bench_lengths,
     cross_merge,
     cross_scan,
     delta_rank,
@@ -14,6 +16,7 @@ from sumnet.scan import (
     selective_scan,
     ss2d,
     ssm_recurrence,
+    _grid4,
     _scan_backward,
     _scan_forward,
 )
@@ -45,6 +48,11 @@ def test_cross_scan_copies_not_views():
     seqs = cross_scan(grid)
     grid.data[0, 0, 0] = 99.0
     assert seqs.row_fwd.data[0, 0] == 0.0
+    # a single row or column is already contiguous in every order
+    for shape in ((1, 1, 2), (1, 3, 2), (3, 1, 2), (2, 1, 4, 3)):
+        grid = rnd(shape, 3)
+        for name, seq in cross_scan(grid).as_list():
+            assert not np.shares_memory(seq.data, grid.data), (shape, name)
 
 
 def test_roundtrip_is_4x_identity_bit_exact():
@@ -81,11 +89,106 @@ def test_merge_length_mismatch_raises():
     bad = DirectionalSequences(seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, seqs.col_bwd, 3, 3)
     with pytest.raises(ShapeError):
         cross_merge(bad)
+    short = Tensor(seqs.col_bwd.data[:-1])
+    with pytest.raises(ShapeError):
+        cross_merge(DirectionalSequences(seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, short, 2, 3))
 
 
 def test_cross_scan_rejects_bad_rank():
     with pytest.raises(ShapeError):
         cross_scan(Tensor(np.zeros((3, 3))))
+
+
+# ---------------------------------------------------------------------------
+# fused scan/merge against the tape compositions they replaced
+
+
+def _reference_cross_scan(f):
+    f4, had_batch = _grid4(T.as_tensor(f))
+    b, h, w, c = f4.shape
+    row_fwd = T.copy(T.reshape(f4, (b, h * w, c)))
+    row_bwd = T.flip(row_fwd, 1)
+    col_fwd = T.reshape(T.transpose(f4, (0, 2, 1, 3)), (b, h * w, c))
+    col_bwd = T.flip(col_fwd, 1)
+    if not had_batch:
+        row_fwd, row_bwd, col_fwd, col_bwd = (
+            T.reshape(t, (h * w, c)) for t in (row_fwd, row_bwd, col_fwd, col_bwd)
+        )
+    return DirectionalSequences(row_fwd, row_bwd, col_fwd, col_bwd, h, w)
+
+
+def _reference_cross_merge(seqs):
+    h, w = seqs.height, seqs.width
+    parts = [seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, seqs.col_bwd]
+    had_batch = parts[0].ndim == 3
+    if not had_batch:
+        parts = [T.reshape(t, (1,) + t.shape) for t in parts]
+    b, l, c = parts[0].shape
+    if l != h * w:
+        raise ShapeError(f"sequence length {l} does not match grid {h}x{w}")
+    laxis = 1
+    rf = T.reshape(parts[0], (b, h, w, c))
+    rb = T.reshape(T.flip(parts[1], laxis), (b, h, w, c))
+    cf = T.transpose(T.reshape(parts[2], (b, w, h, c)), (0, 2, 1, 3))
+    cb = T.transpose(T.reshape(T.flip(parts[3], laxis), (b, w, h, c)), (0, 2, 1, 3))
+    merged = T.add(T.add(rf, rb), T.add(cf, cb))
+    return merged if had_batch else T.reshape(merged, (h, w, c))
+
+
+def _assert_grads_close(got, want):
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape, i
+        assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300), i
+
+
+GRIDS = [(1, 1, 2), (3, 4, 2), (1, 1, 1, 3), (2, 3, 5, 2)]
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_cross_scan_matches_reference_composition(shape):
+    weights = [rnd(shape[:-3] + (shape[-3] * shape[-2], shape[-1]), 50 + i).data
+               for i in range(4)]
+
+    def run(scan):
+        f = Tensor(rnd(shape, 49).data, requires_grad=True)
+        with T.Tape() as tape:
+            seqs = scan(f)
+            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
+            loss = None
+            for (_, seq), wt in zip(seqs.as_list(), weights):
+                term = T.reduce_sum(T.mul(seq, wt))
+                loss = term if loss is None else T.add(loss, term)
+            T.backward(tape, loss)
+        return [seq.data for _, seq in seqs.as_list()], f.grad, n_ops
+
+    got, got_g, n_ops = run(cross_scan)
+    want, want_g, _ = run(_reference_cross_scan)
+    assert n_ops == 4  # one node per direction
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    _assert_grads_close([got_g], [want_g])
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_cross_merge_matches_reference_composition(shape):
+    h, w = shape[-3], shape[-2]
+    seq_shape = shape[:-3] + (h * w, shape[-1])
+    weights = rnd(shape, 59).data
+
+    def run(merge):
+        parts = [Tensor(rnd(seq_shape, 60 + i).data, requires_grad=True) for i in range(4)]
+        with T.Tape() as tape:
+            merged = merge(DirectionalSequences(*parts, h, w))
+            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
+            T.backward(tape, T.reduce_sum(T.mul(merged, weights)))
+        return merged.data, [t.grad for t in parts], n_ops
+
+    got, got_g, n_ops = run(cross_merge)
+    want, want_g, _ = run(_reference_cross_merge)
+    assert n_ops == 1
+    assert got.shape == want.shape and np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)  # all four sequences, in DIRECTION_ORDER
+    assert len(got_g) == len(DIRECTION_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +428,9 @@ def test_ss2d_batch_matches_per_sample():
     for i in range(2):
         single = ss2d(Tensor(batch.data[i]), pp)
         assert np.allclose(full.data[i], single.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("runs", [0, -2])
+def test_bench_lengths_rejects_non_positive_runs(runs):
+    with pytest.raises(ValueError, match="runs"):
+        bench_lengths([8], runs=runs)
