@@ -10,6 +10,8 @@ A C-VSS block is a VSS block with three insertion points fed by
     produce genuinely different feature maps from identical pixels.
 """
 
+import dataclasses
+
 import numpy as np
 
 from sumnet import tensor as T
@@ -20,7 +22,6 @@ from sumnet.blocks import (
     cvss_forward,
     init_conditioner,
     init_vss,
-    one_hot_conditioner,
     vss_forward,
 )
 from sumnet.rng import SplitMix64
@@ -49,7 +50,7 @@ def main():
 
     # One-hot mode shares the MLP but swaps the learned prompt rows for
     # fixed unit vectors — a strictly smaller hypothesis class.
-    oh = one_hot_conditioner(cond, [0])
+    oh = conditioner(dataclasses.replace(cond, tokens=None), [0])
     pr = conditioner(cond, [0])
     print("prompt vs one-hot alpha1 for domain 0:",
           float(pr.alpha1.data.ravel()[0]), "vs", float(oh.alpha1.data.ravel()[0]))

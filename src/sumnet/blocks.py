@@ -58,15 +58,27 @@ def init_linear(n_in: int, n_out: int, seed: int, name: str, zero: bool = False)
 
 
 def linear(x: Tensor, p: Linear) -> Tensor:
-    """Affine map over the trailing channel axis of any-rank input."""
+    """Affine map over the trailing channel axis of any-rank input.
+
+    One tape node over (x, weight, bias).  With the leading axes flattened,
+    the output is x W + b and the gradients are (g W^T, x^T g, sum of g).
+    """
     x = T.as_tensor(x)
     n_in, n_out = p.weight.shape
     if x.shape[-1] != n_in:
         raise ShapeError(f"linear expects trailing dim {n_in}, got {x.shape}")
-    lead = x.shape[:-1]
-    flat = T.reshape(x, (-1, n_in))
-    out = T.add(T.matmul(flat, p.weight), p.bias)
-    return T.reshape(out, lead + (n_out,))
+    flat = x.data.reshape(-1, n_in)
+    w = p.weight.data
+    out_data = (flat @ w + p.bias.data).reshape(x.shape[:-1] + (n_out,))
+
+    def make():
+        def grad_fn(g):
+            g2 = g.reshape(-1, n_out)
+            return (g2 @ w.T).reshape(x.shape), flat.T @ g2, g2.sum(axis=0)
+
+        return grad_fn
+
+    return T._emit("linear", (x, p.weight, p.bias), out_data, make)
 
 
 @dataclass
@@ -431,16 +443,6 @@ def conditioner(p: ConditionerParams, labels) -> ModulationParams:
     arr = _check_labels(labels, p.num_domains)
     table = conditioner_table(p)
     return modulation_from_raw(T.take(table, arr, axis=0))
-
-
-def one_hot_conditioner(p: ConditionerParams, labels) -> ModulationParams:
-    """Same MLP fed a one-hot token (padded to token_dim) instead of a prompt."""
-    arr = _check_labels(labels, p.num_domains)
-    eye = np.zeros((arr.size, p.token_dim))
-    eye[np.arange(arr.size), arr] = 1.0
-    h = T.gelu(linear(Tensor(eye), p.l1))
-    h = T.gelu(linear(h, p.l2))
-    return modulation_from_raw(linear(h, p.l3))
 
 
 def conditioner_param_count(p: ConditionerParams) -> int:

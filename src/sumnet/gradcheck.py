@@ -118,6 +118,9 @@ def check_scan() -> list:
                      _check(f, getattr(p, field).data.copy()), OP_TOL))
     rows.append(("selective_scan.input",
                  _check(lambda t: _weighted_sum(S.selective_scan(t, p), "ss.in"), seq), OP_TOL))
+    rows.append(("selective_scan.input_batched",
+                 _check(lambda t: _weighted_sum(S.selective_scan(t, p), "ss.inb"),
+                        _arr((b, length, c), tag="seqb")), OP_TOL))
 
     h, w = 2, 3
     seqs = [_arr((b, h * w, c), tag=f"merge.{d}") for d in S.DIRECTION_ORDER]
@@ -164,6 +167,12 @@ def check_blocks() -> list:
     rows.append(("linear.weight", _check(
         lambda t: _weighted_sum(B.linear(Tensor(x), B.Linear(t, lin.bias)), "lin.w"),
         lin.weight.data.copy()), OP_TOL))
+    rows.append(("linear.bias", _check(
+        lambda t: _weighted_sum(B.linear(Tensor(x), B.Linear(lin.weight, t)), "lin.b"),
+        _arr((3,), tag="linb")), OP_TOL))
+    rows.append(("linear.input", _check(
+        lambda t: _weighted_sum(B.linear(t, lin), "lin.in"), _arr((2, 3, 3, c), tag="linx")),
+        OP_TOL))
 
     img = _arr((8, 8, 3), 0.0, 1.0, "img")
     pe = B.init_patch_embed(c, derive(_SEED, "pe"))

@@ -326,13 +326,6 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def _modulation(self, labels):
-        if self.cfg.conditioning == "prompt":
-            return B.conditioner(self.cond, labels)
-        if self.cfg.conditioning == "one-hot":
-            return B.one_hot_conditioner(self.cond, labels)
-        return None
-
     def _stage(self, x, stage_name: str, weights, mod):
         conditioned = stage_name in self._conditioned
         for w in weights:
@@ -356,7 +349,7 @@ class Model:
             labels = np.asarray(labels).reshape(-1)
             if labels.size != batch:
                 raise ShapeError(f"{labels.size} labels for batch of {batch}")
-            mod = self._modulation(labels)
+            mod = B.conditioner(self.cond, labels)
 
         x = B.patch_embed(imgs, self.embed)
         skips = []

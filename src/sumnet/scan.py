@@ -10,6 +10,13 @@ step at a time: the cost is memory traffic through these arrays, not FLOPs.
 The hidden states and the decay factors are kept for the backward pass,
 trading memory for an exact reverse sweep without recomputation.
 
+`selective_scan` records one tape node for a whole direction: projections,
+softplus, A = -exp(A_log), recurrence and skip.  Its closure keeps the
+sequence, the rank-R delta projection, the softplus derivative, delta, the
+B/C projections, A, exp(A_log) and the kernel's hidden and abar.
+`ssm_recurrence` is the bare recurrence as its own primitive, on the same
+kernels.
+
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
     B_t      = x_t W_B                                [N]
@@ -310,24 +317,61 @@ def init_ssm_params(channels: int, state_size: int, seed: int, name: str = "ssm"
 
 
 def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
-    """Input-conditioned scan over one flattened sequence ([L,C] or [B,L,C])."""
+    """Input-conditioned scan over one flattened sequence ([L,C] or [B,L,C]).
+
+    One tape node over (seq, a_log, d_skip, w_b, w_c, w_delta, v_delta,
+    b_delta).  The forward runs the delta projection and its softplus, the
+    B and C projections, A = -exp(a_log), the recurrence kernel and the skip
+    term D x in numpy; the backward chains the kernel's five gradients back
+    through each of them.  In checked mode the delta pre-activation, both
+    projections, exp(a_log) and the output must be finite.
+    """
     seq = T.as_tensor(seq)
-    squeeze = seq.ndim == 2
-    x3 = T.reshape(seq, (1,) + seq.shape) if squeeze else seq
-    if x3.ndim != 3:
+    if seq.ndim not in (2, 3):
         raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
+    x3 = seq.data[None] if seq.ndim == 2 else seq.data
     bsz, length, ch = x3.shape
     if ch != p.channels:
         raise ShapeError(f"sequence has {ch} channels, params have {p.channels}")
-    flat = T.reshape(x3, (bsz * length, ch))
-    delta = T.softplus(T.add(T.matmul(T.matmul(flat, p.w_delta), p.v_delta), p.b_delta))
-    delta = T.reshape(delta, (bsz, length, ch))
-    b_seq = T.reshape(T.matmul(flat, p.w_b), (bsz, length, p.w_b.shape[1]))
-    c_seq = T.reshape(T.matmul(flat, p.w_c), (bsz, length, p.w_c.shape[1]))
-    a = T.mul(T.exp(p.a_log), -1.0)
-    y = ssm_recurrence(delta, a, b_seq, c_seq, x3)
-    y = T.add(y, T.mul(x3, p.d_skip))
-    return T.reshape(y, seq.shape) if squeeze else y
+    inputs = (seq, p.a_log, p.d_skip, p.w_b, p.w_c, p.w_delta, p.v_delta, p.b_delta)
+    a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta = (t.data for t in inputs[1:])
+    n = w_b.shape[1]
+    flat = x3.reshape(bsz * length, ch)
+    low = flat @ w_delta
+    pre = low @ v_delta + b_delta
+    T._check("selective_scan delta pre-activation", pre)
+    big = pre > 30.0
+    delta = np.where(big, pre, np.log1p(np.exp(np.minimum(pre, 30.0))))
+    b_flat, c_flat = flat @ w_b, flat @ w_c
+    T._check("selective_scan B projection", b_flat)
+    T._check("selective_scan C projection", c_flat)
+    with np.errstate(over="ignore"):
+        e_a = np.exp(a_log)
+    T._check("selective_scan exp(a_log)", e_a)
+    a = e_a * -1.0
+    delta3, b3, c3 = (v.reshape(bsz, length, -1) for v in (delta, b_flat, c_flat))
+    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x3)
+    out = y + x3 * d_skip
+
+    def make():
+        deriv = np.where(big, 1.0, T._sigmoid_raw(pre))  # softplus'
+
+        def grad_fn(g):
+            g3 = g[None] if g.ndim == 2 else g
+            g_delta, g_a, g_b, g_c, g_x = _scan_backward(g3, delta3, a, b3, c3, x3,
+                                                         hidden, abar)
+            g_pre = g_delta.reshape(-1, ch) * deriv
+            g_low = g_pre @ v_delta.T
+            g_b, g_c = g_b.reshape(-1, n), g_c.reshape(-1, n)
+            g_x += g3 * d_skip
+            g_x += (g_low @ w_delta.T + g_b @ w_b.T + g_c @ w_c.T).reshape(x3.shape)
+            return (g_x.reshape(seq.shape), (g_a * -1.0) * e_a, (g3 * x3).sum(axis=(0, 1)),
+                    flat.T @ g_b, flat.T @ g_c, flat.T @ g_low, low.T @ g_pre,
+                    g_pre.sum(axis=0))
+
+        return grad_fn
+
+    return T._emit("selective_scan", inputs, out[0] if seq.ndim == 2 else out, make)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
 The generic primitives live here; fused primitives in `blocks` and `scan`
-(layer-norm core, depthwise conv, directional scan and merge, the scan
-recurrence) compute their forward in numpy and record one node each, with a
-hand-derived backward, through the same `_emit` path.  Tensors wrap C-order
+(`linear`, layer-norm core, depthwise conv, directional scan and merge,
+`selective_scan` over one whole direction, the bare scan recurrence) compute
+their forward in numpy and record one node each, with a hand-derived
+backward, through the same `_emit` path.  Tensors wrap C-order
 float64 numpy arrays.  When a Tape is active and an input requires
 gradients, each operation appends a node (op kind, input node ids, output
 node id, backward closure over saved values) to the tape; `backward` replays

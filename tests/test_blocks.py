@@ -9,6 +9,7 @@ from sumnet.blocks import (
     ConditionerParams,
     DomainLabel,
     DWConvParams,
+    Linear,
     ModulationParams,
     conditioner,
     conditioner_param_count,
@@ -27,7 +28,6 @@ from sumnet.blocks import (
     layer_norm,
     linear,
     ln_core,
-    one_hot_conditioner,
     patch_embed,
     patch_expand,
     vss_forward,
@@ -133,6 +133,18 @@ def _reference_ln_core(x, eps=LN_EPS):
     return T.div(centered, T.sqrt(T.add(var, eps)))
 
 
+def _reference_linear(x, p):
+    """Affine map over the trailing channel axis of any-rank input."""
+    x = T.as_tensor(x)
+    n_in, n_out = p.weight.shape
+    if x.shape[-1] != n_in:
+        raise ShapeError(f"linear expects trailing dim {n_in}, got {x.shape}")
+    lead = x.shape[:-1]
+    flat = T.reshape(x, (-1, n_in))
+    out = T.add(T.matmul(flat, p.weight), p.bias)
+    return T.reshape(out, lead + (n_out,))
+
+
 def _reference_depthwise_conv3x3(x, p):
     x = T.as_tensor(x)
     if x.ndim not in (3, 4):
@@ -202,6 +214,18 @@ def test_dwconv_matches_reference_composition(shape):
     assert n_ops == 1
     assert np.array_equal(got, want)
     _assert_grads_close(got_g, want_g)  # x, kernel and bias
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (2, 5, 4), (2, 3, 3, 6)])
+def test_linear_matches_reference_composition(shape):
+    n_in, n_out = shape[-1], 5
+    inputs = [rnd(shape, 47).data, rnd((n_in, n_out), 48).data, rnd((n_out,), 49).data]
+    got, got_g, n_ops = _forward_and_grads(lambda x, w, b: linear(x, Linear(w, b)), inputs, 50)
+    want, want_g, _ = _forward_and_grads(
+        lambda x, w, b: _reference_linear(x, Linear(w, b)), inputs, 50)
+    assert n_ops == 1
+    assert got.shape == shape[:-1] + (n_out,) and np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)  # x, weight and bias
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +400,29 @@ def test_distinct_tokens_give_distinct_rows_once_trained():
             assert not np.allclose(rows[i], rows[j])
 
 
+def _gelu(v):
+    return 0.5 * v * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (v + 0.044715 * v ** 3)))
+
+
 def test_one_hot_matches_table_route():
+    # one-hot params go through the same table route as prompts; each row of
+    # the result is the MLP applied by hand to the padded one-hot token
     p = init_conditioner(4, 16, seed=38, one_hot=True)
     p.l3.weight.data[:] = T.uniform((64, 5), -0.5, 0.5, 39).data
-    via_table = conditioner(p, [2])
-    direct = one_hot_conditioner(p, [2])
-    assert np.allclose(via_table.alpha1.data, direct.alpha1.data, atol=1e-12)
-    assert np.allclose(via_table.beta2.data, direct.beta2.data, atol=1e-12)
+    for k, lin in enumerate((p.l1, p.l2, p.l3)):
+        lin.bias.data[:] = T.uniform(lin.bias.shape, -0.2, 0.2, 390 + k).data
+    labels = [2, 0, 2]
+    mod = conditioner(p, labels)
+    fields = ("alpha1", "beta1", "alpha2", "beta2", "alpha3")
+    for i, label in enumerate(labels):
+        h = np.zeros(16)
+        h[label] = 1.0
+        for lin in (p.l1, p.l2):
+            h = _gelu(h @ lin.weight.data + lin.bias.data)
+        raw = h @ p.l3.weight.data + p.l3.bias.data
+        want = raw + np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        got = np.array([getattr(mod, f).data[i, 0, 0, 0] for f in fields])
+        assert np.abs(got - want).max() <= 1e-12, label
 
 
 def test_label_validation():

@@ -7,6 +7,7 @@ import sumnet.tensor as T
 from sumnet.scan import (
     DIRECTION_ORDER,
     DirectionalSequences,
+    SSMParams,
     bench_lengths,
     cross_merge,
     cross_scan,
@@ -20,7 +21,7 @@ from sumnet.scan import (
     _scan_backward,
     _scan_forward,
 )
-from sumnet.tensor import ShapeError, Tensor, check_gradient
+from sumnet.tensor import NumericError, ShapeError, Tensor, check_gradient
 
 TOL = 1e-4
 
@@ -352,6 +353,96 @@ def test_recurrence_shape_errors():
                        np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ShapeError):
         selective_scan(rnd((4, 3), 1), init_ssm_params(5, 2, seed=1))
+    with pytest.raises(ShapeError):
+        selective_scan(rnd((1, 2, 4, 3), 1), init_ssm_params(3, 2, seed=1))
+
+
+# ---------------------------------------------------------------------------
+# fused selective scan against the tape composition it replaced
+
+
+def _reference_selective_scan(seq, p):
+    seq = T.as_tensor(seq)
+    squeeze = seq.ndim == 2
+    x3 = T.reshape(seq, (1,) + seq.shape) if squeeze else seq
+    if x3.ndim != 3:
+        raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
+    bsz, length, ch = x3.shape
+    if ch != p.channels:
+        raise ShapeError(f"sequence has {ch} channels, params have {p.channels}")
+    flat = T.reshape(x3, (bsz * length, ch))
+    delta = T.softplus(T.add(T.matmul(T.matmul(flat, p.w_delta), p.v_delta), p.b_delta))
+    delta = T.reshape(delta, (bsz, length, ch))
+    b_seq = T.reshape(T.matmul(flat, p.w_b), (bsz, length, p.w_b.shape[1]))
+    c_seq = T.reshape(T.matmul(flat, p.w_c), (bsz, length, p.w_c.shape[1]))
+    a = T.mul(T.exp(p.a_log), -1.0)
+    y = ssm_recurrence(delta, a, b_seq, c_seq, x3)
+    y = T.add(y, T.mul(x3, p.d_skip))
+    return T.reshape(y, seq.shape) if squeeze else y
+
+
+SSM_FIELDS = ("a_log", "d_skip", "w_b", "w_c", "w_delta", "v_delta", "b_delta")
+
+
+def _random_ssm_arrays(ch, n, seed):
+    """Generic parameter values; one channel's delta bias sits on softplus's
+    linear branch (pre-activation above 30)."""
+    p = init_ssm_params(ch, n, seed=seed)
+    arrays = {f: rnd(getattr(p, f).shape, seed + k, -0.8, 0.8).data
+              for k, f in enumerate(SSM_FIELDS)}
+    arrays["b_delta"] = rnd((ch,), seed + 9, -3.0, 0.5).data
+    arrays["b_delta"][0] = 40.0
+    return arrays
+
+
+# [L, C] and [B, L, C]; L=1 leaves the reverse sweep empty; C < 16 has rank 1
+SCAN_SHAPES = [(6, 3), (1, 4), (2, 5, 3), (3, 1, 2), (2, 4, 16)]
+
+
+@pytest.mark.parametrize("shape", SCAN_SHAPES)
+def test_selective_scan_matches_reference_composition(shape):
+    ch, n = shape[-1], 3
+    arrays = _random_ssm_arrays(ch, n, seed=70 + len(shape) * 10 + ch)
+    x = rnd(shape, 81, -1.5, 1.5).data
+    weights = rnd(shape, 82).data
+
+    def run(scan):
+        leaves = [Tensor(x.copy(), requires_grad=True)] + [
+            Tensor(arrays[f].copy(), requires_grad=True) for f in SSM_FIELDS]
+        with T.Tape() as tape:
+            y = scan(leaves[0], SSMParams(*leaves[1:]))
+            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
+            T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+        return y.data, [t.grad for t in leaves], n_ops
+
+    got, got_g, n_ops = run(selective_scan)
+    want, want_g, _ = run(_reference_selective_scan)
+    assert n_ops == 1
+    assert got.shape == want.shape == shape and np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)  # the sequence, then every SSM_FIELDS entry
+    assert len(got_g) == 1 + len(SSM_FIELDS)
+
+
+def test_selective_scan_checked_mode_names_the_intermediate():
+    p = init_ssm_params(3, 2, seed=3)
+    seq = rnd((5, 3), 4)
+    # exp(800) overflows, but abar = exp(delta * -inf) = 0 keeps the output finite
+    huge = dataclasses.replace(p, a_log=Tensor(np.full((3, 2), 800.0)))
+    prev = T.set_checked(False)
+    try:
+        assert np.isfinite(selective_scan(seq, huge).data).all()
+    finally:
+        T.set_checked(prev)
+    with pytest.raises(NumericError, match=r"selective_scan exp\(a_log\)"):
+        selective_scan(seq, huge)
+    bad = seq.data.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(NumericError, match="selective_scan delta pre-activation"):
+        selective_scan(Tensor(bad), p)
+    w_c = p.w_c.data.copy()
+    w_c[1, 0] = np.inf
+    with pytest.raises(NumericError, match="selective_scan C projection"):
+        selective_scan(seq, dataclasses.replace(p, w_c=Tensor(w_c)))
 
 
 # ---------------------------------------------------------------------------
