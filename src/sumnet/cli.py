@@ -8,17 +8,14 @@ no output ever embeds a timestamp.  Exit codes are a stable contract:
 
 Train/eval configs are strict JSON: the SumConfig fields plus
 train_manifest, val_manifest, and out_dir.  Relative paths inside a config
-resolve against the config file's own directory.  The env var SUM_THREADS
-caps evaluation worker threads (default: hardware parallelism).
+resolve against the config file's own directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -84,19 +81,6 @@ def _require_size(samples, size: int, manifest: str) -> None:
                 f"model expects {size}x{size}; regenerate the dataset")
 
 
-def _workers() -> int:
-    env = os.environ.get("SUM_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"SUM_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ConfigError(f"SUM_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -158,19 +142,14 @@ def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
     return model
 
 
-def _pooled_reports(samples, preds) -> list:
-    """Per-sample metrics on worker threads; order follows the samples."""
-    def one(pair):
-        s, pred = pair
-        return evaluate_sample(pred, s.smap, s.fmap, s.sid)
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        return list(pool.map(one, zip(samples, preds)))
+def _reports(samples, preds) -> list:
+    """Per-sample metrics, in sample order."""
+    return [evaluate_sample(pred, s.smap, s.fmap, s.sid) for s, pred in zip(samples, preds)]
 
 
 def _oracle_reports(samples) -> list:
     """Score each ground-truth map against itself (metric smoke test)."""
-    return _pooled_reports(samples, [s.smap for s in samples])
+    return _reports(samples, [s.smap for s in samples])
 
 
 def cmd_eval(args) -> int:
@@ -196,7 +175,7 @@ def cmd_eval(args) -> int:
                 imgs = np.stack([s.image for s in chunk])
                 labels = np.array([s.label for s in chunk])
                 preds.extend(model.predict(imgs, labels))
-            reports = _pooled_reports(samples, preds)
+            reports = _reports(samples, preds)
             summary = summarize(reports)
             run = Path(ckpt).stem if len(args.checkpoint) == 1 else ckpt
             for r in reports:

@@ -7,8 +7,13 @@ outputs are scattered back to the grid and summed.  The recurrence is the
 O(L) sequential form (no parallel prefix tricks here).  Its state arrays are
 time-major, [L, B, N, C], and both sweeps update them in place one contiguous
 step at a time: the cost is memory traffic through these arrays, not FLOPs.
-The hidden states and the decay factors are kept for the backward pass,
-trading memory for an exact reverse sweep without recomputation.
+So both kernels walk time in chunks of K = max(1, min(L, _CHUNK_ELEMS //
+(B N C))) steps, 256 KB of state per chunk buffer, and finish each chunk's
+work while it is in L2.  When a tape records the call, the hidden states and
+the decay factors are kept whole for the backward pass, trading memory for
+an exact reverse sweep without recomputation.  When nothing records
+(predict, eval, the finite-difference oracle) the forward reuses one K-row
+buffer per array and keeps no full-size state.
 
 `selective_scan` records one tape node for a whole direction: projections,
 softplus, A = -exp(A_log), recurrence and skip.  Its closure keeps the
@@ -172,27 +177,77 @@ def _time_major(v):
     return v.transpose(1, 0, 2)
 
 
-def _scan_forward(delta, a, b_seq, c_seq, x):
+# Elements of one [K, B, N, C] chunk buffer: 2^15 float64 is 256 KB, small
+# enough that a chunk's abar, hidden (or dh) and temporaries stay in L2.
+_CHUNK_ELEMS = 1 << 15
+
+
+def _chunk_len(length, bsz, n, ch):
+    """Time steps per chunk: K = max(1, min(L, _CHUNK_ELEMS // (B N C)))."""
+    return max(1, min(length, _CHUNK_ELEMS // (bsz * n * ch)))
+
+
+def _forward_chunk(delta_c, dx_c, b_c, c_c, a_t, tmp, h_prev, ab=None, hd=None, y_c=None):
+    """All forward work on one time-major chunk while it is in cache.
+
+    abar = exp(delta a) in place, du = delta x B straight into the hidden
+    rows, the in-place sweep from h_prev (None at t = 0), then C h.  Writes
+    into ab, hd and y_c when given; otherwise each op allocates its own
+    output, C-ordered so that every step's [B, N, C] block is contiguous
+    (the inputs are transposed views).  Returns (abar, hidden,
+    y [K, B, 1, C]) of the chunk.
+    """
+    ab = np.multiply(delta_c[:, :, None, :], a_t, out=ab, order="C")
+    np.exp(ab, out=ab)
+    if h_prev is not None:  # read before hd is written: it may be hd's last row
+        np.multiply(ab[0], h_prev, out=tmp)
+    hd = np.einsum("lbc,lbn->lbnc", dx_c, b_c, out=hd, order="C")
+    if h_prev is not None:
+        hd[0] += tmp
+    h_prev = hd[0]
+    for ab_t, h in zip(ab[1:], hd[1:]):
+        np.multiply(ab_t, h_prev, out=tmp)
+        h += tmp
+        h_prev = h
+    return ab, hd, np.matmul(c_c[:, :, None, :], hd, out=y_c)
+
+
+def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
     """Raw numpy recurrence.  Inputs batch-major: delta/x [B,L,C], b/c [B,L,N].
 
-    Returns (y [B,L,C], hidden [L,B,N,C], abar [L,B,N,C]).  The state arrays
-    are time-major, so each sweep step reads and writes one contiguous
-    [B, N, C] block.  du = delta x B is built directly in the hidden buffer
-    and swept in place through one preallocated temporary; hidden and abar
-    are all the backward pass keeps.  A fresh full-size buffer costs more
-    than the arithmetic on it, hence the in-place exp; einsum builds the
-    outer products because broadcasting runs an inner loop only C long.
+    Returns (y [B,L,C], hidden [L,B,N,C], abar [L,B,N,C]) when `keep`, else
+    (y, None, None).  The state arrays are time-major, so each sweep step
+    reads and writes one contiguous [B, N, C] block.  Time is walked in
+    chunks of K steps (`_chunk_len`), each finished by `_forward_chunk`
+    while it is in cache, with h carried from the previous chunk's last
+    step.  With `keep` the chunks are slices of the full hidden and abar
+    that the backward pass reads; without it (nothing records) every chunk
+    reuses one K-row buffer per array and no full-size state is built.  A
+    call that fits one chunk runs it on the whole arrays and lets each op
+    allocate, so it pays no chunking overhead.  einsum builds the outer
+    products because broadcasting runs an inner loop only C long.
     """
-    delta_t = _time_major(delta)
-    abar = delta_t[:, :, None, :] * np.ascontiguousarray(a.T)
-    np.exp(abar, out=abar)
-    hidden = np.einsum("lbc,lbn->lbnc", delta_t * _time_major(x), _time_major(b_seq))
-    tmp = np.empty(hidden.shape[1:])
-    for ab, h_prev, h in zip(abar[1:], hidden[:-1], hidden[1:]):
-        np.multiply(ab, h_prev, out=tmp)
-        h += tmp
-    y = np.matmul(_time_major(c_seq)[:, :, None, :], hidden)[:, :, 0]
-    return np.ascontiguousarray(_time_major(y)), hidden, abar
+    bsz, length, ch = delta.shape
+    n = a.shape[1]
+    k = _chunk_len(length, bsz, n, ch)
+    delta_t, b_t, c_t = _time_major(delta), _time_major(b_seq), _time_major(c_seq)
+    a_t = np.ascontiguousarray(a.T)
+    dx = delta_t * _time_major(x)
+    tmp = np.empty((bsz, n, ch))
+    if k == length:
+        abar, hidden, y = _forward_chunk(delta_t, dx, b_t, c_t, a_t, tmp, None)
+    else:
+        abar = np.empty((length if keep else k, bsz, n, ch))
+        hidden = np.empty_like(abar)
+        y = np.empty((length, bsz, 1, ch))
+        for s in range(0, length, k):
+            e = s + k
+            ab, hd = (abar[s:e], hidden[s:e]) if keep else (abar[:length - s], hidden[:length - s])
+            h_prev = hidden[s - 1 if keep else -1] if s else None
+            _forward_chunk(delta_t[s:e], dx[s:e], b_t[s:e], c_t[s:e], a_t, tmp, h_prev,
+                           ab, hd, y[s:e])
+    y = np.ascontiguousarray(_time_major(y[:, :, 0]))
+    return (y, hidden, abar) if keep else (y, None, None)
 
 
 def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
@@ -200,32 +255,56 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
 
     With dh_t the gradient reaching h_t, the recurrence h_t = abar_t h_{t-1}
     + du_t gives dh_t = g_t * C_t + abar_{t+1} * dh_{t+1}, accumulated right
-    to left; every parameter gradient then factors through dh.  g (x) C is
-    built in the one [L, B, N, C] buffer this pass allocates and swept in
-    place like the forward.  Once the gradients into du (delta x and B) are
-    contracted out of it, the same buffer becomes the gradient into delta * a,
-    dh_t * h_{t-1} * abar_t, with h_{t-1} read as the slice hidden[:-1]
-    (h_{-1} = 0, so step 0 contributes nothing).
+    to left; every parameter gradient then factors through dh.  The chunks
+    of the forward are walked in reverse through one K-row dh buffer: g (x) C
+    is built in it and swept in place, and abar_s * dh_s carries into the
+    chunk before.  Once the gradients into du (delta x and B) are contracted
+    out of a chunk, its rows become the gradient into delta * a,
+    dh_t * h_{t-1} * abar_t (h_{-1} = 0, so step 0 contributes nothing), and
+    the chunk's share of the A gradient is added to a running sum.
     """
     g_t, delta_t, x_t = _time_major(g), _time_major(delta), _time_major(x)
+    b_t, c_t = _time_major(b_seq), _time_major(c_seq)
+    length, bsz, ch = g_t.shape
+    n = a.shape[1]
+    k = _chunk_len(length, bsz, n, ch)
     dx = delta_t * x_t
-    g_c = np.matmul(hidden, g_t[..., None])[..., 0]  # [L,B,N]
-    dh = np.einsum("lbc,lbn->lbnc", g_t, _time_major(c_seq))
-    tmp = np.empty(dh.shape[1:])
-    for ab_next, dh_next, dh_cur in zip(abar[:0:-1], dh[:0:-1], dh[-2::-1]):
-        np.multiply(ab_next, dh_next, out=tmp)
-        dh_cur += tmp
-    g_dx = np.matmul(_time_major(b_seq)[:, :, None, :], dh)[:, :, 0]  # into delta * x
-    g_b = np.matmul(dh, dx[..., None])[..., 0]
-    g_da = dh[1:]
-    g_da *= hidden[:-1]
-    g_da *= abar[1:]
-    g_delta = g_dx * x_t
-    g_delta[1:] += np.einsum("lbnc,cn->lbc", g_da, a)
-    g_a = np.einsum("lbnc,lbc->cn", g_da, delta_t[1:])
+    dh = np.empty((k, bsz, n, ch))
+    tmp = np.empty((bsz, n, ch))
+    carry = np.empty((bsz, n, ch))
+    g_c = np.empty((length, bsz, n, 1))
+    g_dx = np.empty((length, bsz, 1, ch))  # into delta * x
+    g_b = np.empty((length, bsz, n, 1))
+    g_delta = np.empty((length, bsz, ch))
+    g_a = np.zeros((ch, n))
+    for s in reversed(range(0, length, k)):
+        e = min(s + k, length)
+        d, ab, g_s = dh[:e - s], abar[s:e], g_t[s:e]
+        np.matmul(hidden[s:e], g_s[..., None], out=g_c[s:e])
+        np.einsum("lbc,lbn->lbnc", g_s, c_t[s:e], out=d)
+        if e < length:
+            d[-1] += carry
+        dh_next = d[-1]
+        for ab_next, dh_cur in zip(ab[:0:-1], d[-2::-1]):
+            np.multiply(ab_next, dh_next, out=tmp)
+            dh_cur += tmp
+            dh_next = dh_cur
+        if s:
+            np.multiply(ab[0], d[0], out=carry)
+        np.matmul(b_t[s:e, :, None, :], d, out=g_dx[s:e])
+        np.matmul(d, dx[s:e, ..., None], out=g_b[s:e])
+        np.multiply(g_dx[s:e, :, 0], x_t[s:e], out=g_delta[s:e])
+        lo = max(s, 1)  # first step with a previous state
+        if lo < e:
+            g_da = d[lo - s:]
+            g_da *= hidden[lo - 1:e - 1]
+            g_da *= abar[lo:e]
+            g_delta[lo:e] += np.einsum("lbnc,cn->lbc", g_da, a)
+            g_a += np.einsum("lbnc,lbc->cn", g_da, delta_t[lo:e])
+    g_dx = g_dx[:, :, 0]
     g_x = g_dx * delta_t
     g_delta, g_b, g_c, g_x = (np.ascontiguousarray(_time_major(v))
-                              for v in (g_delta, g_b, g_c, g_x))
+                              for v in (g_delta, g_b[..., 0], g_c[..., 0], g_x))
     return g_delta, g_a, g_b, g_c, g_x
 
 
@@ -251,7 +330,9 @@ def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
             f"projection shapes {b_seq.shape}/{c_seq.shape} do not match [L={length}, N={n}]"
         )
     ad = a.data
-    y, hidden, abar = _scan_forward(dd, ad, bd, cd, xd)
+    inputs = (delta, a, b_seq, c_seq, x)
+    y, hidden, abar = _scan_forward(dd, ad, bd, cd, xd,
+                                    keep=T._recording_tape(inputs) is not None)
 
     def make():
         def grad_fn(g):
@@ -264,7 +345,7 @@ def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
         return grad_fn
 
     out = y[0] if squeeze else y
-    return T._emit("ssm_recurrence", (delta, a, b_seq, c_seq, x), out, make)
+    return T._emit("ssm_recurrence", inputs, out, make)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +430,10 @@ def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
         e_a = np.exp(a_log)
     T._check("selective_scan exp(a_log)", e_a)
     a = e_a * -1.0
-    delta3, b3, c3 = (v.reshape(bsz, length, -1) for v in (delta, b_flat, c_flat))
-    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x3)
+    delta3 = delta.reshape(x3.shape)
+    b3, c3 = b_flat.reshape(bsz, length, n), c_flat.reshape(bsz, length, n)
+    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x3,
+                                    keep=T._recording_tape(inputs) is not None)
     out = y + x3 * d_skip
 
     def make():

@@ -209,13 +209,26 @@ def _check(kind: str, out: np.ndarray) -> None:
         raise NumericError(f"{kind}: produced a non-finite value")
 
 
+def _recording_tape(inputs: tuple):
+    """The tape an op over `inputs` records on, or None when nothing records.
+
+    An op is recorded when a tape is active (not suspended) and at least one
+    input requires a gradient.  A primitive may ask before its forward, to
+    skip saving state that only a backward pass would read.  Every op
+    passes here, so it reads the tape stack itself (see active_tape).
+    """
+    stack = _tape_stack()
+    if stack and stack[-1] is not None and any(t.requires_grad for t in inputs):
+        return stack[-1]
+    return None
+
+
 def _emit(kind: str, inputs: tuple, out_data: np.ndarray, make_grad_fn) -> Tensor:
     """Shared recording path.  make_grad_fn is called lazily, only when taping."""
     _check(kind, out_data)
-    tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track)
-    if track:
+    tape = _recording_tape(inputs)
+    out = Tensor(out_data, requires_grad=tape is not None)
+    if tape is not None:
         tape._record(kind, inputs, out, make_grad_fn())
     return out
 

@@ -13,11 +13,6 @@ from sumnet import cli
 from sumnet.data import read_manifest, read_pgm, write_ppm
 
 
-@pytest.fixture(autouse=True)
-def clean_thread_env(monkeypatch):
-    monkeypatch.delenv("SUM_THREADS", raising=False)
-
-
 @pytest.fixture(scope="module")
 def corpus32(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus32")
@@ -188,8 +183,7 @@ def test_eval_output_is_byte_reproducible(corpus64, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_eval_checkpoint_stdout(trained, corpus32, capsys, monkeypatch):
-    monkeypatch.setenv("SUM_THREADS", "2")
+def test_eval_checkpoint_stdout(trained, corpus32, capsys):
     manifest = corpus32 / "manifest_val.tsv"
     assert cli.main(["eval", "--manifest", str(manifest),
                      "--checkpoint", str(trained / "checkpoint.ckpt")]) == 0
@@ -337,18 +331,7 @@ def test_bench_scan_rejects_non_positive_repeats(repeats, capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment knobs and argparse plumbing
-
-
-def test_sum_threads_must_be_positive_integer(corpus64, monkeypatch, capsys):
-    manifest = str(corpus64 / "manifest_train.tsv")
-    monkeypatch.setenv("SUM_THREADS", "abc")
-    assert cli.main(["eval", "--manifest", manifest, "--oracle"]) == 2
-    assert "SUM_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SUM_THREADS", "0")
-    assert cli.main(["eval", "--manifest", manifest, "--oracle"]) == 2
-    monkeypatch.setenv("SUM_THREADS", "1")
-    assert cli.main(["eval", "--manifest", manifest, "--oracle"]) == 0
+# argparse plumbing
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sumnet.tensor as T
+from sumnet import scan
 from sumnet.scan import (
     DIRECTION_ORDER,
     DirectionalSequences,
@@ -308,11 +309,10 @@ def _recurrence_inputs(bsz, length, ch, n, seed):
             rnd((bsz, length, ch), seed + 4).data)
 
 
-@pytest.mark.parametrize("bsz,length,ch,n", [(1, 1, 1, 1), (1, 7, 3, 2), (3, 1, 4, 2), (2, 16, 5, 8)])
-def test_kernel_matches_batch_major_reference(bsz, length, ch, n):
-    # L=1 runs both sweeps zero times; the reverse sweep's empty range is covered here
-    args = _recurrence_inputs(bsz, length, ch, n, seed=17 * length + ch)
-    g = rnd((bsz, length, ch), 999).data
+def _assert_kernel_matches_reference(args, g):
+    """Taped kernel against the oracle; returns its y for chunking comparisons."""
+    bsz, length, ch = args[4].shape
+    n = args[1].shape[1]
     y_ref, hidden_ref, abar_ref = _reference_forward(*args)
     y, hidden, abar = _scan_forward(*args)
     assert y.shape == (bsz, length, ch) and hidden.shape == (length, bsz, n, ch)
@@ -325,6 +325,72 @@ def test_kernel_matches_batch_major_reference(bsz, length, ch, n):
         assert got.shape == want.shape, name
         scale = max(np.abs(want).max(), 1e-300)
         assert np.abs(got - want).max() <= 1e-12 * scale, name
+    assert np.array_equal(_scan_forward(*args, keep=False)[0], y)
+    return y
+
+
+# (4, 300, 16, 8) runs five chunks of K=64 at the real budget, the last one
+# partial; (8, 256, 16, 8) is eight chunks of K=32, an exact multiple
+@pytest.mark.parametrize("bsz,length,ch,n", [(1, 1, 1, 1), (1, 7, 3, 2), (3, 1, 4, 2), (2, 16, 5, 8),
+                                             (4, 300, 16, 8), (8, 256, 16, 8)])
+def test_kernel_matches_batch_major_reference(bsz, length, ch, n):
+    # L=1 runs both sweeps zero times; the reverse sweep's empty range is covered here
+    args = _recurrence_inputs(bsz, length, ch, n, seed=17 * length + ch)
+    g = rnd((bsz, length, ch), 999).data
+    _assert_kernel_matches_reference(args, g)
+
+
+def test_chunking_changes_no_output_bit(monkeypatch):
+    # K in {1, 2, 3} and a single chunk on L=7: every chunk boundary and a
+    # partial last chunk; y is the same bits however time is cut
+    bsz, length, ch, n = 2, 7, 3, 2
+    args = _recurrence_inputs(bsz, length, ch, n, seed=5)
+    g = rnd((bsz, length, ch), 998).data
+    whole = _assert_kernel_matches_reference(args, g)
+    for k in (1, 2, 3):
+        monkeypatch.setattr(scan, "_CHUNK_ELEMS", k * bsz * n * ch)
+        assert scan._chunk_len(length, bsz, n, ch) == k
+        assert np.array_equal(_assert_kernel_matches_reference(args, g), whole), k
+
+
+def test_only_recorded_calls_keep_scan_state(monkeypatch):
+    kernel, seen = scan._scan_forward, []
+
+    def spy(*args, keep=True):
+        seen.append(keep)
+        out = kernel(*args, keep=keep)
+        assert (out[1] is not None) == keep and (out[2] is not None) == keep
+        return out
+
+    monkeypatch.setattr(scan, "_scan_forward", spy)
+    arrays = _recurrence_inputs(2, 6, 3, 2, seed=9)
+    p = init_ssm_params(3, 2, seed=3)
+    frozen = SSMParams(*(Tensor(getattr(p, f).data) for f in SSM_FIELDS))
+    seq = rnd((2, 6, 3), 24)
+
+    def calls(params):
+        seen.clear()
+        selective_scan(seq, params)
+        ssm_recurrence(*[Tensor(v, requires_grad=params is p) for v in arrays])
+        return seen
+
+    assert calls(p) == [False, False]  # no tape
+    with T.Tape():
+        assert calls(frozen) == [False, False]  # nothing needs a gradient
+        with T._suspend_recording():
+            assert calls(p) == [False, False]  # the finite-difference oracle's mode
+        assert calls(p) == [True, True]
+
+    g = rnd((2, 6, 3), 25).data
+    leaves = [Tensor(v, requires_grad=True) for v in arrays]
+    with T.Tape() as tape:
+        seen.clear()
+        loss = T.reduce_sum(T.mul(ssm_recurrence(*leaves), g))
+    assert seen == [True]
+    T.backward(tape, loss)
+    y_ref, hidden_ref, abar_ref = _reference_forward(*arrays)
+    _assert_grads_close([t.grad for t in leaves],
+                        _reference_backward(g, *arrays, hidden_ref, abar_ref))
 
 
 def test_squeezed_call_matches_batched_bit_for_bit():
