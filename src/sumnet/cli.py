@@ -41,6 +41,7 @@ from .model import (
     PLACEMENTS,
     SumConfig,
     config_from_arrays,
+    evaluate,
     train,
 )
 from .scan import bench_lengths, fit_loglog_slope
@@ -169,14 +170,7 @@ def cmd_eval(args) -> int:
         for ckpt in args.checkpoint:
             model = _model_from_checkpoint(ckpt, args.config)
             _require_size(samples, model.cfg.input_size, args.manifest)
-            preds = []
-            for start in range(0, len(samples), model.cfg.batch_size):
-                chunk = samples[start : start + model.cfg.batch_size]
-                imgs = np.stack([s.image for s in chunk])
-                labels = np.array([s.label for s in chunk])
-                preds.extend(model.predict(imgs, labels))
-            reports = _reports(samples, preds)
-            summary = summarize(reports)
+            reports, summary = evaluate(model, samples, model.cfg.batch_size)
             run = Path(ckpt).stem if len(args.checkpoint) == 1 else ckpt
             for r in reports:
                 lines.append({"run": run, **r.as_dict()})

@@ -19,7 +19,11 @@ the modulated network starts bit-identical to the unconditioned one.
 
 Every parameter lives in a flat name -> tensor registry; initialization
 draws from a stream derived from (config seed, parameter name), so any two
-models agree bit-for-bit on every parameter whose name they share.
+models agree bit-for-bit on every parameter whose name they share.  An Adam
+built over the registry packs every tensor's storage into its one flat
+vector, so code that writes parameters writes into ``Tensor.data`` in place
+(``load_state`` and ``train``'s best-epoch restore do) instead of rebinding
+it.
 """
 
 from __future__ import annotations
@@ -314,15 +318,23 @@ class Model:
         return out
 
     def load_state(self, arrays: dict) -> None:
+        """Copy checkpoint arrays into the parameters, in place.
+
+        Every name and shape is checked before anything is written, so a
+        rejected checkpoint leaves the model as it was.  The copy goes into
+        each existing ``Tensor.data``, so parameters packed into an Adam's
+        flat vector stay packed.
+        """
         missing = sorted(set(self._params) - set(arrays))
         if missing:
             raise ConfigError(f"checkpoint lacks parameters: {', '.join(missing[:4])}")
         for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
+            shape = np.shape(arrays[name])
+            if shape != t.data.shape:
                 raise ConfigError(
-                    f"shape mismatch for {name}: checkpoint {arr.shape}, model {t.data.shape}")
-            t.data = np.ascontiguousarray(arr)
+                    f"shape mismatch for {name}: checkpoint {shape}, model {t.data.shape}")
+        for name, t in self._params.items():
+            np.copyto(t.data, arrays[name])
 
     # -- forward -----------------------------------------------------------
 
@@ -376,11 +388,27 @@ class Model:
 # optimizer
 
 
-class Adam:
-    """Decoupled-state Adam over a named parameter registry.
+_BLOCK_ELEMS = 1 << 15  # 256 KB per work buffer, the budget of scan._CHUNK_ELEMS
 
-    Updates walk names in sorted order so the arithmetic sequence (and thus
-    the result bytes) never depends on dict construction order.
+
+class Adam:
+    """Adam over one contiguous float64 vector that holds every parameter.
+
+    Construction packs the tensors in sorted-name order into ``flat`` and
+    rebinds each ``Tensor.data`` to a reshaped view of its slot; ``m`` and
+    ``v`` are flat vectors of the same length.  From then on a parameter
+    must be written in place (``np.copyto``, ``out=``): a tensor whose
+    ``.data`` was rebound no longer reaches ``flat``, and ``step`` raises a
+    RuntimeError naming it.
+
+    ``step`` groups consecutive slots into blocks of at most 2**15 elements
+    (a larger parameter is a block of its own), gathers a block's gradients
+    into one reused buffer and updates its slices of ``m``, ``v`` and
+    ``flat`` with ``out=``.  Every element goes through the same IEEE
+    operations in the same order as the per-array update -- ``(1-b2)*g``
+    then ``*g``, ``lr*m_hat`` then ``/(sqrt(v_hat)+eps)`` -- and none of
+    them mixes elements, so the result is bit-identical to it and never
+    depends on dict construction order.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
@@ -392,24 +420,66 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = {n: np.zeros_like(params[n].data) for n in self.names}
-        self.v = {n: np.zeros_like(params[n].data) for n in self.names}
+        sizes = [params[n].size for n in self.names]
+        self.flat = np.empty(sum(sizes))
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        spans, hi = [], 0  # [lo, hi, names] of each block
+        for n, size in zip(self.names, sizes):
+            if not spans or hi + size - spans[-1][0] > _BLOCK_ELEMS:
+                spans.append([hi, hi, []])
+            hi += size
+            spans[-1][1] = hi
+            spans[-1][2].append(n)
+        width = max((hi - lo for lo, hi, _ in spans), default=0)
+        gbuf = np.empty(width)  # a block's gradients, then lr * m_hat
+        work = np.empty(width)
+        self._slots = []  # (name, tensor, its view of flat)
+        self._blocks = []  # (gradient slots, m, v, flat, g, work) per block
+        for lo, hi, names in spans:
+            gslots, at = [], 0
+            for n in names:
+                t = params[n]
+                view = self.flat[lo + at : lo + at + t.size].reshape(t.shape)
+                np.copyto(view, t.data)
+                t.data = view
+                self._slots.append((n, t, view))
+                gslots.append((t, gbuf[at : at + t.size].reshape(t.shape)))
+                at += t.size
+            self._blocks.append((gslots, self.m[lo:hi], self.v[lo:hi], self.flat[lo:hi],
+                                 gbuf[: hi - lo], work[: hi - lo]))
 
     def step(self, grads: dict) -> None:
         """Apply one update from {tensor: gradient} as returned by backward."""
+        for n, t, view in self._slots:
+            if t.data is not view:
+                raise RuntimeError(f"parameter {n} was rebound and no longer views "
+                                   "Adam.flat; write parameters in place")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for n in self.names:
-            p = self.params[n]
-            g = grads.get(p)
-            if g is None:
-                g = np.zeros_like(p.data)
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[n] / b1t
-            v_hat = self.v[n] / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
+        for gslots, m, v, p, g, work in self._blocks:
+            for t, slot in gslots:
+                tg = grads.get(t)
+                if tg is None:
+                    slot.fill(0.0)
+                else:
+                    np.copyto(slot, tg)
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=work)
+            np.add(m, work, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=work)
+            np.multiply(work, g, out=work)
+            np.add(v, work, out=v)
+            np.divide(m, b1t, out=g)
+            np.multiply(g, lr, out=g)
+            np.divide(v, b2t, out=work)
+            np.sqrt(work, out=work)
+            np.add(work, eps, out=work)
+            np.divide(g, work, out=g)
+            np.subtract(p, g, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +582,7 @@ def train(model: Model, train_samples, val_samples) -> TrainingReport:
     if not val_samples:
         raise ConfigError("no validation samples")
     opt = Adam(model.params(), cfg.lr)
+    param_names = {t: n for n, t in opt.params.items()}
     report = TrainingReport(config=cfg.to_dict(), num_parameters=model.num_parameters())
     snapshots = []
     rows = []
@@ -530,9 +601,10 @@ def train(model: Model, train_samples, val_samples) -> TrainingReport:
                     grads = T.backward(tape, loss)
             except NumericError as exc:
                 raise NumericAbort(str(exc), epoch, b) from exc
-            for g in grads.values():
+            for t, g in grads.items():
                 if not np.all(np.isfinite(g)):
-                    raise NumericAbort("non-finite gradient", epoch, b)
+                    where = param_names.get(t, "a leaf outside the registry")
+                    raise NumericAbort(f"non-finite gradient in {where}", epoch, b)
             opt.step(grads)
             losses.append(value)
 
@@ -549,7 +621,7 @@ def train(model: Model, train_samples, val_samples) -> TrainingReport:
             val_auc=_mean_or_nan(summary, "auc"),
             val_excluded=excluded,
         ))
-        snapshots.append({n: t.data.copy() for n, t in model.params().items()})
+        snapshots.append(opt.flat.copy())
         scores = f_scores([(f"epoch{r.epoch}", r.run_metrics()) for r in rows])
         best = int(np.argmax([s.f_score for s in scores]))
         if epoch - best >= cfg.patience:
@@ -559,8 +631,7 @@ def train(model: Model, train_samples, val_samples) -> TrainingReport:
     report.rows = rows
     report.f_scores = [s.f_score for s in scores]
     report.best_epoch = best
-    for name, t in model.params().items():
-        t.data = snapshots[best][name].copy()
+    np.copyto(opt.flat, snapshots[best])
     return report
 
 

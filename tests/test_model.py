@@ -282,6 +282,97 @@ def test_adam_is_deterministic():
     assert np.array_equal(run(), run())
 
 
+class _reference_adam:
+    """Decoupled-state Adam over a named parameter registry.
+
+    Updates walk names in sorted order so the arithmetic sequence (and thus
+    the result bytes) never depends on dict construction order.
+    """
+
+    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
+        self.names = sorted(params)
+        self.lr = float(lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.t = 0
+        self.m = {n: np.zeros_like(params[n].data) for n in self.names}
+        self.v = {n: np.zeros_like(params[n].data) for n in self.names}
+
+    def step(self, grads: dict) -> None:
+        """Apply one update from {tensor: gradient} as returned by backward."""
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for n in self.names:
+            p = self.params[n]
+            g = grads.get(p)
+            if g is None:
+                g = np.zeros_like(p.data)
+            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
+            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[n] / b1t
+            v_hat = self.v[n] / b2t
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _assert_same_state(flat, ref):
+    for n in ref.names:
+        assert np.array_equal(flat.params[n].data, ref.params[n].data), n
+    packed = np.concatenate([ref.params[n].data.ravel() for n in ref.names])
+    assert np.array_equal(flat.flat, packed)
+    assert np.array_equal(flat.m, np.concatenate([ref.m[n].ravel() for n in ref.names]))
+    assert np.array_equal(flat.v, np.concatenate([ref.v[n].ravel() for n in ref.names]))
+
+
+def test_flat_adam_matches_reference_bit_for_bit():
+    # in sorted order: a, then big (over 2**15 elements) alone, then c, d
+    # and e sharing one block
+    shapes = {"a": (3, 5), "big": (190, 180), "c": (7,), "d": (2, 2, 2), "e": (40, 20)}
+    rng = SplitMix64(11)
+
+    def tensors():
+        return {n: T.Tensor(SplitMix64(i).uniforms(int(np.prod(s))).reshape(s),
+                            requires_grad=True) for i, (n, s) in enumerate(shapes.items())}
+
+    ours, theirs = tensors(), tensors()
+    flat, ref = Adam(ours, lr=0.01), _reference_adam(theirs, lr=0.01)
+    name_of = {t: n for n, t in ours.items()}
+    assert [[name_of[t] for t, _ in b[0]] for b in flat._blocks] == [
+        ["a"], ["big"], ["c", "d", "e"]]
+    for k in range(6):
+        if k == 3:
+            flat.lr = ref.lr = 0.002  # train's per-epoch decay
+        draws = {n: rng.uniforms(int(np.prod(s))).reshape(s) - 0.5 for n, s in shapes.items()}
+        # "c" has a gradient on even steps only: its slot must read zero, not
+        # the last step's gradient; "big" gets none on step 4
+        absent = {"c"} if k % 2 else set()
+        if k == 4:
+            absent.add("big")
+        flat.step({ours[n]: g for n, g in draws.items() if n not in absent})
+        ref.step({theirs[n]: g for n, g in draws.items() if n not in absent})
+        _assert_same_state(flat, ref)
+
+
+def test_flat_adam_matches_reference_on_shared_scan_model():
+    cfg = micro_cfg(share_scan_params=True)
+    ours, theirs = Model(cfg), Model(cfg)
+    flat, ref = Adam(ours.params(), lr=1e-3), _reference_adam(theirs.params(), lr=1e-3)
+    samples = micro_samples(2)
+    for k in range(4):
+        if k == 2:
+            flat.lr = ref.lr = 1e-4
+        for model, opt in ((ours, flat), (theirs, ref)):
+            with T.Tape() as tape:
+                grads = T.backward(tape, batch_loss(model, samples, [0, 1]))
+            if k == 3:
+                del grads[model.params()["enc0.b0.ssm.shared.a_log"]]
+            opt.step(grads)
+        _assert_same_state(flat, ref)
+
+
 # ---------------------------------------------------------------------------
 # loss plumbing and training
 
@@ -412,6 +503,80 @@ def test_best_epoch_parameters_are_restored(monkeypatch):
     # value right after epoch 0's only step, not the last step
     assert np.array_equal(m.params()["head.out.weight"].data, snapshots[0])
     assert not np.array_equal(snapshots[0], snapshots[-1])
+
+
+def test_parameters_stay_views_of_the_flat_vector(monkeypatch):
+    def fake_f_scores(runs):
+        from sumnet.metrics import RunScore
+        return [RunScore(name, 0.5, 0.5, 0.5, 0.5, 3.0 - i)
+                for i, (name, _) in enumerate(runs)]
+
+    made = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(M, "f_scores", fake_f_scores)
+    monkeypatch.setattr(M, "Adam", RecordingAdam)
+    m = Model(micro_cfg(epochs=2, batch_size=4, lr=1e-3, patience=5))
+    samples = micro_samples(4)
+    before = m.state_arrays()
+    train(m, samples[:3], samples[3:])
+    (opt,) = made
+
+    def assert_packed():
+        for name, t in m.params().items():
+            assert np.shares_memory(t.data, opt.flat), name
+
+    # epoch 0 ranks best, so train ended by restoring it in place
+    assert_packed()
+    restored = opt.flat.copy()
+    m.load_state(before)
+    assert_packed()
+    assert not np.array_equal(opt.flat, restored)
+    assert np.array_equal(m.params()["head.out.weight"].data, before["head.out.weight"])
+
+    victim = m.params()["enc1.b0.gate.weight"]
+    victim.data = victim.data.copy()
+    t_before = opt.t
+    with pytest.raises(RuntimeError, match="enc1.b0.gate.weight"):
+        opt.step({})
+    assert opt.t == t_before
+
+
+def test_load_state_rejects_before_writing():
+    m = Model(micro_cfg())
+    opt = Adam(m.params(), lr=1e-3)
+    kept = opt.flat.copy()
+    bad = {n: np.zeros(t.shape) for n, t in m.params().items()}
+    bad["skip0.weight"] = np.zeros((3, 3))
+    with pytest.raises(ConfigError, match="skip0.weight"):
+        m.load_state(bad)
+    assert np.array_equal(opt.flat, kept)
+
+
+def test_numeric_abort_names_the_parameter(monkeypatch):
+    m = Model(micro_cfg(epochs=1, batch_size=2))
+    samples = micro_samples(4)
+    victim = m.params()["enc2.b0.ssm.row_fwd.a_log"]
+    calls = []
+    real_backward = T.backward
+
+    def poisoned_backward(tape, loss):
+        grads = real_backward(tape, loss)
+        calls.append(1)
+        if len(calls) == 2:
+            grads[victim] = np.full_like(grads[victim], np.nan)
+        return grads
+
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    with pytest.raises(NumericAbort) as exc:
+        train(m, samples[:3], samples[3:])
+    assert str(exc.value) == ("non-finite gradient in enc2.b0.ssm.row_fwd.a_log "
+                              "(epoch 0, batch 1)")
+    assert (exc.value.epoch, exc.value.batch) == (0, 1)
 
 
 def test_numeric_abort_names_location():
