@@ -1,7 +1,8 @@
 """Conditioning a gated scan block with five scalar knobs.
 
-A C-VSS block is a VSS block with three insertion points fed by
-(alpha1, beta1, alpha2, beta2, alpha3).  Two facts worth seeing live:
+`gated_block(f, w, mod)` is the C-VSS block: the plain gated scan block
+(`mod=None`) with three insertion points fed by (alpha1, beta1, alpha2,
+beta2, alpha3).  Two facts worth seeing live:
 
   * at identity knobs (1, 0, 1, 0, 1) the conditional block IS the plain
     block, bit for bit — multiplying by 1.0 and adding 0.0 are exact in
@@ -19,10 +20,9 @@ from sumnet.blocks import (
     ModulationParams,
     conditioner,
     conditioner_table,
-    cvss_forward,
+    gated_block,
     init_conditioner,
     init_vss,
-    vss_forward,
 )
 from sumnet.rng import SplitMix64
 
@@ -32,8 +32,8 @@ def main():
     w = init_vss(channels=8, state_size=4, seed=3, name="blk")
     f = T.Tensor(rng.uniforms(1 * 6 * 6 * 8).reshape(1, 6, 6, 8))
 
-    plain = vss_forward(f, w)
-    conditioned = cvss_forward(f, w, ModulationParams.identity())
+    plain = gated_block(f, w)
+    conditioned = gated_block(f, w, ModulationParams.identity())
     print("identity knobs == plain block:",
           np.array_equal(plain.data, conditioned.data))
 
@@ -44,7 +44,7 @@ def main():
 
     # Nudge the head and the domains separate.
     cond.l3.weight.data = SplitMix64(9).uniforms(64 * 5).reshape(64, 5) * 0.3
-    outs = [cvss_forward(f, w, conditioner(cond, [d])) for d in range(4)]
+    outs = [gated_block(f, w, conditioner(cond, [d])) for d in range(4)]
     diff = np.max(np.abs(outs[0].data - outs[2].data))
     print("max |domain0 - domain2| after nudging the head:", diff)
 

@@ -1,17 +1,22 @@
 """Network building blocks: norms, depthwise conv, patch resampling, the
-gated scan block, and its feature-modulated (conditional) variant.
+gated scan block with its optional feature modulation, and the conditioner.
 
 Grids are channels-last: [H, W, C] or [B, H, W, C].  Every learnable array is
 a float64 Tensor initialized from a seed derived from its name, so two models
 that share a parameter name and seed start from identical values regardless
 of what other parameters exist around them.
 
-The conditional block applies five scalars (a1, b1, a2, b2, a3) produced by a
-small MLP from a per-domain prompt token.  The vanilla block and the
-conditional block at identity modulation (1, 0, 1, 0, 1) are required to be
-bit-identical, which is why layer_norm is built on top of ln_core: the a3
-scale slots in between the normalize and the affine without re-deriving
-either.
+`linear`, `ln_core` and `depthwise_conv3x3` are each a pure numpy pair,
+`*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, behind a
+thin one-node tape wrapper.  `gated_block` chains those pairs and the ones
+of `scan.ss2d` into a single tape node per block.
+
+With `mod`, the block applies five scalars (a1, b1, a2, b2, a3) produced by
+a small MLP from a per-domain prompt token.  The block without `mod` and
+the block at identity modulation (1, 0, 1, 0, 1) are required to be
+bit-identical, which is why the norm is split into ln_core and its affine:
+the a3 scale slots in between the normalize and the affine without
+re-deriving either.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .rng import derive
-from .scan import SS2DParams, init_ss2d_params, ss2d
+from .scan import SS2DParams, init_ss2d_params, ss2d_bwd, ss2d_fwd
 from .tensor import ShapeError, Tensor
 
 LN_EPS = 1e-6
@@ -57,28 +62,31 @@ def init_linear(n_in: int, n_out: int, seed: int, name: str, zero: bool = False)
     return Linear(w, T.zeros((n_out,), requires_grad=True))
 
 
+def linear_fwd(x, w, b):
+    """linear on arrays: (x W + b over the trailing axis, saved)."""
+    n_in, n_out = w.shape
+    flat = x.reshape(-1, n_in)
+    return (flat @ w + b).reshape(x.shape[:-1] + (n_out,)), (flat, w, x.shape)
+
+
+def linear_bwd(saved, g):
+    """Gradients of linear_fwd: (g W^T, x^T g, sum of g), leading axes flattened."""
+    flat, w, x_shape = saved
+    g2 = g.reshape(-1, w.shape[1])
+    return (g2 @ w.T).reshape(x_shape), flat.T @ g2, g2.sum(axis=0)
+
+
 def linear(x: Tensor, p: Linear) -> Tensor:
     """Affine map over the trailing channel axis of any-rank input.
 
-    One tape node over (x, weight, bias).  With the leading axes flattened,
-    the output is x W + b and the gradients are (g W^T, x^T g, sum of g).
+    One tape node over (x, weight, bias); see linear_fwd / linear_bwd.
     """
     x = T.as_tensor(x)
-    n_in, n_out = p.weight.shape
-    if x.shape[-1] != n_in:
-        raise ShapeError(f"linear expects trailing dim {n_in}, got {x.shape}")
-    flat = x.data.reshape(-1, n_in)
-    w = p.weight.data
-    out_data = (flat @ w + p.bias.data).reshape(x.shape[:-1] + (n_out,))
-
-    def make():
-        def grad_fn(g):
-            g2 = g.reshape(-1, n_out)
-            return (g2 @ w.T).reshape(x.shape), flat.T @ g2, g2.sum(axis=0)
-
-        return grad_fn
-
-    return T._emit("linear", (x, p.weight, p.bias), out_data, make)
+    if x.shape[-1] != p.weight.shape[0]:
+        raise ShapeError(f"linear expects trailing dim {p.weight.shape[0]}, got {x.shape}")
+    out, saved = linear_fwd(x.data, p.weight.data, p.bias.data)
+    return T._emit("linear", (x, p.weight, p.bias), out,
+                   lambda: lambda g: linear_bwd(saved, g))
 
 
 @dataclass
@@ -94,6 +102,28 @@ def init_layer_norm(channels: int) -> LayerNormParams:
     )
 
 
+def ln_core_fwd(x, eps: float = LN_EPS):
+    """ln_core on arrays: (normalized x, saved)."""
+    axis = (x.ndim - 1,)
+    mu = x.mean(axis=axis, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = centered / sigma
+    return out, (out, sigma)
+
+
+def ln_core_bwd(saved, g):
+    """Gradient of ln_core_fwd (a one-element tuple)."""
+    out, sigma = saved
+    axis = (g.ndim - 1,)
+    gx = g - g.mean(axis=axis, keepdims=True)
+    gx -= out * (g * out).mean(axis=axis, keepdims=True)
+    gx /= sigma
+    return (gx,)
+
+
 def ln_core(x: Tensor, eps: float = LN_EPS) -> Tensor:
     """Normalize the trailing channel axis to zero mean, unit variance.
 
@@ -102,24 +132,8 @@ def ln_core(x: Tensor, eps: float = LN_EPS) -> Tensor:
     over the channel axis.
     """
     x = T.as_tensor(x)
-    axis = (x.ndim - 1,)
-    mu = x.data.mean(axis=axis, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = centered / sigma
-
-    def make():
-        def grad_fn(g):
-            gx = g - g.mean(axis=axis, keepdims=True)
-            gx -= out_data * (g * out_data).mean(axis=axis, keepdims=True)
-            gx /= sigma
-            return (gx,)
-
-        return grad_fn
-
-    return T._emit("ln_core", (x,), out_data, make)
+    out, saved = ln_core_fwd(x.data, eps)
+    return T._emit("ln_core", (x,), out, lambda: lambda g: ln_core_bwd(saved, g))
 
 
 def layer_norm(x: Tensor, p: LayerNormParams, eps: float = LN_EPS) -> Tensor:
@@ -144,43 +158,50 @@ def init_dwconv(channels: int, seed: int, name: str) -> DWConvParams:
     )
 
 
+def dwconv_fwd(x, kernel, bias):
+    """depthwise_conv3x3 on arrays ([H, W, C] or [B, H, W, C]): (out, saved)."""
+    h, w = x.shape[-3], x.shape[-2]
+    lead = (slice(None),) * (x.ndim - 3)
+    windows = [lead + (slice(dy, dy + h), slice(dx, dx + w))
+               for dy in range(3) for dx in range(3)]
+    k9 = kernel.reshape(-1, 9)  # column dy * 3 + dx is tap (dy, dx)
+    padded = np.zeros(x.shape[:-3] + (h + 2, w + 2, x.shape[-1]))
+    padded[lead + (slice(1, h + 1), slice(1, w + 1))] = x
+    acc = padded[windows[0]] * k9[:, 0]
+    for tap, win in enumerate(windows[1:], 1):
+        acc += padded[win] * k9[:, tap]
+    return acc + bias, (padded, k9, windows)
+
+
+def dwconv_bwd(saved, g):
+    """Gradients of dwconv_fwd: scatter g * k[:, dy, dx] into one padded
+    buffer, contract g with each tap's window for the kernel, sum g for
+    the bias."""
+    padded, k9, windows = saved
+    h, w = g.shape[-3], g.shape[-2]
+    taps = "bhwc,bhwc->c" if g.ndim == 4 else "hwc,hwc->c"
+    g_pad = np.zeros(padded.shape)
+    g_k = np.empty(k9.shape)
+    for tap, win in enumerate(windows):
+        g_pad[win] += g * k9[:, tap]
+        g_k[:, tap] = np.einsum(taps, padded[win], g)
+    g_x = np.ascontiguousarray(g_pad[windows[0][:-2] + (slice(1, h + 1), slice(1, w + 1))])
+    return g_x, g_k.reshape(-1, 3, 3), g.sum(axis=tuple(range(g.ndim - 1)))
+
+
 def depthwise_conv3x3(x: Tensor, p: DWConvParams) -> Tensor:
     """Per-channel 3x3 conv, zero-padded, stride 1; no cross-channel mixing.
 
-    One tape node over (x, kernel, bias).  The backward scatters g * k[:, dy,
-    dx] into one padded gradient buffer, takes each tap's kernel gradient as
-    a contraction of g with that tap's window, and sums g for the bias.
+    One tape node over (x, kernel, bias); see dwconv_fwd / dwconv_bwd.
     """
     x = T.as_tensor(x)
     if x.ndim not in (3, 4):
         raise ShapeError(f"expected a grid, got {x.shape}")
     if x.shape[-1] != p.kernel.shape[0]:
         raise ShapeError(f"grid has {x.shape[-1]} channels, kernel has {p.kernel.shape[0]}")
-    h, w = x.shape[-3], x.shape[-2]
-    lead = (slice(None),) * (x.ndim - 3)
-    windows = [lead + (slice(dy, dy + h), slice(dx, dx + w))
-               for dy in range(3) for dx in range(3)]
-    taps = "bhwc,bhwc->c" if x.ndim == 4 else "hwc,hwc->c"
-    k9 = p.kernel.data.reshape(-1, 9)  # column dy * 3 + dx is tap (dy, dx)
-    padded = np.pad(x.data, [(0, 0)] * (x.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
-    acc = padded[windows[0]] * k9[:, 0]
-    for tap, win in enumerate(windows[1:], 1):
-        acc += padded[win] * k9[:, tap]
-    out_data = acc + p.bias.data
-
-    def make():
-        def grad_fn(g):
-            g_pad = np.zeros(padded.shape)
-            g_k = np.empty(k9.shape)
-            for tap, win in enumerate(windows):
-                g_pad[win] += g * k9[:, tap]
-                g_k[:, tap] = np.einsum(taps, padded[win], g)
-            g_x = np.ascontiguousarray(g_pad[lead + (slice(1, h + 1), slice(1, w + 1))])
-            return g_x, g_k.reshape(-1, 3, 3), g.sum(axis=tuple(range(g.ndim - 1)))
-
-        return grad_fn
-
-    return T._emit("depthwise_conv3x3", (x, p.kernel, p.bias), out_data, make)
+    out, saved = dwconv_fwd(x.data, p.kernel.data, p.bias.data)
+    return T._emit("depthwise_conv3x3", (x, p.kernel, p.bias), out,
+                   lambda: lambda g: dwconv_bwd(saved, g))
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +329,6 @@ def init_vss(channels: int, state_size: int, seed: int, name: str,
     )
 
 
-def _scan_branch(x: Tensor, w: VSSWeights) -> Tensor:
-    a = linear(x, w.inproj)
-    a = T.silu(depthwise_conv3x3(a, w.dw))
-    return ss2d(a, w.ssm)
-
-
-def vss_forward(f: Tensor, w: VSSWeights) -> Tensor:
-    """Gated scan block: LN, two branches (gate, scan), fuse, residual."""
-    x = T.add(T.mul(ln_core(f), w.ln1.gamma), w.ln1.beta)
-    gate = T.silu(linear(x, w.gate))
-    attn = _scan_branch(x, w)
-    attn = T.add(T.mul(ln_core(attn), w.ln2.gamma), w.ln2.beta)
-    fused = linear(T.mul(gate, attn), w.outproj)
-    return T.add(fused, f)
-
-
 # ---------------------------------------------------------------------------
 # conditioning
 
@@ -350,23 +355,127 @@ class ModulationParams:
                                 Tensor(np.float64(1.0)))
 
 
-def cvss_forward(f: Tensor, w: VSSWeights, mod: ModulationParams) -> Tensor:
-    """Conditional gated scan block.
+def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -> Tensor:
+    """Gated scan block, feature-modulated when `mod` is given; one tape node.
 
-    Identical wiring to vss_forward with three insertion points: (a1, b1)
-    rescale the first normalized features, (a3) scales the second norm's
-    core before its affine, (a2, b2) rescale the result.  At identity
-    modulation every insertion multiplies by 1.0 or adds 0.0, which IEEE
-    arithmetic keeps bit-exact, so the block equals vss_forward exactly.
+    x = LN1(f), optionally a1 x + b1; gate = silu(linear_gate(x)); the scan
+    branch is ss2d(silu(dwconv(linear_in(x)))); attn = LN2 of it, with a3
+    scaling the norm's core before its affine, optionally a2 attn + b2; the
+    result is f + linear_out(gate * attn).  Without `mod` no insertion runs.
+    At identity modulation (1, 0, 1, 0, 1) every insertion multiplies by
+    1.0 or adds 0.0, which IEEE arithmetic keeps bit-exact, so the result
+    equals the unmodulated block exactly.
+
+    The node's inputs are f, every VSSWeights tensor (the scan parameters
+    in SS2DParams.tensors() order) and, with `mod`, the five knobs; their
+    gradients chain the pairs of `linear`, `ln_core`, `depthwise_conv3x3`
+    and `scan.ss2d` with the elementwise steps between them, in the order
+    a tape of one node per step would, so values and gradients match that
+    composition.  Knob gradients are summed back to the knob's shape, ()
+    or [B, 1, 1, 1].  In checked mode every intermediate must be finite,
+    and a failure names it, e.g. "gated_block gate silu: produced a
+    non-finite value"; inside ss2d the selective_scan and cross_merge
+    checks keep their own names.
     """
-    x = T.add(T.mul(ln_core(f), w.ln1.gamma), w.ln1.beta)
-    x = T.add(T.mul(mod.alpha1, x), mod.beta1)
-    gate = T.silu(linear(x, w.gate))
-    attn = _scan_branch(x, w)
-    attn = T.add(T.mul(T.mul(mod.alpha3, ln_core(attn)), w.ln2.gamma), w.ln2.beta)
-    attn = T.add(T.mul(mod.alpha2, attn), mod.beta2)
-    fused = linear(T.mul(gate, attn), w.outproj)
-    return T.add(fused, f)
+    f = T.as_tensor(f)
+    if f.ndim not in (3, 4):
+        raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
+    if f.shape[-1] != w.ln1.gamma.shape[0]:
+        raise ShapeError(f"grid has {f.shape[-1]} channels, block has {w.ln1.gamma.shape[0]}")
+    knobs = () if mod is None else (mod.alpha1, mod.beta1, mod.alpha2, mod.beta2, mod.alpha3)
+    inputs = (f, w.ln1.gamma, w.ln1.beta, w.gate.weight, w.gate.bias, w.inproj.weight,
+              w.inproj.bias, w.dw.kernel, w.dw.bias, *w.ssm.tensors(), w.ln2.gamma,
+              w.ln2.beta, w.outproj.weight, w.outproj.bias, *knobs)
+    check = T._check
+    gamma1, gamma2 = w.ln1.gamma.data, w.ln2.gamma.data
+    if mod is not None:
+        a1, b1, a2, b2, a3 = (k.data for k in knobs)
+
+    n1, ln1_saved = ln_core_fwd(f.data)
+    check("gated_block ln1 core", n1)
+    x = n1 * gamma1
+    check("gated_block ln1 scale", x)
+    x = x + w.ln1.beta.data
+    check("gated_block ln1 shift", x)
+    xm = x
+    if mod is not None:
+        xm = a1 * x
+        check("gated_block alpha1", xm)
+        xm = xm + b1
+        check("gated_block beta1", xm)
+    gl, gate_saved = linear_fwd(xm, w.gate.weight.data, w.gate.bias.data)
+    check("gated_block gate linear", gl)
+    gl_s = T._sigmoid_raw(gl)
+    gate = gl * gl_s
+    check("gated_block gate silu", gate)
+    branch, in_saved = linear_fwd(xm, w.inproj.weight.data, w.inproj.bias.data)
+    check("gated_block inproj", branch)
+    conv, dw_saved = dwconv_fwd(branch, w.dw.kernel.data, w.dw.bias.data)
+    check("gated_block dwconv", conv)
+    conv_s = T._sigmoid_raw(conv)
+    branch = conv * conv_s
+    check("gated_block dwconv silu", branch)
+    grid_shape = branch.shape if branch.ndim == 4 else (1,) + branch.shape
+    scanned, ss_saved = ss2d_fwd(branch.reshape(grid_shape),
+                                 [[t.data for t in p.tensors()] for p in w.ssm.directions],
+                                 keep=T._recording_tape(inputs) is not None)
+    n2, ln2_saved = ln_core_fwd(scanned.reshape(branch.shape))
+    check("gated_block ln2 core", n2)
+    t2 = n2
+    if mod is not None:
+        t2 = a3 * n2
+        check("gated_block alpha3", t2)
+    attn = t2 * gamma2
+    check("gated_block ln2 scale", attn)
+    attn = attn + w.ln2.beta.data
+    check("gated_block ln2 shift", attn)
+    attn_m = attn
+    if mod is not None:
+        attn_m = a2 * attn
+        check("gated_block alpha2", attn_m)
+        attn_m = attn_m + b2
+        check("gated_block beta2", attn_m)
+    prod = gate * attn_m
+    check("gated_block gate product", prod)
+    fused, out_saved = linear_fwd(prod, w.outproj.weight.data, w.outproj.bias.data)
+    check("gated_block outproj", fused)
+    f_shape, x_shape, c_shape = f.shape, x.shape, gamma1.shape
+
+    def grad_fn(g):
+        g_prod, g_wo, g_bo = linear_bwd(out_saved, g)
+        g_gate = g_prod * attn_m
+        g_attn = g_prod * gate
+        g_knobs = ()
+        if mod is not None:
+            g_b2 = T._unbroadcast(g_attn, b2.shape)
+            g_a2 = T._unbroadcast(g_attn * attn, a2.shape)
+            g_attn = g_attn * a2
+        g_beta2 = T._unbroadcast(g_attn, c_shape)
+        g_gamma2 = T._unbroadcast(g_attn * t2, c_shape)
+        g_t2 = g_attn * gamma2
+        if mod is not None:
+            g_a3 = T._unbroadcast(g_t2 * n2, a3.shape)
+            g_t2 = g_t2 * a3
+        (g_scan,) = ln_core_bwd(ln2_saved, g_t2)
+        g_grid, g_ssm = ss2d_bwd(ss_saved, g_scan.reshape(grid_shape))
+        g_conv = g_grid.reshape(g_scan.shape) * T._silu_grad(conv, conv_s)
+        g_branch, g_k, g_kb = dwconv_bwd(dw_saved, g_conv)
+        g_x, g_wi, g_bi = linear_bwd(in_saved, g_branch)
+        g_gl = g_gate * T._silu_grad(gl, gl_s)
+        g_xg, g_wg, g_bg = linear_bwd(gate_saved, g_gl)
+        g_x = g_x + g_xg
+        if mod is not None:
+            g_b1 = T._unbroadcast(g_x, b1.shape)
+            g_a1 = T._unbroadcast(g_x * x, a1.shape)
+            g_x = T._unbroadcast(g_x * a1, x_shape)
+            g_knobs = (g_a1, g_b1, g_a2, g_b2, g_a3)
+        g_beta1 = T._unbroadcast(g_x, c_shape)
+        g_gamma1 = T._unbroadcast(g_x * n1, c_shape)
+        (g_f,) = ln_core_bwd(ln1_saved, g_x * gamma1)
+        return (T._unbroadcast(g, f_shape) + g_f, g_gamma1, g_beta1, g_wg, g_bg, g_wi, g_bi,
+                g_k, g_kb, *g_ssm, g_gamma2, g_beta2, g_wo, g_bo, *g_knobs)
+
+    return T._emit("gated_block", inputs, fused + f.data, lambda: grad_fn)
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Subcommands: generate-data, train, eval, infer, gradcheck, bench-scan.
 Every command is deterministic given its inputs (bench-scan timings aside):
 no output ever embeds a timestamp.  Exit codes are a stable contract:
-0 success, 2 configuration or I/O problem, 3 numeric abort during training,
-4 verification failure in gradcheck.
+0 success, 2 configuration, input-data or I/O problem, 3 numeric abort
+during training, 4 verification failure in gradcheck.  Any other exception
+is a fault of the program and propagates with its traceback.
 
 Train/eval configs are strict JSON: the SumConfig fields plus
 train_manifest, val_manifest, and out_dir.  Relative paths inside a config
@@ -33,6 +34,7 @@ from .data import (
 )
 from .gradcheck import run_suite
 from .metrics import evaluate_sample, f_scores, summarize
+from .objective import NormalizationError
 from .model import (
     CONDITIONINGS,
     ConfigError,
@@ -51,15 +53,21 @@ DOMAIN_NAMES = ("natural-mouse", "natural-eye", "ecommerce", "ui")
 _PATH_KEYS = ("train_manifest", "val_manifest", "out_dir")
 
 
-def _load_train_config(path: str, overrides: dict) -> tuple:
-    """Strict config document -> (SumConfig, resolved path fields)."""
-    base = Path(path).parent
+def _read_config_doc(path: str) -> dict:
+    """A config file's JSON object; ConfigError when the file holds none."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    return doc
+
+
+def _load_train_config(path: str, overrides: dict) -> tuple:
+    """Strict config document -> (SumConfig, resolved path fields)."""
+    base = Path(path).parent
+    doc = _read_config_doc(path)
     paths = {}
     for key in _PATH_KEYS:
         if key in doc:
@@ -132,7 +140,7 @@ def cmd_train(args) -> int:
 def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
     arrays = load_checkpoint(path)
     if config_path is not None:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        doc = _read_config_doc(config_path)
         for key in _PATH_KEYS:
             doc.pop(key, None)
         cfg = SumConfig.from_dict(doc)
@@ -226,7 +234,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench_scan(args) -> int:
-    lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
+    try:
+        lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     if len(lengths) < 2 or any(n < 2 for n in lengths):
         raise ConfigError(f"need at least two lengths >= 2, got {lengths}")
     if args.repeats < 1:
@@ -301,7 +313,7 @@ def main(argv=None) -> int:
     except NumericAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ParseError, CheckpointError, ValueError, OSError) as exc:
+    except (ConfigError, ParseError, CheckpointError, NormalizationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

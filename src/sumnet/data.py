@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import DomainLabel
+from .model import ConfigError
 from .rng import SplitMix64, derive
 
 FIXATIONS_PER_SAMPLE = 20
@@ -439,10 +440,10 @@ def generate_dataset(out_dir, n_per_domain: int, size: int, seed: int,
     Returns {"train": path, "val": path, "test": path, and, when pairs were
     requested, "conflict_train": path, "conflict_val": path}.
     """
-    if size % 32:
-        raise ValueError(f"size {size} must be divisible by 32")
+    if size < 32 or size % 32:
+        raise ConfigError(f"size {size} must be a positive multiple of 32")
     if n_per_domain < 1:
-        raise ValueError("need at least one sample per domain")
+        raise ConfigError(f"need at least one sample per domain, got {n_per_domain}")
     out = Path(out_dir)
     for sub in ("images", "maps", "fixations"):
         (out / sub).mkdir(parents=True, exist_ok=True)

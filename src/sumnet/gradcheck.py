@@ -134,6 +134,21 @@ def check_scan() -> list:
     p2 = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-params"), "g2")
     rows.append(("ss2d.input",
                  _check(lambda t: _weighted_sum(S.ss2d(t, p2), "ss2d.in"), grid), OP_TOL))
+    rows.append(("ss2d.input_batched",
+                 _check(lambda t: _weighted_sum(S.ss2d(t, p2), "ss2d.inb"),
+                        _arr((b, 3, 4, c), tag="gridb")), OP_TOL))
+    shared = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-shared"), "g3", shared=True)
+    p_shared = shared.directions[0]
+
+    def shared_a_log(t):
+        saved = p_shared.a_log
+        p_shared.a_log = t
+        try:
+            return _weighted_sum(S.ss2d(Tensor(grid), shared), "ss2d.shared")
+        finally:
+            p_shared.a_log = saved
+
+    rows.append(("ss2d.shared", _check(shared_a_log, p_shared.a_log.data.copy()), OP_TOL))
     return rows
 
 
@@ -191,27 +206,40 @@ def check_blocks() -> list:
 
     vss = B.init_vss(c, 2, derive(_SEED, "vss"), "g")
     rows.append(("vss.input", _check(
-        lambda t: _weighted_sum(B.vss_forward(t, vss), "vss.in"), _arr((4, 4, c), tag="vx")),
+        lambda t: _weighted_sum(B.gated_block(t, vss), "vss.in"), _arr((4, 4, c), tag="vx")),
         OP_TOL))
     rows.append(("vss.gate_weight", _check(
         lambda t: _weighted_sum(
-            B.vss_forward(Tensor(_arr((4, 4, c), tag="vx")),
+            B.gated_block(Tensor(_arr((4, 4, c), tag="vx")),
                           B.VSSWeights(vss.ln1, B.Linear(t, vss.gate.bias), vss.inproj,
                                        vss.dw, vss.ssm, vss.ln2, vss.outproj)), "vss.gw"),
         vss.gate.weight.data.copy()), OP_TOL))
+
+    # [2, 1, 1, 1] knobs away from identity on a [2, 4, 4, C] grid
+    grid = Tensor(_arr((2, 4, 4, c), tag="cvx"))
+    knobs = {k: _arr((2, 1, 1, 1), lo, hi, f"knob.{k}") for k, lo, hi in (
+        ("alpha1", 0.5, 1.5), ("beta1", -0.5, 0.5), ("alpha2", 0.5, 1.5),
+        ("beta2", -0.5, 0.5), ("alpha3", 0.5, 1.5))}
+    rows.append(("gated_block.input", _check(
+        lambda t: _weighted_sum(B.gated_block(t, vss, B.ModulationParams(
+            *(Tensor(v) for v in knobs.values()))), "gb.in"), grid.data), OP_TOL))
+    for name in knobs:
+        def knob_path(t, name=name):
+            mod = B.ModulationParams(*(t if k == name else Tensor(v) for k, v in knobs.items()))
+            return _weighted_sum(B.gated_block(grid, vss, mod), f"gb.{name}")
+        rows.append((f"gated_block.{name}", _check(knob_path, knobs[name]), OP_TOL))
 
     cond = B.init_conditioner(4, 8, derive(_SEED, "cond"))
     # make raw knobs nonzero so the modulation path carries real gradients
     cond.l3.weight.data = uniform_array(cond.l3.weight.shape, -0.3, 0.3,
                                         derive(_SEED, "l3w"))
-    grid = Tensor(_arr((2, 4, 4, c), tag="cvx"))
 
     def cond_path(tokens):
         saved = cond.tokens
         cond.tokens = tokens
         try:
             mod = B.conditioner(cond, np.array([1, 3]))
-            return _weighted_sum(B.cvss_forward(grid, vss, mod), "cvss.tok")
+            return _weighted_sum(B.gated_block(grid, vss, mod), "cvss.tok")
         finally:
             cond.tokens = saved
 
@@ -222,7 +250,7 @@ def check_blocks() -> list:
         cond.l3 = B.Linear(w, saved.bias)
         try:
             mod = B.conditioner(cond, np.array([0, 2]))
-            return _weighted_sum(B.cvss_forward(grid, vss, mod), "cvss.l3")
+            return _weighted_sum(B.gated_block(grid, vss, mod), "cvss.l3")
         finally:
             cond.l3 = saved
 

@@ -62,6 +62,18 @@ class NumericAbort(ArithmeticError):
 # configuration
 
 
+# how SumConfig.__post_init__ coerces each field it normalizes, and what it wants
+_FIELD_KINDS = {
+    **dict.fromkeys(("input_size", "base_channels", "state_size", "num_domains", "token_dim",
+                     "batch_size", "epochs", "patience", "decay_every", "seed"),
+                    (int, "an integer")),
+    **dict.fromkeys(("lr", "decay_factor"), (float, "a number")),
+    **dict.fromkeys(("encoder_depths", "decoder_depths"),
+                    (lambda v: tuple(int(d) for d in v), "a list of integers")),
+    "loss_weights": (lambda v: tuple(float(w) for w in v), "a list of numbers"),
+}
+
+
 @dataclass
 class SumConfig:
     input_size: int = 64
@@ -85,15 +97,12 @@ class SumConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_size", "base_channels", "state_size", "num_domains",
-                     "token_dim", "batch_size", "epochs", "patience",
-                     "decay_every", "seed"):
-            setattr(self, name, int(getattr(self, name)))
-        self.lr = float(self.lr)
-        self.decay_factor = float(self.decay_factor)
-        self.encoder_depths = tuple(int(d) for d in self.encoder_depths)
-        self.decoder_depths = tuple(int(d) for d in self.decoder_depths)
-        self.loss_weights = tuple(float(w) for w in self.loss_weights)
+        for name, (coerce, wanted) in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            try:
+                setattr(self, name, coerce(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be {wanted}, got {value!r}") from None
         self.validate()
 
     def validate(self) -> None:
@@ -187,8 +196,12 @@ def config_from_arrays(arrays: dict) -> SumConfig:
     kwargs["encoder_depths"] = tuple(int(round(d)) for d in grab("encoder_depths"))
     kwargs["decoder_depths"] = tuple(int(round(d)) for d in grab("decoder_depths"))
     kwargs["loss_weights"] = tuple(float(w) for w in grab("loss_weights"))
-    kwargs["placement"] = PLACEMENTS[int(round(float(grab("placement")[0])))]
-    kwargs["conditioning"] = CONDITIONINGS[int(round(float(grab("conditioning")[0])))]
+    for name, choices in (("placement", PLACEMENTS), ("conditioning", CONDITIONINGS)):
+        code = int(round(float(grab(name)[0])))
+        if not 0 <= code < len(choices):
+            raise ConfigError(
+                f"checkpoint config.{name} code {code} is not in 0..{len(choices) - 1}")
+        kwargs[name] = choices[code]
     return SumConfig(**kwargs)
 
 
@@ -339,10 +352,10 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def _stage(self, x, stage_name: str, weights, mod):
-        conditioned = stage_name in self._conditioned
+        if stage_name not in self._conditioned:
+            mod = None
         for w in weights:
-            x = B.cvss_forward(x, w, mod) if conditioned and mod is not None \
-                else B.vss_forward(x, w)
+            x = B.gated_block(x, w, mod)
         return x
 
     def forward(self, images, labels=None) -> Tensor:

@@ -15,12 +15,17 @@ an exact reverse sweep without recomputation.  When nothing records
 (predict, eval, the finite-difference oracle) the forward reuses one K-row
 buffer per array and keeps no full-size state.
 
-`selective_scan` records one tape node for a whole direction: projections,
-softplus, A = -exp(A_log), recurrence and skip.  Its closure keeps the
-sequence, the rank-R delta projection, the softplus derivative, delta, the
-B/C projections, A, exp(A_log) and the kernel's hidden and abar.
-`ssm_recurrence` is the bare recurrence as its own primitive, on the same
-kernels.
+Each fused primitive is a pure numpy pair, `*_fwd(...) -> (out, saved)`
+and `*_bwd(saved, g) -> gradients`, with a thin tape wrapper around it:
+`_flatten`/`_unflatten` for one `cross_scan` traversal, `cross_merge_fwd`
+(whose backward is `_flatten`), `selective_scan_fwd`/`_bwd` for a whole
+direction (projections, softplus, A = -exp(A_log), recurrence and skip;
+`saved` keeps the sequence, the rank-R delta projection, the softplus
+derivative, delta, the B/C projections, A, exp(A_log) and the kernel's
+hidden and abar), and `ss2d_fwd`/`_bwd`, which chain the other three over
+all four directions so that `ss2d` records one node.  `blocks.gated_block`
+chains the same pairs.  `ssm_recurrence` is the bare recurrence as its own
+primitive, on the same kernels.
 
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
@@ -72,16 +77,6 @@ class DirectionalSequences:
         ]
 
 
-def _grid4(f: Tensor):
-    """Normalize a grid to [B, H, W, C]; returns (tensor, had_batch)."""
-    if f.ndim == 3:
-        h, w, c = f.shape
-        return T.reshape(f, (1, h, w, c)), False
-    if f.ndim == 4:
-        return f, True
-    raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
-
-
 def _flatten(grid: np.ndarray, direction: str) -> np.ndarray:
     """One traversal of a [B, H, W, C] array as a fresh [B, H*W, C] array.
 
@@ -111,7 +106,8 @@ def cross_scan(f: Tensor) -> DirectionalSequences:
 
     A [H, W, C] grid yields [L, C] sequences; [B, H, W, C] yields [B, L, C].
     Each traversal is one tape node whose backward scatters the sequence
-    gradient back onto the grid.
+    gradient back onto the grid: `_flatten` and `_unflatten` are its
+    forward/backward pair.
     """
     f = T.as_tensor(f)
     if f.ndim not in (3, 4):
@@ -136,13 +132,25 @@ def cross_scan(f: Tensor) -> DirectionalSequences:
     return DirectionalSequences(*map(traversal, DIRECTION_ORDER), h, w)
 
 
+def cross_merge_fwd(seqs, h: int, w: int) -> np.ndarray:
+    """Four [B, H*W, C] traversals, in DIRECTION_ORDER, back on one summed grid.
+
+    Summation is pairwise, (row_fwd + row_bwd) + (col_fwd + col_bwd), so that
+    merging four identical grids is exact doubling twice (bit-exact 4x).
+    The backward needs no saved state: it is `_flatten` of the grid
+    gradient in each direction.
+    """
+    rf, rb, cf, cb = (_unflatten(s, d, h, w) for d, s in zip(DIRECTION_ORDER, seqs))
+    merged = rf + rb  # C-ordered; the column pair is added into it in place
+    merged += cf + cb
+    return merged
+
+
 def cross_merge(seqs: DirectionalSequences) -> Tensor:
     """Invert each traversal back to the grid and sum the four grids.
 
-    Summation is pairwise, (row_fwd + row_bwd) + (col_fwd + col_bwd), so that
-    merging four identical grids is exact doubling twice (bit-exact 4x).  One
-    tape node over the four sequences; each one's gradient is the traversal
-    of the grid gradient in its own order.
+    One tape node over the four sequences (see cross_merge_fwd); each one's
+    gradient is the traversal of the grid gradient in its own order.
     """
     h, w = seqs.height, seqs.width
     parts = tuple(T.as_tensor(t) for _, t in seqs.as_list())
@@ -153,10 +161,7 @@ def cross_merge(seqs: DirectionalSequences) -> Tensor:
     if shape[-2] != h * w:
         raise ShapeError(f"sequence length {shape[-2]} does not match grid {h}x{w}")
     had_batch = len(shape) == 3
-    rf, rb, cf, cb = (_unflatten(t.data if had_batch else t.data[None], d, h, w)
-                      for d, t in zip(DIRECTION_ORDER, parts))
-    merged = rf + rb  # C-ordered; the column pair is added into it in place
-    merged += cf + cb
+    merged = cross_merge_fwd([t.data if had_batch else t.data[None] for t in parts], h, w)
 
     def make():
         def grad_fn(g):
@@ -368,6 +373,11 @@ class SSMParams:
     def channels(self):
         return self.a_log.shape[0]
 
+    def tensors(self) -> tuple:
+        """The seven tensors in field order, the order selective_scan takes them."""
+        return (self.a_log, self.d_skip, self.w_b, self.w_c, self.w_delta, self.v_delta,
+                self.b_delta)
+
 
 def delta_rank(channels: int) -> int:
     return max(1, channels // 8)
@@ -397,25 +407,18 @@ def init_ssm_params(channels: int, state_size: int, seed: int, name: str = "ssm"
     )
 
 
-def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
-    """Input-conditioned scan over one flattened sequence ([L,C] or [B,L,C]).
+def selective_scan_fwd(x3, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, keep):
+    """selective_scan on arrays: x3 [B, L, C] -> (y [B, L, C], saved).
 
-    One tape node over (seq, a_log, d_skip, w_b, w_c, w_delta, v_delta,
-    b_delta).  The forward runs the delta projection and its softplus, the
-    B and C projections, A = -exp(a_log), the recurrence kernel and the skip
-    term D x in numpy; the backward chains the kernel's five gradients back
-    through each of them.  In checked mode the delta pre-activation, both
-    projections, exp(a_log) and the output must be finite.
+    Runs the delta projection and its softplus, the B and C projections,
+    A = -exp(a_log), the recurrence kernel and the skip term D x.  In
+    checked mode the delta pre-activation, both projections and exp(a_log)
+    must be finite.  `saved` holds what selective_scan_bwd reads (the
+    sequence, the rank-R delta projection, the softplus derivative, delta,
+    the B/C projections, A, exp(a_log), the kernel's hidden and abar) when
+    `keep`, else None, and then the kernel keeps no full-size state.
     """
-    seq = T.as_tensor(seq)
-    if seq.ndim not in (2, 3):
-        raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
-    x3 = seq.data[None] if seq.ndim == 2 else seq.data
     bsz, length, ch = x3.shape
-    if ch != p.channels:
-        raise ShapeError(f"sequence has {ch} channels, params have {p.channels}")
-    inputs = (seq, p.a_log, p.d_skip, p.w_b, p.w_c, p.w_delta, p.v_delta, p.b_delta)
-    a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta = (t.data for t in inputs[1:])
     n = w_b.shape[1]
     flat = x3.reshape(bsz * length, ch)
     low = flat @ w_delta
@@ -432,25 +435,54 @@ def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
     a = e_a * -1.0
     delta3 = delta.reshape(x3.shape)
     b3, c3 = b_flat.reshape(bsz, length, n), c_flat.reshape(bsz, length, n)
-    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x3,
-                                    keep=T._recording_tape(inputs) is not None)
+    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x3, keep=keep)
     out = y + x3 * d_skip
+    if not keep:
+        return out, None
+    deriv = np.where(big, 1.0, T._sigmoid_raw(pre))  # softplus'
+    return out, (x3, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
+                 d_skip, w_b, w_c, w_delta, v_delta)
+
+
+def selective_scan_bwd(saved, g3):
+    """Gradients of selective_scan_fwd for y's gradient g3 [B, L, C]: the
+    sequence's, then a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta."""
+    (x3, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
+     d_skip, w_b, w_c, w_delta, v_delta) = saved
+    ch, n = a.shape
+    flat = x3.reshape(-1, ch)
+    g_delta, g_a, g_b, g_c, g_x = _scan_backward(g3, delta3, a, b3, c3, x3, hidden, abar)
+    g_pre = g_delta.reshape(-1, ch) * deriv
+    g_low = g_pre @ v_delta.T
+    g_b, g_c = g_b.reshape(-1, n), g_c.reshape(-1, n)
+    g_x += g3 * d_skip
+    g_x += (g_low @ w_delta.T + g_b @ w_b.T + g_c @ w_c.T).reshape(x3.shape)
+    return (g_x, (g_a * -1.0) * e_a, (g3 * x3).sum(axis=(0, 1)),
+            flat.T @ g_b, flat.T @ g_c, flat.T @ g_low, low.T @ g_pre, g_pre.sum(axis=0))
+
+
+def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
+    """Input-conditioned scan over one flattened sequence ([L,C] or [B,L,C]).
+
+    One tape node over (seq, a_log, d_skip, w_b, w_c, w_delta, v_delta,
+    b_delta), computed by selective_scan_fwd; the backward chains the
+    kernel's five gradients back through the projections, the softplus and
+    A (selective_scan_bwd).
+    """
+    seq = T.as_tensor(seq)
+    if seq.ndim not in (2, 3):
+        raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
+    x3 = seq.data[None] if seq.ndim == 2 else seq.data
+    if x3.shape[-1] != p.channels:
+        raise ShapeError(f"sequence has {x3.shape[-1]} channels, params have {p.channels}")
+    inputs = (seq,) + p.tensors()
+    out, saved = selective_scan_fwd(x3, *(t.data for t in inputs[1:]),
+                                    keep=T._recording_tape(inputs) is not None)
 
     def make():
-        deriv = np.where(big, 1.0, T._sigmoid_raw(pre))  # softplus'
-
         def grad_fn(g):
-            g3 = g[None] if g.ndim == 2 else g
-            g_delta, g_a, g_b, g_c, g_x = _scan_backward(g3, delta3, a, b3, c3, x3,
-                                                         hidden, abar)
-            g_pre = g_delta.reshape(-1, ch) * deriv
-            g_low = g_pre @ v_delta.T
-            g_b, g_c = g_b.reshape(-1, n), g_c.reshape(-1, n)
-            g_x += g3 * d_skip
-            g_x += (g_low @ w_delta.T + g_b @ w_b.T + g_c @ w_c.T).reshape(x3.shape)
-            return (g_x.reshape(seq.shape), (g_a * -1.0) * e_a, (g3 * x3).sum(axis=(0, 1)),
-                    flat.T @ g_b, flat.T @ g_c, flat.T @ g_low, low.T @ g_pre,
-                    g_pre.sum(axis=0))
+            g_x, *rest = selective_scan_bwd(saved, g[None] if g.ndim == 2 else g)
+            return (g_x.reshape(seq.shape), *rest)
 
         return grad_fn
 
@@ -467,6 +499,14 @@ class SS2DParams:
     def channels(self):
         return self.directions[0].channels
 
+    def tensors(self) -> tuple:
+        """Every direction's tensors, last direction first.
+
+        In this order a set shared by all four directions accumulates its
+        gradients as a tape of one node per direction did: col_bwd's first.
+        """
+        return tuple(t for p in reversed(self.directions) for t in p.tensors())
+
 
 def init_ss2d_params(channels: int, state_size: int, seed: int,
                      name: str = "ss2d", shared: bool = False) -> SS2DParams:
@@ -479,17 +519,73 @@ def init_ss2d_params(channels: int, state_size: int, seed: int,
     )
 
 
+def ss2d_fwd(grid, directions, keep):
+    """ss2d on arrays: grid [B, H, W, C] -> (merged grid, saved).
+
+    `directions` holds one (a_log, d_skip, w_b, w_c, w_delta, v_delta,
+    b_delta) array tuple per DIRECTION_ORDER entry.  Chains the traversal
+    (`_flatten`), selective_scan_fwd and cross_merge_fwd.  In checked mode
+    each direction's scan output and the merged grid must be finite,
+    besides selective_scan_fwd's own checks; the traversals only copy
+    values already checked.  `saved` is the per-direction scan state.
+    """
+    _, h, w, _ = grid.shape
+    ys, saved = [], []
+    for d, arrays in zip(DIRECTION_ORDER, directions):
+        y, s = selective_scan_fwd(_flatten(grid, d), *arrays, keep=keep)
+        T._check("selective_scan", y)
+        ys.append(y)
+        saved.append(s)
+    merged = cross_merge_fwd(ys, h, w)
+    T._check("cross_merge", merged)
+    return merged, saved
+
+
+def ss2d_bwd(saved, g):
+    """Gradients of ss2d_fwd for the merged grid's gradient g [B, H, W, C]:
+    (the grid's, a list of seven parameter gradients per direction).
+
+    The directions run last to first, so the parameter gradients come in
+    SS2DParams.tensors() order, and their grid gradients are summed as
+    ((col_bwd + col_fwd) + row_bwd) + row_fwd, the order in which a tape
+    accumulates one node per direction.
+    """
+    _, h, w, _ = g.shape
+    g_grid, g_params = None, []
+    for d, s in zip(reversed(DIRECTION_ORDER), reversed(saved)):
+        g_seq, *g_p = selective_scan_bwd(s, _flatten(g, d))
+        g_params.extend(g_p)
+        g_view = _unflatten(g_seq, d, h, w)
+        if g_grid is None:
+            g_grid = np.ascontiguousarray(g_view)
+        else:
+            g_grid += g_view
+    return g_grid, g_params
+
+
 def ss2d(f: Tensor, params: SS2DParams) -> Tensor:
-    """Scan a grid in all four directions and merge back (unnormalized sum)."""
-    f4, had_batch = _grid4(T.as_tensor(f))
-    if f4.shape[-1] != params.channels:
-        raise ShapeError(f"grid has {f4.shape[-1]} channels, params have {params.channels}")
-    seqs = cross_scan(f4)
-    scanned = [selective_scan(t, p) for (_, t), p in zip(seqs.as_list(), params.directions)]
-    merged = cross_merge(
-        DirectionalSequences(*scanned, seqs.height, seqs.width)
-    )
-    return merged if had_batch else T.reshape(merged, f4.shape[1:])
+    """Scan a grid in all four directions and merge back (unnormalized sum).
+
+    One tape node over the grid and `params.tensors()` (see ss2d_fwd).
+    """
+    f = T.as_tensor(f)
+    if f.ndim not in (3, 4):
+        raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
+    if f.shape[-1] != params.channels:
+        raise ShapeError(f"grid has {f.shape[-1]} channels, params have {params.channels}")
+    inputs = (f,) + params.tensors()
+    merged, saved = ss2d_fwd(f.data if f.ndim == 4 else f.data[None],
+                             [[t.data for t in p.tensors()] for p in params.directions],
+                             keep=T._recording_tape(inputs) is not None)
+
+    def make():
+        def grad_fn(g):
+            g_grid, g_params = ss2d_bwd(saved, g if g.ndim == 4 else g[None])
+            return (g_grid.reshape(f.shape), *g_params)
+
+        return grad_fn
+
+    return T._emit("ss2d", inputs, merged.reshape(f.shape), make)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The generic primitives live here; fused primitives in `blocks` and `scan`
 (`linear`, layer-norm core, depthwise conv, directional scan and merge,
-`selective_scan` over one whole direction, the bare scan recurrence) compute
-their forward in numpy and record one node each, with a hand-derived
-backward, through the same `_emit` path.  Tensors wrap C-order
+`selective_scan` over one whole direction, `ss2d` over all four, the whole
+gated block, the bare scan recurrence) compute their forward in numpy and
+record one node each, with a hand-derived backward, through the same
+`_emit` path.  A node's inputs may repeat (one scan parameter set shared by
+four directions); `backward` then adds up each occurrence's gradient in
+input order.  Tensors wrap C-order
 float64 numpy arrays.  When a Tape is active and an input requires
 gradients, each operation appends a node (op kind, input node ids, output
 node id, backward closure over saved values) to the tape; `backward` replays
@@ -262,7 +265,9 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     for idx, t in enumerate(tape._tensors):
         if tape.nodes[idx].grad_fn is None and t.requires_grad:
             g = grads.get(idx)
-            t.grad = np.zeros_like(t.data) if g is None else np.ascontiguousarray(g)
+            # ascontiguousarray turns a 0-d gradient 1-d; the reshape keeps the leaf's shape
+            t.grad = (np.zeros_like(t.data) if g is None
+                      else np.ascontiguousarray(g).reshape(t.data.shape))
             results[t] = t.grad
     return results
 

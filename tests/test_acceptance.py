@@ -14,7 +14,7 @@ import pytest
 
 from sumnet import cli
 from sumnet import tensor as T
-from sumnet.blocks import ModulationParams, cvss_forward, init_vss, vss_forward
+from sumnet.blocks import ModulationParams, gated_block, init_vss
 from sumnet.data import generate_dataset, load_samples, read_manifest
 from sumnet.gradcheck import MODEL_TOL, OP_TOL, run_suite
 from sumnet.metrics import (
@@ -132,8 +132,8 @@ def test_conditional_identity(capsys):
     rng = SplitMix64(5)
     w = init_vss(channels=8, state_size=4, seed=2, name="blk")
     f = T.Tensor(rng.uniforms(2 * 6 * 6 * 8).reshape(2, 6, 6, 8))
-    block_ok = np.array_equal(vss_forward(f, w).data,
-                              cvss_forward(f, w, ModulationParams.identity()).data)
+    block_ok = np.array_equal(gated_block(f, w).data,
+                              gated_block(f, w, ModulationParams.identity()).data)
 
     imgs = rng.uniforms(2 * 32 * 32 * 3).reshape(2, 32, 32, 3)
     none_out = Model(micro_cfg(conditioning="none")).forward(imgs).data

@@ -14,9 +14,9 @@ from sumnet.blocks import (
     conditioner,
     conditioner_param_count,
     conditioner_table,
-    cvss_forward,
     depthwise_conv3x3,
     downsample,
+    gated_block,
     init_conditioner,
     init_downsample,
     init_dwconv,
@@ -30,9 +30,9 @@ from sumnet.blocks import (
     ln_core,
     patch_embed,
     patch_expand,
-    vss_forward,
 )
-from sumnet.tensor import ShapeError, Tensor, check_gradient
+from sumnet.tensor import NumericError, ShapeError, Tensor, check_gradient
+from test_scan import _reference_ss2d
 
 TOL = 1e-4
 
@@ -327,26 +327,140 @@ def test_vss_zero_fuse_is_residual_identity():
     w.outproj.weight.data[:] = 0.0
     w.outproj.bias.data[:] = 0.0
     f = rnd((5, 6, 4), 25)
-    y = vss_forward(f, w)
+    y = gated_block(f, w)
     assert np.array_equal(y.data, f.data)
 
 
 def test_vss_shapes_and_batch_consistency():
     w = init_vss(4, 2, seed=26, name="t")
     fb = rnd((2, 4, 4, 4), 27)
-    yb = vss_forward(fb, w)
+    yb = gated_block(fb, w)
     assert yb.shape == fb.shape
     for i in range(2):
-        yi = vss_forward(Tensor(fb.data[i]), w)
+        yi = gated_block(Tensor(fb.data[i]), w)
         assert np.allclose(yb.data[i], yi.data, atol=1e-12)
 
 
 def test_cvss_identity_modulation_bit_exact():
     w = init_vss(6, 3, seed=28, name="t")
     f = rnd((4, 5, 6), 29)
-    a = vss_forward(f, w)
-    b = cvss_forward(f, w, ModulationParams.identity())
+    a = gated_block(f, w)
+    b = gated_block(f, w, ModulationParams.identity())
     assert np.array_equal(a.data, b.data)
+
+
+def _reference_scan_branch(x, w):
+    a = linear(x, w.inproj)
+    a = T.silu(depthwise_conv3x3(a, w.dw))
+    return _reference_ss2d(a, w.ssm)
+
+
+def _reference_vss(f, w):
+    """Gated scan block: LN, two branches (gate, scan), fuse, residual."""
+    x = T.add(T.mul(ln_core(f), w.ln1.gamma), w.ln1.beta)
+    gate = T.silu(linear(x, w.gate))
+    attn = _reference_scan_branch(x, w)
+    attn = T.add(T.mul(ln_core(attn), w.ln2.gamma), w.ln2.beta)
+    fused = linear(T.mul(gate, attn), w.outproj)
+    return T.add(fused, f)
+
+
+def _reference_cvss(f, w, mod):
+    """Conditional gated scan block.
+
+    Identical wiring to _reference_vss with three insertion points: (a1, b1)
+    rescale the first normalized features, (a3) scales the second norm's
+    core before its affine, (a2, b2) rescale the result.
+    """
+    x = T.add(T.mul(ln_core(f), w.ln1.gamma), w.ln1.beta)
+    x = T.add(T.mul(mod.alpha1, x), mod.beta1)
+    gate = T.silu(linear(x, w.gate))
+    attn = _reference_scan_branch(x, w)
+    attn = T.add(T.mul(T.mul(mod.alpha3, ln_core(attn)), w.ln2.gamma), w.ln2.beta)
+    attn = T.add(T.mul(mod.alpha2, attn), mod.beta2)
+    fused = linear(T.mul(gate, attn), w.outproj)
+    return T.add(fused, f)
+
+
+def _vss_tensors(w):
+    """Every distinct tensor of a VSSWeights (a shared scan set once)."""
+    out = [w.ln1.gamma, w.ln1.beta, w.gate.weight, w.gate.bias, w.inproj.weight,
+           w.inproj.bias, w.dw.kernel, w.dw.bias]
+    for p in w.ssm.directions:
+        out += [t for t in p.tensors() if not any(t is u for u in out)]
+    return out + [w.ln2.gamma, w.ln2.beta, w.outproj.weight, w.outproj.bias]
+
+
+KNOBS = ("alpha1", "beta1", "alpha2", "beta2", "alpha3")
+
+
+# C >= 3 (see FUSED_GRIDS); 1x1 grids leave each scan a single step
+@pytest.mark.parametrize("shape, mod, shared", [
+    ((1, 1, 4), None, False),
+    ((1, 1, 4), "identity", False),
+    ((4, 5, 4), None, False),
+    ((4, 5, 4), "identity", False),
+    ((4, 5, 4), "random", False),  # [2, 1, 1, 1] knobs broadcast the grid to a batch
+    ((1, 1, 1, 4), "random", False),
+    ((2, 3, 4, 5), None, False),
+    ((2, 3, 4, 5), "identity", False),
+    ((2, 3, 4, 5), "random", False),
+    ((2, 3, 4, 5), None, True),
+    ((2, 3, 4, 5), "random", True),
+])
+def test_gated_block_matches_reference_composition(shape, mod, shared):
+    c = shape[-1]
+    w = init_vss(c, 3, seed=60, name="t", shared_scan=shared)
+    for k, t in enumerate(_vss_tensors(w)):
+        t.data += rnd(t.shape, 600 + k, -0.3, 0.3).data
+    knobs = []
+    if mod == "identity":
+        knobs = [Tensor(np.float64(v), requires_grad=True) for v in (1.0, 0.0, 1.0, 0.0, 1.0)]
+    elif mod == "random":
+        b = shape[0] if len(shape) == 4 else 2
+        knobs = [Tensor(1.0 + rnd((b, 1, 1, 1), 610 + k, -0.5, 0.5).data, requires_grad=True)
+                 for k in range(5)]
+    f = Tensor(rnd(shape, 61).data, requires_grad=True)
+    leaves = [f] + _vss_tensors(w) + knobs
+    m = ModulationParams(*knobs) if knobs else None
+
+    def run(block):
+        with T.Tape() as tape:
+            y = block(f, w) if m is None else block(f, w, m)
+            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
+            weights = T.uniform(y.shape, 0.1, 1.0, 62).data
+            T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+        return y.data, [t.grad.copy() for t in leaves], n_ops
+
+    got, got_g, n_ops = run(gated_block)
+    want, want_g, _ = run(_reference_vss if m is None else _reference_cvss)
+    assert n_ops == 1
+    assert got.shape == want.shape and np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)  # f, every weight, every knob
+    for k, g in zip(KNOBS, got_g[len(leaves) - len(knobs):]):
+        assert g.shape == getattr(m, k).shape, k
+
+
+def test_gated_block_checked_mode_names_the_intermediate():
+    w = init_vss(4, 2, seed=63, name="t")
+    f = rnd((3, 3, 4), 64)
+    bad_gate = w.gate.weight.data.copy()
+    bad_gate[1, 2] = np.nan
+    with pytest.raises(NumericError, match="gated_block gate linear"):
+        gated_block(f, dataclasses.replace(w, gate=Linear(Tensor(bad_gate), w.gate.bias)))
+    gamma = w.ln2.gamma.data.copy()
+    gamma[0] = np.inf
+    with pytest.raises(NumericError, match="gated_block ln2 scale"):
+        gated_block(f, dataclasses.replace(w, ln2=dataclasses.replace(w.ln2,
+                                                                       gamma=Tensor(gamma))))
+    prev = T.set_checked(False)
+    try:
+        with np.errstate(invalid="ignore"):
+            y = gated_block(f, dataclasses.replace(
+                w, ln2=dataclasses.replace(w.ln2, gamma=Tensor(gamma))))
+        assert not np.isfinite(y.data).all()
+    finally:
+        T.set_checked(prev)
 
 
 def test_cvss_nonidentity_changes_output():
@@ -354,7 +468,7 @@ def test_cvss_nonidentity_changes_output():
     f = rnd((3, 3, 4), 31)
     mod = ModulationParams.identity()
     mod = dataclasses.replace(mod, alpha2=Tensor(np.float64(1.5)))
-    assert not np.array_equal(cvss_forward(f, w, mod).data, vss_forward(f, w).data)
+    assert not np.array_equal(gated_block(f, w, mod).data, gated_block(f, w).data)
 
 
 def test_cvss_beta_shifts_when_gate_open():
@@ -364,7 +478,7 @@ def test_cvss_beta_shifts_when_gate_open():
     mod = dataclasses.replace(ModulationParams.identity(),
                               alpha2=Tensor(np.float64(0.0)),
                               beta2=Tensor(np.float64(2.0)))
-    y = cvss_forward(f, w, mod)
+    y = gated_block(f, w, mod)
     assert np.isfinite(y.data).all()
 
 
@@ -442,9 +556,9 @@ def test_batched_modulation_matches_per_sample():
     p.l3.weight.data[:] = T.uniform((64, 5), -0.2, 0.2, 43).data
     fb = rnd((3, 4, 4, 4), 44)
     labels = [0, 2, 1]
-    yb = cvss_forward(fb, w, conditioner(p, labels))
+    yb = gated_block(fb, w, conditioner(p, labels))
     for i, lab in enumerate(labels):
-        yi = cvss_forward(Tensor(fb.data[i]), w, _single_mod(p, lab))
+        yi = gated_block(Tensor(fb.data[i]), w, _single_mod(p, lab))
         assert np.allclose(yb.data[i], yi.data, atol=1e-12)
 
 
@@ -499,11 +613,11 @@ def test_grad_resampling():
 def test_grad_vss_and_cvss():
     w = init_vss(4, 2, seed=52, name="t")
     f = rnd((3, 4, 4), 53, -0.5, 0.5)
-    err, _, _ = check_gradient(lambda t: T.reduce_sum(vss_forward(t, w) * 0.2), f)
+    err, _, _ = check_gradient(lambda t: T.reduce_sum(gated_block(t, w) * 0.2), f)
     assert err < TOL, f"vss input grad {err}"
     err, _, _ = check_gradient(
         lambda t: T.reduce_sum(
-            vss_forward(f, dataclasses.replace(w, gate=dataclasses.replace(w.gate, weight=t)))
+            gated_block(f, dataclasses.replace(w, gate=dataclasses.replace(w.gate, weight=t)))
             * 0.2
         ),
         Tensor(w.gate.weight.data),
@@ -515,7 +629,7 @@ def test_grad_vss_and_cvss():
     def through_tokens(t):
         q = dataclasses.replace(p, tokens=t)
         mod = conditioner(q, [1])
-        return T.reduce_sum(cvss_forward(f, w, mod) * 0.2)
+        return T.reduce_sum(gated_block(f, w, mod) * 0.2)
 
     # make l3 nonzero so token gradients actually flow
     p.l3.weight.data[:] = T.uniform((64, 5), -0.2, 0.2, 55).data
@@ -525,7 +639,7 @@ def test_grad_vss_and_cvss():
     def through_l3(t):
         q = dataclasses.replace(p, l3=dataclasses.replace(p.l3, weight=t))
         mod = conditioner(q, [1])
-        return T.reduce_sum(cvss_forward(f, w, mod) * 0.2)
+        return T.reduce_sum(gated_block(f, w, mod) * 0.2)
 
     err, _, _ = check_gradient(through_l3, Tensor(p.l3.weight.data))
     assert err < TOL, f"l3 grad {err}"

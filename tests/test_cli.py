@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sumnet.model
 import sumnet.tensor
 from sumnet import cli
-from sumnet.data import read_manifest, read_pgm, write_ppm
+from sumnet.data import load_checkpoint, read_manifest, read_pgm, save_checkpoint, write_ppm
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,15 @@ def test_generate_data_rejects_bad_size(tmp_path, capsys):
     assert "60" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [("--size", "size 0"), ("--per-domain", "per domain")])
+def test_generate_data_rejects_empty_corpus(tmp_path, capsys, flag, message):
+    args = {"--per-domain": "1", "--size": "32", flag: "0"}
+    code = cli.main(["generate-data", "--out", str(tmp_path / "x"),
+                     *[tok for kv in args.items() for tok in kv]])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -108,6 +118,14 @@ def test_train_rejects_unknown_config_key(tmp_path, corpus32, capsys):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert "learning_rate" in capsys.readouterr().err
+
+
+def test_train_config_type_error_names_the_field(tmp_path, corpus32, capsys):
+    doc = micro_config(corpus32, tmp_path / "out", base_channels="wide")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert "base_channels must be an integer" in capsys.readouterr().err
 
 
 def test_train_rejects_missing_manifest_field(tmp_path, corpus32, capsys):
@@ -278,6 +296,31 @@ def test_infer_missing_image_is_io_error(trained, tmp_path, capsys):
                      "--image", str(tmp_path / "absent.ppm"), "--domain", "ui",
                      "--out", str(tmp_path / "y.pgm")])
     assert code == 2
+
+
+def test_infer_rejects_out_of_range_config_code(trained, tmp_path, capsys):
+    arrays = load_checkpoint(trained / "checkpoint.ckpt")
+    arrays["config.placement"] = np.array([7.0])
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, arrays)
+    code = cli.main(["infer", "--checkpoint", str(bad), "--image", str(tmp_path / "x.ppm"),
+                     "--domain", "ui", "--out", str(tmp_path / "y.pgm")])
+    assert code == 2
+    assert "config.placement code 7" in capsys.readouterr().err
+
+
+def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, monkeypatch):
+    # a ShapeError is a ValueError, but inside predict it is a program fault:
+    # it must surface with its traceback, not as exit 2 "bad configuration"
+    def broken(self, images, labels=None):
+        raise sumnet.tensor.ShapeError("internal shape fault")
+
+    monkeypatch.setattr(sumnet.model.Model, "predict", broken)
+    src = tmp_path / "img.ppm"
+    write_ppm(src, np.full((32, 32, 3), 0.5))
+    with pytest.raises(sumnet.tensor.ShapeError, match="internal shape fault"):
+        cli.main(["infer", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                  "--image", str(src), "--domain", "ui", "--out", str(tmp_path / "y.pgm")])
 
 
 # ---------------------------------------------------------------------------

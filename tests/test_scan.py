@@ -8,6 +8,7 @@ from sumnet import scan
 from sumnet.scan import (
     DIRECTION_ORDER,
     DirectionalSequences,
+    SS2DParams,
     SSMParams,
     bench_lengths,
     cross_merge,
@@ -18,7 +19,6 @@ from sumnet.scan import (
     selective_scan,
     ss2d,
     ssm_recurrence,
-    _grid4,
     _scan_backward,
     _scan_forward,
 )
@@ -103,6 +103,16 @@ def test_cross_scan_rejects_bad_rank():
 
 # ---------------------------------------------------------------------------
 # fused scan/merge against the tape compositions they replaced
+
+
+def _grid4(f: Tensor):
+    """Normalize a grid to [B, H, W, C]; returns (tensor, had_batch)."""
+    if f.ndim == 3:
+        h, w, c = f.shape
+        return T.reshape(f, (1, h, w, c)), False
+    if f.ndim == 4:
+        return f, True
+    raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
 
 
 def _reference_cross_scan(f):
@@ -487,6 +497,45 @@ def test_selective_scan_matches_reference_composition(shape):
     assert got.shape == want.shape == shape and np.array_equal(got, want)
     _assert_grads_close(got_g, want_g)  # the sequence, then every SSM_FIELDS entry
     assert len(got_g) == 1 + len(SSM_FIELDS)
+
+
+def _reference_ss2d(f, params):
+    """Scan a grid in all four directions and merge back (unnormalized sum)."""
+    f4, had_batch = _grid4(T.as_tensor(f))
+    if f4.shape[-1] != params.channels:
+        raise ShapeError(f"grid has {f4.shape[-1]} channels, params have {params.channels}")
+    seqs = cross_scan(f4)
+    scanned = [selective_scan(t, p) for (_, t), p in zip(seqs.as_list(), params.directions)]
+    merged = cross_merge(
+        DirectionalSequences(*scanned, seqs.height, seqs.width)
+    )
+    return merged if had_batch else T.reshape(merged, f4.shape[1:])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("shape", GRIDS + [(2, 3, 4, 16)])
+def test_ss2d_matches_reference_composition(shape, shared):
+    ch, n = shape[-1], 3
+    sets = [_random_ssm_arrays(ch, n, seed=90 + 10 * k) for k in range(1 if shared else 4)]
+    x = rnd(shape, 91, -1.5, 1.5).data
+    weights = rnd(shape, 92).data
+
+    def run(scan_2d):
+        f = Tensor(x.copy(), requires_grad=True)
+        sets_t = [SSMParams(*(Tensor(a[fld].copy(), requires_grad=True) for fld in SSM_FIELDS))
+                  for a in sets]
+        with T.Tape() as tape:
+            y = scan_2d(f, SS2DParams(sets_t * 4 if shared else sets_t))
+            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
+            T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+        return y.data, [f.grad] + [t.grad for p in sets_t for t in p.tensors()], n_ops
+
+    got, got_g, n_ops = run(ss2d)
+    want, want_g, _ = run(_reference_ss2d)
+    assert n_ops == 1
+    assert got.shape == want.shape == shape and np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)  # the grid, then every direction's parameters
+    assert len(got_g) == 1 + len(sets) * len(SSM_FIELDS)
 
 
 def test_selective_scan_checked_mode_names_the_intermediate():
