@@ -104,18 +104,23 @@ def check_scan() -> list:
     rec("x", lambda t: _weighted_sum(
         S.ssm_recurrence(Tensor(delta), Tensor(a), Tensor(b_seq), Tensor(c_seq), t), "r.x"), xs)
 
+    def param_row(name, params, field, f):
+        """A row probing params.<field>: f() runs with it swapped for the probe."""
+        def probe(t):
+            saved = getattr(params, field)
+            setattr(params, field, t)
+            try:
+                return f()
+            finally:
+                setattr(params, field, saved)
+        rows.append((name, _check(probe, getattr(params, field).data.copy()), OP_TOL))
+
     p = S.init_ssm_params(c, n, derive(_SEED, "scan-params"), "g")
     seq = _arr((length, c), tag="seq")
     for field in ("a_log", "d_skip", "w_b", "w_c", "w_delta", "v_delta", "b_delta"):
-        def f(t, field=field):
-            saved = getattr(p, field)
-            setattr(p, field, t)
-            try:
-                return _weighted_sum(S.selective_scan(Tensor(seq), p), f"ss.{field}")
-            finally:
-                setattr(p, field, saved)
-        rows.append((f"selective_scan.{field}",
-                     _check(f, getattr(p, field).data.copy()), OP_TOL))
+        param_row(f"selective_scan.{field}", p, field,
+                  lambda field=field: _weighted_sum(S.selective_scan(Tensor(seq), p),
+                                                    f"ss.{field}"))
     rows.append(("selective_scan.input",
                  _check(lambda t: _weighted_sum(S.selective_scan(t, p), "ss.in"), seq), OP_TOL))
     rows.append(("selective_scan.input_batched",
@@ -137,18 +142,15 @@ def check_scan() -> list:
     rows.append(("ss2d.input_batched",
                  _check(lambda t: _weighted_sum(S.ss2d(t, p2), "ss2d.inb"),
                         _arr((b, 3, 4, c), tag="gridb")), OP_TOL))
+    # one unshared parameter per direction: a direction or group mix-up in
+    # the grouped scan moves these rows, not the input rows
+    for d, field in (("row_fwd", "a_log"), ("col_bwd", "a_log"), ("row_bwd", "w_delta"),
+                     ("col_fwd", "d_skip")):
+        param_row(f"ss2d.{d}.{field}", p2.directions[S.DIRECTION_ORDER.index(d)], field,
+                  lambda tag=f"ss2d.{d}.{field}": _weighted_sum(S.ss2d(Tensor(grid), p2), tag))
     shared = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-shared"), "g3", shared=True)
-    p_shared = shared.directions[0]
-
-    def shared_a_log(t):
-        saved = p_shared.a_log
-        p_shared.a_log = t
-        try:
-            return _weighted_sum(S.ss2d(Tensor(grid), shared), "ss2d.shared")
-        finally:
-            p_shared.a_log = saved
-
-    rows.append(("ss2d.shared", _check(shared_a_log, p_shared.a_log.data.copy()), OP_TOL))
+    param_row("ss2d.shared", shared.directions[0], "a_log",
+              lambda: _weighted_sum(S.ss2d(Tensor(grid), shared), "ss2d.shared"))
     return rows
 
 

@@ -4,28 +4,44 @@ A feature grid [H, W, C] is flattened into four 1-D traversals (row-major
 forward/backward, column-major forward/backward), each traversal runs an
 input-dependent linear state-space recurrence left to right, and the four
 outputs are scattered back to the grid and summed.  The recurrence is the
-O(L) sequential form (no parallel prefix tricks here).  Its state arrays are
-time-major, [L, B, N, C], and both sweeps update them in place one contiguous
-step at a time: the cost is memory traffic through these arrays, not FLOPs.
-So both kernels walk time in chunks of K = max(1, min(L, _CHUNK_ELEMS //
-(B N C))) steps, 256 KB of state per chunk buffer, and finish each chunk's
-work while it is in L2.  When a tape records the call, the hidden states and
-the decay factors are kept whole for the backward pass, trading memory for
-an exact reverse sweep without recomputation.  When nothing records
-(predict, eval, the finite-difference oracle) the forward reuses one K-row
-buffer per array and keeps no full-size state.
+O(L) sequential form (no parallel prefix tricks here).
+
+The scan has one grouped layout.  Its kernels take G groups of B rows: the
+batch axis holds G consecutive groups, and group g uses a[g] of a [G, C, N]
+state matrix.  `selective_scan_fwd`/`_bwd` take the sequence as
+[G, B, L, C] and every parameter stacked as [G, ...], and run each
+projection as one batched matmul.  `ss2d` writes its four traversals into
+one [4, B, L, C] array and makes one kernel call with G=4, forward and
+backward; `selective_scan` and `ssm_recurrence` are the G=1 case.  At B=1
+and narrow C the cost is per-call overhead, so one call over 4B rows beats
+four calls over B.
+
+The state arrays are time-major, [L, G*B, N, C], and both sweeps update
+them in place one contiguous step at a time: the cost is memory traffic
+through these arrays, not FLOPs.  So both kernels walk time in chunks of
+K = max(1, min(L, _CHUNK_ELEMS // (G B N C))) steps, 256 KB of state per
+chunk buffer, and finish each chunk's work while it is in L2.  The kernels
+read their per-step inputs (delta, B, C, and backward also x and the output
+gradient) as contiguous time-major arrays, copying any input not laid out
+so: with G*B rows, one step's rows sit a whole sequence apart in a
+batch-major array.  `selective_scan_fwd` keeps delta, B and C time-major
+and `ss2d_bwd` lays the gradient's traversals out time-major, so only x is
+copied.  Outputs are written batch-major through time-major views.  When a tape
+records the call, the hidden states and the decay factors are kept whole
+for the backward pass, trading memory for an exact reverse sweep without
+recomputation.  When nothing records (predict, eval, the finite-difference
+oracle) the forward reuses one K-row buffer per array and keeps no
+full-size state.
 
 Each fused primitive is a pure numpy pair, `*_fwd(...) -> (out, saved)`
 and `*_bwd(saved, g) -> gradients`, with a thin tape wrapper around it:
-`_flatten`/`_unflatten` for one `cross_scan` traversal, `cross_merge_fwd`
-(whose backward is `_flatten`), `selective_scan_fwd`/`_bwd` for a whole
-direction (projections, softplus, A = -exp(A_log), recurrence and skip;
-`saved` keeps the sequence, the rank-R delta projection, the softplus
-derivative, delta, the B/C projections, A, exp(A_log) and the kernel's
-hidden and abar), and `ss2d_fwd`/`_bwd`, which chain the other three over
-all four directions so that `ss2d` records one node.  `blocks.gated_block`
-chains the same pairs.  `ssm_recurrence` is the bare recurrence as its own
-primitive, on the same kernels.
+`_traversals`/`_unflatten` for `cross_scan`, `cross_merge_fwd` (whose
+backward is `_traversals`), `selective_scan_fwd`/`_bwd` for G sequences at
+once (projections, softplus, A = -exp(A_log), recurrence and skip; `saved`
+keeps the sequences, the rank-R delta projection, the softplus derivative,
+delta, the B/C projections, A, exp(A_log) and the kernel's hidden and
+abar), and `ss2d_fwd`/`_bwd`, which chain the other three so that `ss2d`
+records one node.  `blocks.gated_block` chains the same pairs.
 
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
@@ -77,22 +93,13 @@ class DirectionalSequences:
         ]
 
 
-def _flatten(grid: np.ndarray, direction: str) -> np.ndarray:
-    """One traversal of a [B, H, W, C] array as a fresh [B, H*W, C] array.
+def _unflatten(seq: np.ndarray, direction: str, h: int, w: int) -> np.ndarray:
+    """A [B, H*W, C] traversal as a [B, H, W, C] view in grid layout.
 
     Reversing a row-major flattening is the same as reversing both spatial
     axes before it; column-major is row-major of the transposed grid.
+    Assigning a grid to this view writes the traversal into `seq`.
     """
-    b, h, w, c = grid.shape
-    if direction.startswith("col"):
-        grid = grid.transpose(0, 2, 1, 3)
-    if direction.endswith("bwd"):
-        grid = grid[:, ::-1, ::-1]
-    return np.array(grid, order="C").reshape(b, h * w, c)
-
-
-def _unflatten(seq: np.ndarray, direction: str, h: int, w: int) -> np.ndarray:
-    """Inverse of _flatten: a [B, H*W, C] traversal as a [B, H, W, C] view."""
     b, _, c = seq.shape
     col = direction.startswith("col")
     grid = seq.reshape((b, w, h, c) if col else (b, h, w, c))
@@ -101,12 +108,24 @@ def _unflatten(seq: np.ndarray, direction: str, h: int, w: int) -> np.ndarray:
     return grid.transpose(0, 2, 1, 3) if col else grid
 
 
+def _traversals(grid: np.ndarray, out=None) -> np.ndarray:
+    """The four traversals of a [B, H, W, C] array, in DIRECTION_ORDER, as
+    one [4, B, H*W, C] array (the forward of cross_scan): written into `out`
+    when given, which may be a strided view, else into a fresh array."""
+    b, h, w, c = grid.shape
+    if out is None:
+        out = np.empty((len(DIRECTION_ORDER), b, h * w, c))
+    for seq, d in zip(out, DIRECTION_ORDER):
+        _unflatten(seq, d, h, w)[...] = grid
+    return out
+
+
 def cross_scan(f: Tensor) -> DirectionalSequences:
     """Flatten a grid into the four traversal orders (fresh buffers, not views).
 
     A [H, W, C] grid yields [L, C] sequences; [B, H, W, C] yields [B, L, C].
     Each traversal is one tape node whose backward scatters the sequence
-    gradient back onto the grid: `_flatten` and `_unflatten` are its
+    gradient back onto the grid: `_traversals` and `_unflatten` are its
     forward/backward pair.
     """
     f = T.as_tensor(f)
@@ -116,9 +135,7 @@ def cross_scan(f: Tensor) -> DirectionalSequences:
     _, h, w, _ = f4.shape
     fshape = f.shape
 
-    def traversal(direction):
-        seq = _flatten(f4, direction)
-
+    def traversal(direction, seq):
         def make():
             def grad_fn(g):
                 g3 = g if g.ndim == 3 else g[None]
@@ -129,7 +146,7 @@ def cross_scan(f: Tensor) -> DirectionalSequences:
         out = seq if f.ndim == 4 else seq[0]
         return T._emit("cross_scan", (f,), out, make)
 
-    return DirectionalSequences(*map(traversal, DIRECTION_ORDER), h, w)
+    return DirectionalSequences(*map(traversal, DIRECTION_ORDER, _traversals(f4)), h, w)
 
 
 def cross_merge_fwd(seqs, h: int, w: int) -> np.ndarray:
@@ -137,8 +154,8 @@ def cross_merge_fwd(seqs, h: int, w: int) -> np.ndarray:
 
     Summation is pairwise, (row_fwd + row_bwd) + (col_fwd + col_bwd), so that
     merging four identical grids is exact doubling twice (bit-exact 4x).
-    The backward needs no saved state: it is `_flatten` of the grid
-    gradient in each direction.
+    The backward needs no saved state: it is `_traversals` of the grid
+    gradient.
     """
     rf, rb, cf, cb = (_unflatten(s, d, h, w) for d, s in zip(DIRECTION_ORDER, seqs))
     merged = rf + rb  # C-ordered; the column pair is added into it in place
@@ -166,7 +183,7 @@ def cross_merge(seqs: DirectionalSequences) -> Tensor:
     def make():
         def grad_fn(g):
             g4 = g if had_batch else g[None]
-            return tuple(_flatten(g4, d).reshape(shape) for d in DIRECTION_ORDER)
+            return tuple(seq.reshape(shape) for seq in _traversals(g4))
 
         return grad_fn
 
@@ -182,14 +199,21 @@ def _time_major(v):
     return v.transpose(1, 0, 2)
 
 
-# Elements of one [K, B, N, C] chunk buffer: 2^15 float64 is 256 KB, small
+def _per_row(a, rows):
+    """A as [rows, N, C], laid out like one step of the state: the rows are
+    G consecutive groups, for a of [G, C, N] (or [C, N], one group)."""
+    a3 = a.reshape((-1,) + a.shape[-2:])
+    return np.repeat(a3.transpose(0, 2, 1), rows // len(a3), axis=0)
+
+
+# Elements of one [K, G*B, N, C] chunk buffer: 2^15 float64 is 256 KB, small
 # enough that a chunk's abar, hidden (or dh) and temporaries stay in L2.
 _CHUNK_ELEMS = 1 << 15
 
 
-def _chunk_len(length, bsz, n, ch):
-    """Time steps per chunk: K = max(1, min(L, _CHUNK_ELEMS // (B N C)))."""
-    return max(1, min(length, _CHUNK_ELEMS // (bsz * n * ch)))
+def _chunk_len(length, rows, n, ch):
+    """Time steps per chunk: K = max(1, min(L, _CHUNK_ELEMS // (G B N C)))."""
+    return max(1, min(length, _CHUNK_ELEMS // (rows * n * ch)))
 
 
 def _forward_chunk(delta_c, dx_c, b_c, c_c, a_t, tmp, h_prev, ab=None, hd=None, y_c=None):
@@ -198,9 +222,9 @@ def _forward_chunk(delta_c, dx_c, b_c, c_c, a_t, tmp, h_prev, ab=None, hd=None, 
     abar = exp(delta a) in place, du = delta x B straight into the hidden
     rows, the in-place sweep from h_prev (None at t = 0), then C h.  Writes
     into ab, hd and y_c when given; otherwise each op allocates its own
-    output, C-ordered so that every step's [B, N, C] block is contiguous
-    (the inputs are transposed views).  Returns (abar, hidden,
-    y [K, B, 1, C]) of the chunk.
+    output, C-ordered so that every step's [G*B, N, C] block is contiguous.
+    a_t is A per row (`_per_row`).  Returns (abar, hidden, y [K, G*B, 1, C])
+    of the chunk.
     """
     ab = np.multiply(delta_c[:, :, None, :], a_t, out=ab, order="C")
     np.exp(ab, out=ab)
@@ -218,45 +242,49 @@ def _forward_chunk(delta_c, dx_c, b_c, c_c, a_t, tmp, h_prev, ab=None, hd=None, 
 
 
 def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
-    """Raw numpy recurrence.  Inputs batch-major: delta/x [B,L,C], b/c [B,L,N].
+    """Raw numpy recurrence over G groups of B rows.
 
-    Returns (y [B,L,C], hidden [L,B,N,C], abar [L,B,N,C]) when `keep`, else
-    (y, None, None).  The state arrays are time-major, so each sweep step
-    reads and writes one contiguous [B, N, C] block.  Time is walked in
-    chunks of K steps (`_chunk_len`), each finished by `_forward_chunk`
-    while it is in cache, with h carried from the previous chunk's last
-    step.  With `keep` the chunks are slices of the full hidden and abar
-    that the backward pass reads; without it (nothing records) every chunk
-    reuses one K-row buffer per array and no full-size state is built.  A
-    call that fits one chunk runs it on the whole arrays and lets each op
-    allocate, so it pays no chunking overhead.  einsum builds the outer
-    products because broadcasting runs an inner loop only C long.
+    Inputs batch-major: delta/x [G*B, L, C], b/c [G*B, L, N]; a is [G, C, N]
+    (or [C, N] for one group), and rows g*B .. (g+1)*B - 1 use a[g].
+    Returns (y [G*B,L,C], hidden [L,G*B,N,C], abar [L,G*B,N,C]) when `keep`,
+    else (y, None, None).  The state arrays are time-major, so each sweep
+    step reads and writes one contiguous [G*B, N, C] block, and delta, B
+    and C are read time-major (copied unless laid out so).  Time is walked
+    in chunks of K steps (`_chunk_len` over all G*B rows), each finished by
+    `_forward_chunk` while it is in cache, with h carried from the previous
+    chunk's last step.  With `keep` the chunks are slices of the full hidden
+    and abar that the backward pass reads; without it (nothing records)
+    every chunk reuses one K-row buffer per array and no full-size state is
+    built.  A call that fits one chunk runs it on the whole arrays and lets
+    each op allocate, so it pays no chunking overhead.  einsum builds the
+    outer products because broadcasting runs an inner loop only C long.
     """
-    bsz, length, ch = delta.shape
-    n = a.shape[1]
-    k = _chunk_len(length, bsz, n, ch)
-    delta_t, b_t, c_t = _time_major(delta), _time_major(b_seq), _time_major(c_seq)
-    a_t = np.ascontiguousarray(a.T)
+    rows, length, ch = delta.shape
+    n = a.shape[-1]
+    k = _chunk_len(length, rows, n, ch)
+    delta_t, b_t, c_t = (np.ascontiguousarray(_time_major(v)) for v in (delta, b_seq, c_seq))
+    a_t = _per_row(a, rows)
     dx = delta_t * _time_major(x)
-    tmp = np.empty((bsz, n, ch))
+    tmp = np.empty((rows, n, ch))
+    y = np.empty((rows, length, ch))
+    y_t = _time_major(y)[:, :, None]  # written time-major, returned batch-major
     if k == length:
-        abar, hidden, y = _forward_chunk(delta_t, dx, b_t, c_t, a_t, tmp, None)
+        abar, hidden, _ = _forward_chunk(delta_t, dx, b_t, c_t, a_t, tmp, None, y_c=y_t)
     else:
-        abar = np.empty((length if keep else k, bsz, n, ch))
+        abar = np.empty((length if keep else k, rows, n, ch))
         hidden = np.empty_like(abar)
-        y = np.empty((length, bsz, 1, ch))
         for s in range(0, length, k):
             e = s + k
             ab, hd = (abar[s:e], hidden[s:e]) if keep else (abar[:length - s], hidden[:length - s])
             h_prev = hidden[s - 1 if keep else -1] if s else None
             _forward_chunk(delta_t[s:e], dx[s:e], b_t[s:e], c_t[s:e], a_t, tmp, h_prev,
-                           ab, hd, y[s:e])
-    y = np.ascontiguousarray(_time_major(y[:, :, 0]))
+                           ab, hd, y_t[s:e])
     return (y, hidden, abar) if keep else (y, None, None)
 
 
 def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
-    """Reverse sweep for the recurrence above; returns batch-major gradients.
+    """Reverse sweep for the recurrence above; returns batch-major gradients,
+    the A gradient shaped like `a`.
 
     With dh_t the gradient reaching h_t, the recurrence h_t = abar_t h_{t-1}
     + du_t gives dh_t = g_t * C_t + abar_{t+1} * dh_{t+1}, accumulated right
@@ -265,27 +293,34 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
     is built in it and swept in place, and abar_s * dh_s carries into the
     chunk before.  Once the gradients into du (delta x and B) are contracted
     out of a chunk, its rows become the gradient into delta * a,
-    dh_t * h_{t-1} * abar_t (h_{-1} = 0, so step 0 contributes nothing), and
-    the chunk's share of the A gradient is added to a running sum.
+    dh_t * h_{t-1} * abar_t (h_{-1} = 0, so step 0 contributes nothing).
+    That gradient meets A per row, laid out like the state (`_per_row`):
+    into delta, and into a per-row running A gradient that is summed over
+    each group's B rows at the end.  The inputs are read time-major (copied
+    unless laid out so), the gradients written batch-major.
     """
-    g_t, delta_t, x_t = _time_major(g), _time_major(delta), _time_major(x)
-    b_t, c_t = _time_major(b_seq), _time_major(c_seq)
-    length, bsz, ch = g_t.shape
-    n = a.shape[1]
-    k = _chunk_len(length, bsz, n, ch)
-    dx = delta_t * x_t
-    dh = np.empty((k, bsz, n, ch))
-    tmp = np.empty((bsz, n, ch))
-    carry = np.empty((bsz, n, ch))
-    g_c = np.empty((length, bsz, n, 1))
-    g_dx = np.empty((length, bsz, 1, ch))  # into delta * x
-    g_b = np.empty((length, bsz, n, 1))
-    g_delta = np.empty((length, bsz, ch))
-    g_a = np.zeros((ch, n))
+    g_t, delta_t, x_t, b_t, c_t = (np.ascontiguousarray(_time_major(v))
+                                   for v in (g, delta, x, b_seq, c_seq))
+    length, rows, ch = g_t.shape
+    n = a.shape[-1]
+    a_t = _per_row(a, rows)
+    k = _chunk_len(length, rows, n, ch)
+    dh = np.empty((k, rows, n, ch))
+    tmp = np.empty((rows, n, ch))
+    carry = np.empty((rows, n, ch))
+    dx = np.empty((k, rows, ch, 1))  # delta * x of the chunk
+    g_dx = np.empty((k, rows, 1, ch))  # into delta * x
+    g_delta, g_x = np.empty((rows, length, ch)), np.empty((rows, length, ch))
+    g_b, g_c = np.empty((rows, length, n)), np.empty((rows, length, n))
+    # written time-major, returned batch-major
+    gd_t, gx_t = _time_major(g_delta), _time_major(g_x)
+    gb_t, gc_t = _time_major(g_b)[..., None], _time_major(g_c)[..., None]
+    g_a_rows = np.zeros((rows, n, ch))
     for s in reversed(range(0, length, k)):
         e = min(s + k, length)
         d, ab, g_s = dh[:e - s], abar[s:e], g_t[s:e]
-        np.matmul(hidden[s:e], g_s[..., None], out=g_c[s:e])
+        dx_s, g_dx_s = dx[:e - s], g_dx[:e - s]
+        np.matmul(hidden[s:e], g_s[..., None], out=gc_t[s:e])
         np.einsum("lbc,lbn->lbnc", g_s, c_t[s:e], out=d)
         if e < length:
             d[-1] += carry
@@ -296,21 +331,20 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
             dh_next = dh_cur
         if s:
             np.multiply(ab[0], d[0], out=carry)
-        np.matmul(b_t[s:e, :, None, :], d, out=g_dx[s:e])
-        np.matmul(d, dx[s:e, ..., None], out=g_b[s:e])
-        np.multiply(g_dx[s:e, :, 0], x_t[s:e], out=g_delta[s:e])
+        np.multiply(delta_t[s:e], x_t[s:e], out=dx_s[..., 0])
+        np.matmul(b_t[s:e, :, None, :], d, out=g_dx_s)
+        np.matmul(d, dx_s, out=gb_t[s:e])
+        np.multiply(g_dx_s[:, :, 0], x_t[s:e], out=gd_t[s:e])
+        np.multiply(g_dx_s[:, :, 0], delta_t[s:e], out=gx_t[s:e])
         lo = max(s, 1)  # first step with a previous state
         if lo < e:
             g_da = d[lo - s:]
             g_da *= hidden[lo - 1:e - 1]
             g_da *= abar[lo:e]
-            g_delta[lo:e] += np.einsum("lbnc,cn->lbc", g_da, a)
-            g_a += np.einsum("lbnc,lbc->cn", g_da, delta_t[lo:e])
-    g_dx = g_dx[:, :, 0]
-    g_x = g_dx * delta_t
-    g_delta, g_b, g_c, g_x = (np.ascontiguousarray(_time_major(v))
-                              for v in (g_delta, g_b[..., 0], g_c[..., 0], g_x))
-    return g_delta, g_a, g_b, g_c, g_x
+            gd_t[lo:e] += np.einsum("lbnc,bnc->lbc", g_da, a_t)
+            g_a_rows += np.einsum("lbnc,lbc->bnc", g_da, delta_t[lo:e])
+    g_a = g_a_rows.reshape(a.size // (n * ch), -1, n, ch).sum(axis=1)
+    return g_delta, g_a.transpose(0, 2, 1).reshape(a.shape), g_b, g_c, g_x
 
 
 def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
@@ -407,25 +441,34 @@ def init_ssm_params(channels: int, state_size: int, seed: int, name: str = "ssm"
     )
 
 
-def selective_scan_fwd(x3, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, keep):
-    """selective_scan on arrays: x3 [B, L, C] -> (y [B, L, C], saved).
+def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, keep):
+    """selective_scan on arrays for G sequences at once: x4 [G, B, L, C] ->
+    (y [G, B, L, C], saved).
 
-    Runs the delta projection and its softplus, the B and C projections,
-    A = -exp(a_log), the recurrence kernel and the skip term D x.  In
-    checked mode the delta pre-activation, both projections and exp(a_log)
-    must be finite.  `saved` holds what selective_scan_bwd reads (the
-    sequence, the rank-R delta projection, the softplus derivative, delta,
-    the B/C projections, A, exp(a_log), the kernel's hidden and abar) when
-    `keep`, else None, and then the kernel keeps no full-size state.
+    Each parameter is stacked over the groups, [G, ...] (a_log [G, C, N],
+    d_skip [G, C], ...), and group g scans with its own set.  Runs the delta
+    projection and its softplus, the B and C projections (each one batched
+    matmul over the groups), A = -exp(a_log), one recurrence kernel call over
+    all G*B rows and the skip term D x.  In checked mode the delta
+    pre-activation, both projections and exp(a_log) must be finite.  `saved`
+    holds what selective_scan_bwd reads (the sequence, the rank-R delta
+    projection, the softplus derivative, delta, the B/C projections, A,
+    exp(a_log), the kernel's hidden and abar) when `keep`, else None, and
+    then the kernel keeps no full-size state.
     """
-    bsz, length, ch = x3.shape
-    n = w_b.shape[1]
-    flat = x3.reshape(bsz * length, ch)
+    groups, bsz, length, ch = x4.shape
+    n = w_b.shape[2]
+    flat = x4.reshape(groups, bsz * length, ch)
     low = flat @ w_delta
-    pre = low @ v_delta + b_delta
+    pre = low @ v_delta + b_delta[:, None]
     T._check("selective_scan delta pre-activation", pre)
     big = pre > 30.0
-    delta = np.where(big, pre, np.log1p(np.exp(np.minimum(pre, 30.0))))
+    delta = np.minimum(pre, 30.0)  # softplus, in place
+    np.exp(delta, out=delta)
+    np.log1p(delta, out=delta)
+    np.copyto(delta, pre, where=big)
+    deriv = np.where(big, 1.0, T._sigmoid_raw(pre)) if keep else None  # softplus'
+    del pre, big
     b_flat, c_flat = flat @ w_b, flat @ w_c
     T._check("selective_scan B projection", b_flat)
     T._check("selective_scan C projection", c_flat)
@@ -433,60 +476,73 @@ def selective_scan_fwd(x3, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
         e_a = np.exp(a_log)
     T._check("selective_scan exp(a_log)", e_a)
     a = e_a * -1.0
-    delta3 = delta.reshape(x3.shape)
-    b3, c3 = b_flat.reshape(bsz, length, n), c_flat.reshape(bsz, length, n)
-    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x3, keep=keep)
-    out = y + x3 * d_skip
+    # laid out time-major ([L, G*B, .], passed as batch-major views) once,
+    # for both kernels, which read them so
+    rows = (groups * bsz, length)
+    delta3, b3, c3 = (_time_major(np.ascontiguousarray(_time_major(v.reshape(rows + (-1,)))))
+                      for v in (delta, b_flat, c_flat))
+    del delta, b_flat, c_flat
+    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x4.reshape(rows + (ch,)), keep=keep)
+    out = y.reshape(x4.shape)
+    out += x4 * d_skip[:, None, None]
     if not keep:
         return out, None
-    deriv = np.where(big, 1.0, T._sigmoid_raw(pre))  # softplus'
-    return out, (x3, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
+    return out, (x4, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
                  d_skip, w_b, w_c, w_delta, v_delta)
 
 
-def selective_scan_bwd(saved, g3):
-    """Gradients of selective_scan_fwd for y's gradient g3 [B, L, C]: the
-    sequence's, then a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta."""
-    (x3, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
+def selective_scan_bwd(saved, g4):
+    """Gradients of selective_scan_fwd for y's gradient g4 [G, B, L, C]: the
+    sequences', then a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta,
+    each stacked over the groups like its parameter."""
+    (x4, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
      d_skip, w_b, w_c, w_delta, v_delta) = saved
-    ch, n = a.shape
-    flat = x3.reshape(-1, ch)
-    g_delta, g_a, g_b, g_c, g_x = _scan_backward(g3, delta3, a, b3, c3, x3, hidden, abar)
-    g_pre = g_delta.reshape(-1, ch) * deriv
-    g_low = g_pre @ v_delta.T
-    g_b, g_c = g_b.reshape(-1, n), g_c.reshape(-1, n)
-    g_x += g3 * d_skip
-    g_x += (g_low @ w_delta.T + g_b @ w_b.T + g_c @ w_c.T).reshape(x3.shape)
-    return (g_x, (g_a * -1.0) * e_a, (g3 * x3).sum(axis=(0, 1)),
-            flat.T @ g_b, flat.T @ g_c, flat.T @ g_low, low.T @ g_pre, g_pre.sum(axis=0))
+    groups, ch, n = a.shape
+    g_pre, g_a, g_b, g_c, g_x = _scan_backward(g4.reshape(delta3.shape), delta3, a, b3, c3,
+                                               x4.reshape(delta3.shape), hidden, abar)
+    flat_t = x4.reshape(groups, -1, ch).transpose(0, 2, 1)
+    g_pre = g_pre.reshape(groups, -1, ch)
+    g_pre *= deriv  # delta's gradient becomes the pre-activation's in place
+    g_low = g_pre @ v_delta.transpose(0, 2, 1)
+    g_b, g_c = g_b.reshape(groups, -1, n), g_c.reshape(groups, -1, n)
+    # the skip and the three projections' terms are added into the kernel's
+    # g_x through one full-size buffer
+    tmp = np.multiply(g4, d_skip[:, None, None], order="C")
+    g_x3, tmp3 = g_x.reshape(groups, -1, ch), tmp.reshape(groups, -1, ch)
+    g_x3 += tmp3
+    for g_p, w_p in ((g_low, w_delta), (g_b, w_b), (g_c, w_c)):
+        g_x3 += np.matmul(g_p, w_p.transpose(0, 2, 1), out=tmp3)
+    g_d = np.multiply(g4, x4, out=tmp).sum(axis=(1, 2))
+    return (g_x.reshape(g4.shape), (g_a * -1.0) * e_a, g_d, flat_t @ g_b, flat_t @ g_c,
+            flat_t @ g_low, low.transpose(0, 2, 1) @ g_pre, g_pre.sum(axis=1))
 
 
 def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
     """Input-conditioned scan over one flattened sequence ([L,C] or [B,L,C]).
 
     One tape node over (seq, a_log, d_skip, w_b, w_c, w_delta, v_delta,
-    b_delta), computed by selective_scan_fwd; the backward chains the
-    kernel's five gradients back through the projections, the softplus and
-    A (selective_scan_bwd).
+    b_delta), computed by selective_scan_fwd as one group; the backward
+    chains the kernel's five gradients back through the projections, the
+    softplus and A (selective_scan_bwd).
     """
     seq = T.as_tensor(seq)
     if seq.ndim not in (2, 3):
         raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
-    x3 = seq.data[None] if seq.ndim == 2 else seq.data
-    if x3.shape[-1] != p.channels:
-        raise ShapeError(f"sequence has {x3.shape[-1]} channels, params have {p.channels}")
+    if seq.shape[-1] != p.channels:
+        raise ShapeError(f"sequence has {seq.shape[-1]} channels, params have {p.channels}")
+    x4 = seq.data.reshape((1,) * (4 - seq.ndim) + seq.shape)
     inputs = (seq,) + p.tensors()
-    out, saved = selective_scan_fwd(x3, *(t.data for t in inputs[1:]),
+    out, saved = selective_scan_fwd(x4, *(t.data[None] for t in inputs[1:]),
                                     keep=T._recording_tape(inputs) is not None)
 
     def make():
         def grad_fn(g):
-            g_x, *rest = selective_scan_bwd(saved, g[None] if g.ndim == 2 else g)
-            return (g_x.reshape(seq.shape), *rest)
+            g_x, *rest = selective_scan_bwd(saved, g.reshape(x4.shape))
+            return (g_x.reshape(seq.shape), *(r[0] for r in rest))
 
         return grad_fn
 
-    return T._emit("selective_scan", inputs, out[0] if seq.ndim == 2 else out, make)
+    return T._emit("selective_scan", inputs, out.reshape(seq.shape), make)
 
 
 @dataclass
@@ -523,20 +579,19 @@ def ss2d_fwd(grid, directions, keep):
     """ss2d on arrays: grid [B, H, W, C] -> (merged grid, saved).
 
     `directions` holds one (a_log, d_skip, w_b, w_c, w_delta, v_delta,
-    b_delta) array tuple per DIRECTION_ORDER entry.  Chains the traversal
-    (`_flatten`), selective_scan_fwd and cross_merge_fwd.  In checked mode
-    each direction's scan output and the merged grid must be finite,
+    b_delta) array tuple per DIRECTION_ORDER entry.  The four traversals go
+    into one [4, B, H*W, C] array (`_traversals`) that selective_scan_fwd
+    scans as four groups, each with its direction's parameters stacked in,
+    so the whole ss2d is one kernel call; cross_merge_fwd sums them back.
+    In checked mode the scan output and the merged grid must be finite,
     besides selective_scan_fwd's own checks; the traversals only copy
-    values already checked.  `saved` is the per-direction scan state.
+    values already checked.  `saved` is the grouped scan's.
     """
     _, h, w, _ = grid.shape
-    ys, saved = [], []
-    for d, arrays in zip(DIRECTION_ORDER, directions):
-        y, s = selective_scan_fwd(_flatten(grid, d), *arrays, keep=keep)
-        T._check("selective_scan", y)
-        ys.append(y)
-        saved.append(s)
-    merged = cross_merge_fwd(ys, h, w)
+    y, saved = selective_scan_fwd(_traversals(grid), *map(np.stack, zip(*directions)),
+                                  keep=keep)
+    T._check("selective_scan", y)
+    merged = cross_merge_fwd(y, h, w)
     T._check("cross_merge", merged)
     return merged, saved
 
@@ -545,22 +600,21 @@ def ss2d_bwd(saved, g):
     """Gradients of ss2d_fwd for the merged grid's gradient g [B, H, W, C]:
     (the grid's, a list of seven parameter gradients per direction).
 
-    The directions run last to first, so the parameter gradients come in
-    SS2DParams.tensors() order, and their grid gradients are summed as
-    ((col_bwd + col_fwd) + row_bwd) + row_fwd, the order in which a tape
-    accumulates one node per direction.
+    The grid gradient's traversals run back through one grouped
+    selective_scan_bwd.  The parameter gradients come last direction first,
+    in SS2DParams.tensors() order, and the four grid gradients are summed
+    as ((col_bwd + col_fwd) + row_bwd) + row_fwd: both are the order in
+    which a tape of one node per direction accumulates.
     """
-    _, h, w, _ = g.shape
-    g_grid, g_params = None, []
-    for d, s in zip(reversed(DIRECTION_ORDER), reversed(saved)):
-        g_seq, *g_p = selective_scan_bwd(s, _flatten(g, d))
-        g_params.extend(g_p)
-        g_view = _unflatten(g_seq, d, h, w)
-        if g_grid is None:
-            g_grid = np.ascontiguousarray(g_view)
-        else:
-            g_grid += g_view
-    return g_grid, g_params
+    b, h, w, c = g.shape
+    # the traversals are laid out time-major, as the kernel reads them
+    seqs = np.empty((h * w, len(DIRECTION_ORDER), b, c)).transpose(1, 2, 0, 3)
+    g_seq, *g_stacked = selective_scan_bwd(saved, _traversals(g, seqs))
+    rf, rb, cf, cb = (_unflatten(s, d, h, w) for d, s in zip(DIRECTION_ORDER, g_seq))
+    g_grid = np.add(cb, cf, order="C")
+    g_grid += rb
+    g_grid += rf
+    return g_grid, [g_p[i] for i in reversed(range(len(g_seq))) for g_p in g_stacked]
 
 
 def ss2d(f: Tensor, params: SS2DParams) -> Tensor:

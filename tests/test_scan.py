@@ -22,6 +22,7 @@ from sumnet.scan import (
     _scan_backward,
     _scan_forward,
 )
+from sumnet.blocks import ModulationParams, gated_block, init_vss
 from sumnet.tensor import NumericError, ShapeError, Tensor, check_gradient
 
 TOL = 1e-4
@@ -350,6 +351,27 @@ def test_kernel_matches_batch_major_reference(bsz, length, ch, n):
     _assert_kernel_matches_reference(args, g)
 
 
+@pytest.mark.parametrize("length", [1, 6, 300])
+def test_grouped_kernel_matches_reference_per_group(length):
+    # G=3 groups of B=2 rows, each with its own A, in one call: every group
+    # matches the oracle on its own rows; L=300 runs two chunks of K=170
+    groups, bsz, ch, n = 3, 2, 4, 8
+    parts = [_recurrence_inputs(bsz, length, ch, n, seed=31 + 7 * i) for i in range(groups)]
+    delta, b_seq, c_seq, x = (np.concatenate([p[j] for p in parts]) for j in (0, 2, 3, 4))
+    a = np.stack([p[1] for p in parts])
+    g = rnd((groups * bsz, length, ch), 997).data
+    y, hidden, abar = _scan_forward(delta, a, b_seq, c_seq, x)
+    g_delta, g_a, g_b, g_c, g_x = _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar)
+    assert g_a.shape == a.shape
+    for i, args in enumerate(parts):
+        r = slice(i * bsz, (i + 1) * bsz)
+        y_ref, hidden_ref, abar_ref = _reference_forward(*args)
+        assert np.array_equal(hidden[:, r], hidden_ref.transpose(1, 0, 3, 2)), i
+        assert np.array_equal(abar[:, r], abar_ref.transpose(1, 0, 3, 2)), i
+        want = (y_ref,) + _reference_backward(g[r], *args, hidden_ref, abar_ref)
+        _assert_grads_close((y[r], g_delta[r], g_a[i], g_b[r], g_c[r], g_x[r]), want)
+
+
 def test_chunking_changes_no_output_bit(monkeypatch):
     # K in {1, 2, 3} and a single chunk on L=7: every chunk boundary and a
     # partial last chunk; y is the same bits however time is cut
@@ -512,8 +534,16 @@ def _reference_ss2d(f, params):
     return merged if had_batch else T.reshape(merged, f4.shape[1:])
 
 
+# ss2d scans its four traversals as one G=4 kernel call over 4B rows.  At
+# N=3 the B=1 grids below split time into chunks that the per-direction
+# reference does not: [1, 16, 16, 16] runs K=170 of L=256 (2 chunks, the
+# last partial), [1, 12, 20, 32] K=85 of L=240 (3); (1, 1, 16) is a 1x1
+# grid and (5, 2, 3) a non-square one.
+SS2D_GRIDS = GRIDS + [(2, 3, 4, 16), (1, 16, 16, 16), (1, 12, 20, 32), (1, 1, 16), (5, 2, 3)]
+
+
 @pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("shape", GRIDS + [(2, 3, 4, 16)])
+@pytest.mark.parametrize("shape", SS2D_GRIDS)
 def test_ss2d_matches_reference_composition(shape, shared):
     ch, n = shape[-1], 3
     sets = [_random_ssm_arrays(ch, n, seed=90 + 10 * k) for k in range(1 if shared else 4)]
@@ -536,6 +566,88 @@ def test_ss2d_matches_reference_composition(shape, shared):
     assert got.shape == want.shape == shape and np.array_equal(got, want)
     _assert_grads_close(got_g, want_g)  # the grid, then every direction's parameters
     assert len(got_g) == 1 + len(sets) * len(SSM_FIELDS)
+
+
+def _ss2d_run(x, params, weights):
+    """ss2d on a fresh leaf under a tape: (y, the grid's gradient)."""
+    f = Tensor(x.copy(), requires_grad=True)
+    with T.Tape() as tape:
+        y = ss2d(f, params)
+        T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+    return y.data, f.grad
+
+
+def test_grouped_chunking_changes_no_output_bit(monkeypatch):
+    # the G=4 analogue of test_chunking_changes_no_output_bit: K in {1, 2, 3}
+    # and one chunk over all 4B rows on L=9; y keeps its bits, taped or not
+    bsz, h, w, ch, n = 2, 3, 3, 3, 2
+    params = SS2DParams([SSMParams(*(Tensor(a[f]) for f in SSM_FIELDS))
+                         for a in (_random_ssm_arrays(ch, n, seed=110 + 10 * k)
+                                   for k in range(4))])
+    x = rnd((bsz, h, w, ch), 111, -1.5, 1.5).data
+    weights = rnd((bsz, h, w, ch), 112).data
+    whole, whole_g = _ss2d_run(x, params, weights)
+    assert scan._chunk_len(h * w, 4 * bsz, n, ch) == h * w
+    for k in (1, 2, 3):
+        monkeypatch.setattr(scan, "_CHUNK_ELEMS", k * 4 * bsz * n * ch)
+        assert scan._chunk_len(h * w, 4 * bsz, n, ch) == k
+        y, g = _ss2d_run(x, params, weights)
+        assert np.array_equal(y, whole), k
+        assert np.array_equal(ss2d(Tensor(x), params).data, whole), k
+        _assert_grads_close([g], [whole_g])
+
+
+def test_one_kernel_call_per_ss2d_and_gated_block(monkeypatch):
+    calls = []
+    for name in ("_scan_forward", "_scan_backward"):
+        def spy(*args, _kernel=getattr(scan, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(scan, name, spy)
+    grid = rnd((2, 3, 5, 4), 121).data
+    weights = rnd((2, 3, 5, 4), 122).data
+    pp = init_ss2d_params(4, 3, seed=123)
+    w = init_vss(4, 3, seed=124, name="guard")
+
+    def forward_then_backward(op):
+        calls.clear()
+        f = Tensor(grid, requires_grad=True)
+        with T.Tape() as tape:
+            y = op(f)
+            assert calls == ["_scan_forward"]
+            loss = T.reduce_sum(T.mul(y, weights))
+        T.backward(tape, loss)
+        assert calls == ["_scan_forward", "_scan_backward"]
+
+    forward_then_backward(lambda f: ss2d(f, pp))
+    forward_then_backward(lambda f: gated_block(f, w))
+    forward_then_backward(lambda f: gated_block(f, w, ModulationParams.identity()))
+    calls.clear()
+    ss2d(Tensor(grid), pp)  # untaped
+    assert calls == ["_scan_forward"]
+
+
+def test_ss2d_checked_mode_names_one_directions_projection():
+    # a NaN in col_bwd's w_b alone reaches one group of the stacked B
+    # projection; the stacked check still names it
+    pp = init_ss2d_params(3, 2, seed=131)
+    w_b = pp.directions[3].w_b.data.copy()
+    w_b[1, 0] = np.nan
+    pp.directions[3] = dataclasses.replace(pp.directions[3], w_b=Tensor(w_b))
+    grid = rnd((2, 3, 4, 3), 132)
+    prev = T.set_checked(False)
+    try:
+        y = ss2d(grid, pp).data
+    finally:
+        T.set_checked(prev)
+    assert not np.isfinite(y).all()
+    with pytest.raises(NumericError, match="selective_scan B projection"):
+        ss2d(grid, pp)
+    w = init_vss(3, 2, seed=133, name="nan")
+    w.ssm.directions[3] = pp.directions[3]
+    with pytest.raises(NumericError, match="selective_scan B projection"):
+        gated_block(grid, w)
 
 
 def test_selective_scan_checked_mode_names_the_intermediate():
