@@ -5,9 +5,12 @@ Three exhibits:
   2. cross_scan / cross_merge as an exact (bit-for-bit) 4x identity;
   3. wall-clock growth of the kernel: doubling the sequence roughly
      doubles the time, i.e. the scan is linear in L, not quadratic.
+
+Timings go to stderr, so stdout is the same bytes on every run.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -43,9 +46,9 @@ def main():
     lengths = [256, 512, 1024, 2048]
     meds = list(bench_lengths(lengths, channels=4, state_size=4, runs=3).values())
     for n, t in zip(lengths, meds):
-        print(f"L={n:5d}  {t * 1e3:8.2f} ms")
+        print(f"L={n:5d}  {t * 1e3:8.2f} ms", file=sys.stderr)
     print("log-log slope:", round(fit_loglog_slope(lengths, meds), 3),
-          "(1.0 = perfectly linear)")
+          "(1.0 = perfectly linear)", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ ground truth against itself is a perfect-oracle check: CC and SIM hit 1,
 KL hits 0, and AUC stays above 0.99 on every sample.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +23,7 @@ DOMAINS = ("natural-mouse", "natural-eye", "ecommerce", "ui")
 def main():
     root = Path(tempfile.mkdtemp(prefix="sumnet-demo-"))
     manifests = generate_dataset(root, n_per_domain=3, size=64, seed=14)
-    print("wrote corpus under", root)
+    print("wrote corpus under", root, file=sys.stderr)  # a fresh temp path each run
     for fold, path in sorted(manifests.items()):
         print(f"  {fold}: {len(read_manifest(path))} rows")
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from sumnet.data import generate_dataset, load_checkpoint, load_samples, save_checkpoint
-from sumnet.model import Model, SumConfig, config_from_arrays, train
+from sumnet.model import Model, SumConfig, train
 
 
 def main():
@@ -36,9 +36,8 @@ def main():
 
     ckpt = root / "demo.ckpt"
     save_checkpoint(ckpt, model.state_arrays())
-    arrays = load_checkpoint(ckpt)
-    clone = Model(config_from_arrays(arrays))
-    clone.load_state(arrays)
+    clone = Model.from_state(load_checkpoint(ckpt))
+    print("reloaded config equals the trained one:", clone.cfg == cfg)
 
     img = np.stack([s.image for s in val_samples])
     labels = [s.label for s in val_samples]

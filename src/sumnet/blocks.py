@@ -254,16 +254,7 @@ def init_downsample(channels: int, seed: int, name: str) -> DownsampleParams:
 
 def downsample(x: Tensor, p: DownsampleParams) -> Tensor:
     """2x2 patch merge: concat (TL, TR, BL, BR) channels, LN, affine to 2C."""
-    x = T.as_tensor(x)
-    h_ax, w_ax = x.ndim - 3, x.ndim - 2
-    if x.shape[h_ax] % 2 or x.shape[w_ax] % 2:
-        raise ShapeError(f"downsample needs even extent, got {x.shape}")
-    lead = (slice(None),) * (x.ndim - 3)
-    tl = x[lead + (slice(0, None, 2), slice(0, None, 2), slice(None))]
-    tr = x[lead + (slice(0, None, 2), slice(1, None, 2), slice(None))]
-    bl = x[lead + (slice(1, None, 2), slice(0, None, 2), slice(None))]
-    br = x[lead + (slice(1, None, 2), slice(1, None, 2), slice(None))]
-    merged = T.concat([tl, tr, bl, br], axis=x.ndim - 1)
+    merged = _space_to_depth(T.as_tensor(x), 2)
     return linear(layer_norm(merged, p.norm), p.proj)
 
 

@@ -42,7 +42,6 @@ from .model import (
     NumericAbort,
     PLACEMENTS,
     SumConfig,
-    config_from_arrays,
     evaluate,
     train,
 )
@@ -139,14 +138,12 @@ def cmd_train(args) -> int:
 
 def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
     arrays = load_checkpoint(path)
-    if config_path is not None:
-        doc = _read_config_doc(config_path)
-        for key in _PATH_KEYS:
-            doc.pop(key, None)
-        cfg = SumConfig.from_dict(doc)
-    else:
-        cfg = config_from_arrays(arrays)
-    model = Model(cfg)
+    if config_path is None:
+        return Model.from_state(arrays)
+    doc = _read_config_doc(config_path)
+    for key in _PATH_KEYS:
+        doc.pop(key, None)
+    model = Model(SumConfig.from_dict(doc))
     model.load_state(arrays)
     return model
 

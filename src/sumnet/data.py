@@ -16,7 +16,9 @@ Checkpoints: magic "SUMCKPT1", little-endian u32 array count, then per
 array (u16 name length, UTF-8 name, u8 ndim, u32 dims, float32 LE payload)
 with names sorted, and a trailing CRC32 of all preceding bytes.  Payloads
 are float32: saving float64 parameters rounds once, and a save/load/save
-cycle is byte-stable.
+cycle is byte-stable.  A model checkpoint holds the parameter registry plus
+a "config" record: the config's JSON as UTF-8 bytes, one byte per element,
+which float32 stores exactly (``Model.state_arrays`` / ``Model.from_state``).
 """
 
 from __future__ import annotations

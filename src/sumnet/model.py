@@ -23,13 +23,14 @@ models agree bit-for-bit on every parameter whose name they share.  An Adam
 built over the registry packs every tensor's storage into its one flat
 vector, so code that writes parameters writes into ``Tensor.data`` in place
 (``load_state`` and ``train``'s best-epoch restore do) instead of rebinding
-it.
+it.  ``state_arrays`` and ``from_state`` are the checkpoint pair: the
+registry plus the config as its exact JSON record, and back.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from . import blocks as B
 from . import tensor as T
 from .objective import DEFAULT_WEIGHTS, composite_loss
 from .rng import SplitMix64, derive
-from .scan import DIRECTION_ORDER, SS2DParams, SSMParams
+from .scan import DIRECTION_ORDER, SS2DParams
 from .tensor import NumericError, ShapeError, Tensor
 from .metrics import evaluate_sample, f_scores, summarize
 
@@ -155,62 +156,8 @@ class SumConfig:
             raise ConfigError(str(exc)) from None
 
 
-# checkpoint self-description: scalars as 1-element arrays, enums as codes.
-# float32 storage quantizes lr/decay_factor and caps exact seeds at 2**24.
-_CONFIG_SCALARS = ("input_size", "base_channels", "state_size", "num_domains",
-                   "token_dim", "share_scan_params", "kl_literal", "lr",
-                   "batch_size", "epochs", "patience", "decay_every",
-                   "decay_factor", "seed")
-_CONFIG_INTS = {"input_size", "base_channels", "state_size", "num_domains",
-                "token_dim", "batch_size", "epochs", "patience", "decay_every", "seed"}
-
-
-def config_to_arrays(cfg: SumConfig) -> dict:
-    out = {}
-    for name in _CONFIG_SCALARS:
-        out[f"config.{name}"] = np.array([float(getattr(cfg, name))])
-    out["config.encoder_depths"] = np.array([float(d) for d in cfg.encoder_depths])
-    out["config.decoder_depths"] = np.array([float(d) for d in cfg.decoder_depths])
-    out["config.loss_weights"] = np.array([float(w) for w in cfg.loss_weights])
-    out["config.placement"] = np.array([float(PLACEMENTS.index(cfg.placement))])
-    out["config.conditioning"] = np.array([float(CONDITIONINGS.index(cfg.conditioning))])
-    return out
-
-
-def config_from_arrays(arrays: dict) -> SumConfig:
-    def grab(name):
-        key = f"config.{name}"
-        if key not in arrays:
-            raise ConfigError(f"checkpoint lacks {key}")
-        return arrays[key]
-
-    kwargs = {}
-    for name in _CONFIG_SCALARS:
-        v = float(grab(name)[0])
-        if name in ("share_scan_params", "kl_literal"):
-            kwargs[name] = bool(v)
-        elif name in _CONFIG_INTS:
-            kwargs[name] = int(round(v))
-        else:
-            kwargs[name] = v
-    kwargs["encoder_depths"] = tuple(int(round(d)) for d in grab("encoder_depths"))
-    kwargs["decoder_depths"] = tuple(int(round(d)) for d in grab("decoder_depths"))
-    kwargs["loss_weights"] = tuple(float(w) for w in grab("loss_weights"))
-    for name, choices in (("placement", PLACEMENTS), ("conditioning", CONDITIONINGS)):
-        code = int(round(float(grab(name)[0])))
-        if not 0 <= code < len(choices):
-            raise ConfigError(
-                f"checkpoint config.{name} code {code} is not in 0..{len(choices) - 1}")
-        kwargs[name] = choices[code]
-    return SumConfig(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # parameter registry
-
-_PARAM_HOLDERS = (B.Linear, B.LayerNormParams, B.DWConvParams, B.PatchEmbedParams,
-                  B.DownsampleParams, B.PatchExpandParams, B.VSSWeights,
-                  B.ConditionerParams, SS2DParams, SSMParams)
 
 
 def _collect_params(prefix: str, obj, out: dict, seen: dict) -> None:
@@ -234,7 +181,7 @@ def _collect_params(prefix: str, obj, out: dict, seen: dict) -> None:
             for dname, p in zip(DIRECTION_ORDER, dirs):
                 _collect_params(f"{prefix}.{dname}", p, out, seen)
         return
-    if isinstance(obj, _PARAM_HOLDERS):
+    if is_dataclass(obj):
         if id(obj) in seen:
             return
         seen[id(obj)] = prefix
@@ -326,9 +273,40 @@ class Model:
         return sum(t.size for t in self._params.values())
 
     def state_arrays(self) -> dict:
+        """The registry plus a "config" record: the UTF-8 bytes of the config's
+        sorted-key JSON, one byte per element, which float32 storage keeps exact."""
         out = {name: t.data.copy() for name, t in self._params.items()}
-        out.update(config_to_arrays(self.cfg))
+        record = json.dumps(self.cfg.to_dict(), sort_keys=True).encode("utf-8")
+        out["config"] = np.frombuffer(record, dtype=np.uint8).astype(np.float64)
         return out
+
+    @classmethod
+    def from_state(cls, arrays: dict) -> "Model":
+        """Inverse of ``state_arrays``: the recorded config's model, loaded."""
+        if "config" not in arrays:
+            raise ConfigError("checkpoint lacks its config record")
+        record = np.asarray(arrays["config"], dtype=np.float64)
+        if record.ndim != 1:
+            raise ConfigError(f"checkpoint config record has shape {record.shape}, not 1-D")
+        bad = np.flatnonzero((record < 0) | (record > 255) | (record != np.floor(record)))
+        if bad.size:
+            raise ConfigError(f"checkpoint config record element {bad[0]} is "
+                              f"{float(record[bad[0]])!r}, not a byte in 0..255")
+        try:
+            doc = json.loads(record.astype(np.uint8).tobytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"checkpoint config record is not UTF-8: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"checkpoint config record is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError("checkpoint config record is not a JSON object")
+        try:
+            cfg = SumConfig.from_dict(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint config record: {exc}") from None
+        model = cls(cfg)
+        model.load_state(arrays)
+        return model
 
     def load_state(self, arrays: dict) -> None:
         """Copy checkpoint arrays into the parameters, in place.

@@ -8,7 +8,9 @@ from sumnet.blocks import (
     LN_EPS,
     ConditionerParams,
     DomainLabel,
+    DownsampleParams,
     DWConvParams,
+    LayerNormParams,
     Linear,
     ModulationParams,
     conditioner,
@@ -277,6 +279,43 @@ def test_downsample_order_and_hand_oracle():
     assert np.allclose(y.data[0, 0], normed[:2], atol=1e-12)
     with pytest.raises(ShapeError):
         downsample(rnd((3, 3, 1), 18), p)
+
+
+def _reference_downsample(x, p):
+    """The 2x2 merge as four strided gathers and a concat (TL, TR, BL, BR)."""
+    x = T.as_tensor(x)
+    h_ax, w_ax = x.ndim - 3, x.ndim - 2
+    if x.shape[h_ax] % 2 or x.shape[w_ax] % 2:
+        raise ShapeError(f"downsample needs even extent, got {x.shape}")
+    lead = (slice(None),) * (x.ndim - 3)
+    tl = x[lead + (slice(0, None, 2), slice(0, None, 2), slice(None))]
+    tr = x[lead + (slice(0, None, 2), slice(1, None, 2), slice(None))]
+    bl = x[lead + (slice(1, None, 2), slice(0, None, 2), slice(None))]
+    br = x[lead + (slice(1, None, 2), slice(1, None, 2), slice(None))]
+    merged = T.concat([tl, tr, bl, br], axis=x.ndim - 1)
+    return linear(layer_norm(merged, p.norm), p.proj)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 3), (1, 2, 2, 1), (2, 8, 6, 5)])
+def test_downsample_matches_reference_gather(shape):
+    c = shape[-1]
+    inputs = [rnd(shape, 23).data, rnd((4 * c,), 24, 0.5, 1.5).data, rnd((4 * c,), 25).data,
+              rnd((4 * c, 2 * c), 26).data, rnd((2 * c,), 27).data]
+
+    def run(fn):
+        return _forward_and_grads(
+            lambda x, g, b, w, bias: fn(x, DownsampleParams(LayerNormParams(g, b),
+                                                            Linear(w, bias))), inputs, 28)
+
+    got, got_g, n_ops = run(downsample)
+    want, want_g, want_ops = run(_reference_downsample)
+    assert n_ops == want_ops - 2  # one tiling (3 nodes) for 4 gathers + concat
+    assert got.shape == shape[:-3] + (shape[-3] // 2, shape[-2] // 2, 2 * c)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_g, want_g):  # x, gamma, beta, weight, bias
+        assert np.array_equal(g, w)
+    with pytest.raises(ShapeError, match="not divisible"):  # odd width
+        downsample(rnd(shape[:-2] + (3, c), 29), init_downsample(c, seed=30, name="t"))
 
 
 def test_downsample_constant_stays_constant():

@@ -298,15 +298,37 @@ def test_infer_missing_image_is_io_error(trained, tmp_path, capsys):
     assert code == 2
 
 
-def test_infer_rejects_out_of_range_config_code(trained, tmp_path, capsys):
+def _infer_with_config_record(trained, tmp_path, record):
+    """Exit code of infer on the trained checkpoint with its config record replaced."""
     arrays = load_checkpoint(trained / "checkpoint.ckpt")
-    arrays["config.placement"] = np.array([7.0])
+    if record is None:
+        del arrays["config"]
+    else:
+        arrays["config"] = record
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(bad, arrays)
-    code = cli.main(["infer", "--checkpoint", str(bad), "--image", str(tmp_path / "x.ppm"),
+    return cli.main(["infer", "--checkpoint", str(bad), "--image", str(tmp_path / "x.ppm"),
                      "--domain", "ui", "--out", str(tmp_path / "y.pgm")])
+
+
+def test_infer_rejects_out_of_range_config_code(trained, tmp_path, capsys):
+    record = load_checkpoint(trained / "checkpoint.ckpt")["config"]
+    text = bytes(record.astype(np.uint8)).decode("utf-8")
+    assert '"placement": "decoder"' in text
+    sideways = text.replace('"placement": "decoder"', '"placement": "sideways"').encode()
+    code = _infer_with_config_record(trained, tmp_path, np.frombuffer(sideways, dtype=np.uint8))
     assert code == 2
-    assert "config.placement code 7" in capsys.readouterr().err
+    assert "placement 'sideways'" in capsys.readouterr().err
+
+
+def test_infer_rejects_checkpoint_without_config_record(trained, tmp_path, capsys):
+    assert _infer_with_config_record(trained, tmp_path, None) == 2
+    assert "lacks its config record" in capsys.readouterr().err
+
+
+def test_infer_rejects_non_byte_config_record(trained, tmp_path, capsys):
+    assert _infer_with_config_record(trained, tmp_path, np.array([123.0, 300.0, 125.0])) == 2
+    assert "element 1 is 300.0, not a byte" in capsys.readouterr().err
 
 
 def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, monkeypatch):

@@ -13,8 +13,6 @@ from sumnet.model import (
     NumericAbort,
     SumConfig,
     batch_loss,
-    config_from_arrays,
-    config_to_arrays,
     evaluate,
     train,
 )
@@ -84,18 +82,57 @@ def test_config_array_round_trip():
     cfg = micro_cfg(placement="all-blocks", conditioning="none", lr=0.25,
                     share_scan_params=True, kl_literal=True,
                     loss_weights=(1.0, -2.0, 0.5, -0.25, 4.0))
-    back = config_from_arrays(config_to_arrays(cfg))
-    assert back == cfg
+    back = Model.from_state(Model(cfg).state_arrays())
+    assert back.cfg == cfg
 
 
 def test_config_survives_checkpoint_float32(tmp_path):
     cfg = micro_cfg(lr=1e-4, seed=12345)
     p = tmp_path / "c.ckpt"
-    save_checkpoint(p, config_to_arrays(cfg))
-    back = config_from_arrays(load_checkpoint(p))
-    assert back.seed == 12345 and back.input_size == cfg.input_size
-    assert back.placement == cfg.placement and back.conditioning == cfg.conditioning
-    assert abs(back.lr - 1e-4) < 1e-10  # float32 rounding only
+    save_checkpoint(p, Model(cfg).state_arrays())
+    back = Model.from_state(load_checkpoint(p)).cfg
+    assert back == cfg and back.lr == 1e-4  # float32 payloads, exact record
+
+
+def test_config_round_trips_exactly_through_checkpoint(tmp_path):
+    # each field here was rounded by a float32 encoding of the config:
+    # 2**24 + 1 is not a float32, nor are 0.1 and 0.3
+    cfg = micro_cfg(seed=2 ** 24 + 1, lr=0.1, decay_factor=0.3,
+                    loss_weights=(1.0, 0.1, -2.0, -1.0, -1.0), share_scan_params=True,
+                    kl_literal=True, placement="bottleneck", conditioning="one-hot")
+    p = tmp_path / "exact.ckpt"
+    save_checkpoint(p, Model(cfg).state_arrays())
+    back = Model.from_state(load_checkpoint(p)).cfg
+    assert back == cfg
+    assert back.to_dict() == cfg.to_dict()
+
+
+def test_from_state_names_each_bad_record():
+    arrays = Model(micro_cfg()).state_arrays()
+    record = arrays["config"]
+    text = bytes(record.astype(np.uint8)).decode("utf-8")
+
+    def as_record(raw: bytes):
+        return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+
+    def rejects(value, match):
+        bad = dict(arrays)
+        if value is None:
+            del bad["config"]
+        else:
+            bad["config"] = value
+        with pytest.raises(ConfigError, match=match):
+            Model.from_state(bad)
+
+    rejects(None, "lacks its config record")
+    rejects(record.reshape(1, -1), "not 1-D")
+    for value in (256.0, -1.0, 65.5, np.nan):
+        rejects(np.append(record, value), f"element {record.size} is .* not a byte")
+    rejects(as_record(b"\xff\xfe"), "not UTF-8")
+    rejects(record[:-1], "not JSON")
+    rejects(as_record(b"[1, 2]"), "not a JSON object")
+    rejects(as_record(text.replace('"decoder"', '"sideways"').encode()), "placement 'sideways'")
+    rejects(as_record(text.replace('"seed"', '"sed"').encode()), "unknown config keys: sed")
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +262,7 @@ def test_state_round_trip_through_checkpoint(tmp_path):
     m = Model(micro_cfg())
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, m.state_arrays())
-    arrays = load_checkpoint(p)
-    cfg = config_from_arrays(arrays)
-    m2 = Model(cfg)
-    m2.load_state(arrays)
+    m2 = Model.from_state(load_checkpoint(p))
     rng = SplitMix64(4)
     img = rng.uniforms(32 * 32 * 3).reshape(1, 32, 32, 3)
     a = m.predict(img, [1])
