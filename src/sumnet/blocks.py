@@ -407,8 +407,7 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
     branch = conv * conv_s
     check("gated_block dwconv silu", branch)
     grid_shape = branch.shape if branch.ndim == 4 else (1,) + branch.shape
-    scanned, ss_saved = ss2d_fwd(branch.reshape(grid_shape),
-                                 [[t.data for t in p.tensors()] for p in w.ssm.directions],
+    scanned, ss_saved = ss2d_fwd(branch.reshape(grid_shape), [t.data for t in w.ssm.tensors()],
                                  keep=T._recording_tape(inputs) is not None)
     n2, ln2_saved = ln_core_fwd(scanned.reshape(branch.shape))
     check("gated_block ln2 core", n2)

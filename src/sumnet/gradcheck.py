@@ -104,16 +104,21 @@ def check_scan() -> list:
     rec("x", lambda t: _weighted_sum(
         S.ssm_recurrence(Tensor(delta), Tensor(a), Tensor(b_seq), Tensor(c_seq), t), "r.x"), xs)
 
-    def param_row(name, params, field, f):
-        """A row probing params.<field>: f() runs with it swapped for the probe."""
+    def param_row(name, params, field, f, k=None):
+        """A row probing params.<field>, or only its slice k on the direction
+        axis (the other slices held fixed): f() runs with the probe in place."""
         def probe(t):
             saved = getattr(params, field)
+            if k is not None:
+                t = T.concat([saved.data[:k], T.reshape(t, (1,) + t.shape),
+                              saved.data[k + 1:]], axis=0)
             setattr(params, field, t)
             try:
                 return f()
             finally:
                 setattr(params, field, saved)
-        rows.append((name, _check(probe, getattr(params, field).data.copy()), OP_TOL))
+        point = getattr(params, field).data
+        rows.append((name, _check(probe, (point if k is None else point[k]).copy()), OP_TOL))
 
     p = S.init_ssm_params(c, n, derive(_SEED, "scan-params"), "g")
     seq = _arr((length, c), tag="seq")
@@ -142,14 +147,15 @@ def check_scan() -> list:
     rows.append(("ss2d.input_batched",
                  _check(lambda t: _weighted_sum(S.ss2d(t, p2), "ss2d.inb"),
                         _arr((b, 3, 4, c), tag="gridb")), OP_TOL))
-    # one unshared parameter per direction: a direction or group mix-up in
-    # the grouped scan moves these rows, not the input rows
+    # one direction's slice of an unshared parameter each: a direction or
+    # group mix-up in the grouped scan moves these rows, not the input rows
     for d, field in (("row_fwd", "a_log"), ("col_bwd", "a_log"), ("row_bwd", "w_delta"),
                      ("col_fwd", "d_skip")):
-        param_row(f"ss2d.{d}.{field}", p2.directions[S.DIRECTION_ORDER.index(d)], field,
-                  lambda tag=f"ss2d.{d}.{field}": _weighted_sum(S.ss2d(Tensor(grid), p2), tag))
+        param_row(f"ss2d.{d}.{field}", p2, field,
+                  lambda tag=f"ss2d.{d}.{field}": _weighted_sum(S.ss2d(Tensor(grid), p2), tag),
+                  k=S.DIRECTION_ORDER.index(d))
     shared = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-shared"), "g3", shared=True)
-    param_row("ss2d.shared", shared.directions[0], "a_log",
+    param_row("ss2d.shared", shared, "a_log",
               lambda: _weighted_sum(S.ss2d(Tensor(grid), shared), "ss2d.shared"))
     return rows
 
@@ -314,8 +320,9 @@ def check_model(scalars_per_param: int = 2, max_params: int = 120) -> list:
     """End-to-end: batch loss vs central differences on sampled parameters.
 
     Perturbs individual scalars (two per parameter over a deterministic
-    sample of parameter names) rather than whole arrays, keeping the check
-    under a minute while still crossing every module boundary.
+    sample of parameters, each direction of a scan parameter on its own)
+    rather than whole arrays, keeping the check under a minute while still
+    crossing every module boundary.
     """
     model, sample = _micro_model()
 
@@ -325,9 +332,19 @@ def check_model(scalars_per_param: int = 2, max_params: int = 120) -> list:
     with T.Tape() as tape:
         loss = batch_loss(model, [sample], [0])
         grads = T.backward(tape, loss)
-    grad_by_name = {n: grads[t] for n, t in model.params().items()}
+    # name -> (array, gradient); a scan parameter's direction slices are
+    # units of their own, <block>.ssm.<direction>.<field>
+    units = {}
+    for name, t in model.params().items():
+        if ".ssm." in name:
+            block, field = name.rsplit(".ssm.", 1)
+            tags = ("shared",) if len(t.data) == 1 else S.DIRECTION_ORDER
+            for k, d in enumerate(tags):
+                units[f"{block}.ssm.{d}.{field}"] = (t.data[k], grads[t][k])
+        else:
+            units[name] = (t.data, grads[t])
 
-    names = sorted(model.params())
+    names = sorted(units)
     if len(names) > max_params:
         idx = np.linspace(0, len(names) - 1, max_params).astype(int)
         names = [names[i] for i in sorted(set(idx.tolist()))]
@@ -336,8 +353,8 @@ def check_model(scalars_per_param: int = 2, max_params: int = 120) -> list:
     worst = {}
     with T._suspend_recording():
         for name in names:
-            t = model.params()[name]
-            flat = t.data.ravel()
+            data, grad = units[name]
+            flat = data.ravel()
             n = flat.size
             picks = sorted({int(derive(_SEED, "pick", name, str(j)) % n)
                             for j in range(min(scalars_per_param, n))})
@@ -349,7 +366,7 @@ def check_model(scalars_per_param: int = 2, max_params: int = 120) -> list:
                 down = loss_value()
                 flat[i] = orig
                 fd = (up - down) / (2.0 * h)
-                ad = grad_by_name[name].ravel()[i]
+                ad = grad.ravel()[i]
                 err = abs(ad - fd) / (1e-8 + abs(fd))
                 key = name.split(".b")[0].split(".", 1)[0]
                 worst[key] = max(worst.get(key, 0.0), err)

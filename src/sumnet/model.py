@@ -19,7 +19,9 @@ the modulated network starts bit-identical to the unconditioned one.
 
 Every parameter lives in a flat name -> tensor registry; initialization
 draws from a stream derived from (config seed, parameter name), so any two
-models agree bit-for-bit on every parameter whose name they share.  An Adam
+models agree bit-for-bit on every parameter whose name and shape they
+share (a shared-scan and an unshared model both have ``<block>.ssm.a_log``,
+the direction-stacked [1, C, N] and [4, C, N]).  An Adam
 built over the registry packs every tensor's storage into its one flat
 vector, so code that writes parameters writes into ``Tensor.data`` in place
 (``load_state`` and ``train``'s best-epoch restore do) instead of rebinding
@@ -38,7 +40,6 @@ from . import blocks as B
 from . import tensor as T
 from .objective import DEFAULT_WEIGHTS, composite_loss
 from .rng import SplitMix64, derive
-from .scan import DIRECTION_ORDER, SS2DParams
 from .tensor import NumericError, ShapeError, Tensor
 from .metrics import evaluate_sample, f_scores, summarize
 
@@ -63,15 +64,30 @@ class NumericAbort(ArithmeticError):
 # configuration
 
 
+def _integer(v) -> int:
+    """v as an int, never truncated: 64 and 64.0 pass, 64.5 raises."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(v)
+    return int(v)
+
+
+def _boolean(v) -> bool:
+    """v itself when it is True or False; anything else ("no", 0) raises."""
+    if not isinstance(v, bool):
+        raise TypeError(v)
+    return v
+
+
 # how SumConfig.__post_init__ coerces each field it normalizes, and what it wants
 _FIELD_KINDS = {
     **dict.fromkeys(("input_size", "base_channels", "state_size", "num_domains", "token_dim",
                      "batch_size", "epochs", "patience", "decay_every", "seed"),
-                    (int, "an integer")),
+                    (_integer, "an integer")),
     **dict.fromkeys(("lr", "decay_factor"), (float, "a number")),
     **dict.fromkeys(("encoder_depths", "decoder_depths"),
-                    (lambda v: tuple(int(d) for d in v), "a list of integers")),
+                    (lambda v: tuple(_integer(d) for d in v), "a list of integers")),
     "loss_weights": (lambda v: tuple(float(w) for w in v), "a list of numbers"),
+    **dict.fromkeys(("share_scan_params", "kl_literal"), (_boolean, "true or false")),
 }
 
 
@@ -102,7 +118,7 @@ class SumConfig:
             value = getattr(self, name)
             try:
                 setattr(self, name, coerce(value))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}") from None
         self.validate()
 
@@ -160,33 +176,14 @@ class SumConfig:
 # parameter registry
 
 
-def _collect_params(prefix: str, obj, out: dict, seen: dict) -> None:
-    """Flatten nested weight dataclasses into name -> tensor.
-
-    Shared objects (e.g. one scan parameter set behind all four directions)
-    register once, under the first name that reaches them.
-    """
+def _collect_params(prefix: str, obj, out: dict) -> None:
+    """Flatten nested weight dataclasses into name -> tensor, each tensor
+    named by its field path, e.g. ``enc0.b0.ssm.a_log``."""
     if isinstance(obj, Tensor):
-        if id(obj) not in seen:
-            seen[id(obj)] = prefix
-            out[prefix] = obj
-        return
-    if isinstance(obj, SS2DParams):
-        # directions live in a list; name them like their init streams, and
-        # collapse the shared-parameter variant to a single ".shared" entry
-        dirs = obj.directions
-        if all(d is dirs[0] for d in dirs):
-            _collect_params(f"{prefix}.shared", dirs[0], out, seen)
-        else:
-            for dname, p in zip(DIRECTION_ORDER, dirs):
-                _collect_params(f"{prefix}.{dname}", p, out, seen)
-        return
-    if is_dataclass(obj):
-        if id(obj) in seen:
-            return
-        seen[id(obj)] = prefix
+        out[prefix] = obj
+    elif is_dataclass(obj):
         for f in fields(obj):
-            _collect_params(f"{prefix}.{f.name}", getattr(obj, f.name), out, seen)
+            _collect_params(f"{prefix}.{f.name}", getattr(obj, f.name), out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +232,17 @@ class Model:
         self._conditioned = self._conditioned_stages()
 
     def _build_registry(self) -> dict:
-        out: dict = {}
-        seen: dict = {}
-        _collect_params("embed", self.embed, out, seen)
-        for i, stage in enumerate(self.enc):
-            for j, w in enumerate(stage):
-                _collect_params(f"enc{i}.b{j}", w, out, seen)
-        for i, d in enumerate(self.down):
-            _collect_params(f"down{i}", d, out, seen)
-        for j, stage in enumerate(self.dec):
-            for k, w in enumerate(stage):
-                _collect_params(f"dec{j}.b{k}", w, out, seen)
+        parts = [("embed", self.embed)]
+        parts += [(f"enc{i}.b{j}", w) for i, st in enumerate(self.enc) for j, w in enumerate(st)]
+        parts += [(f"down{i}", d) for i, d in enumerate(self.down)]
+        parts += [(f"dec{j}.b{k}", w) for j, st in enumerate(self.dec) for k, w in enumerate(st)]
         for j in range(3):
-            _collect_params(f"up{j}", self.up[j], out, seen)
-            _collect_params(f"skip{j}", self.skip[j], out, seen)
-        _collect_params("head.expand", self.head_expand, out, seen)
-        _collect_params("head.out", self.head_out, out, seen)
-        if self.cond is not None:
-            _collect_params("cond", self.cond, out, seen)
+            parts += [(f"up{j}", self.up[j]), (f"skip{j}", self.skip[j])]
+        parts += [("head.expand", self.head_expand), ("head.out", self.head_out),
+                  ("cond", self.cond)]  # no entries without a conditioner (cond None)
+        out: dict = {}
+        for prefix, obj in parts:
+            _collect_params(prefix, obj, out)
         return out
 
     def _conditioned_stages(self) -> set:

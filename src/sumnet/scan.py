@@ -16,6 +16,10 @@ backward; `selective_scan` and `ssm_recurrence` are the G=1 case.  At B=1
 and narrow C the cost is per-call overhead, so one call over 4B rows beats
 four calls over B.
 
+`SS2DParams` stores each scan parameter stacked on that direction axis, so
+the kernels read it as stored; a shared set is [1, ...], broadcast to four
+groups and its gradient summed as ((col_bwd + col_fwd) + row_bwd) + row_fwd.
+
 The state arrays are time-major, [L, G*B, N, C], and both sweeps update
 them in place one contiguous step at a time: the cost is memory traffic
 through these arrays, not FLOPs.  So both kernels walk time in chunks of
@@ -405,10 +409,10 @@ class SSMParams:
 
     @property
     def channels(self):
-        return self.a_log.shape[0]
+        return self.a_log.shape[-2]
 
     def tensors(self) -> tuple:
-        """The seven tensors in field order, the order selective_scan takes them."""
+        """The seven tensors in field order, the order the scans take them."""
         return (self.a_log, self.d_skip, self.w_b, self.w_c, self.w_delta, self.v_delta,
                 self.b_delta)
 
@@ -545,76 +549,66 @@ def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
     return T._emit("selective_scan", inputs, out.reshape(seq.shape), make)
 
 
-@dataclass
-class SS2DParams:
-    """Per-direction scan parameters, ordered like DIRECTION_ORDER."""
-
-    directions: list
-
-    @property
-    def channels(self):
-        return self.directions[0].channels
-
-    def tensors(self) -> tuple:
-        """Every direction's tensors, last direction first.
-
-        In this order a set shared by all four directions accumulates its
-        gradients as a tape of one node per direction did: col_bwd's first.
-        """
-        return tuple(t for p in reversed(self.directions) for t in p.tensors())
+class SS2DParams(SSMParams):
+    """SSMParams of all four directions: each field stacked on a leading
+    direction axis, [4, ...] in DIRECTION_ORDER or [1, ...] for a shared set."""
 
 
 def init_ss2d_params(channels: int, state_size: int, seed: int,
                      name: str = "ss2d", shared: bool = False) -> SS2DParams:
-    """Four independent parameter sets by default; one shared set if asked."""
-    if shared:
-        p = init_ssm_params(channels, state_size, seed, f"{name}.shared")
-        return SS2DParams([p, p, p, p])
-    return SS2DParams(
-        [init_ssm_params(channels, state_size, seed, f"{name}.{d}") for d in DIRECTION_ORDER]
-    )
+    """Four independent parameter sets by default, one shared set if asked;
+    slice d is init_ssm_params' value for `{name}.{d}` (`{name}.shared`)."""
+    tags = ("shared",) if shared else DIRECTION_ORDER
+    sets = [init_ssm_params(channels, state_size, seed, f"{name}.{t}").tensors() for t in tags]
+    return SS2DParams(*(Tensor(np.stack([t.data for t in ts]), requires_grad=True)
+                        for ts in zip(*sets)))
 
 
-def ss2d_fwd(grid, directions, keep):
+def ss2d_fwd(grid, params, keep):
     """ss2d on arrays: grid [B, H, W, C] -> (merged grid, saved).
 
-    `directions` holds one (a_log, d_skip, w_b, w_c, w_delta, v_delta,
-    b_delta) array tuple per DIRECTION_ORDER entry.  The four traversals go
-    into one [4, B, H*W, C] array (`_traversals`) that selective_scan_fwd
-    scans as four groups, each with its direction's parameters stacked in,
-    so the whole ss2d is one kernel call; cross_merge_fwd sums them back.
-    In checked mode the scan output and the merged grid must be finite,
-    besides selective_scan_fwd's own checks; the traversals only copy
-    values already checked.  `saved` is the grouped scan's.
+    The four traversals go into one [4, B, H*W, C] array (`_traversals`)
+    that selective_scan_fwd scans as four groups with `params`, the arrays
+    of SS2DParams.tensors() ([1, ...] ones broadcast to four), so the whole
+    ss2d is one kernel call; cross_merge_fwd sums them back.  In checked
+    mode the scan output and the merged grid must be finite, besides
+    selective_scan_fwd's own checks; the traversals only copy values
+    already checked.  `saved` is the grouped scan's and the set count.
     """
     _, h, w, _ = grid.shape
-    y, saved = selective_scan_fwd(_traversals(grid), *map(np.stack, zip(*directions)),
-                                  keep=keep)
+    k, sets = len(DIRECTION_ORDER), len(params[0])
+    if sets == 1:
+        params = [np.broadcast_to(p, (k,) + p.shape[1:]) for p in params]
+    elif sets != k:
+        raise ShapeError(f"scan parameters stack {sets} sets, need 1 or {k}")
+    y, saved = selective_scan_fwd(_traversals(grid), *params, keep=keep)
     T._check("selective_scan", y)
     merged = cross_merge_fwd(y, h, w)
     T._check("cross_merge", merged)
-    return merged, saved
+    return merged, (saved, sets)
 
 
 def ss2d_bwd(saved, g):
     """Gradients of ss2d_fwd for the merged grid's gradient g [B, H, W, C]:
-    (the grid's, a list of seven parameter gradients per direction).
+    (the grid's, the seven parameter gradients stacked like the parameters).
 
     The grid gradient's traversals run back through one grouped
-    selective_scan_bwd.  The parameter gradients come last direction first,
-    in SS2DParams.tensors() order, and the four grid gradients are summed
-    as ((col_bwd + col_fwd) + row_bwd) + row_fwd: both are the order in
-    which a tape of one node per direction accumulates.
+    selective_scan_bwd.  The four grid gradients are summed as
+    ((col_bwd + col_fwd) + row_bwd) + row_fwd, and a shared set's four
+    parameter gradients in the same order, keeping its [1, ...] shape.
     """
+    saved, sets = saved
     b, h, w, c = g.shape
     # the traversals are laid out time-major, as the kernel reads them
     seqs = np.empty((h * w, len(DIRECTION_ORDER), b, c)).transpose(1, 2, 0, 3)
-    g_seq, *g_stacked = selective_scan_bwd(saved, _traversals(g, seqs))
+    g_seq, *g_params = selective_scan_bwd(saved, _traversals(g, seqs))
     rf, rb, cf, cb = (_unflatten(s, d, h, w) for d, s in zip(DIRECTION_ORDER, g_seq))
     g_grid = np.add(cb, cf, order="C")
     g_grid += rb
     g_grid += rf
-    return g_grid, [g_p[i] for i in reversed(range(len(g_seq))) for g_p in g_stacked]
+    if sets == 1:
+        g_params = [((g_p[3:] + g_p[2:3]) + g_p[1:2]) + g_p[:1] for g_p in g_params]
+    return g_grid, g_params
 
 
 def ss2d(f: Tensor, params: SS2DParams) -> Tensor:
@@ -629,7 +623,7 @@ def ss2d(f: Tensor, params: SS2DParams) -> Tensor:
         raise ShapeError(f"grid has {f.shape[-1]} channels, params have {params.channels}")
     inputs = (f,) + params.tensors()
     merged, saved = ss2d_fwd(f.data if f.ndim == 4 else f.data[None],
-                             [[t.data for t in p.tensors()] for p in params.directions],
+                             [t.data for t in params.tensors()],
                              keep=T._recording_tape(inputs) is not None)
 
     def make():

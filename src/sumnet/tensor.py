@@ -5,9 +5,8 @@ The generic primitives live here; fused primitives in `blocks` and `scan`
 `selective_scan` over one whole direction, `ss2d` over all four, the whole
 gated block, the bare scan recurrence) compute their forward in numpy and
 record one node each, with a hand-derived backward, through the same
-`_emit` path.  A node's inputs may repeat (one scan parameter set shared by
-four directions); `backward` then adds up each occurrence's gradient in
-input order.  Tensors wrap C-order
+`_emit` path.  A node's inputs may repeat (`mul(x, x)`); `backward` then
+adds up each occurrence's gradient in input order.  Tensors wrap C-order
 float64 numpy arrays.  When a Tape is active and an input requires
 gradients, each operation appends a node (op kind, input node ids, output
 node id, backward closure over saved values) to the tape; `backward` replays

@@ -422,12 +422,10 @@ def _reference_cvss(f, w, mod):
 
 
 def _vss_tensors(w):
-    """Every distinct tensor of a VSSWeights (a shared scan set once)."""
-    out = [w.ln1.gamma, w.ln1.beta, w.gate.weight, w.gate.bias, w.inproj.weight,
-           w.inproj.bias, w.dw.kernel, w.dw.bias]
-    for p in w.ssm.directions:
-        out += [t for t in p.tensors() if not any(t is u for u in out)]
-    return out + [w.ln2.gamma, w.ln2.beta, w.outproj.weight, w.outproj.bias]
+    """Every tensor of a VSSWeights, the stacked scan parameters once each."""
+    return [w.ln1.gamma, w.ln1.beta, w.gate.weight, w.gate.bias, w.inproj.weight,
+            w.inproj.bias, w.dw.kernel, w.dw.bias, *w.ssm.tensors(), w.ln2.gamma,
+            w.ln2.beta, w.outproj.weight, w.outproj.bias]
 
 
 KNOBS = ("alpha1", "beta1", "alpha2", "beta2", "alpha3")
@@ -471,11 +469,17 @@ def test_gated_block_matches_reference_composition(shape, mod, shared):
             T.backward(tape, T.reduce_sum(T.mul(y, weights)))
         return y.data, [t.grad.copy() for t in leaves], n_ops
 
+    def by_slice(grads):
+        """The gradients with each stacked scan parameter's split into its
+        per-direction slices, so that each slice is compared on its own."""
+        scan = {id(t) for t in w.ssm.tensors()}
+        return [s for t, g in zip(leaves, grads) for s in (list(g) if id(t) in scan else [g])]
+
     got, got_g, n_ops = run(gated_block)
     want, want_g, _ = run(_reference_vss if m is None else _reference_cvss)
     assert n_ops == 1
     assert got.shape == want.shape and np.array_equal(got, want)
-    _assert_grads_close(got_g, want_g)  # f, every weight, every knob
+    _assert_grads_close(by_slice(got_g), by_slice(want_g))  # f, every weight, every knob
     for k, g in zip(KNOBS, got_g[len(leaves) - len(knobs):]):
         assert g.shape == getattr(m, k).shape, k
 

@@ -12,6 +12,7 @@ import sumnet.model
 import sumnet.tensor
 from sumnet import cli
 from sumnet.data import load_checkpoint, read_manifest, read_pgm, save_checkpoint, write_ppm
+from sumnet.scan import DIRECTION_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,21 @@ def test_train_config_type_error_names_the_field(tmp_path, corpus32, capsys):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert "base_channels must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("share_scan_params", "no", "share_scan_params must be true or false, got 'no'"),
+    ("kl_literal", 0, "kl_literal must be true or false, got 0"),
+    ("input_size", 64.5, "input_size must be an integer, got 64.5"),
+])
+def test_train_rejects_a_config_value_it_would_have_to_coerce(tmp_path, corpus32, capsys,
+                                                             field, value, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(micro_config(corpus32, tmp_path / "out", **{field: value})),
+                   encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_missing_manifest_field(tmp_path, corpus32, capsys):
@@ -329,6 +345,24 @@ def test_infer_rejects_checkpoint_without_config_record(trained, tmp_path, capsy
 def test_infer_rejects_non_byte_config_record(trained, tmp_path, capsys):
     assert _infer_with_config_record(trained, tmp_path, np.array([123.0, 300.0, 125.0])) == 2
     assert "element 1 is 300.0, not a byte" in capsys.readouterr().err
+
+
+def test_infer_rejects_checkpoint_with_per_direction_scan_names(trained, tmp_path, capsys):
+    # checkpoints written before the scan parameters were stacked on the
+    # direction axis name one array per direction: <block>.ssm.<direction>.<field>
+    arrays = {}
+    for name, a in load_checkpoint(trained / "checkpoint.ckpt").items():
+        if ".ssm." in name:
+            block, field = name.rsplit(".ssm.", 1)
+            arrays.update((f"{block}.ssm.{d}.{field}", a[k])
+                          for k, d in enumerate(DIRECTION_ORDER))
+        else:
+            arrays[name] = a
+    old = tmp_path / "per_direction.ckpt"
+    save_checkpoint(old, arrays)
+    assert cli.main(["infer", "--checkpoint", str(old), "--image", str(tmp_path / "x.ppm"),
+                     "--domain", "ui", "--out", str(tmp_path / "y.pgm")]) == 2
+    assert "checkpoint lacks parameters: dec0.b0.ssm.a_log" in capsys.readouterr().err
 
 
 def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, monkeypatch):

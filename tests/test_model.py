@@ -1,5 +1,7 @@
 """Configuration, registry, forward wiring, optimizer, and training loop."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,31 @@ def test_config_validation_messages():
         micro_cfg(encoder_depths=(2, 2, 2))
     with pytest.raises(ConfigError, match="token_dim"):
         micro_cfg(token_dim=2)
+
+
+def test_config_bool_fields_accept_only_true_or_false():
+    # "no" is truthy: kept as it is, it would build a shared-scan model
+    for field, value in (("share_scan_params", "no"), ("kl_literal", 0),
+                         ("share_scan_params", 1), ("kl_literal", None)):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be true or false, "
+                                                        f"got {value!r}")):
+            SumConfig.from_dict({field: value})
+    cfg = SumConfig.from_dict({"share_scan_params": True, "kl_literal": False})
+    assert cfg.share_scan_params is True and cfg.kl_literal is False
+
+
+def test_config_int_fields_reject_non_integral_values():
+    # 64.5 must not truncate to 64
+    for field, value, wanted in (("input_size", 64.5, "an integer"),
+                                 ("epochs", 2.000001, "an integer"),
+                                 ("seed", float("inf"), "an integer"),
+                                 ("encoder_depths", [2, 1.5, 2, 2], "a list of integers")):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be {wanted}, "
+                                                        f"got {value!r}")):
+            SumConfig.from_dict({field: value})
+    cfg = SumConfig.from_dict({"input_size": 64.0, "encoder_depths": [2.0, 2, 2, 2]})
+    assert type(cfg.input_size) is int and cfg.input_size == 64
+    assert cfg.encoder_depths == (2, 2, 2, 2)
 
 
 def test_config_dict_round_trip_rejects_unknown_keys():
@@ -143,7 +170,7 @@ def test_registry_names_and_coverage():
     m = Model(micro_cfg())
     names = m.params()
     for expected in ("embed.proj.weight", "enc0.b0.ln1.gamma", "down1.proj.weight",
-                     "dec0.b0.ssm.row_fwd.a_log", "dec3.b0.outproj.bias",
+                     "dec0.b0.ssm.a_log", "dec3.b0.outproj.bias",
                      "up2.proj.weight", "skip0.weight", "head.expand.proj.weight",
                      "head.out.bias", "cond.tokens", "cond.l3.weight"):
         assert expected in names, expected
@@ -168,11 +195,36 @@ def test_conditioning_mode_parameter_counts():
     assert shared < prompt
 
 
+def test_registry_stacks_each_scan_parameter_on_the_direction_axis():
+    # the step-micro config (C=4, S=32, default depths): 15 blocks with 7
+    # scan tensors each; stacking sets the names, never the parameter count
+    for kw, names, size in ((dict(), 324, 82323),
+                            (dict(conditioning="one-hot"), 323, 81811),
+                            (dict(conditioning="none"), 317, 56718),
+                            (dict(share_scan_params=True), 324, 59811)):
+        m = Model(SumConfig(input_size=32, base_channels=4, **kw))
+        assert (len(m.params()), m.num_parameters()) == (names, size), kw
+        sets = 1 if kw.get("share_scan_params") else 4
+        scan = {n: t.shape for n, t in m.params().items() if ".ssm." in n}
+        assert len(scan) == 15 * 7, kw
+        assert scan["enc0.b0.ssm.a_log"] == (sets, 4, 8), kw
+        assert scan["dec0.b0.ssm.v_delta"] == (sets, 4, 32), kw
+
+
 def test_same_name_same_seed_same_init():
     a = Model(micro_cfg())
     b = Model(micro_cfg(conditioning="none"))
     for name, t in b.params().items():
         assert np.array_equal(t.data, a.params()[name].data), name
+    # shared and unshared scans: the same names, and the same values
+    # wherever the shapes agree too (everything but the scan parameters)
+    shared = Model(micro_cfg(share_scan_params=True)).params()
+    assert list(shared) == list(a.params())
+    for name, t in shared.items():
+        u = a.params()[name]
+        assert (t.shape != u.shape) == (".ssm." in name), name
+        if t.shape == u.shape:
+            assert np.array_equal(t.data, u.data), name
     c = Model(micro_cfg(seed=4))
     assert not np.array_equal(c.params()["embed.proj.weight"].data,
                               a.params()["embed.proj.weight"].data)
@@ -402,7 +454,7 @@ def test_flat_adam_matches_reference_on_shared_scan_model():
             with T.Tape() as tape:
                 grads = T.backward(tape, batch_loss(model, samples, [0, 1]))
             if k == 3:
-                del grads[model.params()["enc0.b0.ssm.shared.a_log"]]
+                del grads[model.params()["enc0.b0.ssm.a_log"]]
             opt.step(grads)
         _assert_same_state(flat, ref)
 
@@ -594,7 +646,7 @@ def test_load_state_rejects_before_writing():
 def test_numeric_abort_names_the_parameter(monkeypatch):
     m = Model(micro_cfg(epochs=1, batch_size=2))
     samples = micro_samples(4)
-    victim = m.params()["enc2.b0.ssm.row_fwd.a_log"]
+    victim = m.params()["enc2.b0.ssm.a_log"]
     calls = []
     real_backward = T.backward
 
@@ -608,7 +660,7 @@ def test_numeric_abort_names_the_parameter(monkeypatch):
     monkeypatch.setattr(T, "backward", poisoned_backward)
     with pytest.raises(NumericAbort) as exc:
         train(m, samples[:3], samples[3:])
-    assert str(exc.value) == ("non-finite gradient in enc2.b0.ssm.row_fwd.a_log "
+    assert str(exc.value) == ("non-finite gradient in enc2.b0.ssm.a_log "
                               "(epoch 0, batch 1)")
     assert (exc.value.epoch, exc.value.batch) == (0, 1)
 

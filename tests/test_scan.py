@@ -527,7 +527,9 @@ def _reference_ss2d(f, params):
     if f4.shape[-1] != params.channels:
         raise ShapeError(f"grid has {f4.shape[-1]} channels, params have {params.channels}")
     seqs = cross_scan(f4)
-    scanned = [selective_scan(t, p) for (_, t), p in zip(seqs.as_list(), params.directions)]
+    sets = len(params.a_log.data)  # 4, or 1 shared by every direction
+    scanned = [selective_scan(t, SSMParams(*(p[k % sets] for p in params.tensors())))
+               for k, (_, t) in enumerate(seqs.as_list())]
     merged = cross_merge(
         DirectionalSequences(*scanned, seqs.height, seqs.width)
     )
@@ -542,6 +544,13 @@ def _reference_ss2d(f, params):
 SS2D_GRIDS = GRIDS + [(2, 3, 4, 16), (1, 16, 16, 16), (1, 12, 20, 32), (1, 1, 16), (5, 2, 3)]
 
 
+def _stacked_params(sets, requires_grad=False):
+    """SS2DParams holding the given per-direction field arrays stacked on
+    the direction axis (one set is a shared [1, ...] set)."""
+    return SS2DParams(*(Tensor(np.stack([a[fld] for a in sets]), requires_grad=requires_grad)
+                        for fld in SSM_FIELDS))
+
+
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("shape", SS2D_GRIDS)
 def test_ss2d_matches_reference_composition(shape, shared):
@@ -552,13 +561,14 @@ def test_ss2d_matches_reference_composition(shape, shared):
 
     def run(scan_2d):
         f = Tensor(x.copy(), requires_grad=True)
-        sets_t = [SSMParams(*(Tensor(a[fld].copy(), requires_grad=True) for fld in SSM_FIELDS))
-                  for a in sets]
+        params = _stacked_params(sets, requires_grad=True)
         with T.Tape() as tape:
-            y = scan_2d(f, SS2DParams(sets_t * 4 if shared else sets_t))
+            y = scan_2d(f, params)
             n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
             T.backward(tape, T.reduce_sum(T.mul(y, weights)))
-        return y.data, [f.grad] + [t.grad for p in sets_t for t in p.tensors()], n_ops
+        # each set's slice of every stacked parameter gradient on its own
+        return (y.data, [f.grad] + [t.grad[k] for k in range(len(sets)) for t in params.tensors()],
+                n_ops)
 
     got, got_g, n_ops = run(ss2d)
     want, want_g, _ = run(_reference_ss2d)
@@ -581,9 +591,7 @@ def test_grouped_chunking_changes_no_output_bit(monkeypatch):
     # the G=4 analogue of test_chunking_changes_no_output_bit: K in {1, 2, 3}
     # and one chunk over all 4B rows on L=9; y keeps its bits, taped or not
     bsz, h, w, ch, n = 2, 3, 3, 3, 2
-    params = SS2DParams([SSMParams(*(Tensor(a[f]) for f in SSM_FIELDS))
-                         for a in (_random_ssm_arrays(ch, n, seed=110 + 10 * k)
-                                   for k in range(4))])
+    params = _stacked_params([_random_ssm_arrays(ch, n, seed=110 + 10 * k) for k in range(4)])
     x = rnd((bsz, h, w, ch), 111, -1.5, 1.5).data
     weights = rnd((bsz, h, w, ch), 112).data
     whole, whole_g = _ss2d_run(x, params, weights)
@@ -629,12 +637,12 @@ def test_one_kernel_call_per_ss2d_and_gated_block(monkeypatch):
 
 
 def test_ss2d_checked_mode_names_one_directions_projection():
-    # a NaN in col_bwd's w_b alone reaches one group of the stacked B
-    # projection; the stacked check still names it
+    # a NaN in col_bwd's slice of w_b alone reaches one group of the
+    # stacked B projection; the stacked check still names it
     pp = init_ss2d_params(3, 2, seed=131)
-    w_b = pp.directions[3].w_b.data.copy()
-    w_b[1, 0] = np.nan
-    pp.directions[3] = dataclasses.replace(pp.directions[3], w_b=Tensor(w_b))
+    w_b = pp.w_b.data.copy()
+    w_b[3, 1, 0] = np.nan
+    pp = dataclasses.replace(pp, w_b=Tensor(w_b))
     grid = rnd((2, 3, 4, 3), 132)
     prev = T.set_checked(False)
     try:
@@ -645,7 +653,7 @@ def test_ss2d_checked_mode_names_one_directions_projection():
     with pytest.raises(NumericError, match="selective_scan B projection"):
         ss2d(grid, pp)
     w = init_vss(3, 2, seed=133, name="nan")
-    w.ssm.directions[3] = pp.directions[3]
+    w.ssm = dataclasses.replace(w.ssm, w_b=Tensor(w_b))
     with pytest.raises(NumericError, match="selective_scan B projection"):
         gated_block(grid, w)
 
@@ -733,10 +741,41 @@ def test_init_values():
 
 def test_directions_independent_by_default_shared_on_request():
     pp = init_ss2d_params(4, 2, seed=11)
-    assert pp.directions[0] is not pp.directions[1]
-    assert not np.array_equal(pp.directions[0].w_b.data, pp.directions[1].w_b.data)
+    assert [t.shape[0] for t in pp.tensors()] == [4] * 7 and pp.channels == 4
+    assert not np.array_equal(pp.w_b.data[0], pp.w_b.data[1])
     shared = init_ss2d_params(4, 2, seed=11, shared=True)
-    assert all(d is shared.directions[0] for d in shared.directions)
+    assert [t.shape[0] for t in shared.tensors()] == [1] * 7 and shared.channels == 4
+    # slice d holds what the per-direction init draws from its own stream
+    for k, tag in [*enumerate(DIRECTION_ORDER), (0, "shared")]:
+        stacked = shared if tag == "shared" else pp
+        one = init_ssm_params(4, 2, seed=11, name=f"ss2d.{tag}")
+        for s, t in zip(stacked.tensors(), one.tensors()):
+            assert np.array_equal(s.data[k], t.data), (tag, s.shape)
+
+
+def test_ss2d_shared_set_gradient_sums_directions_in_tape_order():
+    # a [1, ...] set's gradient is ((col_bwd + col_fwd) + row_bwd) + row_fwd
+    # of the four groups' gradients: bit-identical to passing the same set
+    # stacked four times and summing its slices in that order
+    sets = [_random_ssm_arrays(3, 2, seed=140)]
+    x = rnd((2, 3, 4, 3), 141, -1.5, 1.5).data
+    weights = rnd((2, 3, 4, 3), 142).data
+    grads = []
+    for stack in (sets, sets * 4):
+        params = _stacked_params(stack, requires_grad=True)
+        with T.Tape() as tape:
+            y = ss2d(Tensor(x), params)
+            T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+        grads.append([t.grad for t in params.tensors()])
+    for one, four in zip(*grads):
+        assert one.shape[0] == 1
+        assert np.array_equal(one[0], ((four[3] + four[2]) + four[1]) + four[0])
+
+
+def test_ss2d_rejects_a_stack_of_neither_one_nor_four_sets():
+    sets = [_random_ssm_arrays(3, 2, seed=150 + k) for k in range(2)]
+    with pytest.raises(ShapeError, match="stack 2 sets, need 1 or 4"):
+        ss2d(rnd((3, 4, 3), 151), _stacked_params(sets))
 
 
 def test_ss2d_batch_matches_per_sample():
