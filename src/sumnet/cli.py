@@ -15,6 +15,7 @@ resolve against the config file's own directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -252,6 +253,7 @@ def cmd_bench_scan(args) -> int:
 # wiring
 
 
+@functools.cache  # one tree per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sumnet",
                                      description="conditional saliency toolkit")

@@ -64,11 +64,11 @@ class NumericAbort(ArithmeticError):
 # configuration
 
 
-def _integer(v) -> int:
-    """v as an int, never truncated: 64 and 64.0 pass, 64.5 raises."""
-    if isinstance(v, float) and not v.is_integer():
+def _number(v, kind=float):
+    """v as a `kind`, never parsed or truncated: True, "64" and, as an int, 64.5 raise."""
+    if isinstance(v, (bool, str)) or kind is int and isinstance(v, float) and not v.is_integer():
         raise ValueError(v)
-    return int(v)
+    return kind(v)
 
 
 def _boolean(v) -> bool:
@@ -82,11 +82,11 @@ def _boolean(v) -> bool:
 _FIELD_KINDS = {
     **dict.fromkeys(("input_size", "base_channels", "state_size", "num_domains", "token_dim",
                      "batch_size", "epochs", "patience", "decay_every", "seed"),
-                    (_integer, "an integer")),
-    **dict.fromkeys(("lr", "decay_factor"), (float, "a number")),
+                    (lambda v: _number(v, int), "an integer")),
+    **dict.fromkeys(("lr", "decay_factor"), (_number, "a number")),
     **dict.fromkeys(("encoder_depths", "decoder_depths"),
-                    (lambda v: tuple(_integer(d) for d in v), "a list of integers")),
-    "loss_weights": (lambda v: tuple(float(w) for w in v), "a list of numbers"),
+                    (lambda v: tuple(_number(d, int) for d in v), "a list of integers")),
+    "loss_weights": (lambda v: tuple(map(_number, v)), "a list of numbers"),
     **dict.fromkeys(("share_scan_params", "kl_literal"), (_boolean, "true or false")),
 }
 

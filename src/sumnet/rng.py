@@ -2,10 +2,15 @@
 
 Every random draw in the package flows through this module so that runs are
 bit-reproducible across machines and Python versions.  No platform RNG, no
-`random`, no `numpy.random`.
+`random`, no `numpy.random`.  Draw k of a stream is a pure function of
+(state, k) (Steele, Lea & Flood, OOPSLA 2014), so one vectorized pipeline,
+`uniform_stack`, draws many streams in one pass; `uniform_array` and
+`SplitMix64.uniforms` are its one-stream case.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,14 +64,9 @@ class SplitMix64:
         """Vectorized batch of n draws; advances the state by n steps."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)  # wraps mod 2**64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        u = uniform_stack((n,), lo, hi, (self._state,))[0]
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return lo + (hi - lo) * u
+        return u
 
     def next_below(self, n: int) -> int:
         """Integer in [0, n) via the 64x64 high-product trick."""
@@ -81,9 +81,21 @@ class SplitMix64:
             seq[i], seq[j] = seq[j], seq[i]
 
 
+def uniform_stack(shape, lo: float, hi: float, seeds) -> np.ndarray:
+    """[len(seeds), *shape] in one pass: row k holds 53-bit uniforms in [lo, hi)
+    from the stream seeded seeds[k], so it equals uniform_array(shape, lo, hi, seeds[k])."""
+    states = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * _GOLDEN + states[:, None]
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    u = (z >> 11).astype(np.float64) * 2.0**-53
+    u *= hi - lo
+    u += lo
+    return u.reshape((len(states), *shape))
+
+
 def uniform_array(shape, lo: float, hi: float, seed: int) -> np.ndarray:
     """Seeded uniform array; same seed and shape give identical bytes."""
-    n = 1
-    for d in shape:
-        n *= int(d)
-    return SplitMix64(seed).uniforms(n, lo, hi).reshape(tuple(int(d) for d in shape))
+    return uniform_stack(shape, lo, hi, (seed,))[0]

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .rng import derive, uniform_array
+from .rng import derive, uniform_stack
 from .tensor import ShapeError, Tensor
 
 DIRECTION_ORDER = ("row_fwd", "row_bwd", "col_fwd", "col_bwd")
@@ -421,28 +421,37 @@ def delta_rank(channels: int) -> int:
     return max(1, channels // 8)
 
 
-def init_ssm_params(channels: int, state_size: int, seed: int, name: str = "ssm") -> SSMParams:
-    """Stability-minded init: A spans -1..-N per channel, delta starts at 0.01."""
+def init_ssm_stack(channels: int, state_size: int, seed: int, labels) -> SSMParams:
+    """Stability-minded init, one set per stream label, each field stacked
+    [len(labels), ...]: A spans -1..-N per channel, delta starts at 0.01, and
+    slice k equals label k's streams, derive(seed, labels[k], field)."""
     if channels < 1 or state_size < 1:
         raise ShapeError("channels and state_size must be positive")
-    r = delta_rank(channels)
+    k, r = len(labels), delta_rank(channels)
     a_row = np.log(np.linspace(1.0, float(state_size), state_size))
     glorot_bn = np.sqrt(6.0 / (channels + state_size))
     glorot_wd = np.sqrt(6.0 / (channels + r))
+
+    def draw(field, shape, a):  # one pass over every label's stream
+        seeds = [derive(seed, label, field) for label in labels]
+        return Tensor(uniform_stack(shape, -a, a, seeds), requires_grad=True)
+
     return SSMParams(
-        a_log=Tensor(np.tile(a_row, (channels, 1)), requires_grad=True),
-        d_skip=Tensor(np.ones(channels), requires_grad=True),
-        w_b=T.uniform((channels, state_size), -glorot_bn, glorot_bn,
-                      derive(seed, name, "w_b"), requires_grad=True),
-        w_c=T.uniform((channels, state_size), -glorot_bn, glorot_bn,
-                      derive(seed, name, "w_c"), requires_grad=True),
-        w_delta=T.uniform((channels, r), -glorot_wd, glorot_wd,
-                          derive(seed, name, "w_delta"), requires_grad=True),
-        v_delta=T.uniform((r, channels), -glorot_wd, glorot_wd,
-                          derive(seed, name, "v_delta"), requires_grad=True),
+        a_log=Tensor(np.tile(a_row, (k, channels, 1)), requires_grad=True),
+        d_skip=Tensor(np.ones((k, channels)), requires_grad=True),
+        w_b=draw("w_b", (channels, state_size), glorot_bn),
+        w_c=draw("w_c", (channels, state_size), glorot_bn),
+        w_delta=draw("w_delta", (channels, r), glorot_wd),
+        v_delta=draw("v_delta", (r, channels), glorot_wd),
         # softplus(b) = 0.01  =>  b = log(expm1(0.01))
-        b_delta=T.full((channels,), float(np.log(np.expm1(0.01))), requires_grad=True),
+        b_delta=Tensor(np.full((k, channels), np.log(np.expm1(0.01))), requires_grad=True),
     )
+
+
+def init_ssm_params(channels: int, state_size: int, seed: int, name: str = "ssm") -> SSMParams:
+    """init_ssm_stack's one-label case, leading axis dropped: label `name`'s streams."""
+    stacked = init_ssm_stack(channels, state_size, seed, (name,))
+    return SSMParams(*(Tensor(t.data[0], requires_grad=True) for t in stacked.tensors()))
 
 
 def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, keep):
@@ -556,12 +565,10 @@ class SS2DParams(SSMParams):
 
 def init_ss2d_params(channels: int, state_size: int, seed: int,
                      name: str = "ss2d", shared: bool = False) -> SS2DParams:
-    """Four independent parameter sets by default, one shared set if asked;
-    slice d is init_ssm_params' value for `{name}.{d}` (`{name}.shared`)."""
-    tags = ("shared",) if shared else DIRECTION_ORDER
-    sets = [init_ssm_params(channels, state_size, seed, f"{name}.{t}").tensors() for t in tags]
-    return SS2DParams(*(Tensor(np.stack([t.data for t in ts]), requires_grad=True)
-                        for ts in zip(*sets)))
+    """Four independent parameter sets by default, one shared set if asked: init_ssm_stack
+    over `{name}.{d}` in DIRECTION_ORDER (`{name}.shared`), slice d its label's streams."""
+    labels = [f"{name}.{t}" for t in (("shared",) if shared else DIRECTION_ORDER)]
+    return SS2DParams(*init_ssm_stack(channels, state_size, seed, labels).tensors())
 
 
 def ss2d_fwd(grid, params, keep):
@@ -655,8 +662,7 @@ def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
     setups = []
     for n in lengths:
         p = init_ssm_params(channels, state_size, seed, "bench")
-        x = Tensor(uniform_array((n, channels), -1.0, 1.0,
-                                 derive(seed, "bench-x", n)))
+        x = T.uniform((n, channels), -1.0, 1.0, derive(seed, "bench-x", n))
         selective_scan(x, p)  # warm-up + allocator touch
         setups.append((n, p, x))
     times = {n: [] for n in lengths}

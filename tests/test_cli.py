@@ -133,6 +133,8 @@ def test_train_config_type_error_names_the_field(tmp_path, corpus32, capsys):
     ("share_scan_params", "no", "share_scan_params must be true or false, got 'no'"),
     ("kl_literal", 0, "kl_literal must be true or false, got 0"),
     ("input_size", 64.5, "input_size must be an integer, got 64.5"),
+    ("epochs", True, "epochs must be an integer, got True"),
+    ("lr", "0.001", "lr must be a number, got '0.001'"),
 ])
 def test_train_rejects_a_config_value_it_would_have_to_coerce(tmp_path, corpus32, capsys,
                                                              field, value, message):
@@ -226,6 +228,20 @@ def test_eval_checkpoint_stdout(trained, corpus32, capsys):
     assert all(row["run"] == "checkpoint" for row in rows)
     assert "checkpoint" in payload["summaries"]
     assert "f_scores" not in payload  # single run: no cross-run ranking
+
+
+def test_repeated_in_process_evals_each_score_only_their_own_checkpoint(trained, corpus32,
+                                                                       tmp_path, capsys):
+    # the parser is built once per process: its --checkpoint list must not
+    # carry one call's checkpoints into the next
+    manifest = corpus32 / "manifest_val.tsv"
+    other = tmp_path / "other.ckpt"
+    other.write_bytes((trained / "checkpoint.ckpt").read_bytes())
+    for ckpt in (trained / "checkpoint.ckpt", other):
+        assert cli.main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)]) == 0
+        rows, payload = oracle_lines(capsys.readouterr().out, len(read_manifest(manifest)))
+        assert {row["run"] for row in rows} == set(payload["summaries"]) == {ckpt.stem}
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_eval_requires_checkpoint_or_oracle(corpus32, capsys):

@@ -1,5 +1,6 @@
 """Configuration, registry, forward wiring, optimizer, and training loop."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -19,7 +20,7 @@ from sumnet.model import (
     train,
 )
 from sumnet.objective import composite_loss
-from sumnet.rng import SplitMix64
+from sumnet.rng import SplitMix64, uniform_array
 
 
 def micro_cfg(**kw):
@@ -95,6 +96,20 @@ def test_config_int_fields_reject_non_integral_values():
     cfg = SumConfig.from_dict({"input_size": 64.0, "encoder_depths": [2.0, 2, 2, 2]})
     assert type(cfg.input_size) is int and cfg.input_size == 64
     assert cfg.encoder_depths == (2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("field, values, wanted", [
+    ("epochs", (True, "2"), "an integer"),
+    ("lr", (True, "0.001"), "a number"),
+    ("encoder_depths", ([True, 2, 2, 2], ["2", 2, 2, 2], "2222"), "a list of integers"),
+    ("loss_weights", ([True, 1, 1, 1, 1], [1, "2", 1, 1, 1]), "a list of numbers"),
+], ids=["integer", "number", "integer-list", "number-list"])
+def test_config_numeric_fields_reject_bools_and_strings(field, values, wanted):
+    # int(True) and float("0.001") would pass: a config means what it says or fails
+    for value in values:
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be {wanted}, "
+                                                        f"got {value!r}")):
+            SumConfig.from_dict({field: value})
 
 
 def test_config_dict_round_trip_rejects_unknown_keys():
@@ -209,6 +224,26 @@ def test_registry_stacks_each_scan_parameter_on_the_direction_axis():
         assert len(scan) == 15 * 7, kw
         assert scan["enc0.b0.ssm.a_log"] == (sets, 4, 8), kw
         assert scan["dec0.b0.ssm.v_delta"] == (sets, 4, 32), kw
+
+
+def _params_digest(model) -> str:
+    h = hashlib.sha256()
+    for name, t in sorted(model.params().items()):
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+def test_initial_parameters_are_pinned_across_commits():
+    # SHA-256 over the sorted (name, bytes) pairs: any change to the stream
+    # derivation, the splitmix64 pipeline or an init's draw order shows here
+    assert _params_digest(Model(SumConfig(input_size=32, base_channels=4))) == (
+        "921ad29d9bd560f77dbb6c81fc08eac437c77484d3ca3d61f8e0b42abe6d937f")
+    assert _params_digest(Model(SumConfig(share_scan_params=True))) == (
+        "2d1b690bef3888a699cc6fef405b45091651567bfc4a6a0d4831ef4e5939889a")
+    draws = uniform_array((3, 5), -1.0, 1.0, 2**64 - 1)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+        "365f239269c6d8b30bc03dd76c4b7f17e213caaf7018113c8780943f00d52e9a")
 
 
 def test_same_name_same_seed_same_init():

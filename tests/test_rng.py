@@ -1,6 +1,6 @@
 import numpy as np
 
-from sumnet.rng import SplitMix64, derive, uniform_array
+from sumnet.rng import SplitMix64, derive, uniform_array, uniform_stack
 
 
 def test_known_stream():
@@ -44,6 +44,16 @@ def test_uniform_array_shape_and_bytes():
     assert a.shape == (3, 4)
     assert a.tobytes() == b.tobytes()
     assert not np.array_equal(a, uniform_array((3, 4), -1.0, 1.0, seed=100))
+
+
+def test_uniform_stack_rows_equal_uniform_array():
+    seeds = [0, 2**64 - 1, 2**64 + 5]  # the last one is masked to 5
+    for shape in [(1,), (3, 5), (4, 8, 3)]:
+        stack = uniform_stack(shape, -0.5, 2.0, seeds)
+        assert stack.shape == (3, *shape) and stack.dtype == np.float64
+        for row, seed in zip(stack, seeds):
+            assert row.tobytes() == uniform_array(shape, -0.5, 2.0, seed).tobytes()
+        assert stack[2].tobytes() == uniform_array(shape, -0.5, 2.0, 5).tobytes()
 
 
 def test_shuffle_is_permutation():

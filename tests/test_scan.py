@@ -16,6 +16,7 @@ from sumnet.scan import (
     delta_rank,
     init_ss2d_params,
     init_ssm_params,
+    init_ssm_stack,
     selective_scan,
     ss2d,
     ssm_recurrence,
@@ -23,6 +24,7 @@ from sumnet.scan import (
     _scan_forward,
 )
 from sumnet.blocks import ModulationParams, gated_block, init_vss
+from sumnet.rng import derive, uniform_array
 from sumnet.tensor import NumericError, ShapeError, Tensor, check_gradient
 
 TOL = 1e-4
@@ -751,6 +753,23 @@ def test_directions_independent_by_default_shared_on_request():
         one = init_ssm_params(4, 2, seed=11, name=f"ss2d.{tag}")
         for s, t in zip(stacked.tensors(), one.tensors()):
             assert np.array_equal(s.data[k], t.data), (tag, s.shape)
+
+
+def test_init_ssm_stack_slices_equal_their_label_streams():
+    # each random field is one stacked draw; slice k is label k's own stream
+    labels = ["blk.row_fwd", "blk.col_bwd", "other"]
+    p = init_ssm_stack(6, 3, 17, labels)
+    assert [t.shape for t in p.tensors()] == [(3, 6, 3), (3, 6), (3, 6, 3), (3, 6, 3),
+                                              (3, 6, 1), (3, 1, 6), (3, 6)]
+    bn, wd = np.sqrt(6.0 / 9.0), np.sqrt(6.0 / 7.0)
+    for k, label in enumerate(labels):
+        for field, a in (("w_b", bn), ("w_c", bn), ("w_delta", wd), ("v_delta", wd)):
+            got = getattr(p, field).data[k]
+            want = uniform_array(got.shape, -a, a, derive(17, label, field))
+            assert got.tobytes() == want.tobytes(), (label, field)
+        one = init_ssm_params(6, 3, 17, name=label)
+        for s, t in zip(p.tensors(), one.tensors()):
+            assert s.data[k].tobytes() == t.data.tobytes(), label
 
 
 def test_ss2d_shared_set_gradient_sums_directions_in_tape_order():
