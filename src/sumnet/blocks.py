@@ -7,9 +7,9 @@ that share a parameter name and seed start from identical values regardless
 of what other parameters exist around them.
 
 `linear`, `ln_core` and `depthwise_conv3x3` are each a pure numpy pair,
-`*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, behind a
-thin one-node tape wrapper.  `gated_block` chains those pairs and the ones
-of `scan.ss2d` into a single tape node per block.
+`*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, recorded
+as one node by `tensor.primitive`.  `gated_block` chains those pairs and
+the ones of `scan.ss2d` into a single tape node per block.
 
 With `mod`, the block applies five scalars (a1, b1, a2, b2, a3) produced by
 a small MLP from a per-domain prompt token.  The block without `mod` and
@@ -84,9 +84,8 @@ def linear(x: Tensor, p: Linear) -> Tensor:
     x = T.as_tensor(x)
     if x.shape[-1] != p.weight.shape[0]:
         raise ShapeError(f"linear expects trailing dim {p.weight.shape[0]}, got {x.shape}")
-    out, saved = linear_fwd(x.data, p.weight.data, p.bias.data)
-    return T._emit("linear", (x, p.weight, p.bias), out,
-                   lambda: lambda g: linear_bwd(saved, g))
+    return T.primitive("linear", (x, p.weight, p.bias),
+                       lambda x, w, b, keep: linear_fwd(x, w, b), linear_bwd)
 
 
 @dataclass
@@ -131,9 +130,7 @@ def ln_core(x: Tensor, eps: float = LN_EPS) -> Tensor:
     gradient is (g - mean(g) - x_hat * mean(g * x_hat)) / sigma, means taken
     over the channel axis.
     """
-    x = T.as_tensor(x)
-    out, saved = ln_core_fwd(x.data, eps)
-    return T._emit("ln_core", (x,), out, lambda: lambda g: ln_core_bwd(saved, g))
+    return T.primitive("ln_core", (x,), lambda x, keep: ln_core_fwd(x, eps), ln_core_bwd)
 
 
 def layer_norm(x: Tensor, p: LayerNormParams, eps: float = LN_EPS) -> Tensor:
@@ -199,9 +196,8 @@ def depthwise_conv3x3(x: Tensor, p: DWConvParams) -> Tensor:
         raise ShapeError(f"expected a grid, got {x.shape}")
     if x.shape[-1] != p.kernel.shape[0]:
         raise ShapeError(f"grid has {x.shape[-1]} channels, kernel has {p.kernel.shape[0]}")
-    out, saved = dwconv_fwd(x.data, p.kernel.data, p.bias.data)
-    return T._emit("depthwise_conv3x3", (x, p.kernel, p.bias), out,
-                   lambda: lambda g: dwconv_bwd(saved, g))
+    return T.primitive("depthwise_conv3x3", (x, p.kernel, p.bias),
+                       lambda x, k, b, keep: dwconv_fwd(x, k, b), dwconv_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -377,57 +373,62 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
     inputs = (f, w.ln1.gamma, w.ln1.beta, w.gate.weight, w.gate.bias, w.inproj.weight,
               w.inproj.bias, w.dw.kernel, w.dw.bias, *w.ssm.tensors(), w.ln2.gamma,
               w.ln2.beta, w.outproj.weight, w.outproj.bias, *knobs)
-    check = T._check
-    gamma1, gamma2 = w.ln1.gamma.data, w.ln2.gamma.data
-    if mod is not None:
-        a1, b1, a2, b2, a3 = (k.data for k in knobs)
+    return T.primitive("gated_block", inputs, _gated_block_fwd, lambda grad_fn, g: grad_fn(g))
 
-    n1, ln1_saved = ln_core_fwd(f.data)
+
+def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bias, *rest, keep):
+    """gated_block on arrays: (out, grad_fn).  `rest` is the seven scan
+    parameters, gamma2, beta2, w_out, b_out and, when modulated, the five
+    knobs; grad_fn(g) returns the gradients in that input order."""
+    ssm, (gamma2, beta2, w_out, b_out), knobs = rest[:7], rest[7:11], rest[11:]
+    check = T._check
+    if knobs:
+        a1, b1, a2, b2, a3 = knobs
+    n1, ln1_saved = ln_core_fwd(f)
     check("gated_block ln1 core", n1)
     x = n1 * gamma1
     check("gated_block ln1 scale", x)
-    x = x + w.ln1.beta.data
+    x = x + beta1
     check("gated_block ln1 shift", x)
     xm = x
-    if mod is not None:
+    if knobs:
         xm = a1 * x
         check("gated_block alpha1", xm)
         xm = xm + b1
         check("gated_block beta1", xm)
-    gl, gate_saved = linear_fwd(xm, w.gate.weight.data, w.gate.bias.data)
+    gl, gate_saved = linear_fwd(xm, w_gate, b_gate)
     check("gated_block gate linear", gl)
     gl_s = T._sigmoid_raw(gl)
     gate = gl * gl_s
     check("gated_block gate silu", gate)
-    branch, in_saved = linear_fwd(xm, w.inproj.weight.data, w.inproj.bias.data)
+    branch, in_saved = linear_fwd(xm, w_in, b_in)
     check("gated_block inproj", branch)
-    conv, dw_saved = dwconv_fwd(branch, w.dw.kernel.data, w.dw.bias.data)
+    conv, dw_saved = dwconv_fwd(branch, kernel, k_bias)
     check("gated_block dwconv", conv)
     conv_s = T._sigmoid_raw(conv)
     branch = conv * conv_s
     check("gated_block dwconv silu", branch)
     grid_shape = branch.shape if branch.ndim == 4 else (1,) + branch.shape
-    scanned, ss_saved = ss2d_fwd(branch.reshape(grid_shape), [t.data for t in w.ssm.tensors()],
-                                 keep=T._recording_tape(inputs) is not None)
+    scanned, ss_saved = ss2d_fwd(branch.reshape(grid_shape), ssm, keep=keep)
     n2, ln2_saved = ln_core_fwd(scanned.reshape(branch.shape))
     check("gated_block ln2 core", n2)
     t2 = n2
-    if mod is not None:
+    if knobs:
         t2 = a3 * n2
         check("gated_block alpha3", t2)
     attn = t2 * gamma2
     check("gated_block ln2 scale", attn)
-    attn = attn + w.ln2.beta.data
+    attn = attn + beta2
     check("gated_block ln2 shift", attn)
     attn_m = attn
-    if mod is not None:
+    if knobs:
         attn_m = a2 * attn
         check("gated_block alpha2", attn_m)
         attn_m = attn_m + b2
         check("gated_block beta2", attn_m)
     prod = gate * attn_m
     check("gated_block gate product", prod)
-    fused, out_saved = linear_fwd(prod, w.outproj.weight.data, w.outproj.bias.data)
+    fused, out_saved = linear_fwd(prod, w_out, b_out)
     check("gated_block outproj", fused)
     f_shape, x_shape, c_shape = f.shape, x.shape, gamma1.shape
 
@@ -436,14 +437,14 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
         g_gate = g_prod * attn_m
         g_attn = g_prod * gate
         g_knobs = ()
-        if mod is not None:
+        if knobs:
             g_b2 = T._unbroadcast(g_attn, b2.shape)
             g_a2 = T._unbroadcast(g_attn * attn, a2.shape)
             g_attn = g_attn * a2
         g_beta2 = T._unbroadcast(g_attn, c_shape)
         g_gamma2 = T._unbroadcast(g_attn * t2, c_shape)
         g_t2 = g_attn * gamma2
-        if mod is not None:
+        if knobs:
             g_a3 = T._unbroadcast(g_t2 * n2, a3.shape)
             g_t2 = g_t2 * a3
         (g_scan,) = ln_core_bwd(ln2_saved, g_t2)
@@ -454,7 +455,7 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
         g_gl = g_gate * T._silu_grad(gl, gl_s)
         g_xg, g_wg, g_bg = linear_bwd(gate_saved, g_gl)
         g_x = g_x + g_xg
-        if mod is not None:
+        if knobs:
             g_b1 = T._unbroadcast(g_x, b1.shape)
             g_a1 = T._unbroadcast(g_x * x, a1.shape)
             g_x = T._unbroadcast(g_x * a1, x_shape)
@@ -465,7 +466,7 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
         return (T._unbroadcast(g, f_shape) + g_f, g_gamma1, g_beta1, g_wg, g_bg, g_wi, g_bi,
                 g_k, g_kb, *g_ssm, g_gamma2, g_beta2, g_wo, g_bo, *g_knobs)
 
-    return T._emit("gated_block", inputs, fused + f.data, lambda: grad_fn)
+    return fused + f, grad_fn
 
 
 @dataclass

@@ -556,7 +556,11 @@ def load_checkpoint(path) -> dict:
     prev = None
     for _ in range(count):
         (nlen,) = struct.unpack("<H", need(2))
-        name = need(nlen).decode("utf-8")
+        try:
+            name = need(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = pos - nlen + exc.start
+            raise CheckpointError(f"{path}: array name byte at offset {at} is not UTF-8") from None
         if prev is not None and name <= prev:
             raise CheckpointError(f"{path}: array names not sorted ({name!r})")
         prev = name

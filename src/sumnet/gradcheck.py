@@ -136,8 +136,11 @@ def check_scan() -> list:
     seqs = [_arr((b, h * w, c), tag=f"merge.{d}") for d in S.DIRECTION_ORDER]
     for k, d in enumerate(S.DIRECTION_ORDER):
         def merge(t, k=k):
-            parts = [t if j == k else Tensor(v) for j, v in enumerate(seqs)]
-            return _weighted_sum(S.cross_merge(S.DirectionalSequences(*parts, h, w)), "merge")
+            parts = [t if j == k else v for j, v in enumerate(seqs)]
+            node = T.primitive("cross_merge", parts,
+                               lambda *s, keep: (S.cross_merge_fwd(s, h, w), None),
+                               lambda _, g: tuple(S._traversals(g)))
+            return _weighted_sum(node, "merge")
         rows.append((f"cross_merge.{d}", _check(merge, seqs[k]), OP_TOL))
 
     grid = _arr((4, 4, c), tag="grid")

@@ -37,15 +37,18 @@ recomputation.  When nothing records (predict, eval, the finite-difference
 oracle) the forward reuses one K-row buffer per array and keeps no
 full-size state.
 
-Each fused primitive is a pure numpy pair, `*_fwd(...) -> (out, saved)`
-and `*_bwd(saved, g) -> gradients`, with a thin tape wrapper around it:
-`_traversals`/`_unflatten` for `cross_scan`, `cross_merge_fwd` (whose
-backward is `_traversals`), `selective_scan_fwd`/`_bwd` for G sequences at
-once (projections, softplus, A = -exp(A_log), recurrence and skip; `saved`
-keeps the sequences, the rank-R delta projection, the softplus derivative,
-delta, the B/C projections, A, exp(A_log) and the kernel's hidden and
-abar), and `ss2d_fwd`/`_bwd`, which chain the other three so that `ss2d`
-records one node.  `blocks.gated_block` chains the same pairs.
+The scan is plain numpy with hand-derived backwards.  `_traversals` (a
+grid's four traversals) and `cross_merge_fwd` (their sum back on the grid)
+are each the other's backward; `_scan_forward`/`_scan_backward` are the
+recurrence kernel.  Two pairs, `*_fwd(..., keep) -> (out, saved)` and
+`*_bwd(saved, g)`, build on them: `selective_scan_fwd`/`_bwd` for G
+sequences at once (projections, softplus, A = -exp(A_log), recurrence and
+skip; `saved` keeps the sequences, the rank-R delta projection, the
+softplus derivative, delta, the B/C projections, A, exp(A_log) and the
+kernel's hidden and abar), and `ss2d_fwd`/`_bwd`, which chain the
+traversals, one grouped call and the merge.  `tensor.primitive` records
+`ssm_recurrence`, `selective_scan` and `ss2d` as one node each;
+`blocks.gated_block` chains the same pairs.
 
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
@@ -77,26 +80,6 @@ DIRECTION_ORDER = ("row_fwd", "row_bwd", "col_fwd", "col_bwd")
 # directional flattening
 
 
-@dataclass
-class DirectionalSequences:
-    """Four flattened traversals of one grid, plus the grid extent."""
-
-    row_fwd: Tensor
-    row_bwd: Tensor
-    col_fwd: Tensor
-    col_bwd: Tensor
-    height: int
-    width: int
-
-    def as_list(self):
-        return [
-            ("row_fwd", self.row_fwd),
-            ("row_bwd", self.row_bwd),
-            ("col_fwd", self.col_fwd),
-            ("col_bwd", self.col_bwd),
-        ]
-
-
 def _unflatten(seq: np.ndarray, direction: str, h: int, w: int) -> np.ndarray:
     """A [B, H*W, C] traversal as a [B, H, W, C] view in grid layout.
 
@@ -114,43 +97,14 @@ def _unflatten(seq: np.ndarray, direction: str, h: int, w: int) -> np.ndarray:
 
 def _traversals(grid: np.ndarray, out=None) -> np.ndarray:
     """The four traversals of a [B, H, W, C] array, in DIRECTION_ORDER, as
-    one [4, B, H*W, C] array (the forward of cross_scan): written into `out`
-    when given, which may be a strided view, else into a fresh array."""
+    one [4, B, H*W, C] array: written into `out` when given, which may be a
+    strided view, else into a fresh array."""
     b, h, w, c = grid.shape
     if out is None:
         out = np.empty((len(DIRECTION_ORDER), b, h * w, c))
     for seq, d in zip(out, DIRECTION_ORDER):
         _unflatten(seq, d, h, w)[...] = grid
     return out
-
-
-def cross_scan(f: Tensor) -> DirectionalSequences:
-    """Flatten a grid into the four traversal orders (fresh buffers, not views).
-
-    A [H, W, C] grid yields [L, C] sequences; [B, H, W, C] yields [B, L, C].
-    Each traversal is one tape node whose backward scatters the sequence
-    gradient back onto the grid: `_traversals` and `_unflatten` are its
-    forward/backward pair.
-    """
-    f = T.as_tensor(f)
-    if f.ndim not in (3, 4):
-        raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
-    f4 = f.data if f.ndim == 4 else f.data[None]
-    _, h, w, _ = f4.shape
-    fshape = f.shape
-
-    def traversal(direction, seq):
-        def make():
-            def grad_fn(g):
-                g3 = g if g.ndim == 3 else g[None]
-                return (np.ascontiguousarray(_unflatten(g3, direction, h, w)).reshape(fshape),)
-
-            return grad_fn
-
-        out = seq if f.ndim == 4 else seq[0]
-        return T._emit("cross_scan", (f,), out, make)
-
-    return DirectionalSequences(*map(traversal, DIRECTION_ORDER, _traversals(f4)), h, w)
 
 
 def cross_merge_fwd(seqs, h: int, w: int) -> np.ndarray:
@@ -165,33 +119,6 @@ def cross_merge_fwd(seqs, h: int, w: int) -> np.ndarray:
     merged = rf + rb  # C-ordered; the column pair is added into it in place
     merged += cf + cb
     return merged
-
-
-def cross_merge(seqs: DirectionalSequences) -> Tensor:
-    """Invert each traversal back to the grid and sum the four grids.
-
-    One tape node over the four sequences (see cross_merge_fwd); each one's
-    gradient is the traversal of the grid gradient in its own order.
-    """
-    h, w = seqs.height, seqs.width
-    parts = tuple(T.as_tensor(t) for _, t in seqs.as_list())
-    shape = parts[0].shape
-    if parts[0].ndim not in (2, 3) or any(t.shape != shape for t in parts):
-        raise ShapeError(f"cross_merge needs four equal [.., L, C] sequences, "
-                         f"got {[t.shape for t in parts]}")
-    if shape[-2] != h * w:
-        raise ShapeError(f"sequence length {shape[-2]} does not match grid {h}x{w}")
-    had_batch = len(shape) == 3
-    merged = cross_merge_fwd([t.data if had_batch else t.data[None] for t in parts], h, w)
-
-    def make():
-        def grad_fn(g):
-            g4 = g if had_batch else g[None]
-            return tuple(seq.reshape(shape) for seq in _traversals(g4))
-
-        return grad_fn
-
-    return T._emit("cross_merge", parts, merged if had_batch else merged[0], make)
 
 
 # ---------------------------------------------------------------------------
@@ -352,43 +279,15 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
 
 
 def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
-    """Tape primitive for the recurrence; returns y shaped like x.
+    """The bare recurrence kernel as one tape node: y [B, L, C] for delta, x
+    [B, L, C], b_seq, c_seq [B, L, N] and a [C, N].  Unchecked: the model
+    never calls it, and its callers pass arrays they built."""
+    def fwd(delta, a, b_seq, c_seq, x, keep):
+        y, hidden, abar = _scan_forward(delta, a, b_seq, c_seq, x, keep=keep)
+        return y, (delta, a, b_seq, c_seq, x, hidden, abar)
 
-    delta, x: [L, C] or [B, L, C]; b_seq, c_seq: matching [.., L, N]; a: [C, N].
-    """
-    delta, a, b_seq, c_seq, x = map(T.as_tensor, (delta, a, b_seq, c_seq, x))
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    dd = delta.data[None] if squeeze else delta.data
-    bd = b_seq.data[None] if squeeze else b_seq.data
-    cd = c_seq.data[None] if squeeze else c_seq.data
-    if xd.ndim != 3 or dd.shape != xd.shape:
-        raise ShapeError(f"recurrence input shapes differ: x {x.shape}, delta {delta.shape}")
-    bsz, length, ch = xd.shape
-    if a.ndim != 2 or a.shape[0] != ch:
-        raise ShapeError(f"state matrix {a.shape} does not match {ch} channels")
-    n = a.shape[1]
-    if bd.shape != (bsz, length, n) or cd.shape != (bsz, length, n):
-        raise ShapeError(
-            f"projection shapes {b_seq.shape}/{c_seq.shape} do not match [L={length}, N={n}]"
-        )
-    ad = a.data
-    inputs = (delta, a, b_seq, c_seq, x)
-    y, hidden, abar = _scan_forward(dd, ad, bd, cd, xd,
-                                    keep=T._recording_tape(inputs) is not None)
-
-    def make():
-        def grad_fn(g):
-            g3 = g[None] if squeeze else g
-            gd, ga, gb, gc, gx = _scan_backward(g3, dd, ad, bd, cd, xd, hidden, abar)
-            if squeeze:
-                gd, gb, gc, gx = gd[0], gb[0], gc[0], gx[0]
-            return gd, ga, gb, gc, gx
-
-        return grad_fn
-
-    out = y[0] if squeeze else y
-    return T._emit("ssm_recurrence", inputs, out, make)
+    return T.primitive("ssm_recurrence", (delta, a, b_seq, c_seq, x), fwd,
+                       lambda saved, g: _scan_backward(g, *saved))
 
 
 # ---------------------------------------------------------------------------
@@ -543,19 +442,17 @@ def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
         raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
     if seq.shape[-1] != p.channels:
         raise ShapeError(f"sequence has {seq.shape[-1]} channels, params have {p.channels}")
-    x4 = seq.data.reshape((1,) * (4 - seq.ndim) + seq.shape)
-    inputs = (seq,) + p.tensors()
-    out, saved = selective_scan_fwd(x4, *(t.data[None] for t in inputs[1:]),
-                                    keep=T._recording_tape(inputs) is not None)
+    x_shape = (1,) * (4 - seq.ndim) + seq.shape
 
-    def make():
-        def grad_fn(g):
-            g_x, *rest = selective_scan_bwd(saved, g.reshape(x4.shape))
-            return (g_x.reshape(seq.shape), *(r[0] for r in rest))
+    def fwd(x, *params, keep):
+        out, saved = selective_scan_fwd(x.reshape(x_shape), *(q[None] for q in params), keep=keep)
+        return out.reshape(seq.shape), saved
 
-        return grad_fn
+    def bwd(saved, g):
+        g_x, *rest = selective_scan_bwd(saved, g.reshape(x_shape))
+        return (g_x.reshape(seq.shape), *(r[0] for r in rest))
 
-    return T._emit("selective_scan", inputs, out.reshape(seq.shape), make)
+    return T.primitive("selective_scan", (seq,) + p.tensors(), fwd, bwd)
 
 
 class SS2DParams(SSMParams):
@@ -628,19 +525,15 @@ def ss2d(f: Tensor, params: SS2DParams) -> Tensor:
         raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
     if f.shape[-1] != params.channels:
         raise ShapeError(f"grid has {f.shape[-1]} channels, params have {params.channels}")
-    inputs = (f,) + params.tensors()
-    merged, saved = ss2d_fwd(f.data if f.ndim == 4 else f.data[None],
-                             [t.data for t in params.tensors()],
-                             keep=T._recording_tape(inputs) is not None)
+    def fwd(grid, *params, keep):
+        merged, saved = ss2d_fwd(grid if grid.ndim == 4 else grid[None], params, keep=keep)
+        return merged.reshape(f.shape), saved
 
-    def make():
-        def grad_fn(g):
-            g_grid, g_params = ss2d_bwd(saved, g if g.ndim == 4 else g[None])
-            return (g_grid.reshape(f.shape), *g_params)
+    def bwd(saved, g):
+        g_grid, g_params = ss2d_bwd(saved, g if g.ndim == 4 else g[None])
+        return (g_grid.reshape(f.shape), *g_params)
 
-        return grad_fn
-
-    return T._emit("ss2d", inputs, merged.reshape(f.shape), make)
+    return T.primitive("ss2d", (f,) + params.tensors(), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

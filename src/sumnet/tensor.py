@@ -1,18 +1,19 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
-The generic primitives live here; fused primitives in `blocks` and `scan`
-(`linear`, layer-norm core, depthwise conv, directional scan and merge,
-`selective_scan` over one whole direction, `ss2d` over all four, the whole
-gated block, the bare scan recurrence) compute their forward in numpy and
-record one node each, with a hand-derived backward, through the same
-`_emit` path.  A node's inputs may repeat (`mul(x, x)`); `backward` then
-adds up each occurrence's gradient in input order.  Tensors wrap C-order
-float64 numpy arrays.  When a Tape is active and an input requires
-gradients, each operation appends a node (op kind, input node ids, output
-node id, backward closure over saved values) to the tape; `backward` replays
-the node list once in reverse, accumulating gradients additively so a value
-consumed twice gets the sum of both branch gradients.  The tape is rebuilt on
-every forward pass.
+The generic primitives live here and record through `_emit`.  The fused
+primitives of `blocks` and `scan` (`linear`, layer-norm core, depthwise
+conv, `selective_scan` over one whole direction, `ss2d` over all four, the
+whole gated block, the bare scan recurrence) are each a numpy pair,
+`fwd(*arrays, keep) -> (out, saved)` and `bwd(saved, g) -> gradients`, and
+record one node each through `primitive`, the one way for code outside
+this module to put a node on the tape.  A node's inputs may repeat
+(`mul(x, x)`); `backward` then adds up each occurrence's gradient in input
+order.  Tensors wrap C-order float64 numpy arrays.  When a Tape is active
+and an input requires gradients, each operation appends a node (op kind,
+input node ids, output node id, backward closure over saved values) to the
+tape; `backward` replays the node list once in reverse, accumulating
+gradients additively so a value consumed twice gets the sum of both branch
+gradients.  The tape is rebuilt on every forward pass.
 
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.
@@ -215,9 +216,9 @@ def _recording_tape(inputs: tuple):
     """The tape an op over `inputs` records on, or None when nothing records.
 
     An op is recorded when a tape is active (not suspended) and at least one
-    input requires a gradient.  A primitive may ask before its forward, to
-    skip saving state that only a backward pass would read.  Every op
-    passes here, so it reads the tape stack itself (see active_tape).
+    input requires a gradient.  `primitive` asks before its forward, so the
+    forward can skip saving state that only a backward pass would read.
+    Every op passes here, so it reads the tape stack itself (see active_tape).
     """
     stack = _tape_stack()
     if stack and stack[-1] is not None and any(t.requires_grad for t in inputs):
@@ -233,6 +234,20 @@ def _emit(kind: str, inputs: tuple, out_data: np.ndarray, make_grad_fn) -> Tenso
     if tape is not None:
         tape._record(kind, inputs, out, make_grad_fn())
     return out
+
+
+def primitive(kind: str, inputs, fwd, bwd) -> Tensor:
+    """One tape node for a fused op given as a numpy forward/backward pair.
+
+    Runs `fwd(*arrays, keep=keep) -> (out, saved)` on the inputs' arrays
+    (plain arrays are accepted as inputs).  `keep` is True exactly when the
+    node records, so a forward can skip state only its backward reads.  The
+    node's gradient is `bwd(saved, g)`, one array (or None) per input.  In
+    checked mode a non-finite `out` raises NumericError naming `kind`.
+    """
+    inputs = tuple(as_tensor(t) for t in inputs)
+    out, saved = fwd(*(t.data for t in inputs), keep=_recording_tape(inputs) is not None)
+    return _emit(kind, inputs, out, lambda: lambda g: bwd(saved, g))
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:

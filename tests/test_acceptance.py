@@ -36,7 +36,8 @@ from sumnet.model import (
 )
 from sumnet.objective import DEFAULT_WEIGHTS, composite_loss, kl_loss, sim_loss
 from sumnet.rng import SplitMix64
-from sumnet.scan import bench_lengths, cross_merge, cross_scan, fit_loglog_slope, ssm_recurrence
+from sumnet.scan import (_traversals, bench_lengths, cross_merge_fwd, fit_loglog_slope,
+                         ssm_recurrence)
 
 
 def verdict(capsys, name, ok, detail):
@@ -83,13 +84,13 @@ def test_scan_algebra(capsys):
     for h in range(1, 9):
         for w in range(1, 9):
             for c in (1, 4):
-                f = T.Tensor(rng.uniforms(h * w * c).reshape(h, w, c))
-                merged = cross_merge(cross_scan(f))
-                if not np.array_equal(merged.data, 4.0 * f.data):
+                f = rng.uniforms(h * w * c).reshape(1, h, w, c)
+                merged = cross_merge_fwd(_traversals(f), h, w)
+                if not np.array_equal(merged, 4.0 * f):
                     bad_shapes.append((h, w, c))
     # dt=1, A=-1, B=C=1, D=0, impulse input: the state decays, y = e^{-t}
-    y = ssm_recurrence(np.ones((3, 1)), np.array([[-1.0]]), np.ones((3, 1)),
-                       np.ones((3, 1)), np.array([[1.0], [0.0], [0.0]]))
+    y = ssm_recurrence(np.ones((1, 3, 1)), np.array([[-1.0]]), np.ones((1, 3, 1)),
+                       np.ones((1, 3, 1)), np.array([[[1.0], [0.0], [0.0]]]))
     oracle = np.array([1.0, np.exp(-1.0), np.exp(-2.0)])
     err = float(np.max(np.abs(y.data.ravel() - oracle)))
     ok = not bad_shapes and err <= 1e-12

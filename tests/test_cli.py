@@ -3,15 +3,19 @@
 import filecmp
 import json
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sumnet.model
+import sumnet.scan
 import sumnet.tensor
 from sumnet import cli
 from sumnet.data import load_checkpoint, read_manifest, read_pgm, save_checkpoint, write_ppm
+from sumnet.gradcheck import run_suite
 from sumnet.scan import DIRECTION_ORDER
 
 
@@ -381,6 +385,20 @@ def test_infer_rejects_checkpoint_with_per_direction_scan_names(trained, tmp_pat
     assert "checkpoint lacks parameters: dec0.b0.ssm.a_log" in capsys.readouterr().err
 
 
+def test_infer_rejects_checkpoint_with_non_utf8_array_name(tmp_path, capsys):
+    # one array, named "w", whose name byte becomes 0xFF under a valid CRC
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, {"w": np.ones(2)})
+    blob = bytearray(bad.read_bytes())
+    at = blob.index(b"w")
+    blob[at] = 0xFF
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    bad.write_bytes(bytes(blob))
+    assert cli.main(["infer", "--checkpoint", str(bad), "--image", str(tmp_path / "x.ppm"),
+                     "--domain", "ui", "--out", str(tmp_path / "y.pgm")]) == 2
+    assert f"offset {at} is not UTF-8" in capsys.readouterr().err
+
+
 def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, monkeypatch):
     # a ShapeError is a ValueError, but inside predict it is a program fault:
     # it must surface with its traceback, not as exit 2 "bad configuration"
@@ -418,6 +436,46 @@ def test_gradcheck_flags_injected_gradient_bug(capsys, monkeypatch):
             break
     else:
         pytest.fail("no silu row in gradcheck output")
+
+
+def test_gradcheck_catches_a_bug_in_a_numpy_pair(capsys, monkeypatch):
+    kernel = sumnet.scan._scan_backward
+
+    def zero_a_gradient(*args):
+        g_delta, g_a, g_b, g_c, g_x = kernel(*args)
+        return g_delta, np.zeros_like(g_a), g_b, g_c, g_x
+
+    monkeypatch.setattr(sumnet.scan, "_scan_backward", zero_a_gradient)
+    assert cli.main(["gradcheck", "--module", "scan"]) == 4
+    rows = capsys.readouterr().out.splitlines()[1:]
+    status = {line.split(",")[0]: line.split(",")[-1] for line in rows}
+    assert status["ssm_recurrence.a"] == "FAIL"
+    assert status["ssm_recurrence.x"] == "ok"
+
+
+SCAN_ROWS = [
+    "ssm_recurrence.delta", "ssm_recurrence.a", "ssm_recurrence.b_seq", "ssm_recurrence.c_seq",
+    "ssm_recurrence.x", "selective_scan.a_log", "selective_scan.d_skip", "selective_scan.w_b",
+    "selective_scan.w_c", "selective_scan.w_delta", "selective_scan.v_delta",
+    "selective_scan.b_delta", "selective_scan.input", "selective_scan.input_batched",
+    "cross_merge.row_fwd", "cross_merge.row_bwd", "cross_merge.col_fwd", "cross_merge.col_bwd",
+    "ss2d.input", "ss2d.input_batched", "ss2d.row_fwd.a_log", "ss2d.col_bwd.a_log",
+    "ss2d.row_bwd.w_delta", "ss2d.col_fwd.d_skip", "ss2d.shared",
+]
+BLOCKS_ROWS = [
+    "layer_norm.input", "ln_core.input", "layer_norm.gamma", "depthwise_conv.input",
+    "depthwise_conv.kernel", "depthwise_conv.bias", "linear.weight", "linear.bias",
+    "linear.input", "patch_embed.input", "downsample.input", "patch_expand.input", "vss.input",
+    "vss.gate_weight", "gated_block.input", "gated_block.alpha1", "gated_block.beta1",
+    "gated_block.alpha2", "gated_block.beta2", "gated_block.alpha3", "conditioner.tokens",
+    "conditioner.l3_weight",
+]
+
+
+@pytest.mark.parametrize("module,names", [("scan", SCAN_ROWS), ("blocks", BLOCKS_ROWS)])
+def test_gradcheck_rows_are_pinned(module, names):
+    # a row dropped or renamed with the code it probed must show up here
+    assert [name for name, _, _ in run_suite(module)] == names
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """File formats, synthetic scenes, and checkpoint round-trips."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from sumnet.blocks import DomainLabel
 from sumnet.data import (
+    CKPT_MAGIC,
     CheckpointError,
     FIXATIONS_PER_SAMPLE,
     ParseError,
@@ -378,6 +382,20 @@ def test_checkpoint_corruption_detected(tmp_path):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(p)
     assert "checksum" in str(exc.value)
+
+
+def test_checkpoint_non_utf8_name_names_the_offset(tmp_path):
+    # the one array's name byte becomes 0xFF under a valid CRC
+    p = tmp_path / "n.ckpt"
+    save_checkpoint(p, {"w": np.ones(2)})
+    blob = bytearray(p.read_bytes())
+    at = len(CKPT_MAGIC) + 4 + 2  # past the array count and the name length
+    assert blob[at:at + 1] == b"w"
+    blob[at] = 0xFF
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"offset {at} is not UTF-8"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

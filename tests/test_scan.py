@@ -7,12 +7,10 @@ import sumnet.tensor as T
 from sumnet import scan
 from sumnet.scan import (
     DIRECTION_ORDER,
-    DirectionalSequences,
     SS2DParams,
     SSMParams,
     bench_lengths,
-    cross_merge,
-    cross_scan,
+    cross_merge_fwd,
     delta_rank,
     init_ss2d_params,
     init_ssm_params,
@@ -22,6 +20,7 @@ from sumnet.scan import (
     ssm_recurrence,
     _scan_backward,
     _scan_forward,
+    _traversals,
 )
 from sumnet.blocks import ModulationParams, gated_block, init_vss
 from sumnet.rng import derive, uniform_array
@@ -35,29 +34,28 @@ def rnd(shape, seed, lo=-1.0, hi=1.0):
 
 
 # ---------------------------------------------------------------------------
-# directional flattening
+# directional flattening: the numpy pair _traversals / cross_merge_fwd
 
 
 def test_cross_scan_2x2_enumeration():
     # [[a, b], [c, d]] with scalar channels
-    grid = Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]))
-    seqs = cross_scan(grid)
-    assert np.array_equal(seqs.row_fwd.data[:, 0], [1, 2, 3, 4])
-    assert np.array_equal(seqs.row_bwd.data[:, 0], [4, 3, 2, 1])
-    assert np.array_equal(seqs.col_fwd.data[:, 0], [1, 3, 2, 4])
-    assert np.array_equal(seqs.col_bwd.data[:, 0], [4, 2, 3, 1])
+    grid = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
+    row_fwd, row_bwd, col_fwd, col_bwd = (seq[0, :, 0] for seq in _traversals(grid))
+    assert np.array_equal(row_fwd, [1, 2, 3, 4])
+    assert np.array_equal(row_bwd, [4, 3, 2, 1])
+    assert np.array_equal(col_fwd, [1, 3, 2, 4])
+    assert np.array_equal(col_bwd, [4, 2, 3, 1])
 
 
 def test_cross_scan_copies_not_views():
-    grid = Tensor(np.zeros((2, 2, 1)))
-    seqs = cross_scan(grid)
-    grid.data[0, 0, 0] = 99.0
-    assert seqs.row_fwd.data[0, 0] == 0.0
+    grid = np.zeros((1, 2, 2, 1))
+    seqs = _traversals(grid)
+    grid[0, 0, 0, 0] = 99.0
+    assert seqs[0, 0, 0, 0] == 0.0
     # a single row or column is already contiguous in every order
-    for shape in ((1, 1, 2), (1, 3, 2), (3, 1, 2), (2, 1, 4, 3)):
-        grid = rnd(shape, 3)
-        for name, seq in cross_scan(grid).as_list():
-            assert not np.shares_memory(seq.data, grid.data), (shape, name)
+    for shape in ((1, 1, 1, 2), (1, 1, 3, 2), (1, 3, 1, 2), (2, 1, 4, 3)):
+        grid = rnd(shape, 3).data
+        assert not np.shares_memory(_traversals(grid), grid), shape
 
 
 def test_roundtrip_is_4x_identity_bit_exact():
@@ -65,47 +63,33 @@ def test_roundtrip_is_4x_identity_bit_exact():
     for h in range(1, 9):
         for w in range(1, 9):
             for c in (1, 3, 4):
-                f = T.uniform((h, w, c), -3.0, 3.0, seed=h * 100 + w * 10 + c)
-                f.data[0, 0, 0] = 0.1  # classic non-dyadic value
-                merged = cross_merge(cross_scan(f))
-                assert np.array_equal(merged.data, 4.0 * f.data), (h, w, c)
+                f = T.uniform((1, h, w, c), -3.0, 3.0, seed=h * 100 + w * 10 + c).data
+                f[0, 0, 0, 0] = 0.1  # classic non-dyadic value
+                merged = cross_merge_fwd(_traversals(f), h, w)
+                assert np.array_equal(merged, 4.0 * f), (h, w, c)
 
 
 def test_roundtrip_batched():
-    f = rnd((3, 5, 4, 2), 77)
-    merged = cross_merge(cross_scan(f))
-    assert np.array_equal(merged.data, 4.0 * f.data)
+    f = rnd((3, 5, 4, 2), 77).data
+    assert np.array_equal(cross_merge_fwd(_traversals(f), 5, 4), 4.0 * f)
 
 
 def test_merge_with_one_direction_zeroed_is_3x():
-    f = rnd((4, 6, 3), 13)
-    seqs = cross_scan(f)
-    zero = Tensor(np.zeros_like(seqs.col_bwd.data))
-    merged = cross_merge(
-        DirectionalSequences(seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, zero,
-                             seqs.height, seqs.width)
-    )
-    assert np.array_equal(merged.data, 3.0 * f.data)
+    f = rnd((1, 4, 6, 3), 13).data
+    seqs = _traversals(f)
+    seqs[DIRECTION_ORDER.index("col_bwd")] = 0.0
+    assert np.array_equal(cross_merge_fwd(seqs, 4, 6), 3.0 * f)
 
 
-def test_merge_length_mismatch_raises():
-    f = rnd((2, 3, 1), 5)
-    seqs = cross_scan(f)
-    bad = DirectionalSequences(seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, seqs.col_bwd, 3, 3)
-    with pytest.raises(ShapeError):
-        cross_merge(bad)
-    short = Tensor(seqs.col_bwd.data[:-1])
-    with pytest.raises(ShapeError):
-        cross_merge(DirectionalSequences(seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, short, 2, 3))
-
-
-def test_cross_scan_rejects_bad_rank():
-    with pytest.raises(ShapeError):
-        cross_scan(Tensor(np.zeros((3, 3))))
+def test_ss2d_rejects_bad_rank():
+    pp = init_ss2d_params(3, 2, seed=1)
+    for shape in ((3, 3), (1, 1, 2, 2, 3)):
+        with pytest.raises(ShapeError, match="expected"):
+            ss2d(Tensor(np.zeros(shape)), pp)
 
 
 # ---------------------------------------------------------------------------
-# fused scan/merge against the tape compositions they replaced
+# the numpy pairs against the tape compositions they replaced
 
 
 def _grid4(f: Tensor):
@@ -118,36 +102,22 @@ def _grid4(f: Tensor):
     raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
 
 
-def _reference_cross_scan(f):
-    f4, had_batch = _grid4(T.as_tensor(f))
+def _reference_cross_scan(f4):
+    """The four traversals of a [B, H, W, C] grid, in DIRECTION_ORDER, as T ops."""
     b, h, w, c = f4.shape
     row_fwd = T.copy(T.reshape(f4, (b, h * w, c)))
-    row_bwd = T.flip(row_fwd, 1)
     col_fwd = T.reshape(T.transpose(f4, (0, 2, 1, 3)), (b, h * w, c))
-    col_bwd = T.flip(col_fwd, 1)
-    if not had_batch:
-        row_fwd, row_bwd, col_fwd, col_bwd = (
-            T.reshape(t, (h * w, c)) for t in (row_fwd, row_bwd, col_fwd, col_bwd)
-        )
-    return DirectionalSequences(row_fwd, row_bwd, col_fwd, col_bwd, h, w)
+    return [row_fwd, T.flip(row_fwd, 1), col_fwd, T.flip(col_fwd, 1)]
 
 
-def _reference_cross_merge(seqs):
-    h, w = seqs.height, seqs.width
-    parts = [seqs.row_fwd, seqs.row_bwd, seqs.col_fwd, seqs.col_bwd]
-    had_batch = parts[0].ndim == 3
-    if not had_batch:
-        parts = [T.reshape(t, (1,) + t.shape) for t in parts]
-    b, l, c = parts[0].shape
-    if l != h * w:
-        raise ShapeError(f"sequence length {l} does not match grid {h}x{w}")
-    laxis = 1
+def _reference_cross_merge(parts, h, w):
+    """Four [B, H*W, C] traversals, in DIRECTION_ORDER, summed on the grid as T ops."""
+    b, _, c = parts[0].shape
     rf = T.reshape(parts[0], (b, h, w, c))
-    rb = T.reshape(T.flip(parts[1], laxis), (b, h, w, c))
+    rb = T.reshape(T.flip(parts[1], 1), (b, h, w, c))
     cf = T.transpose(T.reshape(parts[2], (b, w, h, c)), (0, 2, 1, 3))
-    cb = T.transpose(T.reshape(T.flip(parts[3], laxis), (b, w, h, c)), (0, 2, 1, 3))
-    merged = T.add(T.add(rf, rb), T.add(cf, cb))
-    return merged if had_batch else T.reshape(merged, (h, w, c))
+    cb = T.transpose(T.reshape(T.flip(parts[3], 1), (b, w, h, c)), (0, 2, 1, 3))
+    return T.add(T.add(rf, rb), T.add(cf, cb))
 
 
 def _assert_grads_close(got, want):
@@ -161,49 +131,32 @@ GRIDS = [(1, 1, 2), (3, 4, 2), (1, 1, 1, 3), (2, 3, 5, 2)]
 
 @pytest.mark.parametrize("shape", GRIDS)
 def test_cross_scan_matches_reference_composition(shape):
-    weights = [rnd(shape[:-3] + (shape[-3] * shape[-2], shape[-1]), 50 + i).data
-               for i in range(4)]
-
-    def run(scan):
-        f = Tensor(rnd(shape, 49).data, requires_grad=True)
-        with T.Tape() as tape:
-            seqs = scan(f)
-            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
-            loss = None
-            for (_, seq), wt in zip(seqs.as_list(), weights):
-                term = T.reduce_sum(T.mul(seq, wt))
-                loss = term if loss is None else T.add(loss, term)
-            T.backward(tape, loss)
-        return [seq.data for _, seq in seqs.as_list()], f.grad, n_ops
-
-    got, got_g, n_ops = run(cross_scan)
-    want, want_g, _ = run(_reference_cross_scan)
-    assert n_ops == 4  # one node per direction
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
-    _assert_grads_close([got_g], [want_g])
+    # _traversals against the composition; its backward is cross_merge_fwd
+    shape4 = (1,) * (4 - len(shape)) + shape
+    b, h, w, c = shape4
+    weights = np.stack([rnd((b, h * w, c), 50 + i).data for i in range(4)])
+    f = Tensor(rnd(shape4, 49).data, requires_grad=True)
+    with T.Tape() as tape:
+        seqs = _reference_cross_scan(f)
+        T.backward(tape, sum(T.reduce_sum(T.mul(seq, wt)) for seq, wt in zip(seqs, weights)))
+    got = _traversals(f.data)
+    for g, want in zip(got, seqs):
+        assert g.shape == want.shape and np.array_equal(g, want.data)
+    _assert_grads_close([cross_merge_fwd(weights, h, w)], [f.grad])
 
 
 @pytest.mark.parametrize("shape", GRIDS)
 def test_cross_merge_matches_reference_composition(shape):
-    h, w = shape[-3], shape[-2]
-    seq_shape = shape[:-3] + (h * w, shape[-1])
-    weights = rnd(shape, 59).data
-
-    def run(merge):
-        parts = [Tensor(rnd(seq_shape, 60 + i).data, requires_grad=True) for i in range(4)]
-        with T.Tape() as tape:
-            merged = merge(DirectionalSequences(*parts, h, w))
-            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
-            T.backward(tape, T.reduce_sum(T.mul(merged, weights)))
-        return merged.data, [t.grad for t in parts], n_ops
-
-    got, got_g, n_ops = run(cross_merge)
-    want, want_g, _ = run(_reference_cross_merge)
-    assert n_ops == 1
-    assert got.shape == want.shape and np.array_equal(got, want)
-    _assert_grads_close(got_g, want_g)  # all four sequences, in DIRECTION_ORDER
-    assert len(got_g) == len(DIRECTION_ORDER)
+    # cross_merge_fwd against the composition; its backward is _traversals
+    b, h, w, c = (1,) * (4 - len(shape)) + shape
+    weights = rnd((b, h, w, c), 59).data
+    parts = [Tensor(rnd((b, h * w, c), 60 + i).data, requires_grad=True) for i in range(4)]
+    with T.Tape() as tape:
+        want = _reference_cross_merge(parts, h, w)
+        T.backward(tape, T.reduce_sum(T.mul(want, weights)))
+    got = cross_merge_fwd([t.data for t in parts], h, w)
+    assert got.shape == want.shape and np.array_equal(got, want.data)
+    _assert_grads_close(list(_traversals(weights)), [t.grad for t in parts])  # DIRECTION_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +167,8 @@ def test_three_step_hand_oracle():
     # delta=1, A=-1, B=1, C=1, D=0 (no skip), x = (1, 0, 0):
     # h = (1, e^-1, e^-2), y = h
     y = ssm_recurrence(
-        np.ones((3, 1)), np.array([[-1.0]]), np.ones((3, 1)), np.ones((3, 1)),
-        np.array([[1.0], [0.0], [0.0]]),
+        np.ones((1, 3, 1)), np.array([[-1.0]]), np.ones((1, 3, 1)), np.ones((1, 3, 1)),
+        np.array([[[1.0], [0.0], [0.0]]]),
     )
     expect = np.array([1.0, np.exp(-1.0), np.exp(-2.0)])
     assert np.max(np.abs(y.data.ravel() - expect)) < 1e-12
@@ -225,14 +178,14 @@ def test_three_step_hand_oracle():
 
 def test_single_step_closed_form():
     # L=1: y1 = C1 * (delta1 B1 x1) + D x1, D applied by selective_scan only
-    delta = np.array([[0.7, 1.3]])
+    delta = np.array([[[0.7, 1.3]]])
     a = np.array([[-1.0], [-2.0]])
-    b1 = np.array([[0.5]])
-    c1 = np.array([[1.5]])
-    x1 = np.array([[2.0, -3.0]])
+    b1 = np.array([[[0.5]]])
+    c1 = np.array([[[1.5]]])
+    x1 = np.array([[[2.0, -3.0]]])
     y = ssm_recurrence(delta, a, b1, c1, x1)
-    expect = c1[0, 0] * (delta[0] * b1[0, 0] * x1[0])
-    assert np.allclose(y.data[0], expect, atol=1e-15)
+    expect = c1[0, 0, 0] * (delta[0, 0] * b1[0, 0, 0] * x1[0, 0])
+    assert np.allclose(y.data[0, 0], expect, atol=1e-15)
 
 
 def test_zero_c_projection_leaves_skip_only():
@@ -427,30 +380,7 @@ def test_only_recorded_calls_keep_scan_state(monkeypatch):
                         _reference_backward(g, *arrays, hidden_ref, abar_ref))
 
 
-def test_squeezed_call_matches_batched_bit_for_bit():
-    delta, a, b_seq, c_seq, x = _recurrence_inputs(1, 9, 3, 4, seed=61)
-    weights = rnd((1, 9, 3), 62).data
-
-    def run(squeeze):
-        leaves = [Tensor(v[0] if squeeze and v.ndim == 3 else v, requires_grad=True)
-                  for v in (delta, a, b_seq, c_seq, x)]
-        with T.Tape() as tape:
-            y = ssm_recurrence(*leaves)
-            loss = T.reduce_sum(T.mul(y, weights[0] if squeeze else weights))
-        T.backward(tape, loss)
-        return [y.data] + [t.grad for t in leaves]
-
-    for single, batched in zip(run(True), run(False)):
-        assert np.array_equal(single, batched.reshape(single.shape))
-
-
 def test_recurrence_shape_errors():
-    with pytest.raises(ShapeError):
-        ssm_recurrence(np.ones((3, 2)), np.ones((2, 2)), np.ones((3, 2)),
-                       np.ones((3, 2)), np.ones((4, 2)))
-    with pytest.raises(ShapeError):
-        ssm_recurrence(np.ones((3, 2)), np.ones((5, 2)), np.ones((3, 2)),
-                       np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ShapeError):
         selective_scan(rnd((4, 3), 1), init_ssm_params(5, 2, seed=1))
     with pytest.raises(ShapeError):
@@ -528,13 +458,10 @@ def _reference_ss2d(f, params):
     f4, had_batch = _grid4(T.as_tensor(f))
     if f4.shape[-1] != params.channels:
         raise ShapeError(f"grid has {f4.shape[-1]} channels, params have {params.channels}")
-    seqs = cross_scan(f4)
     sets = len(params.a_log.data)  # 4, or 1 shared by every direction
     scanned = [selective_scan(t, SSMParams(*(p[k % sets] for p in params.tensors())))
-               for k, (_, t) in enumerate(seqs.as_list())]
-    merged = cross_merge(
-        DirectionalSequences(*scanned, seqs.height, seqs.width)
-    )
+               for k, t in enumerate(_reference_cross_scan(f4))]
+    merged = _reference_cross_merge(scanned, *f4.shape[1:3])
     return merged if had_batch else T.reshape(merged, f4.shape[1:])
 
 
@@ -688,12 +615,12 @@ def test_selective_scan_checked_mode_names_the_intermediate():
 
 def test_grad_recurrence_all_inputs():
     L, C, N = 5, 3, 2
-    delta0 = rnd((L, C), 101, 0.2, 1.0)
+    delta0 = rnd((1, L, C), 101, 0.2, 1.0)
     a0 = rnd((C, N), 102, -2.0, -0.3)
-    b0 = rnd((L, N), 103)
-    c0 = rnd((L, N), 104)
-    x0 = rnd((L, C), 105)
-    weights = T.uniform((L, C), -1.0, 1.0, 106).data
+    b0 = rnd((1, L, N), 103)
+    c0 = rnd((1, L, N), 104)
+    x0 = rnd((1, L, C), 105)
+    weights = T.uniform((1, L, C), -1.0, 1.0, 106).data
     parts = [delta0, a0, b0, c0, x0]
     for i, name in enumerate(["delta", "a", "b_seq", "c_seq", "x"]):
         def f(t, i=i):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,69 @@ def test_checked_mode_catches_bad_values():
     finally:
         T.set_checked(prev)
     assert T.checked_mode() is True
+
+
+# ---------------------------------------------------------------------------
+# primitive: the recording path of the fused ops
+
+
+def _doubling(seen):
+    """A primitive that doubles its input and logs every `keep` it is given
+    and whether its bwd received the object its fwd saved."""
+    token = object()
+
+    def fwd(x, keep):
+        seen.append(keep)
+        return 2.0 * x, token
+
+    def bwd(saved, g):
+        seen.append(saved is token)
+        return (2.0 * g,)
+
+    return lambda x: T.primitive("double", (x,), fwd, bwd)
+
+
+def test_primitive_keeps_state_exactly_when_its_node_records():
+    seen = []
+    double = _doubling(seen)
+    leaf = Tensor([1.0, 2.0], requires_grad=True)
+    assert not double(leaf).requires_grad  # no tape
+    with Tape() as tape:
+        double(Tensor([1.0, 2.0]))  # no input needs a gradient
+        with T._suspend_recording():
+            double(leaf)
+        assert seen == [False, False, False] and len(tape) == 0
+        out = double(leaf)
+        assert seen == [False, False, False, True]
+        assert [node.kind for node in tape.nodes] == ["leaf", "double"]  # one node
+        loss = T.reduce_sum(out)
+    backward(tape, loss)
+    assert seen == [False, False, False, True, True]  # bwd got the very object fwd saved
+    assert np.array_equal(leaf.grad, [2.0, 2.0])
+
+
+def test_primitive_takes_plain_arrays_and_checks_its_output():
+    out = _doubling([])(np.array([1.0, 3.0]))
+    assert isinstance(out, Tensor) and np.array_equal(out.data, [2.0, 6.0])
+    with pytest.raises(NumericError, match="blowup"):
+        T.primitive("blowup", (Tensor([1.0]),), lambda x, keep: (x * np.inf, None),
+                    lambda saved, g: (g,))
+
+
+def test_no_module_but_tensor_reaches_the_recording_internals():
+    # every fused op records through T.primitive, so one path puts nodes on the tape
+    private = {"_emit", "_recording_tape"}
+    found = []
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in private:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
 
 
 # ---------------------------------------------------------------------------
