@@ -4,7 +4,9 @@ gated scan block with its optional feature modulation, and the conditioner.
 Grids are channels-last: [H, W, C] or [B, H, W, C].  Every learnable array is
 a float64 Tensor initialized from a seed derived from its name, so two models
 that share a parameter name and seed start from identical values regardless
-of what other parameters exist around them.
+of what other parameters exist around them.  Every random initial value is
+drawn by `tensor.init_uniforms`, which only allocates under
+`tensor.skip_draws` (the build `Model.from_state` overwrites).
 
 `linear`, `ln_core` and `depthwise_conv3x3` are each a pure numpy pair,
 `*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, recorded
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .rng import derive
 from .scan import SS2DParams, init_ss2d_params, ss2d_bwd, ss2d_fwd
 from .tensor import ShapeError, Tensor
 
@@ -53,12 +54,17 @@ class Linear:
     bias: Tensor  # [out]
 
 
+def _drawn(shape, bound: float, seed: int, name: str, field: str) -> Tensor:
+    """A trainable `shape` tensor of uniforms in [-bound, bound) from the stream
+    derive(seed, name, field); see tensor.init_uniforms."""
+    return Tensor(T.init_uniforms(shape, bound, seed, (name,), field)[0], requires_grad=True)
+
+
 def init_linear(n_in: int, n_out: int, seed: int, name: str, zero: bool = False) -> Linear:
     if zero:
         w = T.zeros((n_in, n_out), requires_grad=True)
     else:
-        a = float(np.sqrt(6.0 / (n_in + n_out)))
-        w = T.uniform((n_in, n_out), -a, a, derive(seed, name, "weight"), requires_grad=True)
+        w = _drawn((n_in, n_out), float(np.sqrt(6.0 / (n_in + n_out))), seed, name, "weight")
     return Linear(w, T.zeros((n_out,), requires_grad=True))
 
 
@@ -150,7 +156,7 @@ class DWConvParams:
 def init_dwconv(channels: int, seed: int, name: str) -> DWConvParams:
     a = float(np.sqrt(6.0 / 18.0))  # per-channel fan: 9 in, 9 out
     return DWConvParams(
-        T.uniform((channels, 3, 3), -a, a, derive(seed, name, "kernel"), requires_grad=True),
+        _drawn((channels, 3, 3), a, seed, name, "kernel"),
         T.zeros((channels,), requires_grad=True),
     )
 
@@ -488,8 +494,7 @@ def init_conditioner(num_domains: int, token_dim: int, seed: int,
     tokens = None
     if not one_hot:
         a = float(np.sqrt(6.0 / (num_domains + token_dim)))
-        tokens = T.uniform((num_domains, token_dim), -a, a,
-                           derive(seed, name, "tokens"), requires_grad=True)
+        tokens = _drawn((num_domains, token_dim), a, seed, name, "tokens")
     return ConditionerParams(
         tokens=tokens,
         l1=init_linear(token_dim, 128, seed, f"{name}.l1"),

@@ -144,9 +144,7 @@ def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
     doc = _read_config_doc(config_path)
     for key in _PATH_KEYS:
         doc.pop(key, None)
-    model = Model(SumConfig.from_dict(doc))
-    model.load_state(arrays)
-    return model
+    return Model.loaded(SumConfig.from_dict(doc), arrays)
 
 
 def _reports(samples, preds) -> list:

@@ -19,6 +19,10 @@ are float32: saving float64 parameters rounds once, and a save/load/save
 cycle is byte-stable.  A model checkpoint holds the parameter registry plus
 a "config" record: the config's JSON as UTF-8 bytes, one byte per element,
 which float32 stores exactly (``Model.state_arrays`` / ``Model.from_state``).
+``load_checkpoint`` checks the magic and the CRC, then reads each header
+field with ``struct.unpack_from`` at a running offset, bounds-tested before
+every read; it checks layout, not values: a finite-valued, well-shaped
+registry is ``Model.load_state``'s check.
 """
 
 from __future__ import annotations
@@ -541,37 +545,43 @@ def load_checkpoint(path) -> dict:
     stored_crc = struct.unpack("<I", blob[-4:])[0]
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"{path}: checksum mismatch")
-    pos = len(CKPT_MAGIC)
-
-    def need(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob) - 4:
-            raise CheckpointError(f"{path}: truncated at byte {pos}")
-        piece = blob[pos : pos + n]
-        pos += n
-        return piece
-
-    (count,) = struct.unpack("<I", need(4))
+    end = len(blob) - 4  # the CRC is not payload
+    (count,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))  # in bounds: len >= 16
+    pos = len(CKPT_MAGIC) + 4
     arrays = {}
     prev = None
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", need(2))
+        if pos + 2 > end:
+            raise CheckpointError(f"{path}: truncated at byte {pos}")
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        pos += 2
+        if pos + nlen > end:
+            raise CheckpointError(f"{path}: truncated at byte {pos}")
         try:
-            name = need(nlen).decode("utf-8")
+            name = blob[pos : pos + nlen].decode("utf-8")
         except UnicodeDecodeError as exc:
-            at = pos - nlen + exc.start
-            raise CheckpointError(f"{path}: array name byte at offset {at} is not UTF-8") from None
+            raise CheckpointError(
+                f"{path}: array name byte at offset {pos + exc.start} is not UTF-8") from None
+        pos += nlen
         if prev is not None and name <= prev:
             raise CheckpointError(f"{path}: array names not sorted ({name!r})")
         prev = name
-        (ndim,) = struct.unpack("<B", need(1))
-        dims = [struct.unpack("<I", need(4))[0] for _ in range(ndim)]
+        if pos + 1 > end:
+            raise CheckpointError(f"{path}: truncated at byte {pos}")
+        ndim = blob[pos]
+        pos += 1
+        if pos + 4 * ndim > end:  # the first dim that does not fit
+            raise CheckpointError(f"{path}: truncated at byte {pos + (end - pos) // 4 * 4}")
+        dims = struct.unpack_from(f"<{ndim}I", blob, pos)
+        pos += 4 * ndim
         n_items = 1
         for d in dims:
             n_items *= d
-        payload = need(4 * n_items)
-        arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
-        arrays[name] = arr
-    if pos != len(blob) - 4:
-        raise CheckpointError(f"{path}: {len(blob) - 4 - pos} trailing bytes")
+        if pos + 4 * n_items > end:
+            raise CheckpointError(f"{path}: truncated at byte {pos}")
+        arr = np.frombuffer(blob, dtype="<f4", count=n_items, offset=pos)
+        arrays[name] = arr.astype(np.float64).reshape(dims)
+        pos += 4 * n_items
+    if pos != end:
+        raise CheckpointError(f"{path}: {end - pos} trailing bytes")
     return arrays

@@ -26,7 +26,11 @@ built over the registry packs every tensor's storage into its one flat
 vector, so code that writes parameters writes into ``Tensor.data`` in place
 (``load_state`` and ``train``'s best-epoch restore do) instead of rebinding
 it.  ``state_arrays`` and ``from_state`` are the checkpoint pair: the
-registry plus the config as its exact JSON record, and back.
+registry plus the config as its exact JSON record, and back.  ``from_state``
+(and ``loaded``, for a config given apart from the checkpoint) builds the
+registry through the same init helpers as ``Model(cfg)``, with their draws
+skipped (``tensor.skip_draws``), and takes every value from the checkpoint; ``load_state`` refuses a missing name, a wrong shape or a
+non-finite value before it writes anything.
 """
 
 from __future__ import annotations
@@ -186,6 +190,32 @@ def _collect_params(prefix: str, obj, out: dict) -> None:
             _collect_params(f"{prefix}.{f.name}", getattr(obj, f.name), out)
 
 
+def _recorded_config(arrays: dict) -> SumConfig:
+    """The config a ``state_arrays`` checkpoint records; a bad record raises
+    a ConfigError that says what is wrong with it."""
+    if "config" not in arrays:
+        raise ConfigError("checkpoint lacks its config record")
+    record = np.asarray(arrays["config"], dtype=np.float64)
+    if record.ndim != 1:
+        raise ConfigError(f"checkpoint config record has shape {record.shape}, not 1-D")
+    bad = np.flatnonzero((record < 0) | (record > 255) | (record != np.floor(record)))
+    if bad.size:
+        raise ConfigError(f"checkpoint config record element {bad[0]} is "
+                          f"{float(record[bad[0]])!r}, not a byte in 0..255")
+    try:
+        doc = json.loads(record.astype(np.uint8).tobytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"checkpoint config record is not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"checkpoint config record is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("checkpoint config record is not a JSON object")
+    try:
+        return SumConfig.from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint config record: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -273,38 +303,30 @@ class Model:
     @classmethod
     def from_state(cls, arrays: dict) -> "Model":
         """Inverse of ``state_arrays``: the recorded config's model, loaded."""
-        if "config" not in arrays:
-            raise ConfigError("checkpoint lacks its config record")
-        record = np.asarray(arrays["config"], dtype=np.float64)
-        if record.ndim != 1:
-            raise ConfigError(f"checkpoint config record has shape {record.shape}, not 1-D")
-        bad = np.flatnonzero((record < 0) | (record > 255) | (record != np.floor(record)))
-        if bad.size:
-            raise ConfigError(f"checkpoint config record element {bad[0]} is "
-                              f"{float(record[bad[0]])!r}, not a byte in 0..255")
-        try:
-            doc = json.loads(record.astype(np.uint8).tobytes().decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"checkpoint config record is not UTF-8: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"checkpoint config record is not JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError("checkpoint config record is not a JSON object")
-        try:
-            cfg = SumConfig.from_dict(doc)
-        except ConfigError as exc:
-            raise ConfigError(f"checkpoint config record: {exc}") from None
-        model = cls(cfg)
+        return cls.loaded(_recorded_config(arrays), arrays)
+
+    @classmethod
+    def loaded(cls, cfg: SumConfig, arrays: dict) -> "Model":
+        """cfg's model with every parameter taken from `arrays`.
+
+        Construction runs the same init helpers as ``Model(cfg)`` under
+        ``T.skip_draws``, so each parameter is allocated but never drawn, and
+        ``load_state`` overwrites every one of them after its checks.  A
+        rejected checkpoint raises before the model is returned.
+        """
+        with T.skip_draws():
+            model = cls(cfg)
         model.load_state(arrays)
         return model
 
     def load_state(self, arrays: dict) -> None:
         """Copy checkpoint arrays into the parameters, in place.
 
-        Every name and shape is checked before anything is written, so a
-        rejected checkpoint leaves the model as it was.  The copy goes into
-        each existing ``Tensor.data``, so parameters packed into an Adam's
-        flat vector stay packed.
+        Every name, shape and value is checked before anything is written, so
+        a rejected checkpoint leaves the model as it was: a value must be
+        finite, tested in one pass over all of them.  The copy goes into each
+        existing ``Tensor.data``, so parameters packed into an Adam's flat
+        vector stay packed.
         """
         missing = sorted(set(self._params) - set(arrays))
         if missing:
@@ -314,6 +336,14 @@ class Model:
             if shape != t.data.shape:
                 raise ConfigError(
                     f"shape mismatch for {name}: checkpoint {shape}, model {t.data.shape}")
+        if not np.isfinite(np.concatenate([arrays[n] for n in self._params], axis=None)).all():
+            for name in self._params:  # find the first bad value to name it
+                value = np.asarray(arrays[name])
+                bad = np.argwhere(~np.isfinite(value))
+                if len(bad):
+                    at = tuple(map(int, bad[0]))
+                    raise ConfigError(f"checkpoint parameter {name} is {float(value[at])!r} "
+                                      f"at index {at}, not finite")
         for name, t in self._params.items():
             np.copyto(t.data, arrays[name])
 

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .rng import derive, uniform_stack
+from .rng import derive
 from .tensor import ShapeError, Tensor
 
 DIRECTION_ORDER = ("row_fwd", "row_bwd", "col_fwd", "col_bwd")
@@ -332,8 +332,7 @@ def init_ssm_stack(channels: int, state_size: int, seed: int, labels) -> SSMPara
     glorot_wd = np.sqrt(6.0 / (channels + r))
 
     def draw(field, shape, a):  # one pass over every label's stream
-        seeds = [derive(seed, label, field) for label in labels]
-        return Tensor(uniform_stack(shape, -a, a, seeds), requires_grad=True)
+        return Tensor(T.init_uniforms(shape, a, seed, labels, field), requires_grad=True)
 
     return SSMParams(
         a_log=Tensor(np.tile(a_row, (k, channels, 1)), requires_grad=True),

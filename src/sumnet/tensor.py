@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import uniform_array
+from .rng import derive, uniform_array, uniform_stack
 
 
 class ShapeError(ValueError):
@@ -77,6 +77,21 @@ class _suspend_recording:
 
     def __exit__(self, *exc):
         _tape_stack().pop()
+        return False
+
+
+class skip_draws:
+    """Context in which `init_uniforms` allocates without drawing: for a build
+    whose every parameter is overwritten next (``Model.from_state``).  Per
+    thread, and restored on exit, exceptions included."""
+
+    def __enter__(self):
+        self._prev = getattr(_local, "skip_draws", False)
+        _local.skip_draws = True
+        return self
+
+    def __exit__(self, *exc):
+        _local.skip_draws = self._prev
         return False
 
 
@@ -307,6 +322,16 @@ def full(shape, value: float, requires_grad: bool = False) -> Tensor:
 
 def uniform(shape, lo: float, hi: float, seed: int, requires_grad: bool = False) -> Tensor:
     return Tensor(uniform_array(_validate_shape(shape), lo, hi, seed), requires_grad)
+
+
+def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndarray:
+    """[len(labels), *shape] uniforms in [-bound, bound), row k from the stream
+    derive(seed, labels[k], field), in one uniform_stack pass: the one source
+    of the init helpers' random values.  Under `skip_draws`, uninitialized."""
+    dims = _validate_shape(shape)
+    if getattr(_local, "skip_draws", False):
+        return np.empty((len(labels),) + dims)
+    return uniform_stack(dims, -bound, bound, [derive(seed, label, field) for label in labels])
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,32 @@ def test_infer_rejects_checkpoint_with_non_utf8_array_name(tmp_path, capsys):
     assert f"offset {at} is not UTF-8" in capsys.readouterr().err
 
 
+def _nan_checkpoint(trained, tmp_path):
+    """The trained checkpoint with one NaN parameter, under a valid CRC."""
+    arrays = load_checkpoint(trained / "checkpoint.ckpt")
+    arrays["enc1.b0.gate.weight"][0, 3] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, arrays)
+    return bad
+
+
+def test_eval_rejects_a_non_finite_parameter(trained, corpus32, tmp_path, capsys):
+    code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
+                     "--checkpoint", str(_nan_checkpoint(trained, tmp_path))])
+    assert code == 2
+    assert "enc1.b0.gate.weight is nan at index (0, 3)" in capsys.readouterr().err
+
+
+def test_infer_rejects_a_non_finite_parameter(trained, tmp_path, capsys):
+    src = tmp_path / "img.ppm"
+    write_ppm(src, np.full((32, 32, 3), 0.5))
+    code = cli.main(["infer", "--checkpoint", str(_nan_checkpoint(trained, tmp_path)),
+                     "--image", str(src), "--domain", "ui", "--out", str(tmp_path / "y.pgm")])
+    assert code == 2
+    assert "enc1.b0.gate.weight is nan at index (0, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "y.pgm").exists()
+
+
 def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, monkeypatch):
     # a ShapeError is a ValueError, but inside predict it is a program fault:
     # it must surface with its traceback, not as exit 2 "bad configuration"

@@ -369,6 +369,99 @@ def test_load_state_rejects_mismatches():
         m.load_state(good)
 
 
+def test_load_state_rejects_a_non_finite_value_before_writing():
+    m = Model(micro_cfg())
+    opt = Adam(m.params(), lr=1e-3)
+    kept = opt.flat.copy()
+    bad = m.state_arrays()
+    bad["enc1.b0.gate.weight"] = bad["enc1.b0.gate.weight"].copy()
+    bad["enc1.b0.gate.weight"][2, 1] = np.nan
+    bad["head.out.weight"] = np.full(m.params()["head.out.weight"].shape, np.inf)
+    # registry order: enc1.b0 comes before head.out, so its NaN is the first bad value
+    with pytest.raises(ConfigError, match=re.escape(
+            "checkpoint parameter enc1.b0.gate.weight is nan at index (2, 1), not finite")):
+        m.load_state(bad)
+    assert np.array_equal(opt.flat, kept)
+    with pytest.raises(ConfigError, match="enc1.b0.gate.weight is nan"):
+        Model.from_state(bad)
+
+
+def _perturbed(cfg):
+    """Model(cfg) with every parameter moved off its init (the zero-init knob
+    head too), so a load that kept any init value would show."""
+    m = Model(cfg)
+    rng = SplitMix64(11)
+    for t in m.params().values():
+        t.data += rng.uniforms(t.size, -0.05, 0.05).reshape(t.shape)
+    return m
+
+
+LOAD_CFGS = [dict(), dict(share_scan_params=True),
+             dict(conditioning="one-hot", placement="all-blocks"), dict(conditioning="none")]
+
+
+@pytest.mark.parametrize("kw", LOAD_CFGS)
+def test_from_state_is_bit_identical_to_its_source(kw):
+    m = _perturbed(micro_cfg(**kw))
+    loaded = Model.from_state(m.state_arrays())
+    assert list(loaded.params()) == list(m.params())
+    for name, t in m.params().items():
+        assert np.array_equal(loaded.params()[name].data, t.data), name
+    img = SplitMix64(5).uniforms(2 * 32 * 32 * 3).reshape(2, 32, 32, 3)
+    labels = None if kw.get("conditioning") == "none" else [1, 3]
+    assert loaded.predict(img, labels).tobytes() == m.predict(img, labels).tobytes()
+
+
+def test_from_state_draws_no_initial_values(monkeypatch):
+    from sumnet import blocks, rng, scan
+
+    state = _perturbed(micro_cfg()).state_arrays()
+
+    def boom(*args, **kw):
+        raise AssertionError("from_state drew an initial value")
+
+    for mod in (rng, T, blocks, scan):
+        for name in ("derive", "uniform_stack", "uniform_array", "uniform"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    for loaded in (Model.from_state(state), Model.loaded(micro_cfg(), state)):
+        assert all(np.array_equal(loaded.params()[n].data, a)
+                   for n, a in state.items() if n != "config")
+    with pytest.raises(AssertionError, match="drew"):
+        Model(micro_cfg())  # the patch does reach a plain build
+
+
+def test_adam_over_a_loaded_model_steps_like_one_over_a_built_model():
+    state = _perturbed(micro_cfg()).state_arrays()
+    built = Model(micro_cfg())
+    built.load_state(state)
+    loaded = Model.from_state(state)
+    samples = micro_samples(4)
+    flats = []
+    for m in (built, loaded):
+        opt = Adam(m.params(), lr=1e-3)
+        for step in range(2):
+            with T.Tape() as tape:
+                loss = batch_loss(m, samples, [step, step + 2])
+                grads = T.backward(tape, loss)
+            opt.step(grads)
+        flats.append(opt.flat)
+    assert flats[0].tobytes() == flats[1].tobytes()
+
+
+def test_skip_draws_is_restored_after_an_exception(monkeypatch):
+    passes = []
+    real = T.uniform_stack
+    monkeypatch.setattr(T, "uniform_stack", lambda *a: passes.append(1) or real(*a))
+    with pytest.raises(ConfigError, match="mid-build"):
+        with T.skip_draws():
+            Model(micro_cfg())
+            raise ConfigError("mid-build failure")
+    assert not passes
+    Model(micro_cfg())
+    assert passes
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
