@@ -422,21 +422,20 @@ def quantize_map(smap: np.ndarray) -> np.ndarray:
     return np.rint(smap / smap.max() * 255.0) / 255.0
 
 
-def _emit_sample(out: Path, sid: str, img, smap, seed: int) -> ManifestEntry:
-    """Write one sample's three files.
+def _write_map(out: Path, image: str, tag: str, smap, seed: int, domain: int) -> ManifestEntry:
+    """Write one map and its fixations; the manifest row pairs them with `image`.
 
     Fixations are drawn from the quantized map actually stored on disk, not
     the analytic mixture, so every fixated cell has positive stored value.
     """
     checksum = float(smap.sum())
     if abs(checksum - 1.0) > 1e-9:
-        raise ValueError(f"{sid}: map mass {checksum} is not 1")
+        raise ValueError(f"{tag}: map mass {checksum} is not 1")
     q = quantize_map(smap)
-    fmap = sample_fixations(q, FIXATIONS_PER_SAMPLE, derive(seed, "fix", sid))
-    write_ppm(out / "images" / f"{sid}.ppm", img)
-    write_pgm(out / "maps" / f"{sid}.pgm", q)
-    write_pgm(out / "fixations" / f"{sid}.pgm", fmap)
-    return ManifestEntry(f"images/{sid}.ppm", f"maps/{sid}.pgm", f"fixations/{sid}.pgm", -1)
+    fmap = sample_fixations(q, FIXATIONS_PER_SAMPLE, derive(seed, "fix", tag))
+    write_pgm(out / "maps" / f"{tag}.pgm", q)
+    write_pgm(out / "fixations" / f"{tag}.pgm", fmap)
+    return ManifestEntry(image, f"maps/{tag}.pgm", f"fixations/{tag}.pgm", domain)
 
 
 def generate_dataset(out_dir, n_per_domain: int, size: int, seed: int,
@@ -459,9 +458,8 @@ def generate_dataset(out_dir, n_per_domain: int, size: int, seed: int,
         for i in range(n_per_domain):
             sid = f"{_PREFIX[domain]}{i:04d}"
             img, smap = render_scene(domain, size, seed, sid)
-            e = _emit_sample(out, sid, img, smap, seed)
-            e.domain = domain
-            entries.append(e)
+            entries.append(_write_map(out, f"images/{sid}.ppm", sid, smap, seed, domain))
+            write_ppm(out / "images" / f"{sid}.ppm", img)
 
     order = list(range(len(entries)))
     SplitMix64(derive(seed, "split")).shuffle(order)
@@ -483,17 +481,10 @@ def generate_dataset(out_dir, n_per_domain: int, size: int, seed: int,
         for i in range(n_conflict_pairs):
             sid = f"cf{i:04d}"
             img, maps = render_conflict_scene(size, seed, sid)
+            pair_rows.append([_write_map(out, f"images/{sid}.ppm", f"{sid}_{_PREFIX[domain]}",
+                                         smap, seed, domain)
+                              for domain, smap in sorted(maps.items())])
             write_ppm(out / "images" / f"{sid}.ppm", img)
-            rows = []
-            for domain, smap in sorted(maps.items()):
-                tag = f"{sid}_{_PREFIX[domain]}"
-                q = quantize_map(smap)
-                fmap = sample_fixations(q, FIXATIONS_PER_SAMPLE, derive(seed, "fix", tag))
-                write_pgm(out / "maps" / f"{tag}.pgm", q)
-                write_pgm(out / "fixations" / f"{tag}.pgm", fmap)
-                rows.append(ManifestEntry(f"images/{sid}.ppm", f"maps/{tag}.pgm",
-                                          f"fixations/{tag}.pgm", domain))
-            pair_rows.append(rows)
         order = list(range(n_conflict_pairs))
         SplitMix64(derive(seed, "conflict-split")).shuffle(order)
         n_train = max(1, int(0.8 * n_conflict_pairs)) if n_conflict_pairs > 1 else 1
@@ -572,6 +563,7 @@ def load_checkpoint(path) -> dict:
         pos += 1
         if pos + 4 * ndim > end:  # the first dim that does not fit
             raise CheckpointError(f"{path}: truncated at byte {pos + (end - pos) // 4 * 4}")
+        dims_at = pos
         dims = struct.unpack_from(f"<{ndim}I", blob, pos)
         pos += 4 * ndim
         n_items = 1
@@ -580,7 +572,11 @@ def load_checkpoint(path) -> dict:
         if pos + 4 * n_items > end:
             raise CheckpointError(f"{path}: truncated at byte {pos}")
         arr = np.frombuffer(blob, dtype="<f4", count=n_items, offset=pos)
-        arrays[name] = arr.astype(np.float64).reshape(dims)
+        try:  # a zero dim lets the bounds test pass whatever the others are
+            arrays[name] = arr.astype(np.float64).reshape(dims)
+        except ValueError:
+            raise CheckpointError(
+                f"{path}: array {name!r} dims {dims} at byte {dims_at} are too big") from None
         pos += 4 * n_items
     if pos != end:
         raise CheckpointError(f"{path}: {end - pos} trailing bytes")

@@ -1,16 +1,16 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
-The generic primitives live here and record through `_emit`.  The fused
-primitives of `blocks` and `scan` (`linear`, layer-norm core, depthwise
+Every op that records a tape node is a numpy pair, `fwd(*arrays, keep) ->
+(out, saved)` and `bwd(saved, g) -> gradients`, and records its one node
+through `primitive`: the generic ops here (`add` ... `pad`; the six
+broadcasting ones sum each gradient back to its operand's shape) and the
+fused ops of `blocks` and `scan` (`linear`, layer-norm core, depthwise
 conv, `selective_scan` over one whole direction, `ss2d` over all four, the
-whole gated block, the bare scan recurrence) are each a numpy pair,
-`fwd(*arrays, keep) -> (out, saved)` and `bwd(saved, g) -> gradients`, and
-record one node each through `primitive`, the one way for code outside
-this module to put a node on the tape.  A node's inputs may repeat
+whole gated block, the bare scan recurrence).  A node's inputs may repeat
 (`mul(x, x)`); `backward` then adds up each occurrence's gradient in input
 order.  Tensors wrap C-order float64 numpy arrays.  When a Tape is active
 and an input requires gradients, each operation appends a node (op kind,
-input node ids, output node id, backward closure over saved values) to the
+input node ids, output node id, `bwd` bound to its saved values) to the
 tape; `backward` replays the node list once in reverse, accumulating
 gradients additively so a value consumed twice gets the sum of both branch
 gradients.  The tape is rebuilt on every forward pass.
@@ -25,7 +25,9 @@ division by zero).
 
 from __future__ import annotations
 
+import math
 import threading
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -175,7 +177,7 @@ def as_tensor(value) -> Tensor:
 
 
 class Node:
-    """One tape entry.  Saved forward values live in the grad_fn closure."""
+    """One tape entry.  Saved forward values are bound into grad_fn."""
 
     __slots__ = ("kind", "input_ids", "output_id", "grad_fn")
 
@@ -214,8 +216,8 @@ class Tape:
             self._tensors.append(t)
         return nid
 
-    def _record(self, kind: str, inputs: tuple, out: Tensor, grad_fn) -> None:
-        input_ids = tuple(self._ensure(t) for t in inputs)
+    def _record(self, kind: str, inputs: list, out: Tensor, grad_fn) -> None:
+        input_ids = tuple([self._ensure(t) for t in inputs])
         nid = len(self.nodes)
         self.nodes.append(Node(kind, input_ids, nid, grad_fn))
         self._ids[id(out)] = nid
@@ -227,7 +229,7 @@ def _check(kind: str, out: np.ndarray) -> None:
         raise NumericError(f"{kind}: produced a non-finite value")
 
 
-def _recording_tape(inputs: tuple):
+def _recording_tape(inputs: list):
     """The tape an op over `inputs` records on, or None when nothing records.
 
     An op is recorded when a tape is active (not suspended) and at least one
@@ -236,33 +238,32 @@ def _recording_tape(inputs: tuple):
     Every op passes here, so it reads the tape stack itself (see active_tape).
     """
     stack = _tape_stack()
-    if stack and stack[-1] is not None and any(t.requires_grad for t in inputs):
-        return stack[-1]
+    if stack and stack[-1] is not None:
+        for t in inputs:
+            if t.requires_grad:
+                return stack[-1]
     return None
 
 
-def _emit(kind: str, inputs: tuple, out_data: np.ndarray, make_grad_fn) -> Tensor:
-    """Shared recording path.  make_grad_fn is called lazily, only when taping."""
-    _check(kind, out_data)
-    tape = _recording_tape(inputs)
-    out = Tensor(out_data, requires_grad=tape is not None)
-    if tape is not None:
-        tape._record(kind, inputs, out, make_grad_fn())
-    return out
-
-
 def primitive(kind: str, inputs, fwd, bwd) -> Tensor:
-    """One tape node for a fused op given as a numpy forward/backward pair.
+    """One tape node for an op given as a numpy forward/backward pair.
 
-    Runs `fwd(*arrays, keep=keep) -> (out, saved)` on the inputs' arrays
-    (plain arrays are accepted as inputs).  `keep` is True exactly when the
-    node records, so a forward can skip state only its backward reads.  The
-    node's gradient is `bwd(saved, g)`, one array (or None) per input.  In
-    checked mode a non-finite `out` raises NumericError naming `kind`.
+    Every op that records a node comes through here: the generic ops below
+    and the fused ops of `blocks` and `scan`.  Runs `fwd(*arrays, keep=keep)
+    -> (out, saved)` on the inputs' arrays (plain arrays are accepted as
+    inputs).  `keep` is True exactly when the node records, so a forward can
+    skip state only its backward reads.  The node's gradient is
+    `bwd(saved, g)`, one array (or None) per input.  In checked mode a
+    non-finite `out` raises NumericError naming `kind`.
     """
-    inputs = tuple(as_tensor(t) for t in inputs)
-    out, saved = fwd(*(t.data for t in inputs), keep=_recording_tape(inputs) is not None)
-    return _emit(kind, inputs, out, lambda: lambda g: bwd(saved, g))
+    inputs = [t if isinstance(t, Tensor) else Tensor(t) for t in inputs]
+    tape = _recording_tape(inputs)
+    out, saved = fwd(*[t.data for t in inputs], keep=tape is not None)
+    _check(kind, out)
+    out = Tensor(out, requires_grad=tape is not None)
+    if tape is not None:
+        tape._record(kind, inputs, out, partial(bwd, saved))
+    return out
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:
@@ -351,136 +352,103 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast_check(kind: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from None
+def _broadcasting(kind: str, a, b, fwd, bwd) -> Tensor:
+    """Record a broadcasting binary op: `fwd(a, b, keep) -> (out, saved)` and
+    `bwd(saved, g) -> (ga, gb)` at the broadcast shape; each gradient is summed
+    back down to its operand's shape."""
+    a, b = as_tensor(a), as_tensor(b)
+    ash, bsh = a.data.shape, b.data.shape
+    if ash != bsh:
+        try:
+            np.broadcast_shapes(ash, bsh)
+        except ValueError:
+            raise ShapeError(f"{kind}: shapes {ash} and {bsh} do not broadcast") from None
+
+    def unbroadcast_bwd(saved, g):
+        ga, gb = bwd(saved, g)
+        return _unbroadcast(ga, ash), _unbroadcast(gb, bsh)
+
+    return primitive(kind, (a, b), fwd, unbroadcast_bwd)
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("add", a, b)
-    ash, bsh = a.data.shape, b.data.shape
-
-    def make():
-        return lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh))
-
-    return _emit("add", (a, b), a.data + b.data, make)
+    return _broadcasting("add", a, b, lambda a, b, keep: (a + b, None), lambda _, g: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("sub", a, b)
-    ash, bsh = a.data.shape, b.data.shape
-
-    def make():
-        return lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh))
-
-    return _emit("sub", (a, b), a.data - b.data, make)
+    return _broadcasting("sub", a, b, lambda a, b, keep: (a - b, None), lambda _, g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("mul", a, b)
-    ad, bd = a.data, b.data
+    return _broadcasting("mul", a, b, lambda a, b, keep: (a * b, (a, b)),
+                         lambda ab, g: (g * ab[1], g * ab[0]))
 
-    def make():
-        return lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
-    return _emit("mul", (a, b), ad * bd, make)
+def _div_fwd(a, b, keep):
+    if _CHECKED[0] and (b == 0.0).any():
+        raise NumericError("div: division by zero")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a / b, (a, b)
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("div", a, b)
-    ad, bd = a.data, b.data
-    if _CHECKED[0] and (bd == 0.0).any():
-        raise NumericError("div: division by zero")
+    return _broadcasting("div", a, b, _div_fwd,
+                         lambda ab, g: (g / ab[1], -g * ab[0] / (ab[1] * ab[1])))
 
-    def make():
-        return lambda g: (
-            _unbroadcast(g / bd, ad.shape),
-            _unbroadcast(-g * ad / (bd * bd), bd.shape),
-        )
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = ad / bd
-    return _emit("div", (a, b), out_data, make)
+def _select(mask, a, b):
+    return np.where(mask, a, b), mask
+
+
+def _select_bwd(mask, g):
+    return g * mask, g * ~mask
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; ties send the gradient to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("min", a, b)
-    ad, bd = a.data, b.data
-    mask = ad <= bd
-
-    def make():
-        return lambda g: (
-            _unbroadcast(g * mask, ad.shape),
-            _unbroadcast(g * ~mask, bd.shape),
-        )
-
-    return _emit("min", (a, b), np.where(mask, ad, bd), make)
+    return _broadcasting("min", a, b, lambda a, b, keep: _select(a <= b, a, b), _select_bwd)
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties send the gradient to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("max", a, b)
-    ad, bd = a.data, b.data
-    mask = ad >= bd
-
-    def make():
-        return lambda g: (
-            _unbroadcast(g * mask, ad.shape),
-            _unbroadcast(g * ~mask, bd.shape),
-        )
-
-    return _emit("max", (a, b), np.where(mask, ad, bd), make)
+    return _broadcasting("max", a, b, lambda a, b, keep: _select(a >= b, a, b), _select_bwd)
 
 
 # ---------------------------------------------------------------------------
 # unary ops
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
+def _exp_fwd(x, keep):
     with np.errstate(over="ignore"):
-        out_data = np.exp(x.data)
+        out = np.exp(x)
+    return out, out
 
-    def make():
-        return lambda g: (g * out_data,)
 
-    return _emit("exp", (x,), out_data, make)
+def exp(x) -> Tensor:
+    return primitive("exp", (x,), _exp_fwd, lambda out, g: (g * out,))
+
+
+def _log_fwd(x, keep):
+    if _CHECKED[0] and (x < 0.0).any():
+        raise NumericError("log: negative argument")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(x), x
 
 
 def log(x) -> Tensor:
-    x = as_tensor(x)
-    if _CHECKED[0] and (x.data < 0.0).any():
-        raise NumericError("log: negative argument")
-    xd = x.data
+    return primitive("log", (x,), _log_fwd, lambda x, g: (g / x,))
 
-    def make():
-        return lambda g: (g / xd,)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(xd)
-    return _emit("log", (x,), out_data, make)
+def _sqrt_fwd(x, keep):
+    if _CHECKED[0] and (x < 0.0).any():
+        raise NumericError("sqrt: negative argument")
+    with np.errstate(invalid="ignore"):
+        out = np.sqrt(x)
+    return out, out
 
 
 def sqrt(x) -> Tensor:
-    x = as_tensor(x)
-    if _CHECKED[0] and (x.data < 0.0).any():
-        raise NumericError("sqrt: negative argument")
-    with np.errstate(invalid="ignore"):
-        out_data = np.sqrt(x.data)
-
-    def make():
-        return lambda g: (g * 0.5 / out_data,)
-
-    return _emit("sqrt", (x,), out_data, make)
+    return primitive("sqrt", (x,), _sqrt_fwd, lambda out, g: (g * 0.5 / out,))
 
 
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
@@ -489,62 +457,55 @@ def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _sigmoid_fwd(x, keep):
+    out = _sigmoid_raw(x)
+    return out, out
+
+
 def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out_data = _sigmoid_raw(x.data)
-
-    def make():
-        return lambda g: (g * out_data * (1.0 - out_data),)
-
-    return _emit("sigmoid", (x,), out_data, make)
+    return primitive("sigmoid", (x,), _sigmoid_fwd, lambda out, g: (g * out * (1.0 - out),))
 
 
 def _silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
+def _silu_fwd(x, keep):
+    s = _sigmoid_raw(x)
+    return x * s, (x, s)
+
+
 def silu(x) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-    s = _sigmoid_raw(xd)
+    return primitive("silu", (x,), _silu_fwd, lambda xs, g: (g * _silu_grad(*xs),))
 
-    def make():
-        return lambda g: (g * _silu_grad(xd, s),)
 
-    return _emit("silu", (x,), xd * s, make)
+def _softplus_fwd(x, keep):
+    big = x > 30.0
+    out = np.where(big, x, np.log1p(np.exp(np.minimum(x, 30.0))))
+    return out, (np.where(big, 1.0, _sigmoid_raw(x)) if keep else None)
 
 
 def softplus(x) -> Tensor:
     """log(1 + e^x), returning x directly above 30 to dodge overflow."""
-    x = as_tensor(x)
-    xd = x.data
-    big = xd > 30.0
-    out_data = np.where(big, xd, np.log1p(np.exp(np.minimum(xd, 30.0))))
-
-    def make():
-        deriv = np.where(big, 1.0, _sigmoid_raw(xd))
-        return lambda g: (g * deriv,)
-
-    return _emit("softplus", (x,), out_data, make)
+    return primitive("softplus", (x,), _softplus_fwd, lambda deriv, g: (g * deriv,))
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def _gelu_fwd(x, keep):
+    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    deriv = None
+    if keep:
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    return 0.5 * x * (1.0 + t), deriv
+
+
 def gelu(x) -> Tensor:
     """tanh-approximation GELU: 0.5 x (1 + tanh(c (x + a x^3)))."""
-    x = as_tensor(x)
-    xd = x.data
-    inner = _GELU_C * (xd + _GELU_A * xd**3)
-    t = np.tanh(inner)
-
-    def make():
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        deriv = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-        return lambda g: (g * deriv,)
-
-    return _emit("gelu", (x,), 0.5 * xd * (1.0 + t), make)
+    return primitive("gelu", (x,), _gelu_fwd, lambda deriv, g: (g * deriv,))
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +518,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def make():
-        return lambda g: (g @ bd.T, ad.T @ g)
-
-    return _emit("matmul", (a, b), ad @ bd, make)
+    return primitive("matmul", (a, b), lambda a, b, keep: (a @ b, (a, b)),
+                     lambda ab, g: (g @ ab[1].T, ab[0].T @ g))
 
 
 def _norm_axes(ndim: int, axes) -> tuple:
@@ -594,45 +551,32 @@ def reduce_sum(x, axes=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     ax = _norm_axes(x.ndim, axes)
     xsh = x.data.shape
-
-    def make():
-        return lambda g: (_expand_reduced(g, xsh, ax, keepdims).copy(),)
-
-    return _emit("sum", (x,), x.data.sum(axis=ax, keepdims=keepdims), make)
+    return primitive("sum", (x,), lambda x, keep: (x.sum(axis=ax, keepdims=keepdims), None),
+                     lambda _, g: (_expand_reduced(g, xsh, ax, keepdims).copy(),))
 
 
 def reduce_mean(x, axes=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     ax = _norm_axes(x.ndim, axes)
     xsh = x.data.shape
-    n = 1
-    for a in ax:
-        n *= xsh[a]
-
-    def make():
-        return lambda g: (_expand_reduced(g, xsh, ax, keepdims) / n,)
-
-    return _emit("mean", (x,), x.data.mean(axis=ax, keepdims=keepdims), make)
+    n = math.prod(xsh[a] for a in ax)
+    return primitive("mean", (x,), lambda x, keep: (x.mean(axis=ax, keepdims=keepdims), None),
+                     lambda _, g: (_expand_reduced(g, xsh, ax, keepdims) / n,))
 
 
 def reduce_var(x, axes=None, keepdims: bool = False) -> Tensor:
     """Population variance (divide by n, not n-1)."""
     x = as_tensor(x)
     ax = _norm_axes(x.ndim, axes)
-    xd = x.data
-    n = 1
-    for a in ax:
-        n *= xd.shape[a]
-    mu = xd.mean(axis=ax, keepdims=True)
-    centered = xd - mu
-    out_data = (centered * centered).mean(axis=ax, keepdims=keepdims)
+    xsh = x.data.shape
+    n = math.prod(xsh[a] for a in ax)
 
-    def make():
-        return lambda g: (
-            _expand_reduced(g, xd.shape, ax, keepdims) * (2.0 / n) * centered,
-        )
+    def fwd(x, keep):
+        centered = x - x.mean(axis=ax, keepdims=True)
+        return (centered * centered).mean(axis=ax, keepdims=keepdims), centered
 
-    return _emit("var", (x,), out_data, make)
+    return primitive("var", (x,), fwd, lambda centered, g: (
+        _expand_reduced(g, xsh, ax, keepdims) * (2.0 / n) * centered,))
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +584,13 @@ def reduce_var(x, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    try:
-        out_data = x.data.reshape(tuple(shape))
-    except ValueError:
-        raise ShapeError(f"cannot reshape {x.shape} to {tuple(shape)}") from None
-    xsh = x.data.shape
+    def fwd(x, keep):
+        try:
+            return x.reshape(tuple(shape)), x.shape
+        except ValueError:
+            raise ShapeError(f"cannot reshape {x.shape} to {tuple(shape)}") from None
 
-    def make():
-        return lambda g: (g.reshape(xsh),)
-
-    return _emit("reshape", (x,), out_data, make)
+    return primitive("reshape", (x,), fwd, lambda xsh, g: (g.reshape(xsh),))
 
 
 def transpose(x, axes) -> Tensor:
@@ -659,53 +599,39 @@ def transpose(x, axes) -> Tensor:
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose axes {axes} are not a permutation for ndim {x.ndim}")
     inv = tuple(int(a) for a in np.argsort(axes))
-
-    def make():
-        return lambda g: (np.ascontiguousarray(g.transpose(inv)),)
-
-    return _emit("transpose", (x,), np.ascontiguousarray(x.data.transpose(axes)), make)
+    return primitive("transpose", (x,),
+                     lambda x, keep: (np.ascontiguousarray(x.transpose(axes)), None),
+                     lambda _, g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
 def flip(x, axis: int) -> Tensor:
     x = as_tensor(x)
     ax = _norm_axes(x.ndim, axis)[0]
-
-    def make():
-        return lambda g: (np.ascontiguousarray(np.flip(g, ax)),)
-
-    return _emit("flip", (x,), np.ascontiguousarray(np.flip(x.data, ax)), make)
+    return primitive("flip", (x,), lambda x, keep: (np.ascontiguousarray(np.flip(x, ax)), None),
+                     lambda _, g: (np.ascontiguousarray(np.flip(g, ax)),))
 
 
 def copy(x) -> Tensor:
     """Identity with a fresh buffer (no aliasing of the input's storage)."""
-    x = as_tensor(x)
-
-    def make():
-        return lambda g: (g,)
-
-    return _emit("copy", (x,), x.data.copy(), make)
+    return primitive("copy", (x,), lambda x, keep: (x.copy(), None), lambda _, g: (g,))
 
 
 def index(x, key) -> Tensor:
     """Basic indexing (ints and slices); gradient scatters back into place."""
-    x = as_tensor(x)
-    try:
-        out_data = x.data[key]
-    except IndexError:
-        raise ShapeError(f"index {key!r} invalid for shape {x.shape}") from None
-    if not isinstance(out_data, np.ndarray):
-        out_data = np.asarray(out_data)
-    xd_shape, xd_dtype = x.data.shape, x.data.dtype
 
-    def make():
-        def grad_fn(g):
-            gz = np.zeros(xd_shape, dtype=xd_dtype)
-            gz[key] = g  # basic keys never alias, plain assignment is the scatter
-            return (gz,)
+    def fwd(x, keep):
+        try:
+            out = x[key]
+        except IndexError:
+            raise ShapeError(f"index {key!r} invalid for shape {x.shape}") from None
+        return np.asarray(out).copy(), x.shape
 
-        return grad_fn
+    def bwd(xsh, g):
+        gz = np.zeros(xsh)
+        gz[key] = g  # basic keys never alias, plain assignment is the scatter
+        return (gz,)
 
-    return _emit("index", (x,), out_data.copy(), make)
+    return primitive("index", (x,), fwd, bwd)
 
 
 def take(x, indices, axis: int = 0) -> Tensor:
@@ -717,17 +643,13 @@ def take(x, indices, axis: int = 0) -> Tensor:
         raise ShapeError("take expects a 1-D index list")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[ax]):
         raise ShapeError(f"take indices out of range for axis {ax} of shape {x.shape}")
-    xd_shape = x.data.shape
 
-    def make():
-        def grad_fn(g):
-            gz = np.zeros(xd_shape)
-            np.add.at(gz, (slice(None),) * ax + (idx,), g)
-            return (gz,)
+    def bwd(xsh, g):
+        gz = np.zeros(xsh)
+        np.add.at(gz, (slice(None),) * ax + (idx,), g)
+        return (gz,)
 
-        return grad_fn
-
-    return _emit("take", (x,), np.take(x.data, idx, axis=ax), make)
+    return primitive("take", (x,), lambda x, keep: (np.take(x, idx, axis=ax), x.shape), bwd)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -735,22 +657,21 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of an empty list")
     ax = _norm_axes(tensors[0].ndim, axis)[0]
-    try:
-        out_data = np.concatenate([t.data for t in tensors], axis=ax)
-    except ValueError:
-        raise ShapeError(
-            f"concat shapes incompatible: {[t.shape for t in tensors]} on axis {ax}"
-        ) from None
-    sizes = [t.shape[ax] for t in tensors]
 
-    def make():
-        def grad_fn(g):
-            pieces = np.split(g, np.cumsum(sizes)[:-1], axis=ax)
-            return tuple(np.ascontiguousarray(p) for p in pieces)
+    def fwd(*arrays, keep):
+        try:
+            out = np.concatenate(arrays, axis=ax)
+        except ValueError:
+            raise ShapeError(
+                f"concat shapes incompatible: {[a.shape for a in arrays]} on axis {ax}"
+            ) from None
+        return out, [a.shape[ax] for a in arrays]
 
-        return grad_fn
+    def bwd(sizes, g):
+        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=ax)
+        return [np.ascontiguousarray(p) for p in pieces]
 
-    return _emit("concat", tuple(tensors), out_data, make)
+    return primitive("concat", tensors, fwd, bwd)
 
 
 def pad(x, pad_width) -> Tensor:
@@ -761,13 +682,9 @@ def pad(x, pad_width) -> Tensor:
         raise ShapeError(f"pad needs {x.ndim} (before, after) pairs, got {len(pw)}")
     if any(b < 0 or a < 0 for b, a in pw):
         raise ShapeError("pad amounts must be non-negative")
-    xsh = x.data.shape
-    inner = tuple(slice(b, b + s) for (b, _), s in zip(pw, xsh))
-
-    def make():
-        return lambda g: (np.ascontiguousarray(g[inner]),)
-
-    return _emit("pad", (x,), np.pad(x.data, pw), make)
+    inner = tuple(slice(b, b + s) for (b, _), s in zip(pw, x.shape))
+    return primitive("pad", (x,), lambda x, keep: (np.pad(x, pw), None),
+                     lambda _, g: (np.ascontiguousarray(g[inner]),))
 
 
 # ---------------------------------------------------------------------------

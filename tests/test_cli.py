@@ -399,6 +399,20 @@ def test_infer_rejects_checkpoint_with_non_utf8_array_name(tmp_path, capsys):
     assert f"offset {at} is not UTF-8" in capsys.readouterr().err
 
 
+def test_infer_rejects_checkpoint_with_impossible_dims(tmp_path, capsys):
+    # one [0, 2, 2] array whose dims become (0, 2**32-1, 2**32-1) under a valid CRC
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, {"w": np.zeros((0, 2, 2))})
+    blob = bytearray(bad.read_bytes())
+    at = blob.index(b"w") + 2  # past the name and ndim
+    struct.pack_into("<3I", blob, at, 0, 2**32 - 1, 2**32 - 1)
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    bad.write_bytes(bytes(blob))
+    assert cli.main(["infer", "--checkpoint", str(bad), "--image", str(tmp_path / "x.ppm"),
+                     "--domain", "ui", "--out", str(tmp_path / "y.pgm")]) == 2
+    assert f"dims (0, 4294967295, 4294967295) at byte {at} are too big" in capsys.readouterr().err
+
+
 def _nan_checkpoint(trained, tmp_path):
     """The trained checkpoint with one NaN parameter, under a valid CRC."""
     arrays = load_checkpoint(trained / "checkpoint.ckpt")

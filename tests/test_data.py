@@ -245,6 +245,17 @@ def test_conflict_maps_nearly_disjoint():
     assert overlap < 1e-6
 
 
+def test_conflict_maps_are_written_only_at_unit_mass(tmp_path, monkeypatch):
+    # both corpus paths write maps through one writer, so both check the mass
+    def heavy(size, seed, sid):
+        img, maps = render_conflict_scene(size, seed, sid)
+        return img, {d: 2.0 * m for d, m in maps.items()}
+
+    monkeypatch.setattr("sumnet.data.render_conflict_scene", heavy)
+    with pytest.raises(ValueError, match="map mass 2.0"):
+        generate_dataset(tmp_path, n_per_domain=1, size=32, seed=1, n_conflict_pairs=1)
+
+
 def test_oracle_auc_on_generated_samples():
     # the stored (quantized) map must rank its own fixations almost perfectly
     for domain in range(4):
@@ -395,6 +406,21 @@ def test_checkpoint_non_utf8_name_names_the_offset(tmp_path):
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
     p.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=f"offset {at} is not UTF-8"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_impossible_dims_name_the_array_and_offset(tmp_path):
+    # a zero dim beside two huge ones: no payload, so only the reshape can tell
+    p = tmp_path / "d.ckpt"
+    save_checkpoint(p, {"w": np.zeros((0, 2, 2))})
+    assert load_checkpoint(p)["w"].shape == (0, 2, 2)  # small zero-size arrays round-trip
+    blob = bytearray(p.read_bytes())
+    at = len(CKPT_MAGIC) + 4 + 2 + 1 + 1  # past the count, name length, name and ndim
+    assert struct.unpack_from("<3I", blob, at) == (0, 2, 2)
+    struct.pack_into("<3I", blob, at, 0, 2**32 - 1, 2**32 - 1)
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"array 'w' dims .* at byte {at} are too big"):
         load_checkpoint(p)
 
 

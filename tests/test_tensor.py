@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sumnet.data as D
+import sumnet.model as M
 import sumnet.tensor as T
 from sumnet.tensor import (
     NumericError,
@@ -190,8 +192,8 @@ def test_primitive_takes_plain_arrays_and_checks_its_output():
 
 
 def test_no_module_but_tensor_reaches_the_recording_internals():
-    # every fused op records through T.primitive, so one path puts nodes on the tape
-    private = {"_emit", "_recording_tape"}
+    # every op records through T.primitive, so one path puts nodes on the tape
+    private = {"_recording_tape", "_record"}
     found = []
     for path in sorted(Path(T.__file__).parent.glob("*.py")):
         if path.name == "tensor.py":
@@ -203,6 +205,27 @@ def test_no_module_but_tensor_reaches_the_recording_internals():
             if name in private:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_every_recorded_node_comes_through_primitive(tmp_path, monkeypatch):
+    # a step-micro batch loss (C=4, S=32, B=8): generic and fused ops alike
+    paths = D.generate_dataset(tmp_path, n_per_domain=2, size=32, seed=1)
+    samples = [s for fold in ("train", "val", "test") for s in D.load_samples(paths[fold])]
+    model = M.Model(M.SumConfig(input_size=32, base_channels=4))
+    kinds = []
+    real = T.primitive
+
+    def counting(kind, inputs, fwd, bwd):
+        out = real(kind, inputs, fwd, bwd)
+        if out.requires_grad:  # the call recorded a node
+            kinds.append(kind)
+        return out
+
+    monkeypatch.setattr(T, "primitive", counting)
+    with Tape() as tape:
+        M.batch_loss(model, samples, range(8))
+    recorded = [node.kind for node in tape.nodes if node.kind != "leaf"]
+    assert len(recorded) == 132 and kinds == recorded
 
 
 # ---------------------------------------------------------------------------
