@@ -365,10 +365,13 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
     and `scan.ss2d` with the elementwise steps between them, in the order
     a tape of one node per step would, so values and gradients match that
     composition.  Knob gradients are summed back to the knob's shape, ()
-    or [B, 1, 1, 1].  In checked mode every intermediate must be finite,
-    and a failure names it, e.g. "gated_block gate silu: produced a
-    non-finite value"; inside ss2d the selective_scan and cross_merge
-    checks keep their own names.
+    or [B, 1, 1, 1].  With per-op checks on (a direct call, or the replay
+    of a model boundary that tripped, see `tensor.checked_at_boundary`)
+    every intermediate must be finite, and a failure names it, e.g.
+    "gated_block gate silu: produced a non-finite value"; inside ss2d the
+    selective_scan and cross_merge checks keep their own names.  Inside the
+    model's forward those checks are off, and their names surface through
+    the replay.
     """
     f = T.as_tensor(f)
     if f.ndim not in (3, 4):

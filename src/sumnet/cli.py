@@ -3,9 +3,9 @@
 Subcommands: generate-data, train, eval, infer, gradcheck, bench-scan.
 Every command is deterministic given its inputs (bench-scan timings aside):
 no output ever embeds a timestamp.  Exit codes are a stable contract:
-0 success, 2 configuration, input-data or I/O problem, 3 numeric abort
-during training, 4 verification failure in gradcheck.  Any other exception
-is a fault of the program and propagates with its traceback.
+0 success, 2 configuration, input-data or I/O problem, 3 numeric abort in
+training or scoring, 4 verification failure in gradcheck.  Any other
+exception is a fault of the program and propagates with its traceback.
 
 Train/eval configs are strict JSON: the SumConfig fields plus
 train_manifest, val_manifest, and out_dir.  Relative paths inside a config
@@ -47,6 +47,7 @@ from .model import (
     train,
 )
 from .scan import bench_lengths, fit_loglog_slope
+from .tensor import NumericError
 
 DOMAIN_NAMES = ("natural-mouse", "natural-eye", "ecommerce", "ui")
 
@@ -174,7 +175,11 @@ def cmd_eval(args) -> int:
         for ckpt in args.checkpoint:
             model = _model_from_checkpoint(ckpt, args.config)
             _require_size(samples, model.cfg.input_size, args.manifest)
-            reports, summary = evaluate(model, samples, model.cfg.batch_size)
+            try:
+                reports, summary = evaluate(model, samples, model.cfg.batch_size)
+            except NumericError as exc:  # a numeric abort in scoring
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
             run = Path(ckpt).stem if len(args.checkpoint) == 1 else ckpt
             for r in reports:
                 lines.append({"run": run, **r.as_dict()})
@@ -204,7 +209,11 @@ def cmd_infer(args) -> int:
     labels = None
     if model.cfg.conditioning != "none":
         labels = np.array([DOMAIN_NAMES.index(args.domain)])
-    pred = model.predict(resized[None], labels)[0]
+    try:
+        pred = model.predict(resized[None], labels)[0]
+    except NumericError as exc:  # a numeric abort in scoring
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if (h, w) != (s, s):
         pred = resize_bilinear(pred, (h, w))
     lo, hi = float(pred.min()), float(pred.max())

@@ -357,21 +357,38 @@ class Model:
         return x
 
     def forward(self, images, labels=None) -> Tensor:
-        """[B, S, S, 3] images (+ labels unless unconditioned) -> [B, S, S]."""
+        """[B, S, S, 3] images (+ labels unless unconditioned) -> [B, S, S].
+
+        In checked mode the boundaries are checked, not every op: a
+        non-finite pixel raises NumericError naming its image's batch index,
+        and the body runs under ``T.checked_at_boundary``, so a non-finite
+        prediction is replayed with per-op checks on and the NumericError
+        names the op that produced it.
+        """
         imgs = T.as_tensor(images)
-        if imgs.ndim == 3:
-            imgs = T.reshape(imgs, (1,) + imgs.shape)
+        shape = (1,) + imgs.shape if imgs.ndim == 3 else imgs.shape
         s = self.cfg.input_size
-        if imgs.ndim != 4 or imgs.shape[1:] != (s, s, 3):
-            raise ShapeError(f"expected [B, {s}, {s}, 3] images, got {imgs.shape}")
-        batch = imgs.shape[0]
-        mod = None
+        if len(shape) != 4 or shape[1:] != (s, s, 3):
+            raise ShapeError(f"expected [B, {s}, {s}, 3] images, got {shape}")
+        batch = shape[0]
+        if T.checked_mode():
+            finite = np.isfinite(imgs.data.reshape(shape)).all(axis=(1, 2, 3))
+            if not finite.all():
+                raise NumericError(f"input image {int(np.argmin(finite))} "
+                                   "has a non-finite pixel")
+        if imgs.ndim == 3:
+            imgs = T.reshape(imgs, shape)
         if self.cfg.conditioning != "none":
             if labels is None:
                 raise ConfigError("conditioned model needs domain labels")
             labels = np.asarray(labels).reshape(-1)
             if labels.size != batch:
                 raise ShapeError(f"{labels.size} labels for batch of {batch}")
+        return T.checked_at_boundary("forward", self._forward, imgs, labels)
+
+    def _forward(self, imgs, labels) -> Tensor:
+        mod = None
+        if self.cfg.conditioning != "none":
             mod = B.conditioner(self.cond, labels)
 
         x = B.patch_embed(imgs, self.embed)
@@ -388,7 +405,8 @@ class Model:
                 x = T.add(x, B.linear(skips[2 - j], self.skip[j]))
         x = B.patch_expand(x, self.head_expand)
         y = T.sigmoid(B.linear(x, self.head_out))
-        return T.reshape(y, (batch, s, s))
+        s = self.cfg.input_size
+        return T.reshape(y, (imgs.shape[0], s, s))
 
     def predict(self, images, labels=None) -> np.ndarray:
         """Forward pass without recording; returns plain arrays."""
@@ -557,13 +575,20 @@ def _stack_batch(samples, idxs):
 
 
 def batch_loss(model: Model, samples, idxs) -> Tensor:
-    """Mean composite loss over one batch: the mean of the per-sample losses."""
+    """Mean composite loss over one batch: the mean of the per-sample losses.
+
+    Checked at its boundaries like ``Model.forward``: the input images, then
+    the loss, whose non-finite value is replayed to name the op.
+    """
     imgs, labels = _stack_batch(samples, idxs)
-    pred = model.forward(imgs, labels)
     smaps = np.stack([samples[i].smap for i in idxs])
     fmaps = np.stack([samples[i].fmap for i in idxs])
-    return composite_loss(smaps, fmaps, pred, weights=model.cfg.loss_weights,
-                          kl_literal=model.cfg.kl_literal)
+
+    def loss():
+        return composite_loss(smaps, fmaps, model.forward(imgs, labels),
+                              weights=model.cfg.loss_weights, kl_literal=model.cfg.kl_literal)
+
+    return T.checked_at_boundary("batch loss", loss)
 
 
 def evaluate(model: Model, samples, batch_size: int = 16):
@@ -614,6 +639,12 @@ def train(model: Model, train_samples, val_samples) -> TrainingReport:
                 raise NumericAbort(str(exc), epoch, b) from exc
             for t, g in grads.items():
                 if not np.all(np.isfinite(g)):
+                    # a non-finite value squashed inside the forward can
+                    # surface here; a checked replay names its op
+                    try:
+                        T.replay_checked(batch_loss, model, train_samples, idxs)
+                    except NumericError as exc:
+                        raise NumericAbort(str(exc), epoch, b) from exc
                     where = param_names.get(t, "a leaf outside the registry")
                     raise NumericAbort(f"non-finite gradient in {where}", epoch, b)
             opt.step(grads)

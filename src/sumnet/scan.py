@@ -360,8 +360,10 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     d_skip [G, C], ...), and group g scans with its own set.  Runs the delta
     projection and its softplus, the B and C projections (each one batched
     matmul over the groups), A = -exp(a_log), one recurrence kernel call over
-    all G*B rows and the skip term D x.  In checked mode the delta
-    pre-activation, both projections and exp(a_log) must be finite.  `saved`
+    all G*B rows and the skip term D x.  With per-op checks on the delta
+    pre-activation, both projections and exp(a_log) must be finite; in the
+    model's forward they are off, and a boundary's checked replay raises
+    their named errors (`tensor.checked_at_boundary`).  `saved`
     holds what selective_scan_bwd reads (the sequence, the rank-R delta
     projection, the softplus derivative, delta, the B/C projections, A,
     exp(a_log), the kernel's hidden and abar) when `keep`, else None, and
@@ -473,10 +475,12 @@ def ss2d_fwd(grid, params, keep):
     The four traversals go into one [4, B, H*W, C] array (`_traversals`)
     that selective_scan_fwd scans as four groups with `params`, the arrays
     of SS2DParams.tensors() ([1, ...] ones broadcast to four), so the whole
-    ss2d is one kernel call; cross_merge_fwd sums them back.  In checked
-    mode the scan output and the merged grid must be finite, besides
+    ss2d is one kernel call; cross_merge_fwd sums them back.  With per-op
+    checks on the scan output and the merged grid must be finite, besides
     selective_scan_fwd's own checks; the traversals only copy values
-    already checked.  `saved` is the grouped scan's and the set count.
+    already checked.  In the model's forward these names surface through a
+    boundary's checked replay (`tensor.checked_at_boundary`).  `saved` is
+    the grouped scan's and the set count.
     """
     _, h, w, _ = grid.shape
     k, sets = len(DIRECTION_ORDER), len(params[0])

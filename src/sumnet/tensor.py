@@ -18,9 +18,13 @@ gradients.  The tape is rebuilt on every forward pass.
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.
 
-Checked mode (on by default) raises NumericError when an op produces a
-non-finite value or hits a domain violation (log/sqrt of a negative,
-division by zero).
+Checked mode (on by default, `set_checked`) raises NumericError when an op
+produces a non-finite value or hits a domain violation (log/sqrt of a
+negative, division by zero), naming the op.  Direct op calls are checked op
+by op.  The model checks at its boundaries instead (`checked_at_boundary`):
+per-op checks off, one `isfinite` on the output, and a checked replay that
+names the op when the output is not finite.  So a non-finite intermediate
+squashed before the output (exp(exp(1000) * -1) = 0) is no error there.
 """
 
 from __future__ import annotations
@@ -43,12 +47,24 @@ class NumericError(ArithmeticError):
     """Domain violation or non-finite value caught in checked mode."""
 
 
-_local = threading.local()
+class _ThreadState(threading.local):
+    """Per-thread state: the tape stack and the flags of the scopes below."""
+
+    def __init__(self):
+        self.stack = []
+        self.skip_draws = False
+        # per-op checks: None at the top level (on), False in a boundary's
+        # first run, True in its replay; a boundary inside either calls through
+        self.op_checks = None
+
+
+_local = _ThreadState()
 _CHECKED = [True]  # single-element list so closures see toggles
 
 
 def set_checked(flag: bool) -> bool:
-    """Toggle checked mode; returns the previous setting."""
+    """Toggle checked mode, every check off or on, the boundaries' too;
+    returns the previous setting."""
     prev = _CHECKED[0]
     _CHECKED[0] = bool(flag)
     return prev
@@ -58,43 +74,81 @@ def checked_mode() -> bool:
     return _CHECKED[0]
 
 
-def _tape_stack() -> list:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
-
-
 def active_tape():
-    stack = _tape_stack()
+    stack = _local.stack
     return stack[-1] if stack else None
 
 
 class _suspend_recording:
-    """Context that hides the active tape (used by the finite-difference oracle)."""
+    """Context that hides the active tape (the finite-difference oracle, a replay)."""
 
     def __enter__(self):
-        _tape_stack().append(None)
+        _local.stack.append(None)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _local.stack.pop()
         return False
 
 
-class skip_draws:
+class _scope:
+    """Context that sets one field of this thread's state, restored on exit,
+    exceptions included."""
+
+    def __init__(self, field: str, value):
+        self._field, self._value = field, value
+
+    def __enter__(self):
+        self._prev = getattr(_local, self._field)
+        setattr(_local, self._field, self._value)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(_local, self._field, self._prev)
+        return False
+
+
+def skip_draws() -> _scope:
     """Context in which `init_uniforms` allocates without drawing: for a build
     whose every parameter is overwritten next (``Model.from_state``).  Per
     thread, and restored on exit, exceptions included."""
+    return _scope("skip_draws", True)
 
-    def __enter__(self):
-        self._prev = getattr(_local, "skip_draws", False)
-        _local.skip_draws = True
-        return self
 
-    def __exit__(self, *exc):
-        _local.skip_draws = self._prev
-        return False
+def _op_checks(on: bool) -> _scope:
+    """Context in which the per-op checks (`_check` and the domain checks of
+    div, log and sqrt) run or not as `on` says, within checked mode, and a
+    `checked_at_boundary` inside calls through: the caller owns the check.
+    Off, a check costs an attribute read."""
+    return _scope("op_checks", bool(on))
+
+
+def replay_checked(fn, *args):
+    """fn(*args) with recording suspended and every per-op check on, nested
+    boundaries included: rerun a deterministic computation whose output
+    tripped a boundary, so its NumericError names the op."""
+    with _suspend_recording(), _op_checks(True):
+        return fn(*args)
+
+
+def checked_at_boundary(kind: str, fn, *args):
+    """fn(*args) -> Tensor with per-op checks off and one check of its output.
+
+    fn must be deterministic in its arguments and in state nothing changes
+    between two calls.  The first run raises no floating-point warning; a
+    non-finite output is replayed (`replay_checked`), which raises the op's
+    NumericError, and if the replay finds none, the error names `kind`.
+    Outside checked mode, or inside an enclosing boundary or a replay, this
+    is fn(*args).
+    """
+    if _local.op_checks is not None or not _CHECKED[0]:
+        return fn(*args)
+    with _op_checks(False), np.errstate(all="ignore"):
+        out = fn(*args)
+    if not np.isfinite(out.data).all():
+        replay_checked(fn, *args)
+        raise NumericError(f"{kind}: produced a non-finite value")
+    return out
 
 
 class Tensor:
@@ -197,11 +251,11 @@ class Tape:
         self._tensors: list[Tensor] = []  # node index -> tensor (keeps ids alive)
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _local.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _local.stack.pop()
         return False
 
     def __len__(self):
@@ -225,7 +279,7 @@ class Tape:
 
 
 def _check(kind: str, out: np.ndarray) -> None:
-    if _CHECKED[0] and not np.isfinite(out).all():
+    if _local.op_checks is not False and _CHECKED[0] and not np.isfinite(out).all():
         raise NumericError(f"{kind}: produced a non-finite value")
 
 
@@ -237,7 +291,7 @@ def _recording_tape(inputs: list):
     forward can skip saving state that only a backward pass would read.
     Every op passes here, so it reads the tape stack itself (see active_tape).
     """
-    stack = _tape_stack()
+    stack = _local.stack
     if stack and stack[-1] is not None:
         for t in inputs:
             if t.requires_grad:
@@ -330,7 +384,7 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
     derive(seed, labels[k], field), in one uniform_stack pass: the one source
     of the init helpers' random values.  Under `skip_draws`, uninitialized."""
     dims = _validate_shape(shape)
-    if getattr(_local, "skip_draws", False):
+    if _local.skip_draws:
         return np.empty((len(labels),) + dims)
     return uniform_stack(dims, -bound, bound, [derive(seed, label, field) for label in labels])
 
@@ -385,7 +439,7 @@ def mul(a, b) -> Tensor:
 
 
 def _div_fwd(a, b, keep):
-    if _CHECKED[0] and (b == 0.0).any():
+    if _local.op_checks is not False and _CHECKED[0] and (b == 0.0).any():
         raise NumericError("div: division by zero")
     with np.errstate(divide="ignore", invalid="ignore"):
         return a / b, (a, b)
@@ -429,7 +483,7 @@ def exp(x) -> Tensor:
 
 
 def _log_fwd(x, keep):
-    if _CHECKED[0] and (x < 0.0).any():
+    if _local.op_checks is not False and _CHECKED[0] and (x < 0.0).any():
         raise NumericError("log: negative argument")
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(x), x
@@ -440,7 +494,7 @@ def log(x) -> Tensor:
 
 
 def _sqrt_fwd(x, keep):
-    if _CHECKED[0] and (x < 0.0).any():
+    if _local.op_checks is not False and _CHECKED[0] and (x < 0.0).any():
         raise NumericError("sqrt: negative argument")
     with np.errstate(invalid="ignore"):
         out = np.sqrt(x)

@@ -439,6 +439,42 @@ def test_infer_rejects_a_non_finite_parameter(trained, tmp_path, capsys):
     assert not (tmp_path / "y.pgm").exists()
 
 
+def _overflowing_checkpoint(trained, tmp_path):
+    """The trained checkpoint with float32-max weights chained through one
+    block (inproj, dwconv, the B and C projections): its scan output
+    overflows, so every prediction is non-finite."""
+    arrays = load_checkpoint(trained / "checkpoint.ckpt")
+    for name in ("inproj.weight", "dw.kernel", "ssm.w_b", "ssm.w_c"):
+        arrays[f"enc1.b0.{name}"][...] = np.finfo(np.float32).max
+    bad = tmp_path / "overflow.ckpt"
+    save_checkpoint(bad, arrays)
+    return bad
+
+
+def test_eval_numeric_failure_exits_3(trained, corpus32, tmp_path, capsys):
+    out = tmp_path / "eval.txt"
+    with np.errstate(all="ignore"):
+        code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
+                         "--checkpoint", str(_overflowing_checkpoint(trained, tmp_path)),
+                         "--out", str(out)])
+    assert code == 3
+    assert ("error: selective_scan: produced a non-finite value"
+            in capsys.readouterr().err.splitlines())
+    assert not out.exists()
+
+
+def test_infer_numeric_failure_exits_3(trained, tmp_path, capsys):
+    src = tmp_path / "img.ppm"
+    write_ppm(src, np.full((32, 32, 3), 0.5))
+    with np.errstate(all="ignore"):
+        code = cli.main(["infer", "--checkpoint", str(_overflowing_checkpoint(trained, tmp_path)),
+                         "--image", str(src), "--domain", "ui",
+                         "--out", str(tmp_path / "y.pgm")])
+    assert code == 3
+    assert "error: selective_scan: produced a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "y.pgm").exists()
+
+
 def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, monkeypatch):
     # a ShapeError is a ValueError, but inside predict it is a program fault:
     # it must surface with its traceback, not as exit 2 "bad configuration"
@@ -451,6 +487,17 @@ def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, mon
     with pytest.raises(sumnet.tensor.ShapeError, match="internal shape fault"):
         cli.main(["infer", "--checkpoint", str(trained / "checkpoint.ckpt"),
                   "--image", str(src), "--domain", "ui", "--out", str(tmp_path / "y.pgm")])
+
+
+def test_numeric_error_outside_scoring_is_a_program_fault(monkeypatch):
+    # gradcheck runs at fixed, seeded points: a NumericError there is no
+    # numeric abort (exit 3) but a fault that surfaces with its traceback
+    def broken(module):
+        raise sumnet.tensor.NumericError("exp: produced a non-finite value")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    with pytest.raises(sumnet.tensor.NumericError, match="exp: produced"):
+        cli.main(["gradcheck", "--module", "tensor"])
 
 
 # ---------------------------------------------------------------------------

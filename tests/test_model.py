@@ -1,5 +1,6 @@
 """Configuration, registry, forward wiring, optimizer, and training loop."""
 
+import contextlib
 import hashlib
 import re
 
@@ -801,6 +802,91 @@ def test_numeric_abort_names_location():
     assert exc.value.epoch == 0
     assert exc.value.batch >= 0
     assert "epoch 0" in str(exc.value)
+
+
+def test_numeric_abort_message_is_pinned():
+    # the lr=1e30 step leaves a_log so large that exp(a_log) overflows; the
+    # forward squashes it (abar = 0), so only the gradient boundary trips,
+    # and its checked replay names the op
+    m = Model(micro_cfg(epochs=1, batch_size=2, lr=1e30))
+    samples = micro_samples(4)
+    with pytest.raises(NumericAbort) as exc:
+        train(m, samples[:3], samples[3:])
+    assert str(exc.value) == ("selective_scan exp(a_log): produced a non-finite value "
+                              "(epoch 0, batch 1)")
+
+
+def _with_nan_gate(model):
+    model.params()["enc1.b0.gate.weight"].data[1, 2] = np.nan
+    return model
+
+
+def test_boundary_replay_names_the_op():
+    samples = micro_samples(3)
+    imgs = np.stack([s.image for s in samples])
+    labels = [s.label for s in samples]
+    with pytest.raises(T.NumericError, match="gated_block gate linear"):
+        _with_nan_gate(Model(micro_cfg())).predict(imgs, labels)
+    with T.Tape() as clean:
+        batch_loss(Model(micro_cfg()), samples, [0, 1, 2])
+    with T.Tape() as tape:
+        with pytest.raises(T.NumericError, match="gated_block gate linear"):
+            batch_loss(_with_nan_gate(Model(micro_cfg())), samples, [0, 1, 2])
+    # the first, unchecked run's nodes and no replay node
+    assert [n.kind for n in tape.nodes] == [n.kind for n in clean.nodes]
+
+
+def test_non_finite_input_image_names_its_batch_index():
+    m = Model(micro_cfg())
+    samples = micro_samples(3)
+    samples[2].image[5, 7, 1] = np.inf
+    imgs = np.stack([s.image for s in samples])
+    with pytest.raises(T.NumericError, match="input image 2 has a non-finite pixel"):
+        m.predict(imgs, [0, 1, 2])
+    with pytest.raises(T.NumericError, match="input image 1 has a non-finite pixel"):
+        batch_loss(m, samples, [0, 2])
+    prev = T.set_checked(False)  # checks every boundary too
+    try:
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(m.predict(imgs, [0, 1, 2])[2]).all()
+    finally:
+        T.set_checked(prev)
+
+
+def test_boundary_checks_change_no_value():
+    # the same model under per-op checks, as every op ran before boundaries
+    m = Model(micro_cfg())
+    samples = micro_samples(3)
+    imgs = np.stack([s.image for s in samples])
+    want = T.replay_checked(m.predict, imgs, [0, 1, 2])
+    assert m.predict(imgs, [0, 1, 2]).tobytes() == want.tobytes()
+    grads = []
+    for scope in (T._op_checks(True), T._op_checks(False), contextlib.nullcontext()):
+        with scope, T.Tape() as tape:
+            loss = batch_loss(m, samples, [0, 1, 2])
+            g = T.backward(tape, loss)
+        grads.append([loss.data.tobytes()] + [g[t].tobytes() for t in m.params().values()])
+    assert grads[0] == grads[1] == grads[2]
+
+
+def test_a_squashed_intermediate_is_not_an_error():
+    # exp(a_log) overflows to inf, so A = -inf and abar = 0: the map is finite
+    m = Model(micro_cfg())
+    m.params()["enc1.b0.ssm.a_log"].data[...] = 1000.0
+    img = micro_samples(1)[0].image[None]
+    assert np.isfinite(m.predict(img, [0])).all()
+    with pytest.raises(T.NumericError, match=r"selective_scan exp\(a_log\)"):
+        T.replay_checked(m.predict, img, [0])  # a per-op check still sees it
+
+
+def test_a_predict_runs_at_most_three_finiteness_tests(monkeypatch):
+    m = Model(SumConfig(input_size=32, base_channels=4))  # step-micro's model, at B=1
+    img = micro_samples(1)[0].image[None]
+    calls = []
+    real = T.np.isfinite
+    monkeypatch.setattr(T.np, "isfinite", lambda *a, **k: calls.append(1) or real(*a, **k))
+    m.predict(img, [0])
+    assert 0 < len(calls) <= 3
 
 
 def test_train_input_validation():

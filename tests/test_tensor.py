@@ -144,6 +144,43 @@ def test_checked_mode_catches_bad_values():
     assert T.checked_mode() is True
 
 
+def _squashing(x):
+    """exp overflows to inf for x > 709, and exp(-inf) squashes it to 0."""
+    return T.exp(T.mul(T.exp(x), -1.0))
+
+
+def test_checked_at_boundary_checks_the_output_and_replays_to_name_the_op():
+    x = Tensor([1.0, 1000.0])
+    with pytest.raises(NumericError, match="exp"):
+        _squashing(x)  # a direct call is checked op by op
+    out = T.checked_at_boundary("squash", _squashing, x)
+    assert np.array_equal(out.data, [np.exp(-np.e), 0.0])
+    with pytest.raises(NumericError, match="^log: negative argument$"):
+        T.checked_at_boundary("blowup", lambda t: T.mul(T.log(t), 0.0), Tensor([-1.0]))
+    seen = []
+
+    def fn(t):  # non-finite output, though no op fails a check
+        seen.append(T._local.op_checks)
+        return Tensor(t.data * np.nan)
+
+    with pytest.raises(NumericError, match="^outer: produced a non-finite value$"):
+        T.checked_at_boundary("outer", fn, x)
+    assert seen == [False, True]  # the unchecked run, then the checked replay
+    with pytest.raises(NumericError, match="^exp: produced"):  # a nested boundary calls
+        T.replay_checked(T.checked_at_boundary, "inner", _squashing, x)  # through
+
+
+def test_op_check_scope_is_restored_after_an_exception():
+    with pytest.raises(RuntimeError, match="inside"):
+        with T._op_checks(False):
+            assert np.isinf(T.exp(Tensor([1000.0])).data[0])
+            raise RuntimeError("inside")
+    with pytest.raises(NumericError):
+        T.exp(Tensor([1000.0]))
+    assert T._local.op_checks is None
+    assert T.checked_at_boundary("squash", _squashing, Tensor([1000.0])).data[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # primitive: the recording path of the fused ops
 
@@ -192,8 +229,9 @@ def test_primitive_takes_plain_arrays_and_checks_its_output():
 
 
 def test_no_module_but_tensor_reaches_the_recording_internals():
-    # every op records through T.primitive, so one path puts nodes on the tape
-    private = {"_recording_tape", "_record"}
+    # every op records through T.primitive, so one path puts nodes on the tape,
+    # and no module but tensor reads or flips the checked-mode switch
+    private = {"_recording_tape", "_record", "_CHECKED"}
     found = []
     for path in sorted(Path(T.__file__).parent.glob("*.py")):
         if path.name == "tensor.py":
