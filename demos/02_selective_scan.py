@@ -44,10 +44,10 @@ def main():
 
     # -- 3. linear wall-clock growth ------------------------------------
     lengths = [256, 512, 1024, 2048]
-    meds = list(bench_lengths(lengths, channels=4, state_size=4, runs=3).values())
-    for n, t in zip(lengths, meds):
+    mins = list(bench_lengths(lengths, channels=4, state_size=4, runs=3).values())
+    for n, t in zip(lengths, mins):
         print(f"L={n:5d}  {t * 1e3:8.2f} ms", file=sys.stderr)
-    print("log-log slope:", round(fit_loglog_slope(lengths, meds), 3),
+    print("log-log slope:", round(fit_loglog_slope(lengths, mins), 3),
           "(1.0 = perfectly linear)", file=sys.stderr)
 
 

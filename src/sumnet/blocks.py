@@ -79,7 +79,7 @@ def linear_bwd(saved, g):
     """Gradients of linear_fwd: (g W^T, x^T g, sum of g), leading axes flattened."""
     flat, w, x_shape = saved
     g2 = g.reshape(-1, w.shape[1])
-    return (g2 @ w.T).reshape(x_shape), flat.T @ g2, g2.sum(axis=0)
+    return (g2 @ w.T).reshape(x_shape), flat.T @ g2, T._sum_rows(g2)
 
 
 def linear(x: Tensor, p: Linear) -> Tensor:
@@ -120,11 +120,18 @@ def ln_core_fwd(x, eps: float = LN_EPS):
 
 
 def ln_core_bwd(saved, g):
-    """Gradient of ln_core_fwd (a one-element tuple)."""
+    """Gradient of ln_core_fwd (a one-element tuple).  The two channel means
+    are matmuls with a vector of 1/C, several times faster than
+    ``ndarray.mean`` over the short trailing axis."""
     out, sigma = saved
-    axis = (g.ndim - 1,)
-    gx = g - g.mean(axis=axis, keepdims=True)
-    gx -= out * (g * out).mean(axis=axis, keepdims=True)
+    ch = g.shape[-1]
+    inv_c = np.full(ch, 1.0 / ch)
+
+    def mean(v):
+        return (v.reshape(-1, ch) @ inv_c).reshape(sigma.shape)
+
+    gx = g - mean(g)
+    gx -= out * mean(g * out)
     gx /= sigma
     return (gx,)
 
@@ -177,19 +184,23 @@ def dwconv_fwd(x, kernel, bias):
 
 
 def dwconv_bwd(saved, g):
-    """Gradients of dwconv_fwd: scatter g * k[:, dy, dx] into one padded
-    buffer, contract g with each tap's window for the kernel, sum g for
-    the bias."""
+    """Gradients of dwconv_fwd.  The input's is the correlation of the
+    zero-padded g with the flipped taps -- tap t reads window 8 - t --
+    accumulated in tap order into one buffer, so each element sums the same
+    products in the order a scatter of g * k[:, dy, dx] would.  The kernel's
+    contracts g with each tap's window; the bias's is a column sum."""
     padded, k9, windows = saved
-    h, w = g.shape[-3], g.shape[-2]
     taps = "bhwc,bhwc->c" if g.ndim == 4 else "hwc,hwc->c"
     g_pad = np.zeros(padded.shape)
+    g_pad[windows[4]] = g  # the centre window is the interior
+    g_x = g_pad[windows[8]] * k9[:, 0]
+    tmp = np.empty_like(g_x)
     g_k = np.empty(k9.shape)
     for tap, win in enumerate(windows):
-        g_pad[win] += g * k9[:, tap]
+        if tap:
+            g_x += np.multiply(g_pad[windows[8 - tap]], k9[:, tap], out=tmp)
         g_k[:, tap] = np.einsum(taps, padded[win], g)
-    g_x = np.ascontiguousarray(g_pad[windows[0][:-2] + (slice(1, h + 1), slice(1, w + 1))])
-    return g_x, g_k.reshape(-1, 3, 3), g.sum(axis=tuple(range(g.ndim - 1)))
+    return g_x, g_k.reshape(-1, 3, 3), T._sum_rows(g.reshape(-1, g.shape[-1]))
 
 
 def depthwise_conv3x3(x: Tensor, p: DWConvParams) -> Tensor:
@@ -458,10 +469,12 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
             g_t2 = g_t2 * a3
         (g_scan,) = ln_core_bwd(ln2_saved, g_t2)
         g_grid, g_ssm = ss2d_bwd(ss_saved, g_scan.reshape(grid_shape))
-        g_conv = g_grid.reshape(g_scan.shape) * T._silu_grad(conv, conv_s)
+        g_conv = T._silu_grad(conv, conv_s)
+        g_conv *= g_grid.reshape(g_conv.shape)
         g_branch, g_k, g_kb = dwconv_bwd(dw_saved, g_conv)
         g_x, g_wi, g_bi = linear_bwd(in_saved, g_branch)
-        g_gl = g_gate * T._silu_grad(gl, gl_s)
+        g_gl = T._silu_grad(gl, gl_s)
+        g_gl *= g_gate
         g_xg, g_wg, g_bg = linear_bwd(gate_saved, g_gl)
         g_x = g_x + g_xg
         if knobs:

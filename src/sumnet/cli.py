@@ -248,11 +248,11 @@ def cmd_bench_scan(args) -> int:
         raise ConfigError(f"need at least two lengths >= 2, got {lengths}")
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
-    meds = bench_lengths(lengths, runs=args.repeats)
+    mins = bench_lengths(lengths, runs=args.repeats)
     print("L,seconds")
     for n in lengths:
-        print(f"{n},{meds[n]:.6f}")
-    print(f"slope,{fit_loglog_slope(lengths, [meds[n] for n in lengths]):.4f}")
+        print(f"{n},{mins[n]:.6f}")
+    print(f"slope,{fit_loglog_slope(lengths, [mins[n] for n in lengths]):.4f}")
     return 0
 
 

@@ -409,8 +409,11 @@ class Model:
         return T.reshape(y, (imgs.shape[0], s, s))
 
     def predict(self, images, labels=None) -> np.ndarray:
-        """Forward pass without recording; returns plain arrays."""
-        return self.forward(images, labels).data
+        """Forward pass without recording, even under an active tape, so every
+        primitive runs with keep=False and the scan keeps no full-size state;
+        returns plain arrays."""
+        with T._suspend_recording():
+            return self.forward(images, labels).data
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,18 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
     built.  A call that fits one chunk runs it on the whole arrays and lets
     each op allocate, so it pays no chunking overhead.  einsum builds the
     outer products because broadcasting runs an inner loop only C long.
+
+    The pass budget.  Once per call: the time-major copies of delta, B and
+    C (none from `selective_scan_fwd`, which lays them out so) and
+    dx = delta x, one pass over [L, G*B, C].  Per chunk, over [K, G*B, N, C]
+    state (`_forward_chunk`):
+      1. abar = delta a          reads delta, A per row     writes abar
+      2. exp(abar), in place     reads and writes abar
+      3. du = einsum(dx, B)      reads dx, B                writes hidden
+      4. the sweep, per step:    h_t += abar_t h_{t-1}      reads abar,
+         through one [G*B, N, C] temporary                  updates hidden
+      5. y = C h (matmul)        reads C, hidden            writes y
+    So four passes write the state and one more reads it.
     """
     rows, length, ch = delta.shape
     n = a.shape[-1]
@@ -229,6 +241,22 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
     into delta, and into a per-row running A gradient that is summed over
     each group's B rows at the end.  The inputs are read time-major (copied
     unless laid out so), the gradients written batch-major.
+
+    The pass budget per chunk, over [K, G*B, N, C] state:
+      1. g_C = h g (matmul)           reads hidden, g             writes g_c
+      2. dh = einsum(g, C)            reads g, C                  writes dh
+      3. the sweep, per step:         dh_t += abar_{t+1} dh_{t+1} reads abar,
+         through one temporary, then the carry abar_s dh_s    updates dh
+      4. g_dx = B dh (matmul)         reads B, dh                 writes g_dx
+      5. g_B = dh (delta x) (matmul)  reads dh, delta x           writes g_b
+      6. dh *= h_{t-1}, in place      reads hidden                updates dh
+      7. dh *= abar_t, in place       reads abar                  updates dh
+      8. einsum(dh, A) into g_delta   reads dh                    [K, G*B, C]
+      9. einsum(dh, delta) into g_A   reads dh                    [G*B, N, C]
+    plus [K, G*B, C] passes for delta x and the delta and x gradients.
+    Writing abar_t dh_t of step 3 to a K-row buffer, so that 6 and 7
+    become one multiply, measured slower: the sweep's temporary stops
+    living in L1.
     """
     g_t, delta_t, x_t, b_t, c_t = (np.ascontiguousarray(_time_major(v))
                                    for v in (g, delta, x, b_seq, c_seq))
@@ -368,6 +396,12 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     projection, the softplus derivative, delta, the B/C projections, A,
     exp(a_log), the kernel's hidden and abar) when `keep`, else None, and
     then the kernel keeps no full-size state.
+
+    The softplus derivative comes from the softplus's own exponential:
+    e = exp(min(pre, 30)), then sigmoid(pre) = e / (1 + e) before log1p
+    overwrites e, and 1.0 where pre > 30.  For pre <= 0 that is the value
+    `tensor._sigmoid_raw` gives, bit for bit, and within 2 ulp above; only
+    gradients read it.
     """
     groups, bsz, length, ch = x4.shape
     n = w_b.shape[2]
@@ -378,9 +412,13 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     big = pre > 30.0
     delta = np.minimum(pre, 30.0)  # softplus, in place
     np.exp(delta, out=delta)
+    deriv = None
+    if keep:  # softplus' = e / (1 + e) from the same e = exp(min(pre, 30))
+        deriv = delta + 1.0
+        np.divide(delta, deriv, out=deriv)
+        np.copyto(deriv, 1.0, where=big)
     np.log1p(delta, out=delta)
     np.copyto(delta, pre, where=big)
-    deriv = np.where(big, 1.0, T._sigmoid_raw(pre)) if keep else None  # softplus'
     del pre, big
     b_flat, c_flat = flat @ w_b, flat @ w_c
     T._check("selective_scan B projection", b_flat)
@@ -425,9 +463,9 @@ def selective_scan_bwd(saved, g4):
     g_x3 += tmp3
     for g_p, w_p in ((g_low, w_delta), (g_b, w_b), (g_c, w_c)):
         g_x3 += np.matmul(g_p, w_p.transpose(0, 2, 1), out=tmp3)
-    g_d = np.multiply(g4, x4, out=tmp).sum(axis=(1, 2))
+    g_d = T._sum_rows(np.multiply(g4, x4, out=tmp).reshape(g_pre.shape))
     return (g_x.reshape(g4.shape), (g_a * -1.0) * e_a, g_d, flat_t @ g_b, flat_t @ g_c,
-            flat_t @ g_low, low.transpose(0, 2, 1) @ g_pre, g_pre.sum(axis=1))
+            flat_t @ g_low, low.transpose(0, 2, 1) @ g_pre, T._sum_rows(g_pre))
 
 
 def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
@@ -545,12 +583,13 @@ def ss2d(f: Tensor, params: SS2DParams) -> Tensor:
 
 def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
                   runs: int = 5, seed: int = 0) -> dict:
-    """Per-length median scan times, measured round-robin across lengths.
+    """Per-length minimum scan times, measured round-robin across lengths.
 
     Interleaving the lengths spreads any scheduler or frequency burst over
-    at most one sample per length instead of a whole length's window, so
-    the medians stay meaningful on busy machines.  Returns {length: median
-    seconds} in input order; `runs` below 1 is a ValueError.
+    at most one sample per length instead of a whole length's window, and
+    the minimum keeps only each length's least disturbed run: noise from
+    other processes only ever adds time.  Returns {length: minimum seconds}
+    in input order; `runs` below 1 is a ValueError.
     """
     runs = int(runs)
     if runs < 1:
@@ -567,7 +606,7 @@ def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
             t0 = time.perf_counter()
             selective_scan(x, p)
             times[n].append(time.perf_counter() - t0)
-    return {n: float(np.median(ts)) for n, ts in times.items()}
+    return {n: min(ts) for n, ts in times.items()}
 
 
 def fit_loglog_slope(lengths, seconds) -> float:

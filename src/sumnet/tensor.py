@@ -126,8 +126,9 @@ def _op_checks(on: bool) -> _scope:
 def replay_checked(fn, *args):
     """fn(*args) with recording suspended and every per-op check on, nested
     boundaries included: rerun a deterministic computation whose output
-    tripped a boundary, so its NumericError names the op."""
-    with _suspend_recording(), _op_checks(True):
+    tripped a boundary, so its NumericError names the op.  numpy's
+    floating-point warnings are silenced: the per-op checks report."""
+    with _suspend_recording(), _op_checks(True), np.errstate(all="ignore"):
         return fn(*args)
 
 
@@ -393,13 +394,29 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
 # broadcasting binary ops
 
 
+_MATMUL_ROWS = 128  # below this many rows ndarray.sum is the faster column sum
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """x [..., M, K] summed over its M rows.  From _MATMUL_ROWS rows on this
+    is a matmul with a vector of ones, which BLAS runs several times faster
+    than ``ndarray.sum`` over a non-trailing axis; the order of the
+    additions differs, so the last bits may."""
+    if x.shape[-2] < _MATMUL_ROWS:
+        return x.sum(axis=-2)
+    return np.ones(x.shape[-2]) @ x
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to `shape`."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
+    if extra == g.ndim:  # a full reduction is one contiguous pass
+        g = g.sum()
+    elif extra:
+        lead, rest = math.prod(g.shape[:extra]), g.shape[extra:]
+        g = _sum_rows(g.reshape(lead, math.prod(rest))).reshape(rest)
     axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -506,9 +523,14 @@ def sqrt(x) -> Tensor:
 
 
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    # stable in both tails
+    """1 / (1 + e) for x >= 0, e / (1 + e) below, e = exp(-|x|): stable in
+    both tails, and one masked divide, so each element is still one IEEE
+    division of the same operands."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0.0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _sigmoid_fwd(x, keep):
@@ -521,7 +543,13 @@ def sigmoid(x) -> Tensor:
 
 
 def _silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return s * (1.0 + x * (1.0 - s))
+    """s (1 + x (1 - s)) for s = sigmoid(x), in one buffer: the same IEEE
+    operations on the same operands, without three temporaries."""
+    out = 1.0 - s
+    out *= x
+    out += 1.0
+    out *= s
+    return out
 
 
 def _silu_fwd(x, keep):

@@ -18,6 +18,8 @@ from sumnet.blocks import (
     conditioner_table,
     depthwise_conv3x3,
     downsample,
+    dwconv_bwd,
+    dwconv_fwd,
     gated_block,
     init_conditioner,
     init_downsample,
@@ -29,7 +31,11 @@ from sumnet.blocks import (
     init_vss,
     layer_norm,
     linear,
+    linear_bwd,
+    linear_fwd,
     ln_core,
+    ln_core_bwd,
+    ln_core_fwd,
     patch_embed,
     patch_expand,
 )
@@ -228,6 +234,67 @@ def test_linear_matches_reference_composition(shape):
     assert n_ops == 1
     assert got.shape == shape[:-1] + (n_out,) and np.array_equal(got, want)
     _assert_grads_close(got_g, want_g)  # x, weight and bias
+
+
+# The backward pairs against the numpy expressions they replaced: a scatter
+# of g * k into a padded buffer, ndarray.sum column sums and ndarray.mean
+# channel means.  The large shapes take the matmul reductions
+# (T._MATMUL_ROWS rows or more).
+ORACLE_GRIDS = [(5, 6, 3), (16, 16, 8), (2, 4, 3, 5), (8, 16, 16, 16)]
+
+
+def _scatter_dwconv_bwd(saved, g):
+    padded, k9, windows = saved
+    h, w = g.shape[-3], g.shape[-2]
+    taps = "bhwc,bhwc->c" if g.ndim == 4 else "hwc,hwc->c"
+    g_pad = np.zeros(padded.shape)
+    g_k = np.empty(k9.shape)
+    for tap, win in enumerate(windows):
+        g_pad[win] += g * k9[:, tap]
+        g_k[:, tap] = np.einsum(taps, padded[win], g)
+    g_x = np.ascontiguousarray(g_pad[windows[0][:-2] + (slice(1, h + 1), slice(1, w + 1))])
+    return g_x, g_k.reshape(-1, 3, 3), g.sum(axis=tuple(range(g.ndim - 1)))
+
+
+def _mean_ln_core_bwd(saved, g):
+    out, sigma = saved
+    gx = g - g.mean(axis=-1, keepdims=True)
+    gx -= out * (g * out).mean(axis=-1, keepdims=True)
+    gx /= sigma
+    return (gx,)
+
+
+def _sum_linear_bwd(saved, g):
+    flat, w, x_shape = saved
+    g2 = g.reshape(-1, w.shape[1])
+    return (g2 @ w.T).reshape(x_shape), flat.T @ g2, g2.sum(axis=0)
+
+
+def _oracle_pair(shape, seed):
+    """dwconv, ln_core and linear: (name, saved, g, new bwd, old bwd)."""
+    c = shape[-1]
+    x, g = rnd(shape, seed).data, rnd(shape, seed + 1).data
+    _, dw_saved = dwconv_fwd(x, rnd((c, 3, 3), seed + 2).data, rnd((c,), seed + 3).data)
+    _, ln_saved = ln_core_fwd(x)
+    _, lin_saved = linear_fwd(x, rnd((c, c), seed + 4).data, rnd((c,), seed + 5).data)
+    return [("dwconv", dw_saved, g, dwconv_bwd, _scatter_dwconv_bwd),
+            ("ln_core", ln_saved, g, ln_core_bwd, _mean_ln_core_bwd),
+            ("linear", lin_saved, g, linear_bwd, _sum_linear_bwd)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_GRIDS)
+def test_backward_pairs_match_their_old_expressions(shape):
+    for name, saved, g, bwd, oracle in _oracle_pair(shape, 70):
+        got, want = bwd(saved, g), oracle(saved, g)
+        assert len(got) == len(want), name
+        _assert_grads_close(got, want)
+
+
+@pytest.mark.parametrize("shape", ORACLE_GRIDS)
+def test_dwconv_input_gradient_equals_the_scatter_bit_for_bit(shape):
+    # each element sums the same products in the same tap order
+    _, saved, g, bwd, oracle = _oracle_pair(shape, 80)[0]
+    assert np.array_equal(bwd(saved, g)[0], oracle(saved, g)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +549,26 @@ def test_gated_block_matches_reference_composition(shape, mod, shared):
     _assert_grads_close(by_slice(got_g), by_slice(want_g))  # f, every weight, every knob
     for k, g in zip(KNOBS, got_g[len(leaves) - len(knobs):]):
         assert g.shape == getattr(m, k).shape, k
+
+
+def test_gated_block_gradients_match_ndarray_sum_column_sums(monkeypatch):
+    # [2, 8, 8, 6] puts T._MATMUL_ROWS rows or more into every column sum:
+    # the linears' and the conv's biases, LN gamma/beta, d_skip and b_delta
+    w = init_vss(6, 3, seed=64, name="t")
+    knobs = [Tensor(1.0 + rnd((2, 1, 1, 1), 66 + k, -0.5, 0.5).data, requires_grad=True)
+             for k in range(5)]
+    f = Tensor(rnd((2, 8, 8, 6), 65).data, requires_grad=True)
+    leaves = [f] + _vss_tensors(w) + knobs
+
+    def grads():
+        with T.Tape() as tape:
+            y = gated_block(f, w, ModulationParams(*knobs))
+            T.backward(tape, T.reduce_sum(T.mul(y, T.uniform(y.shape, 0.1, 1.0, 67).data)))
+        return [t.grad.copy() for t in leaves]
+
+    got = grads()
+    monkeypatch.setattr(T, "_sum_rows", lambda x: x.sum(axis=-2))
+    _assert_grads_close(got, grads())
 
 
 def test_gated_block_checked_mode_names_the_intermediate():

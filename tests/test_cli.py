@@ -4,6 +4,7 @@ import filecmp
 import json
 import os
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -453,7 +454,8 @@ def _overflowing_checkpoint(trained, tmp_path):
 
 def test_eval_numeric_failure_exits_3(trained, corpus32, tmp_path, capsys):
     out = tmp_path / "eval.txt"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():  # the checked replay warns of nothing
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
                          "--checkpoint", str(_overflowing_checkpoint(trained, tmp_path)),
                          "--out", str(out)])
@@ -466,7 +468,8 @@ def test_eval_numeric_failure_exits_3(trained, corpus32, tmp_path, capsys):
 def test_infer_numeric_failure_exits_3(trained, tmp_path, capsys):
     src = tmp_path / "img.ppm"
     write_ppm(src, np.full((32, 32, 3), 0.5))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(["infer", "--checkpoint", str(_overflowing_checkpoint(trained, tmp_path)),
                          "--image", str(src), "--domain", "ui",
                          "--out", str(tmp_path / "y.pgm")])

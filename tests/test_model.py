@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sumnet.model as M
+from sumnet import scan
 from sumnet import tensor as T
 from sumnet.data import Sample, load_checkpoint, save_checkpoint
 from sumnet.model import (
@@ -877,6 +878,21 @@ def test_a_squashed_intermediate_is_not_an_error():
     assert np.isfinite(m.predict(img, [0])).all()
     with pytest.raises(T.NumericError, match=r"selective_scan exp\(a_log\)"):
         T.replay_checked(m.predict, img, [0])  # a per-op check still sees it
+
+
+def test_predict_records_nothing_under_an_active_tape(monkeypatch):
+    m = Model(micro_cfg())
+    imgs = np.stack([s.image for s in micro_samples(2)])
+    untaped = m.predict(imgs, [0, 3])
+    keeps = []
+    real = scan._scan_forward
+    monkeypatch.setattr(scan, "_scan_forward",
+                        lambda *a, keep=True: keeps.append(keep) or real(*a, keep=keep))
+    with T.Tape() as tape:
+        taped = m.predict(imgs, [0, 3])
+        assert len(tape.nodes) == 0
+    assert keeps and not any(keeps)  # the scan kept no full-size state
+    assert taped.tobytes() == untaped.tobytes()
 
 
 def test_a_predict_runs_at_most_three_finiteness_tests(monkeypatch):

@@ -453,6 +453,24 @@ def test_selective_scan_matches_reference_composition(shape):
     assert len(got_g) == 1 + len(SSM_FIELDS)
 
 
+def test_softplus_derivative_from_its_own_exp():
+    # the delta pre-activation is b_delta exactly: zero projections
+    pre = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                          [30.0, np.nextafter(30.0, -np.inf), np.nextafter(30.0, np.inf),
+                           30.5, 0.0, -0.0]])
+    ch = pre.size
+    x4 = rnd((1, 1, 2, ch), 83).data
+    a_log, d_skip, w_b, w_c = (np.zeros((1, ch, 1)), np.ones((1, ch)), np.ones((1, ch, 1)),
+                               np.ones((1, ch, 1)))
+    _, saved = scan.selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, np.zeros((1, ch, 1)),
+                                       np.zeros((1, 1, ch)), pre[None], keep=True)
+    deriv = saved[2][0]
+    want = np.where(pre > 30.0, 1.0, T._sigmoid_raw(pre))  # the old expression
+    assert np.all(np.abs(deriv - want) <= 2 * np.spacing(want))
+    assert (deriv[:, pre <= 0.0] == want[pre <= 0.0]).all()  # the same e / (1 + e)
+    assert np.all(deriv[:, pre > 30.0] == 1.0)
+
+
 def _reference_ss2d(f, params):
     """Scan a grid in all four directions and merge back (unnormalized sum)."""
     f4, had_batch = _grid4(T.as_tensor(f))

@@ -80,6 +80,57 @@ def test_reductions_match_numpy():
         T.reduce_sum(x, (0, 0))
 
 
+# The rewritten numpy helpers against the expressions they replace.
+
+
+def _two_divide_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_raw_is_bit_identical_to_the_two_divide_form():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, np.inf, -np.inf, np.nan]
+    x = np.concatenate([edges, rnd((4, 257), 7, -50.0, 50.0).data.ravel()])
+    assert T._sigmoid_raw(x).tobytes() == _two_divide_sigmoid(x).tobytes()
+
+
+def _sum_unbroadcast(g, shape):
+    """_unbroadcast with every reduction an ndarray.sum."""
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def _assert_sums_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (T._MATMUL_ROWS - 1, 4), (T._MATMUL_ROWS, 4),
+                                   (2048, 16), (4, 2048, 16), (3, 300, 1)])
+def test_sum_rows_matches_ndarray_sum(shape):
+    x = rnd(shape, 8, -2.0, 2.0).data
+    _assert_sums_close(T._sum_rows(x), x.sum(axis=-2))
+
+
+@pytest.mark.parametrize("shape, to", [
+    ((8, 16, 16, 16), (16,)),  # the LN gamma/beta gradients: 2048 rows
+    ((8, 16, 16, 16), (16, 16)),
+    ((2, 3, 4), (4,)),  # below _MATMUL_ROWS
+    ((8, 16, 16, 16), ()),  # a full reduction
+    ((8, 16, 16, 16), (8, 1, 1, 1)),  # batched knobs
+    ((300, 4), (1, 4)),
+    ((5, 300, 4), (1, 4)),
+])
+def test_unbroadcast_matches_ndarray_sum(shape, to):
+    g = rnd(shape, 9).data
+    _assert_sums_close(np.asarray(T._unbroadcast(g, to)), np.asarray(_sum_unbroadcast(g, to)))
+
+
 def test_shape_ops_roundtrip():
     x = rnd((2, 3, 4), 7)
     assert np.array_equal(T.reshape(x, (6, 4)).data, x.data.reshape(6, 4))
