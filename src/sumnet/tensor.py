@@ -394,16 +394,11 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
 # broadcasting binary ops
 
 
-_MATMUL_ROWS = 128  # below this many rows ndarray.sum is the faster column sum
-
-
 def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """x [..., M, K] summed over its M rows.  From _MATMUL_ROWS rows on this
-    is a matmul with a vector of ones, which BLAS runs several times faster
-    than ``ndarray.sum`` over a non-trailing axis; the order of the
-    additions differs, so the last bits may."""
-    if x.shape[-2] < _MATMUL_ROWS:
-        return x.sum(axis=-2)
+    """x [..., M, K] summed over its M rows: a matmul with a vector of ones,
+    which BLAS runs several times faster than ``ndarray.sum`` over a
+    non-trailing axis; the order of the additions differs, so the last bits
+    may."""
     return np.ones(x.shape[-2]) @ x
 
 
@@ -412,9 +407,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
-    if extra == g.ndim:  # a full reduction is one contiguous pass
-        g = g.sum()
-    elif extra:
+    if extra:
         lead, rest = math.prod(g.shape[:extra]), g.shape[extra:]
         g = _sum_rows(g.reshape(lead, math.prod(rest))).reshape(rest)
     axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)

@@ -238,8 +238,7 @@ def test_linear_matches_reference_composition(shape):
 
 # The backward pairs against the numpy expressions they replaced: a scatter
 # of g * k into a padded buffer, ndarray.sum column sums and ndarray.mean
-# channel means.  The large shapes take the matmul reductions
-# (T._MATMUL_ROWS rows or more).
+# channel means.
 ORACLE_GRIDS = [(5, 6, 3), (16, 16, 8), (2, 4, 3, 5), (8, 16, 16, 16)]
 
 
@@ -552,8 +551,8 @@ def test_gated_block_matches_reference_composition(shape, mod, shared):
 
 
 def test_gated_block_gradients_match_ndarray_sum_column_sums(monkeypatch):
-    # [2, 8, 8, 6] puts T._MATMUL_ROWS rows or more into every column sum:
-    # the linears' and the conv's biases, LN gamma/beta, d_skip and b_delta
+    # every column sum: the linears' and the conv's biases, LN gamma/beta,
+    # d_skip and b_delta
     w = init_vss(6, 3, seed=64, name="t")
     knobs = [Tensor(1.0 + rnd((2, 1, 1, 1), 66 + k, -0.5, 0.5).data, requires_grad=True)
              for k in range(5)]
