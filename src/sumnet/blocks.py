@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .scan import SS2DParams, init_ss2d_params, ss2d_bwd, ss2d_fwd
+from .scan import SSMParams, init_ss2d_params, ss2d_bwd, ss2d_fwd
 from .tensor import ShapeError, Tensor
 
 LN_EPS = 1e-6
@@ -315,7 +315,7 @@ class VSSWeights:
     gate: Linear  # C -> C
     inproj: Linear  # C -> C
     dw: DWConvParams
-    ssm: SS2DParams
+    ssm: SSMParams
     ln2: LayerNormParams
     outproj: Linear  # C -> C
 
@@ -371,7 +371,7 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
     equals the unmodulated block exactly.
 
     The node's inputs are f, every VSSWeights tensor (the scan parameters
-    in SS2DParams.tensors() order) and, with `mod`, the five knobs; their
+    in SSMParams.tensors() order) and, with `mod`, the five knobs; their
     gradients chain the pairs of `linear`, `ln_core`, `depthwise_conv3x3`
     and `scan.ss2d` with the elementwise steps between them, in the order
     a tape of one node per step would, so values and gradients match that

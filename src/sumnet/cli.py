@@ -91,6 +91,14 @@ def _require_size(samples, size: int, manifest: str) -> None:
                 f"model expects {size}x{size}; regenerate the dataset")
 
 
+def _require_domain(model: Model, label: int, where: str) -> None:
+    """A conditioned model can predict only the domains it was built with."""
+    n = model.cfg.num_domains
+    if model.cfg.conditioning != "none" and label >= n:
+        raise ConfigError(f"{where}domain {DOMAIN_NAMES[label]} is not one of the "
+                          f"checkpoint's {n} domains ({', '.join(DOMAIN_NAMES[:n])})")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,6 +183,8 @@ def cmd_eval(args) -> int:
         for ckpt in args.checkpoint:
             model = _model_from_checkpoint(ckpt, args.config)
             _require_size(samples, model.cfg.input_size, args.manifest)
+            for s in samples:
+                _require_domain(model, s.label, f"{args.manifest}: sample {s.sid}: ")
             try:
                 reports, summary = evaluate(model, samples, model.cfg.batch_size)
             except NumericError as exc:  # a numeric abort in scoring
@@ -209,6 +219,7 @@ def cmd_infer(args) -> int:
     labels = None
     if model.cfg.conditioning != "none":
         labels = np.array([DOMAIN_NAMES.index(args.domain)])
+        _require_domain(model, labels[0], "--domain: ")
     try:
         pred = model.predict(resized[None], labels)[0]
     except NumericError as exc:  # a numeric abort in scoring

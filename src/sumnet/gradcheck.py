@@ -81,7 +81,8 @@ def check_tensor_ops() -> list:
 
 
 def check_scan() -> list:
-    """Recurrence inputs, the parameterized scan, the merge, and the 4-direction grid."""
+    """Recurrence inputs, the merge, and the 4-direction scan: its grid input
+    and each of its seven parameter fields."""
     rows = []
     b, length, c, n = 2, 5, 3, 2
     delta = _arr((b, length, c), 0.05, 0.5, "delta")
@@ -120,18 +121,6 @@ def check_scan() -> list:
         point = getattr(params, field).data
         rows.append((name, _check(probe, (point if k is None else point[k]).copy()), OP_TOL))
 
-    p = S.init_ssm_params(c, n, derive(_SEED, "scan-params"), "g")
-    seq = _arr((length, c), tag="seq")
-    for field in ("a_log", "d_skip", "w_b", "w_c", "w_delta", "v_delta", "b_delta"):
-        param_row(f"selective_scan.{field}", p, field,
-                  lambda field=field: _weighted_sum(S.selective_scan(Tensor(seq), p),
-                                                    f"ss.{field}"))
-    rows.append(("selective_scan.input",
-                 _check(lambda t: _weighted_sum(S.selective_scan(t, p), "ss.in"), seq), OP_TOL))
-    rows.append(("selective_scan.input_batched",
-                 _check(lambda t: _weighted_sum(S.selective_scan(t, p), "ss.inb"),
-                        _arr((b, length, c), tag="seqb")), OP_TOL))
-
     h, w = 2, 3
     seqs = [_arr((b, h * w, c), tag=f"merge.{d}") for d in S.DIRECTION_ORDER]
     for k, d in enumerate(S.DIRECTION_ORDER):
@@ -150,10 +139,12 @@ def check_scan() -> list:
     rows.append(("ss2d.input_batched",
                  _check(lambda t: _weighted_sum(S.ss2d(t, p2), "ss2d.inb"),
                         _arr((b, 3, 4, c), tag="gridb")), OP_TOL))
-    # one direction's slice of an unshared parameter each: a direction or
-    # group mix-up in the grouped scan moves these rows, not the input rows
+    # one direction's slice of an unshared parameter each, every field
+    # once at least: a direction or group mix-up in the grouped scan moves
+    # these rows, not the input rows
     for d, field in (("row_fwd", "a_log"), ("col_bwd", "a_log"), ("row_bwd", "w_delta"),
-                     ("col_fwd", "d_skip")):
+                     ("col_fwd", "d_skip"), ("row_fwd", "w_b"), ("row_bwd", "w_c"),
+                     ("col_fwd", "v_delta"), ("col_bwd", "b_delta")):
         param_row(f"ss2d.{d}.{field}", p2, field,
                   lambda tag=f"ss2d.{d}.{field}": _weighted_sum(S.ss2d(Tensor(grid), p2), tag),
                   k=S.DIRECTION_ORDER.index(d))

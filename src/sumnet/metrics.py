@@ -194,19 +194,28 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+# the worst plausible value of each ranked metric
+_WORST = {"cc": -1.0, "sim": 0.0, "nss": 0.0, "kld": 100.0}
+
+
 def f_scores(runs) -> list:
     """Composite ranking over runs: CCs + SIMs + NSSs - KLDs after min-max.
 
-    `runs` is a list of (name, {"cc": .., "sim": .., "nss": .., "kld": ..}).
-    A single run has no spread anywhere, so every scaled term is 0.5 and its
-    F-score is 0.5 + 0.5 + 0.5 - 0.5 = 1.0.
+    `runs` is a list of (name, {"cc": .., "sim": .., "nss": .., "kld": ..}),
+    the run means.  A mean that no sample could score (None or not finite)
+    must never win the ranking, so it stands in as the metric's worst
+    plausible value: cc -1, sim 0, nss 0, kld 100.  A single run has no
+    spread anywhere, so every scaled term is 0.5 and its F-score is
+    0.5 + 0.5 + 0.5 - 0.5 = 1.0.
     """
     if not runs:
         return []
     names = [name for name, _ in runs]
     mats = {}
-    for key in ("cc", "sim", "nss", "kld"):
-        mats[key] = _minmax(np.asarray([float(vals[key]) for _, vals in runs]))
+    for key, worst in _WORST.items():
+        means = [vals[key] for _, vals in runs]
+        mats[key] = _minmax(np.asarray([worst if m is None or not np.isfinite(m) else float(m)
+                                        for m in means]))
     out = []
     for i, name in enumerate(names):
         f = float(mats["cc"][i] + mats["sim"][i] + mats["nss"][i] - mats["kld"][i])

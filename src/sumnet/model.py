@@ -531,13 +531,8 @@ class EpochRow:
     val_excluded: int
 
     def run_metrics(self) -> dict:
-        # a fully-excluded metric (mean nan) must never win the ranking:
-        # substitute the worst plausible value for that slot
-        def fallback(v, bad):
-            return bad if not np.isfinite(v) else v
-
-        return {"cc": fallback(self.val_cc, -1.0), "sim": fallback(self.val_sim, 0.0),
-                "nss": fallback(self.val_nss, 0.0), "kld": fallback(self.val_kld, 100.0)}
+        return {"cc": self.val_cc, "sim": self.val_sim, "nss": self.val_nss,
+                "kld": self.val_kld}
 
 
 @dataclass
@@ -580,8 +575,10 @@ def _stack_batch(samples, idxs):
 def batch_loss(model: Model, samples, idxs) -> Tensor:
     """Mean composite loss over one batch: the mean of the per-sample losses.
 
-    Checked at its boundaries like ``Model.forward``: the input images, then
-    the loss, whose non-finite value is replayed to name the op.
+    Checked at one boundary, the loss: the forward inside it runs with
+    per-op checks off and skips its input-image check, and a non-finite
+    loss is replayed with every check on, which names the non-finite input
+    image or the op.
     """
     imgs, labels = _stack_batch(samples, idxs)
     smaps = np.stack([samples[i].smap for i in idxs])

@@ -6,19 +6,18 @@ input-dependent linear state-space recurrence left to right, and the four
 outputs are scattered back to the grid and summed.  The recurrence is the
 O(L) sequential form (no parallel prefix tricks here).
 
-The scan has one grouped layout.  Its kernels take G groups of B rows: the
-batch axis holds G consecutive groups, and group g uses a[g] of a [G, C, N]
-state matrix.  `selective_scan_fwd`/`_bwd` take the sequence as
-[G, B, L, C] and every parameter stacked as [G, ...], and run each
-projection as one batched matmul.  `ss2d` writes its four traversals into
-one [4, B, L, C] array and makes one kernel call with G=4, forward and
-backward; `selective_scan` and `ssm_recurrence` are the G=1 case.  At B=1
-and narrow C the cost is per-call overhead, so one call over 4B rows beats
+The scan has one grouped layout and one parameterization.  Its kernels
+take G groups of B rows: the batch axis holds G consecutive groups, and
+group g uses a[g] of a [G, C, N] state matrix.  `selective_scan_fwd`/`_bwd`
+take the sequence as [G, B, L, C] and every parameter stacked as [G, ...],
+and run each projection as one batched matmul.  `SSMParams` stores each
+scan parameter stacked on the direction axis, [4, ...] in DIRECTION_ORDER,
+so the kernels read it as stored; a shared set is [1, ...], broadcast to
+four groups and its gradient summed as ((col_bwd + col_fwd) + row_bwd) +
+row_fwd.  `ss2d` writes its four traversals into one [4, B, L, C] array
+and makes one kernel call with G=4, forward and backward.  At B=1 and
+narrow C the cost is per-call overhead, so one call over 4B rows beats
 four calls over B.
-
-`SS2DParams` stores each scan parameter stacked on that direction axis, so
-the kernels read it as stored; a shared set is [1, ...], broadcast to four
-groups and its gradient summed as ((col_bwd + col_fwd) + row_bwd) + row_fwd.
 
 The state arrays are time-major, [L, G*B, N, C], and both sweeps update
 them in place one contiguous step at a time: the cost is memory traffic
@@ -47,7 +46,7 @@ skip; `saved` keeps the sequences, the rank-R delta projection, the
 softplus derivative, delta, the B/C projections, A, exp(A_log) and the
 kernel's hidden and abar), and `ss2d_fwd`/`_bwd`, which chain the
 traversals, one grouped call and the merge.  `tensor.primitive` records
-`ssm_recurrence`, `selective_scan` and `ss2d` as one node each;
+`ssm_recurrence` (the bare kernel, G=1) and `ss2d` as one node each;
 `blocks.gated_block` chains the same pairs.
 
 Recurrence, per step t, channel c, state n:
@@ -70,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .rng import derive
+from .rng import derive, uniform_array
 from .tensor import ShapeError, Tensor
 
 DIRECTION_ORDER = ("row_fwd", "row_bwd", "col_fwd", "col_bwd")
@@ -324,15 +323,17 @@ def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
 
 @dataclass
 class SSMParams:
-    """Learnable pieces of one directional scan over C channels, N states."""
+    """Learnable scan parameters over C channels and N states, each field
+    stacked on a leading group axis: [4, ...] in DIRECTION_ORDER, or [1, ...]
+    for one set that all four directions share."""
 
-    a_log: Tensor  # [C, N]; A = -exp(a_log)
-    d_skip: Tensor  # [C]
-    w_b: Tensor  # [C, N]
-    w_c: Tensor  # [C, N]
-    w_delta: Tensor  # [C, R]
-    v_delta: Tensor  # [R, C]
-    b_delta: Tensor  # [C]
+    a_log: Tensor  # [G, C, N]; A = -exp(a_log)
+    d_skip: Tensor  # [G, C]
+    w_b: Tensor  # [G, C, N]
+    w_c: Tensor  # [G, C, N]
+    w_delta: Tensor  # [G, C, R]
+    v_delta: Tensor  # [G, R, C]
+    b_delta: Tensor  # [G, C]
 
     @property
     def channels(self):
@@ -348,12 +349,15 @@ def delta_rank(channels: int) -> int:
     return max(1, channels // 8)
 
 
-def init_ssm_stack(channels: int, state_size: int, seed: int, labels) -> SSMParams:
-    """Stability-minded init, one set per stream label, each field stacked
-    [len(labels), ...]: A spans -1..-N per channel, delta starts at 0.01, and
-    slice k equals label k's streams, derive(seed, labels[k], field)."""
+def init_ss2d_params(channels: int, state_size: int, seed: int,
+                     name: str = "ss2d", shared: bool = False) -> SSMParams:
+    """Stability-minded init of four independent sets by default, one shared
+    set if asked: A spans -1..-N per channel, delta starts at 0.01, and
+    slice k of each random field is the stream derive(seed, label, field) of
+    the k-th label, `{name}.{d}` for d in DIRECTION_ORDER (`{name}.shared`)."""
     if channels < 1 or state_size < 1:
         raise ShapeError("channels and state_size must be positive")
+    labels = [f"{name}.{t}" for t in (("shared",) if shared else DIRECTION_ORDER)]
     k, r = len(labels), delta_rank(channels)
     a_row = np.log(np.linspace(1.0, float(state_size), state_size))
     glorot_bn = np.sqrt(6.0 / (channels + state_size))
@@ -374,15 +378,9 @@ def init_ssm_stack(channels: int, state_size: int, seed: int, labels) -> SSMPara
     )
 
 
-def init_ssm_params(channels: int, state_size: int, seed: int, name: str = "ssm") -> SSMParams:
-    """init_ssm_stack's one-label case, leading axis dropped: label `name`'s streams."""
-    stacked = init_ssm_stack(channels, state_size, seed, (name,))
-    return SSMParams(*(Tensor(t.data[0], requires_grad=True) for t in stacked.tensors()))
-
-
 def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, keep):
-    """selective_scan on arrays for G sequences at once: x4 [G, B, L, C] ->
-    (y [G, B, L, C], saved).
+    """The parameterized selective scan on arrays for G sequences at once:
+    x4 [G, B, L, C] -> (y [G, B, L, C], saved).
 
     Each parameter is stacked over the groups, [G, ...] (a_log [G, C, N],
     d_skip [G, C], ...), and group g scans with its own set.  Runs the delta
@@ -468,51 +466,12 @@ def selective_scan_bwd(saved, g4):
             flat_t @ g_low, low.transpose(0, 2, 1) @ g_pre, T._sum_rows(g_pre))
 
 
-def selective_scan(seq: Tensor, p: SSMParams) -> Tensor:
-    """Input-conditioned scan over one flattened sequence ([L,C] or [B,L,C]).
-
-    One tape node over (seq, a_log, d_skip, w_b, w_c, w_delta, v_delta,
-    b_delta), computed by selective_scan_fwd as one group; the backward
-    chains the kernel's five gradients back through the projections, the
-    softplus and A (selective_scan_bwd).
-    """
-    seq = T.as_tensor(seq)
-    if seq.ndim not in (2, 3):
-        raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
-    if seq.shape[-1] != p.channels:
-        raise ShapeError(f"sequence has {seq.shape[-1]} channels, params have {p.channels}")
-    x_shape = (1,) * (4 - seq.ndim) + seq.shape
-
-    def fwd(x, *params, keep):
-        out, saved = selective_scan_fwd(x.reshape(x_shape), *(q[None] for q in params), keep=keep)
-        return out.reshape(seq.shape), saved
-
-    def bwd(saved, g):
-        g_x, *rest = selective_scan_bwd(saved, g.reshape(x_shape))
-        return (g_x.reshape(seq.shape), *(r[0] for r in rest))
-
-    return T.primitive("selective_scan", (seq,) + p.tensors(), fwd, bwd)
-
-
-class SS2DParams(SSMParams):
-    """SSMParams of all four directions: each field stacked on a leading
-    direction axis, [4, ...] in DIRECTION_ORDER or [1, ...] for a shared set."""
-
-
-def init_ss2d_params(channels: int, state_size: int, seed: int,
-                     name: str = "ss2d", shared: bool = False) -> SS2DParams:
-    """Four independent parameter sets by default, one shared set if asked: init_ssm_stack
-    over `{name}.{d}` in DIRECTION_ORDER (`{name}.shared`), slice d its label's streams."""
-    labels = [f"{name}.{t}" for t in (("shared",) if shared else DIRECTION_ORDER)]
-    return SS2DParams(*init_ssm_stack(channels, state_size, seed, labels).tensors())
-
-
 def ss2d_fwd(grid, params, keep):
     """ss2d on arrays: grid [B, H, W, C] -> (merged grid, saved).
 
     The four traversals go into one [4, B, H*W, C] array (`_traversals`)
     that selective_scan_fwd scans as four groups with `params`, the arrays
-    of SS2DParams.tensors() ([1, ...] ones broadcast to four), so the whole
+    of SSMParams.tensors() ([1, ...] ones broadcast to four), so the whole
     ss2d is one kernel call; cross_merge_fwd sums them back.  With per-op
     checks on the scan output and the merged grid must be finite, besides
     selective_scan_fwd's own checks; the traversals only copy values
@@ -556,7 +515,7 @@ def ss2d_bwd(saved, g):
     return g_grid, g_params
 
 
-def ss2d(f: Tensor, params: SS2DParams) -> Tensor:
+def ss2d(f: Tensor, params: SSMParams) -> Tensor:
     """Scan a grid in all four directions and merge back (unnormalized sum).
 
     One tape node over the grid and `params.tensors()` (see ss2d_fwd).
@@ -585,7 +544,8 @@ def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
                   runs: int = 5, seed: int = 0) -> dict:
     """Per-length minimum scan times, measured round-robin across lengths.
 
-    Interleaving the lengths spreads any scheduler or frequency burst over
+    Each run is one untaped G=1 kernel call, `selective_scan_fwd` on a
+    [1, 1, L, C] sequence with one [1, ...] parameter set.  Interleaving the lengths spreads any scheduler or frequency burst over
     at most one sample per length instead of a whole length's window, and
     the minimum keeps only each length's least disturbed run: noise from
     other processes only ever adds time.  Returns {length: minimum seconds}
@@ -594,17 +554,18 @@ def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
     runs = int(runs)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    params = [t.data for t in init_ss2d_params(channels, state_size, seed, "bench",
+                                                shared=True).tensors()]
     setups = []
     for n in lengths:
-        p = init_ssm_params(channels, state_size, seed, "bench")
-        x = T.uniform((n, channels), -1.0, 1.0, derive(seed, "bench-x", n))
-        selective_scan(x, p)  # warm-up + allocator touch
-        setups.append((n, p, x))
+        x4 = uniform_array((1, 1, n, channels), -1.0, 1.0, derive(seed, "bench-x", n))
+        selective_scan_fwd(x4, *params, keep=False)  # warm-up + allocator touch
+        setups.append((n, x4))
     times = {n: [] for n in lengths}
     for _ in range(runs):
-        for n, p, x in setups:
+        for n, x4 in setups:
             t0 = time.perf_counter()
-            selective_scan(x, p)
+            selective_scan_fwd(x4, *params, keep=False)
             times[n].append(time.perf_counter() - t0)
     return {n: min(ts) for n, ts in times.items()}
 

@@ -5,8 +5,8 @@ Every op that records a tape node is a numpy pair, `fwd(*arrays, keep) ->
 through `primitive`: the generic ops here (`add` ... `pad`; the six
 broadcasting ones sum each gradient back to its operand's shape) and the
 fused ops of `blocks` and `scan` (`linear`, layer-norm core, depthwise
-conv, `selective_scan` over one whole direction, `ss2d` over all four, the
-whole gated block, the bare scan recurrence).  A node's inputs may repeat
+conv, `ss2d` over all four scan directions, the whole gated block, the
+bare scan recurrence).  A node's inputs may repeat
 (`mul(x, x)`); `backward` then adds up each occurrence's gradient in input
 order.  Tensors wrap C-order float64 numpy arrays.  When a Tape is active
 and an input requires gradients, each operation appends a node (op kind,
@@ -18,10 +18,10 @@ gradients.  The tape is rebuilt on every forward pass.
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.
 
-Checked mode (on by default, `set_checked`) raises NumericError when an op
-produces a non-finite value or hits a domain violation (log/sqrt of a
-negative, division by zero), naming the op.  Direct op calls are checked op
-by op.  The model checks at its boundaries instead (`checked_at_boundary`):
+Checked mode (on by default; `_op_checks(False)` turns it off) raises
+NumericError when an op produces a non-finite value or hits a domain
+violation (log/sqrt of a negative, division by zero), naming the op.
+Direct op calls are checked op by op.  The model checks at its boundaries instead (`checked_at_boundary`):
 per-op checks off, one `isfinite` on the output, and a checked replay that
 names the op when the output is not finite.  So a non-finite intermediate
 squashed before the output (exp(exp(1000) * -1) = 0) is no error there.
@@ -53,25 +53,20 @@ class _ThreadState(threading.local):
     def __init__(self):
         self.stack = []
         self.skip_draws = False
-        # per-op checks: None at the top level (on), False in a boundary's
-        # first run, True in its replay; a boundary inside either calls through
+        # per-op checks, the one checked-mode switch: None at the top level
+        # (on), False in a boundary's first run or under _op_checks(False),
+        # True in a replay; a boundary inside False or True calls through
         self.op_checks = None
 
 
 _local = _ThreadState()
-_CHECKED = [True]  # single-element list so closures see toggles
-
-
-def set_checked(flag: bool) -> bool:
-    """Toggle checked mode, every check off or on, the boundaries' too;
-    returns the previous setting."""
-    prev = _CHECKED[0]
-    _CHECKED[0] = bool(flag)
-    return prev
 
 
 def checked_mode() -> bool:
-    return _CHECKED[0]
+    """False inside `_op_checks(False)`: at the top level that turns every
+    check off, the boundaries' too; inside a boundary's first run its
+    caller owns the check."""
+    return _local.op_checks is not False
 
 
 def active_tape():
@@ -117,8 +112,8 @@ def skip_draws() -> _scope:
 
 def _op_checks(on: bool) -> _scope:
     """Context in which the per-op checks (`_check` and the domain checks of
-    div, log and sqrt) run or not as `on` says, within checked mode, and a
-    `checked_at_boundary` inside calls through: the caller owns the check.
+    div, log and sqrt) run or not as `on` says, and a `checked_at_boundary`
+    inside calls through: the caller owns the check.
     Off, a check costs an attribute read."""
     return _scope("op_checks", bool(on))
 
@@ -139,10 +134,10 @@ def checked_at_boundary(kind: str, fn, *args):
     between two calls.  The first run raises no floating-point warning; a
     non-finite output is replayed (`replay_checked`), which raises the op's
     NumericError, and if the replay finds none, the error names `kind`.
-    Outside checked mode, or inside an enclosing boundary or a replay, this
-    is fn(*args).
+    Inside `_op_checks` (checked mode off, an enclosing boundary or a
+    replay) this is fn(*args).
     """
-    if _local.op_checks is not None or not _CHECKED[0]:
+    if _local.op_checks is not None:
         return fn(*args)
     with _op_checks(False), np.errstate(all="ignore"):
         out = fn(*args)
@@ -280,7 +275,7 @@ class Tape:
 
 
 def _check(kind: str, out: np.ndarray) -> None:
-    if _local.op_checks is not False and _CHECKED[0] and not np.isfinite(out).all():
+    if _local.op_checks is not False and not np.isfinite(out).all():
         raise NumericError(f"{kind}: produced a non-finite value")
 
 
@@ -449,7 +444,7 @@ def mul(a, b) -> Tensor:
 
 
 def _div_fwd(a, b, keep):
-    if _local.op_checks is not False and _CHECKED[0] and (b == 0.0).any():
+    if _local.op_checks is not False and (b == 0.0).any():
         raise NumericError("div: division by zero")
     with np.errstate(divide="ignore", invalid="ignore"):
         return a / b, (a, b)
@@ -493,7 +488,7 @@ def exp(x) -> Tensor:
 
 
 def _log_fwd(x, keep):
-    if _local.op_checks is not False and _CHECKED[0] and (x < 0.0).any():
+    if _local.op_checks is not False and (x < 0.0).any():
         raise NumericError("log: negative argument")
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(x), x
@@ -504,7 +499,7 @@ def log(x) -> Tensor:
 
 
 def _sqrt_fwd(x, keep):
-    if _local.op_checks is not False and _CHECKED[0] and (x < 0.0).any():
+    if _local.op_checks is not False and (x < 0.0).any():
         raise NumericError("sqrt: negative argument")
     with np.errstate(invalid="ignore"):
         out = np.sqrt(x)

@@ -132,12 +132,12 @@ def test_linear_complexity(capsys):
 
 
 def test_linear_complexity_gate_fails_on_a_quadratic_kernel(monkeypatch):
-    def quadratic(x, p):  # every step against every other, 256 rows at a time
-        v = x.data[:, 0]
+    def quadratic(x4, *params, keep):  # every step against every other, 256 rows at a time
+        v = x4[0, 0, :, 0]
         for i in range(0, len(v), 256):
             np.multiply.outer(v[i:i + 256], v).sum()
 
-    monkeypatch.setattr(sumnet.scan, "selective_scan", quadratic)
+    monkeypatch.setattr(sumnet.scan, "selective_scan_fwd", quadratic)
     ok, vals, slope, worst_ratio = _complexity_gate([1024, 2048, 4096, 8192])
     assert not ok, (slope, worst_ratio)
 

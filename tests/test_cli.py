@@ -286,6 +286,54 @@ def test_eval_two_checkpoints_ranks_runs(trained, corpus32, tmp_path, capsys):
     assert len(payload["summaries"]) == 2
 
 
+def test_eval_ranks_a_run_with_a_metric_no_sample_could_score(trained, corpus32, tmp_path,
+                                                                capsys):
+    # a zeroed output layer predicts a constant map, which no sample can
+    # score on cc: that run's mean is None and ranks as the worst plausible cc
+    arrays = load_checkpoint(trained / "checkpoint.ckpt")
+    arrays["head.out.weight"][...] = 0.0
+    flat = tmp_path / "flat.ckpt"
+    save_checkpoint(flat, arrays)
+    manifest = corpus32 / "manifest_val.tsv"
+    a, b = str(trained / "checkpoint.ckpt"), str(flat)
+    assert cli.main(["eval", "--manifest", str(manifest),
+                     "--checkpoint", a, "--checkpoint", b]) == 0
+    _, payload = oracle_lines(capsys.readouterr().out, 2 * len(read_manifest(manifest)))
+    assert payload["summaries"][b]["cc"]["mean"] is None
+    assert payload["f_scores"][a] > payload["f_scores"][b]
+
+
+def _two_domain_checkpoint(tmp_path):
+    """A conditioned micro model built for the first two domains only."""
+    model = sumnet.model.Model(sumnet.model.SumConfig(
+        input_size=32, base_channels=4, state_size=2, encoder_depths=(1, 1, 1, 1),
+        decoder_depths=(1, 1, 1, 1), token_dim=16, num_domains=2))
+    path = tmp_path / "two.ckpt"
+    save_checkpoint(path, model.state_arrays())
+    return path
+
+
+def test_eval_rejects_a_domain_the_model_lacks(corpus32, tmp_path, capsys):
+    manifest = corpus32 / "manifest_val.tsv"
+    code = cli.main(["eval", "--manifest", str(manifest),
+                     "--checkpoint", str(_two_domain_checkpoint(tmp_path))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: sample " in err
+    assert "is not one of the checkpoint's 2 domains (natural-mouse, natural-eye)" in err
+
+
+def test_infer_rejects_a_domain_the_model_lacks(tmp_path, capsys):
+    src = tmp_path / "img.ppm"
+    write_ppm(src, np.full((32, 32, 3), 0.5))
+    code = cli.main(["infer", "--checkpoint", str(_two_domain_checkpoint(tmp_path)),
+                     "--image", str(src), "--domain", "ui", "--out", str(tmp_path / "y.pgm")])
+    assert code == 2
+    assert ("error: --domain: domain ui is not one of the checkpoint's 2 domains "
+            "(natural-mouse, natural-eye)") in capsys.readouterr().err
+    assert not (tmp_path / "y.pgm").exists()
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -545,12 +593,10 @@ def test_gradcheck_catches_a_bug_in_a_numpy_pair(capsys, monkeypatch):
 
 SCAN_ROWS = [
     "ssm_recurrence.delta", "ssm_recurrence.a", "ssm_recurrence.b_seq", "ssm_recurrence.c_seq",
-    "ssm_recurrence.x", "selective_scan.a_log", "selective_scan.d_skip", "selective_scan.w_b",
-    "selective_scan.w_c", "selective_scan.w_delta", "selective_scan.v_delta",
-    "selective_scan.b_delta", "selective_scan.input", "selective_scan.input_batched",
-    "cross_merge.row_fwd", "cross_merge.row_bwd", "cross_merge.col_fwd", "cross_merge.col_bwd",
-    "ss2d.input", "ss2d.input_batched", "ss2d.row_fwd.a_log", "ss2d.col_bwd.a_log",
-    "ss2d.row_bwd.w_delta", "ss2d.col_fwd.d_skip", "ss2d.shared",
+    "ssm_recurrence.x", "cross_merge.row_fwd", "cross_merge.row_bwd", "cross_merge.col_fwd",
+    "cross_merge.col_bwd", "ss2d.input", "ss2d.input_batched", "ss2d.row_fwd.a_log",
+    "ss2d.col_bwd.a_log", "ss2d.row_bwd.w_delta", "ss2d.col_fwd.d_skip", "ss2d.row_fwd.w_b",
+    "ss2d.row_bwd.w_c", "ss2d.col_fwd.v_delta", "ss2d.col_bwd.b_delta", "ss2d.shared",
 ]
 BLOCKS_ROWS = [
     "layer_norm.input", "ln_core.input", "layer_norm.gamma", "depthwise_conv.input",

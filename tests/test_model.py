@@ -846,12 +846,8 @@ def test_non_finite_input_image_names_its_batch_index():
         m.predict(imgs, [0, 1, 2])
     with pytest.raises(T.NumericError, match="input image 1 has a non-finite pixel"):
         batch_loss(m, samples, [0, 2])
-    prev = T.set_checked(False)  # checks every boundary too
-    try:
-        with np.errstate(invalid="ignore"):
-            assert not np.isfinite(m.predict(imgs, [0, 1, 2])[2]).all()
-    finally:
-        T.set_checked(prev)
+    with T._op_checks(False), np.errstate(invalid="ignore"):  # every boundary's check too
+        assert not np.isfinite(m.predict(imgs, [0, 1, 2])[2]).all()
 
 
 def test_boundary_checks_change_no_value():

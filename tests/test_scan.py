@@ -7,15 +7,13 @@ import sumnet.tensor as T
 from sumnet import scan
 from sumnet.scan import (
     DIRECTION_ORDER,
-    SS2DParams,
     SSMParams,
     bench_lengths,
     cross_merge_fwd,
     delta_rank,
     init_ss2d_params,
-    init_ssm_params,
-    init_ssm_stack,
-    selective_scan,
+    selective_scan_bwd,
+    selective_scan_fwd,
     ss2d,
     ssm_recurrence,
     _scan_backward,
@@ -177,7 +175,7 @@ def test_three_step_hand_oracle():
 
 
 def test_single_step_closed_form():
-    # L=1: y1 = C1 * (delta1 B1 x1) + D x1, D applied by selective_scan only
+    # L=1: y1 = C1 * (delta1 B1 x1) + D x1, D applied by selective_scan_fwd only
     delta = np.array([[[0.7, 1.3]]])
     a = np.array([[-1.0], [-2.0]])
     b1 = np.array([[[0.5]]])
@@ -189,24 +187,27 @@ def test_single_step_closed_form():
 
 
 def test_zero_c_projection_leaves_skip_only():
-    # with W_C = 0 the scan output is exactly D * x
-    p = init_ssm_params(3, 4, seed=3)
+    # with W_C = 0 each direction's scan output is exactly D x = x (D = 1 at
+    # init), and the four merge to 4x bit for bit
+    p = init_ss2d_params(3, 4, seed=3)
     p = dataclasses.replace(p, w_c=Tensor(np.zeros_like(p.w_c.data), requires_grad=True))
-    seq = rnd((7, 3), 19)
-    y = selective_scan(seq, p)
-    assert np.array_equal(y.data, seq.data * p.d_skip.data)
+    grid = rnd((2, 3, 4, 3), 19)
+    y = ss2d(grid, p)
+    assert np.array_equal(p.d_skip.data, np.ones((4, 3)))
+    assert np.array_equal(y.data, 4.0 * grid.data)
 
 
 def test_state_stays_bounded_long_sequence():
     # A < 0 and delta > 0 give |abar| < 1; geometric bound must hold at L=4096
-    p = init_ssm_params(2, 4, seed=5)
+    a_log, _, w_b, w_c, w_delta, v_delta, b_delta = (
+        t.data[0] for t in init_ss2d_params(2, 4, seed=5, shared=True).tensors())
     seq = rnd((4096, 2), 23)
     x3 = seq.data[None]
     flat = seq.data
-    delta = np.log1p(np.exp(flat @ p.w_delta.data @ p.v_delta.data + p.b_delta.data))
-    b = (flat @ p.w_b.data)[None]
-    c = (flat @ p.w_c.data)[None]
-    a = -np.exp(p.a_log.data)
+    delta = np.log1p(np.exp(flat @ w_delta @ v_delta + b_delta))
+    b = (flat @ w_b)[None]
+    c = (flat @ w_c)[None]
+    a = -np.exp(a_log)
     y, hidden, abar = _scan_forward(delta[None], a, b, c, x3)
     assert np.isfinite(hidden).all() and np.isfinite(y).all()
     drive = np.abs((delta * flat)[..., None] * b[0][:, None, :])
@@ -351,13 +352,13 @@ def test_only_recorded_calls_keep_scan_state(monkeypatch):
 
     monkeypatch.setattr(scan, "_scan_forward", spy)
     arrays = _recurrence_inputs(2, 6, 3, 2, seed=9)
-    p = init_ssm_params(3, 2, seed=3)
-    frozen = SSMParams(*(Tensor(getattr(p, f).data) for f in SSM_FIELDS))
-    seq = rnd((2, 6, 3), 24)
+    p = init_ss2d_params(3, 2, seed=3)
+    frozen = SSMParams(*(Tensor(t.data) for t in p.tensors()))
+    grid = rnd((2, 2, 3, 3), 24)
 
     def calls(params):
         seen.clear()
-        selective_scan(seq, params)
+        ss2d(grid, params)
         ssm_recurrence(*[Tensor(v, requires_grad=params is p) for v in arrays])
         return seen
 
@@ -381,33 +382,29 @@ def test_only_recorded_calls_keep_scan_state(monkeypatch):
 
 
 def test_recurrence_shape_errors():
-    with pytest.raises(ShapeError):
-        selective_scan(rnd((4, 3), 1), init_ssm_params(5, 2, seed=1))
-    with pytest.raises(ShapeError):
-        selective_scan(rnd((1, 2, 4, 3), 1), init_ssm_params(3, 2, seed=1))
+    for shape in ((4, 4, 3), (2, 4, 4, 3)):
+        with pytest.raises(ShapeError, match="grid has 3 channels, params have 5"):
+            ss2d(rnd(shape, 1), init_ss2d_params(5, 2, seed=1))
 
 
 # ---------------------------------------------------------------------------
-# fused selective scan against the tape composition it replaced
+# the parameterized scan against the tape composition it replaced
 
 
-def _reference_selective_scan(seq, p):
-    seq = T.as_tensor(seq)
+def _reference_selective_scan(seq, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta):
+    """One direction's scan of a [L, C] or [B, L, C] sequence with one
+    parameter set (a_log [C, N], ...): ssm_recurrence between tensor ops."""
     squeeze = seq.ndim == 2
     x3 = T.reshape(seq, (1,) + seq.shape) if squeeze else seq
-    if x3.ndim != 3:
-        raise ShapeError(f"selective_scan expects [L, C] or [B, L, C], got {seq.shape}")
     bsz, length, ch = x3.shape
-    if ch != p.channels:
-        raise ShapeError(f"sequence has {ch} channels, params have {p.channels}")
     flat = T.reshape(x3, (bsz * length, ch))
-    delta = T.softplus(T.add(T.matmul(T.matmul(flat, p.w_delta), p.v_delta), p.b_delta))
+    delta = T.softplus(T.add(T.matmul(T.matmul(flat, w_delta), v_delta), b_delta))
     delta = T.reshape(delta, (bsz, length, ch))
-    b_seq = T.reshape(T.matmul(flat, p.w_b), (bsz, length, p.w_b.shape[1]))
-    c_seq = T.reshape(T.matmul(flat, p.w_c), (bsz, length, p.w_c.shape[1]))
-    a = T.mul(T.exp(p.a_log), -1.0)
+    b_seq = T.reshape(T.matmul(flat, w_b), (bsz, length, w_b.shape[1]))
+    c_seq = T.reshape(T.matmul(flat, w_c), (bsz, length, w_c.shape[1]))
+    a = T.mul(T.exp(a_log), -1.0)
     y = ssm_recurrence(delta, a, b_seq, c_seq, x3)
-    y = T.add(y, T.mul(x3, p.d_skip))
+    y = T.add(y, T.mul(x3, d_skip))
     return T.reshape(y, seq.shape) if squeeze else y
 
 
@@ -415,11 +412,12 @@ SSM_FIELDS = ("a_log", "d_skip", "w_b", "w_c", "w_delta", "v_delta", "b_delta")
 
 
 def _random_ssm_arrays(ch, n, seed):
-    """Generic parameter values; one channel's delta bias sits on softplus's
-    linear branch (pre-activation above 30)."""
-    p = init_ssm_params(ch, n, seed=seed)
-    arrays = {f: rnd(getattr(p, f).shape, seed + k, -0.8, 0.8).data
-              for k, f in enumerate(SSM_FIELDS)}
+    """Generic values of one parameter set; one channel's delta bias sits on
+    softplus's linear branch (pre-activation above 30)."""
+    r = delta_rank(ch)
+    shapes = {"a_log": (ch, n), "d_skip": (ch,), "w_b": (ch, n), "w_c": (ch, n),
+              "w_delta": (ch, r), "v_delta": (r, ch), "b_delta": (ch,)}
+    arrays = {f: rnd(shapes[f], seed + k, -0.8, 0.8).data for k, f in enumerate(SSM_FIELDS)}
     arrays["b_delta"] = rnd((ch,), seed + 9, -3.0, 0.5).data
     arrays["b_delta"][0] = 40.0
     return arrays
@@ -431,26 +429,27 @@ SCAN_SHAPES = [(6, 3), (1, 4), (2, 5, 3), (3, 1, 2), (2, 4, 16)]
 
 @pytest.mark.parametrize("shape", SCAN_SHAPES)
 def test_selective_scan_matches_reference_composition(shape):
+    # the numpy pair at G=1: the sequence as [1, B, L, C], one [1, ...] set
     ch, n = shape[-1], 3
     arrays = _random_ssm_arrays(ch, n, seed=70 + len(shape) * 10 + ch)
     x = rnd(shape, 81, -1.5, 1.5).data
     weights = rnd(shape, 82).data
+    leaves = [Tensor(x.copy(), requires_grad=True)] + [
+        Tensor(arrays[f].copy(), requires_grad=True) for f in SSM_FIELDS]
+    with T.Tape() as tape:
+        want = _reference_selective_scan(*leaves)
+        T.backward(tape, T.reduce_sum(T.mul(want, weights)))
 
-    def run(scan):
-        leaves = [Tensor(x.copy(), requires_grad=True)] + [
-            Tensor(arrays[f].copy(), requires_grad=True) for f in SSM_FIELDS]
-        with T.Tape() as tape:
-            y = scan(leaves[0], SSMParams(*leaves[1:]))
-            n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
-            T.backward(tape, T.reduce_sum(T.mul(y, weights)))
-        return y.data, [t.grad for t in leaves], n_ops
-
-    got, got_g, n_ops = run(selective_scan)
-    want, want_g, _ = run(_reference_selective_scan)
-    assert n_ops == 1
-    assert got.shape == want.shape == shape and np.array_equal(got, want)
-    _assert_grads_close(got_g, want_g)  # the sequence, then every SSM_FIELDS entry
-    assert len(got_g) == 1 + len(SSM_FIELDS)
+    x4 = x.reshape((1,) * (4 - len(shape)) + shape)
+    params = [arrays[f][None] for f in SSM_FIELDS]
+    got, saved = selective_scan_fwd(x4, *params, keep=True)
+    assert got.shape == x4.shape and np.array_equal(got.reshape(shape), want.data)
+    assert np.array_equal(selective_scan_fwd(x4, *params, keep=False)[0], got)
+    g_x, *g_params = selective_scan_bwd(saved, weights.reshape(x4.shape))
+    assert [g.shape for g in g_params] == [q.shape for q in params]
+    # the sequence, then every SSM_FIELDS entry
+    _assert_grads_close([g_x.reshape(shape)] + [g[0] for g in g_params],
+                        [t.grad for t in leaves])
 
 
 def test_softplus_derivative_from_its_own_exp():
@@ -477,7 +476,7 @@ def _reference_ss2d(f, params):
     if f4.shape[-1] != params.channels:
         raise ShapeError(f"grid has {f4.shape[-1]} channels, params have {params.channels}")
     sets = len(params.a_log.data)  # 4, or 1 shared by every direction
-    scanned = [selective_scan(t, SSMParams(*(p[k % sets] for p in params.tensors())))
+    scanned = [_reference_selective_scan(t, *(p[k % sets] for p in params.tensors()))
                for k, t in enumerate(_reference_cross_scan(f4))]
     merged = _reference_cross_merge(scanned, *f4.shape[1:3])
     return merged if had_batch else T.reshape(merged, f4.shape[1:])
@@ -492,10 +491,10 @@ SS2D_GRIDS = GRIDS + [(2, 3, 4, 16), (1, 16, 16, 16), (1, 12, 20, 32), (1, 1, 16
 
 
 def _stacked_params(sets, requires_grad=False):
-    """SS2DParams holding the given per-direction field arrays stacked on
+    """SSMParams holding the given per-direction field arrays stacked on
     the direction axis (one set is a shared [1, ...] set)."""
-    return SS2DParams(*(Tensor(np.stack([a[fld] for a in sets]), requires_grad=requires_grad)
-                        for fld in SSM_FIELDS))
+    return SSMParams(*(Tensor(np.stack([a[fld] for a in sets]), requires_grad=requires_grad)
+                       for fld in SSM_FIELDS))
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -591,11 +590,8 @@ def test_ss2d_checked_mode_names_one_directions_projection():
     w_b[3, 1, 0] = np.nan
     pp = dataclasses.replace(pp, w_b=Tensor(w_b))
     grid = rnd((2, 3, 4, 3), 132)
-    prev = T.set_checked(False)
-    try:
+    with T._op_checks(False):
         y = ss2d(grid, pp).data
-    finally:
-        T.set_checked(prev)
     assert not np.isfinite(y).all()
     with pytest.raises(NumericError, match="selective_scan B projection"):
         ss2d(grid, pp)
@@ -606,25 +602,22 @@ def test_ss2d_checked_mode_names_one_directions_projection():
 
 
 def test_selective_scan_checked_mode_names_the_intermediate():
-    p = init_ssm_params(3, 2, seed=3)
-    seq = rnd((5, 3), 4)
+    p = init_ss2d_params(3, 2, seed=3)
+    grid = rnd((5, 2, 3), 4)
     # exp(800) overflows, but abar = exp(delta * -inf) = 0 keeps the output finite
-    huge = dataclasses.replace(p, a_log=Tensor(np.full((3, 2), 800.0)))
-    prev = T.set_checked(False)
-    try:
-        assert np.isfinite(selective_scan(seq, huge).data).all()
-    finally:
-        T.set_checked(prev)
+    huge = dataclasses.replace(p, a_log=Tensor(np.full((4, 3, 2), 800.0)))
+    with T._op_checks(False):
+        assert np.isfinite(ss2d(grid, huge).data).all()
     with pytest.raises(NumericError, match=r"selective_scan exp\(a_log\)"):
-        selective_scan(seq, huge)
-    bad = seq.data.copy()
-    bad[2, 1] = np.nan
+        ss2d(grid, huge)
+    bad = grid.data.copy()
+    bad[2, 1, 0] = np.nan
     with pytest.raises(NumericError, match="selective_scan delta pre-activation"):
-        selective_scan(Tensor(bad), p)
+        ss2d(Tensor(bad), p)
     w_c = p.w_c.data.copy()
-    w_c[1, 0] = np.inf
+    w_c[2, 1, 0] = np.inf
     with pytest.raises(NumericError, match="selective_scan C projection"):
-        selective_scan(seq, dataclasses.replace(p, w_c=Tensor(w_c)))
+        ss2d(grid, dataclasses.replace(p, w_c=Tensor(w_c)))
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +644,17 @@ def test_grad_recurrence_all_inputs():
 
 
 def test_grad_selective_scan_params_and_input():
-    p = init_ssm_params(3, 2, seed=7)
-    seq = rnd((6, 3), 21)
-    for field in ("a_log", "d_skip", "w_b", "w_c", "w_delta", "v_delta", "b_delta"):
+    # every stacked field whole, all four directions at once, through ss2d
+    p = init_ss2d_params(3, 2, seed=7)
+    grid = rnd((2, 3, 3), 21)
+    for field in SSM_FIELDS:
         def f(t, field=field):
-            return T.reduce_sum(selective_scan(Tensor(seq.data),
-                                               dataclasses.replace(p, **{field: t})) * 0.3)
+            return T.reduce_sum(ss2d(Tensor(grid.data), dataclasses.replace(p, **{field: t}))
+                                * 0.3)
 
         err, _, _ = check_gradient(f, Tensor(getattr(p, field).data))
         assert err < TOL, f"{field}: rel err {err}"
-    err, _, _ = check_gradient(lambda t: T.reduce_sum(selective_scan(t, p) * 0.3), seq)
+    err, _, _ = check_gradient(lambda t: T.reduce_sum(ss2d(t, p) * 0.3), grid)
     assert err < TOL
 
 
@@ -676,14 +670,16 @@ def test_grad_ss2d_end_to_end():
 
 
 def test_init_values():
-    p = init_ssm_params(4, 8, seed=0)
-    assert np.allclose(p.a_log.data[0], np.log(np.linspace(1.0, 8.0, 8)))
-    assert np.array_equal(p.a_log.data[0], p.a_log.data[3])
-    assert np.array_equal(p.d_skip.data, np.ones(4))
+    p = init_ss2d_params(4, 8, seed=0)
+    assert np.allclose(p.a_log.data[0, 0], np.log(np.linspace(1.0, 8.0, 8)))
+    assert (p.a_log.data == p.a_log.data[0, 0]).all()  # every direction, every channel
+    assert np.array_equal(p.d_skip.data, np.ones((4, 4)))
     # delta bias chosen so softplus(bias) == 0.01
-    assert abs(np.log1p(np.exp(p.b_delta.data[0])) - 0.01) < 1e-12
-    assert p.w_delta.shape == (4, 1) and p.v_delta.shape == (1, 4)
+    assert np.all(np.abs(np.log1p(np.exp(p.b_delta.data)) - 0.01) < 1e-12)
+    assert p.w_delta.shape == (4, 4, 1) and p.v_delta.shape == (4, 1, 4)
     assert delta_rank(32) == 4 and delta_rank(4) == 1
+    with pytest.raises(ShapeError, match="positive"):
+        init_ss2d_params(0, 8, seed=0)
 
 
 def test_directions_independent_by_default_shared_on_request():
@@ -692,29 +688,22 @@ def test_directions_independent_by_default_shared_on_request():
     assert not np.array_equal(pp.w_b.data[0], pp.w_b.data[1])
     shared = init_ss2d_params(4, 2, seed=11, shared=True)
     assert [t.shape[0] for t in shared.tensors()] == [1] * 7 and shared.channels == 4
-    # slice d holds what the per-direction init draws from its own stream
-    for k, tag in [*enumerate(DIRECTION_ORDER), (0, "shared")]:
-        stacked = shared if tag == "shared" else pp
-        one = init_ssm_params(4, 2, seed=11, name=f"ss2d.{tag}")
-        for s, t in zip(stacked.tensors(), one.tensors()):
-            assert np.array_equal(s.data[k], t.data), (tag, s.shape)
 
 
-def test_init_ssm_stack_slices_equal_their_label_streams():
-    # each random field is one stacked draw; slice k is label k's own stream
-    labels = ["blk.row_fwd", "blk.col_bwd", "other"]
-    p = init_ssm_stack(6, 3, 17, labels)
-    assert [t.shape for t in p.tensors()] == [(3, 6, 3), (3, 6), (3, 6, 3), (3, 6, 3),
-                                              (3, 6, 1), (3, 1, 6), (3, 6)]
+def test_init_ss2d_params_slices_equal_their_label_streams():
+    # each random field is one stacked draw; slice k is the stream of the
+    # k-th label, blk.<direction> in DIRECTION_ORDER (blk.shared)
     bn, wd = np.sqrt(6.0 / 9.0), np.sqrt(6.0 / 7.0)
-    for k, label in enumerate(labels):
-        for field, a in (("w_b", bn), ("w_c", bn), ("w_delta", wd), ("v_delta", wd)):
-            got = getattr(p, field).data[k]
-            want = uniform_array(got.shape, -a, a, derive(17, label, field))
-            assert got.tobytes() == want.tobytes(), (label, field)
-        one = init_ssm_params(6, 3, 17, name=label)
-        for s, t in zip(p.tensors(), one.tensors()):
-            assert s.data[k].tobytes() == t.data.tobytes(), label
+    for labels in ([f"blk.{d}" for d in DIRECTION_ORDER], ["blk.shared"]):
+        p = init_ss2d_params(6, 3, 17, name="blk", shared=len(labels) == 1)
+        k = len(labels)
+        assert [t.shape for t in p.tensors()] == [(k, 6, 3), (k, 6), (k, 6, 3), (k, 6, 3),
+                                                  (k, 6, 1), (k, 1, 6), (k, 6)]
+        for i, label in enumerate(labels):
+            for field, a in (("w_b", bn), ("w_c", bn), ("w_delta", wd), ("v_delta", wd)):
+                got = getattr(p, field).data[i]
+                want = uniform_array(got.shape, -a, a, derive(17, label, field))
+                assert got.tobytes() == want.tobytes(), (label, field)
 
 
 def test_ss2d_shared_set_gradient_sums_directions_in_tape_order():
