@@ -48,9 +48,9 @@ def main():
     diff = np.max(np.abs(outs[0].data - outs[2].data))
     print("max |domain0 - domain2| after nudging the head:", diff)
 
-    # One-hot mode shares the MLP but swaps the learned prompt rows for
-    # fixed unit vectors — a strictly smaller hypothesis class.
-    oh = conditioner(dataclasses.replace(cond, tokens=None), [0])
+    # One-hot mode shares the MLP but swaps the learned prompt table for a
+    # fixed table of unit vectors — a strictly smaller hypothesis class.
+    oh = conditioner(dataclasses.replace(cond, tokens=T.Tensor(np.eye(4, 16))), [0])
     pr = conditioner(cond, [0])
     print("prompt vs one-hot alpha1 for domain 0:",
           float(pr.alpha1.data.ravel()[0]), "vs", float(oh.alpha1.data.ravel()[0]))

@@ -14,7 +14,8 @@ as one node by `tensor.primitive`.  `gated_block` chains those pairs and
 the ones of `scan.ss2d` into a single tape node per block.
 
 With `mod`, the block applies five scalars (a1, b1, a2, b2, a3) produced by
-a small MLP from a per-domain prompt token.  The block without `mod` and
+a small MLP from a per-domain token: a row of a drawn prompt table, or of a
+fixed one-hot table, one expression for both.  The block without `mod` and
 the block at identity modulation (1, 0, 1, 0, 1) are required to be
 bit-identical, which is why the norm is split into ln_core and its affine:
 the a3 scale slots in between the normalize and the affine without
@@ -24,6 +25,7 @@ re-deriving either.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,22 +495,24 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
 
 @dataclass
 class ConditionerParams:
-    """Prompt rows + the shared MLP that maps a token to the 5 knobs."""
+    """A [num_domains, token_dim] token table (its shape gives both sizes) and
+    the shared MLP that maps a token to the five knobs."""
 
-    tokens: Tensor | None  # [T, D]; None in one-hot mode
+    tokens: Tensor  # drawn and trainable (prompt), or fixed np.eye (one-hot)
     l1: Linear  # D -> 128
     l2: Linear  # 128 -> 64
     l3: Linear  # 64 -> 5, zero-init so training starts at identity
-    num_domains: int
-    token_dim: int
 
 
 def init_conditioner(num_domains: int, token_dim: int, seed: int,
                      one_hot: bool = False, name: str = "cond") -> ConditionerParams:
-    if one_hot and num_domains > token_dim:
-        raise ShapeError(f"{num_domains} one-hot domains cannot pad into dim {token_dim}")
-    tokens = None
-    if not one_hot:
+    """Prompt conditioning draws a trainable token table; one-hot fixes it to
+    np.eye(num_domains, token_dim), without gradient, so not a parameter."""
+    if one_hot:
+        if num_domains > token_dim:
+            raise ShapeError(f"{num_domains} one-hot domains cannot pad into dim {token_dim}")
+        tokens = Tensor(np.eye(num_domains, token_dim))
+    else:
         a = float(np.sqrt(6.0 / (num_domains + token_dim)))
         tokens = _drawn((num_domains, token_dim), a, seed, name, "tokens")
     return ConditionerParams(
@@ -516,28 +520,28 @@ def init_conditioner(num_domains: int, token_dim: int, seed: int,
         l1=init_linear(token_dim, 128, seed, f"{name}.l1"),
         l2=init_linear(128, 64, seed, f"{name}.l2"),
         l3=init_linear(64, 5, seed, f"{name}.l3", zero=True),
-        num_domains=num_domains,
-        token_dim=token_dim,
     )
 
 
 def conditioner_table(p: ConditionerParams) -> Tensor:
-    """Run every domain token through the MLP; rows are raw knob vectors."""
-    if p.tokens is None:
-        eye = np.zeros((p.num_domains, p.token_dim))
-        eye[np.arange(p.num_domains), np.arange(p.num_domains)] = 1.0
-        tokens = Tensor(eye)
-    else:
-        tokens = p.tokens
-    h = T.gelu(linear(tokens, p.l1))
+    """Run every row of the token table through the MLP: [T, 5] raw knob rows,
+    for a prompt table and a one-hot table alike."""
+    h = T.gelu(linear(p.tokens, p.l1))
     h = T.gelu(linear(h, p.l2))
-    return linear(h, p.l3)  # [T, 5]
+    return linear(h, p.l3)
 
 
 def _check_labels(labels, num_domains: int) -> np.ndarray:
-    arr = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if arr.size == 0:
+    """Labels as int64 rows; a non-integer (0.7, True, "1") is refused, not
+    truncated, while an integral float (2.0) passes, as in SumConfig."""
+    raw = np.asarray(labels, dtype=object).reshape(-1)
+    if raw.size == 0:
         raise ShapeError("empty label list")
+    for v in raw:
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not float(v).is_integer()):
+            raise ShapeError(f"domain label {v!r} is not an integer")
+    arr = raw.astype(np.int64)
     if arr.min() < 0 or arr.max() >= num_domains:
         raise ShapeError(f"domain label out of range 0..{num_domains - 1}: {arr.tolist()}")
     return arr
@@ -546,10 +550,10 @@ def _check_labels(labels, num_domains: int) -> np.ndarray:
 def modulation_from_raw(raw: Tensor) -> ModulationParams:
     """Map raw rows [B, 5] to knobs: scales pass through 1 + raw, shifts raw.
 
+    One index node, raw[:, j, None, None, None], cuts knob j as [B, 1, 1, 1].
     Zero raw rows therefore give exact identity modulation.
     """
-    b = raw.shape[0]
-    cols = [T.reshape(raw[:, j], (b, 1, 1, 1)) for j in range(5)]
+    cols = [raw[:, j, None, None, None] for j in range(5)]
     return ModulationParams(
         alpha1=T.add(cols[0], 1.0),
         beta1=cols[1],
@@ -560,14 +564,12 @@ def modulation_from_raw(raw: Tensor) -> ModulationParams:
 
 
 def conditioner(p: ConditionerParams, labels) -> ModulationParams:
-    """Knobs for a batch of domain labels (prompt-table or one-hot tokens)."""
-    arr = _check_labels(labels, p.num_domains)
-    table = conditioner_table(p)
-    return modulation_from_raw(T.take(table, arr, axis=0))
+    """Knobs for a batch of domain labels: the rows of the knob table."""
+    arr = _check_labels(labels, p.tokens.shape[0])
+    return modulation_from_raw(T.take(conditioner_table(p), arr, axis=0))
 
 
 def conditioner_param_count(p: ConditionerParams) -> int:
-    n = 0 if p.tokens is None else p.tokens.size
-    for lin in (p.l1, p.l2, p.l3):
-        n += lin.weight.size + lin.bias.size
-    return n
+    """Trainable conditioner entries: a one-hot table is fixed, so not counted."""
+    tensors = (p.tokens, *(t for lin in (p.l1, p.l2, p.l3) for t in (lin.weight, lin.bias)))
+    return sum(t.size for t in tensors if t.requires_grad)

@@ -34,7 +34,7 @@ from .data import (
     write_pgm,
 )
 from .gradcheck import run_suite
-from .metrics import evaluate_sample, f_scores, summarize
+from .metrics import f_scores
 from .objective import NormalizationError
 from .model import (
     CONDITIONINGS,
@@ -44,6 +44,7 @@ from .model import (
     PLACEMENTS,
     SumConfig,
     evaluate,
+    score,
     train,
 )
 from .scan import bench_lengths, fit_loglog_slope
@@ -156,31 +157,23 @@ def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
     return Model.loaded(SumConfig.from_dict(doc), arrays)
 
 
-def _reports(samples, preds) -> list:
-    """Per-sample metrics, in sample order."""
-    return [evaluate_sample(pred, s.smap, s.fmap, s.sid) for s, pred in zip(samples, preds)]
-
-
-def _oracle_reports(samples) -> list:
-    """Score each ground-truth map against itself (metric smoke test)."""
-    return _reports(samples, [s.smap for s in samples])
-
-
 def cmd_eval(args) -> int:
     samples = load_samples(args.manifest)
     if not samples:
         raise ConfigError(f"{args.manifest}: no samples")
+    if args.oracle == bool(args.checkpoint):
+        raise ConfigError("eval needs --checkpoint or --oracle, not both" if args.oracle
+                          else "eval needs --checkpoint (or --oracle)")
+    twice = [c for i, c in enumerate(args.checkpoint) if c in args.checkpoint[:i]]
+    if twice:
+        raise ConfigError(f"--checkpoint {twice[0]} given more than once")
     lines = []
     summaries = {}
-    if args.oracle:
-        reports = _oracle_reports(samples)
-        for r in reports:
-            lines.append({"run": "oracle", **r.as_dict()})
-        summaries["oracle"] = summarize(reports)
-    else:
-        if not args.checkpoint:
-            raise ConfigError("eval needs --checkpoint (or --oracle)")
-        for ckpt in args.checkpoint:
+    for ckpt in args.checkpoint or [None]:
+        if ckpt is None:  # the oracle: each ground-truth map scored against itself
+            run = "oracle"
+            reports, summary = score(samples, [s.smap for s in samples])
+        else:
             model = _model_from_checkpoint(ckpt, args.config)
             _require_size(samples, model.cfg.input_size, args.manifest)
             for s in samples:
@@ -191,9 +184,8 @@ def cmd_eval(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 3
             run = Path(ckpt).stem if len(args.checkpoint) == 1 else ckpt
-            for r in reports:
-                lines.append({"run": run, **r.as_dict()})
-            summaries[run] = summary
+        lines += [{"run": run, **r.as_dict()} for r in reports]
+        summaries[run] = summary
 
     payload = {"summaries": summaries}
     if len(summaries) > 1:

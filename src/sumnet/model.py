@@ -44,10 +44,16 @@ from . import blocks as B
 from . import tensor as T
 from .objective import DEFAULT_WEIGHTS, composite_loss
 from .rng import SplitMix64, derive
+from .scan import _CHUNK_ELEMS
 from .tensor import NumericError, ShapeError, Tensor
 from .metrics import evaluate_sample, f_scores, summarize
 
-PLACEMENTS = ("bottleneck", "decoder", "all-blocks")
+PLACEMENT_STAGES = {  # the stages whose blocks each placement conditions
+    "bottleneck": ("dec0",),
+    "decoder": ("dec0", "dec1", "dec2", "dec3"),
+    "all-blocks": ("enc0", "enc1", "enc2", "enc3", "dec0", "dec1", "dec2", "dec3"),
+}
+PLACEMENTS = tuple(PLACEMENT_STAGES)
 CONDITIONINGS = ("prompt", "one-hot", "none")
 
 
@@ -182,9 +188,10 @@ class SumConfig:
 
 def _collect_params(prefix: str, obj, out: dict) -> None:
     """Flatten nested weight dataclasses into name -> tensor, each tensor
-    named by its field path, e.g. ``enc0.b0.ssm.a_log``."""
+    named by its field path, e.g. ``enc0.b0.ssm.a_log``; a fixed tensor is none."""
     if isinstance(obj, Tensor):
-        out[prefix] = obj
+        if obj.requires_grad:
+            out[prefix] = obj
     elif is_dataclass(obj):
         for f in fields(obj):
             _collect_params(f"{prefix}.{f.name}", getattr(obj, f.name), out)
@@ -259,7 +266,8 @@ class Model:
             self.cond = B.init_conditioner(cfg.num_domains, cfg.token_dim, seed,
                                            one_hot=cfg.conditioning == "one-hot")
         self._params = self._build_registry()
-        self._conditioned = self._conditioned_stages()
+        self._conditioned = (set() if cfg.conditioning == "none"
+                             else set(PLACEMENT_STAGES[cfg.placement]))
 
     def _build_registry(self) -> dict:
         parts = [("embed", self.embed)]
@@ -274,15 +282,6 @@ class Model:
         for prefix, obj in parts:
             _collect_params(prefix, obj, out)
         return out
-
-    def _conditioned_stages(self) -> set:
-        if self.cfg.conditioning == "none":
-            return set()
-        if self.cfg.placement == "bottleneck":
-            return {"dec0"}
-        if self.cfg.placement == "decoder":
-            return {f"dec{j}" for j in range(4)}
-        return {f"enc{i}" for i in range(4)} | {f"dec{j}" for j in range(4)}
 
     # -- registry views ----------------------------------------------------
 
@@ -381,15 +380,12 @@ class Model:
         if self.cfg.conditioning != "none":
             if labels is None:
                 raise ConfigError("conditioned model needs domain labels")
-            labels = np.asarray(labels).reshape(-1)
-            if labels.size != batch:
-                raise ShapeError(f"{labels.size} labels for batch of {batch}")
+            if np.size(labels) != batch:
+                raise ShapeError(f"{np.size(labels)} labels for batch of {batch}")
         return T.checked_at_boundary("forward", self._forward, imgs, labels)
 
     def _forward(self, imgs, labels) -> Tensor:
-        mod = None
-        if self.cfg.conditioning != "none":
-            mod = B.conditioner(self.cond, labels)
+        mod = None if self.cond is None else B.conditioner(self.cond, labels)
 
         x = B.patch_embed(imgs, self.embed)
         skips = []
@@ -420,9 +416,6 @@ class Model:
 # optimizer
 
 
-_BLOCK_ELEMS = 1 << 15  # 256 KB per work buffer, the budget of scan._CHUNK_ELEMS
-
-
 class Adam:
     """Adam over one contiguous float64 vector that holds every parameter.
 
@@ -433,14 +426,14 @@ class Adam:
     ``.data`` was rebound no longer reaches ``flat``, and ``step`` raises a
     RuntimeError naming it.
 
-    ``step`` groups consecutive slots into blocks of at most 2**15 elements
-    (a larger parameter is a block of its own), gathers a block's gradients
-    into one reused buffer and updates its slices of ``m``, ``v`` and
-    ``flat`` with ``out=``.  Every element goes through the same IEEE
-    operations in the same order as the per-array update -- ``(1-b2)*g``
-    then ``*g``, ``lr*m_hat`` then ``/(sqrt(v_hat)+eps)`` -- and none of
-    them mixes elements, so the result is bit-identical to it and never
-    depends on dict construction order.
+    ``step`` groups consecutive slots into blocks within the scan's cache
+    budget, ``scan._CHUNK_ELEMS`` (a larger parameter is a block of its own),
+    gathers a block's gradients into one reused buffer and updates its
+    slices of ``m``, ``v`` and ``flat`` with ``out=``.  Every element goes
+    through the same IEEE operations in the same order as the per-array
+    update -- ``(1-b2)*g`` then ``*g``, ``lr*m_hat`` then
+    ``/(sqrt(v_hat)+eps)`` -- and none of them mixes elements, so the result
+    is bit-identical to it, whatever the block size or dict order.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
@@ -458,7 +451,7 @@ class Adam:
         self.v = np.zeros_like(self.flat)
         spans, hi = [], 0  # [lo, hi, names] of each block
         for n, size in zip(self.names, sizes):
-            if not spans or hi + size - spans[-1][0] > _BLOCK_ELEMS:
+            if not spans or hi + size - spans[-1][0] > _CHUNK_ELEMS:
                 spans.append([hi, hi, []])
             hi += size
             spans[-1][1] = hi
@@ -591,16 +584,20 @@ def batch_loss(model: Model, samples, idxs) -> Tensor:
     return T.checked_at_boundary("batch loss", loss)
 
 
-def evaluate(model: Model, samples, batch_size: int = 16):
-    """Metric reports + summary over samples, without recording gradients."""
-    reports = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        imgs, labels = _stack_batch(chunk, range(len(chunk)))
-        preds = model.predict(imgs, labels)
-        for row, s in enumerate(chunk):
-            reports.append(evaluate_sample(preds[row], s.smap, s.fmap, s.sid))
+def score(samples, preds):
+    """Metric reports, in sample order, and their summary: each prediction
+    scored against its own sample's maps."""
+    reports = [evaluate_sample(p, s.smap, s.fmap, s.sid) for s, p in zip(samples, preds)]
     return reports, summarize(reports)
+
+
+def evaluate(model: Model, samples, batch_size: int = 16):
+    """`score` of the model's predictions, made in batches without recording."""
+    preds = []
+    for start in range(0, len(samples), batch_size):
+        imgs, labels = _stack_batch(samples, range(start, min(start + batch_size, len(samples))))
+        preds.extend(model.predict(imgs, labels))
+    return score(samples, preds)
 
 
 def train(model: Model, train_samples, val_samples) -> TrainingReport:

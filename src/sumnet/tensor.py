@@ -687,7 +687,8 @@ def copy(x) -> Tensor:
 
 
 def index(x, key) -> Tensor:
-    """Basic indexing (ints and slices); gradient scatters back into place."""
+    """Basic indexing (ints, slices and None axes, which insert a length-1 axis);
+    the gradient scatters back into place."""
 
     def fwd(x, keep):
         try:

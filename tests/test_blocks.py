@@ -675,6 +675,23 @@ def test_label_validation():
     assert int(DomainLabel.UI) == 3
 
 
+@pytest.mark.parametrize("label", [0.7, 2.9, True, np.True_, "1", float("nan")])
+def test_label_validation_refuses_a_label_that_is_not_an_integer(label):
+    # a fractional label must not be truncated into some domain's row
+    p = init_conditioner(4, 16, seed=40)
+    with pytest.raises(ShapeError, match=f"domain label {label!r} is not an integer"):
+        conditioner(p, [label])
+    with pytest.raises(ShapeError, match="is not an integer"):
+        conditioner(p, [1, label])
+
+
+def test_label_validation_accepts_an_integral_float():
+    p = init_conditioner(4, 16, seed=40)
+    p.l3.weight.data[:] = T.uniform((64, 5), -0.5, 0.5, 41).data
+    got, want = conditioner(p, [2.0, np.float64(1.0)]), conditioner(p, np.array([2, 1]))
+    assert np.array_equal(got.alpha1.data, want.alpha1.data)
+
+
 def test_batched_modulation_matches_per_sample():
     w = init_vss(4, 2, seed=41, name="t")
     p = init_conditioner(4, 16, seed=42)

@@ -255,6 +255,24 @@ def test_eval_requires_checkpoint_or_oracle(corpus32, capsys):
     assert "--checkpoint" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_checkpoint_given_twice(trained, corpus32, tmp_path, capsys):
+    # one run name per checkpoint: a repeat would write its rows twice under it
+    ckpt = str(trained / "checkpoint.ckpt")
+    out = tmp_path / "dup.jsonl"
+    code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
+                     "--checkpoint", ckpt, "--checkpoint", ckpt, "--out", str(out)])
+    assert code == 2
+    assert f"--checkpoint {ckpt} given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_oracle_with_checkpoint(trained, corpus32, capsys):
+    code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"), "--oracle",
+                     "--checkpoint", str(trained / "checkpoint.ckpt")])
+    assert code == 2
+    assert "eval needs --checkpoint or --oracle, not both" in capsys.readouterr().err
+
+
 def test_eval_rejects_architecture_mismatch(trained, corpus32, tmp_path, capsys):
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps({"input_size": 32, "base_channels": 8,

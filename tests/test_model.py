@@ -212,6 +212,37 @@ def test_conditioning_mode_parameter_counts():
     assert shared < prompt
 
 
+def test_one_hot_tokens_are_a_fixed_table_no_parameter_store_holds():
+    cfg = micro_cfg(conditioning="one-hot")
+    m = Model(cfg)
+    tokens = m.cond.tokens
+    eye = np.eye(cfg.num_domains, cfg.token_dim)
+    assert np.array_equal(tokens.data, eye) and not tokens.requires_grad
+    assert all(t is not tokens for t in m.params().values())
+    assert not any(name.startswith("cond.tokens") for name in m.state_arrays())
+    opt = Adam(m.params(), 1e-2)
+    assert opt.flat.size == m.num_parameters()
+    assert not np.shares_memory(tokens.data, opt.flat)
+    with T.Tape() as tape:
+        loss = batch_loss(m, micro_samples(2), [0, 1])
+        grads = T.backward(tape, loss)
+    assert all(t is not tokens for t in grads)
+    opt.step(grads)
+    assert np.array_equal(tokens.data, eye)
+    loaded = Model.from_state(m.state_arrays())
+    assert np.array_equal(loaded.cond.tokens.data, eye) and not loaded.cond.tokens.requires_grad
+
+
+def test_forward_refuses_a_label_that_is_not_an_integer():
+    m = Model(micro_cfg())
+    img = micro_samples(1)[0].image[None]
+    with pytest.raises(T.ShapeError, match="domain label 0.7 is not an integer"):
+        m.predict(img, [0.7])
+    with pytest.raises(T.ShapeError, match="domain label True is not an integer"):
+        m.predict(img, [True])
+    assert np.array_equal(m.predict(img, [2.0]), m.predict(img, [2]))
+
+
 def test_registry_stacks_each_scan_parameter_on_the_direction_axis():
     # the step-micro config (C=4, S=32, default depths): 15 blocks with 7
     # scan tensors each; stacking sets the names, never the parameter count

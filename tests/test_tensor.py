@@ -296,10 +296,10 @@ def test_no_module_but_tensor_reaches_the_recording_internals():
 
 
 def test_every_recorded_node_comes_through_primitive(tmp_path, monkeypatch):
-    # a step-micro batch loss (C=4, S=32, B=8): generic and fused ops alike
+    # a step-micro batch loss (C=4, S=32, B=8): generic and fused ops alike;
+    # prompt and one-hot conditioning run one expression, so one count
     paths = D.generate_dataset(tmp_path, n_per_domain=2, size=32, seed=1)
     samples = [s for fold in ("train", "val", "test") for s in D.load_samples(paths[fold])]
-    model = M.Model(M.SumConfig(input_size=32, base_channels=4))
     kinds = []
     real = T.primitive
 
@@ -310,10 +310,13 @@ def test_every_recorded_node_comes_through_primitive(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(T, "primitive", counting)
-    with Tape() as tape:
-        M.batch_loss(model, samples, range(8))
-    recorded = [node.kind for node in tape.nodes if node.kind != "leaf"]
-    assert len(recorded) == 132 and kinds == recorded
+    for conditioning, count in (("prompt", 127), ("one-hot", 127), ("none", 113)):
+        model = M.Model(M.SumConfig(input_size=32, base_channels=4, conditioning=conditioning))
+        kinds.clear()
+        with Tape() as tape:
+            M.batch_loss(model, samples, range(8))
+        recorded = [node.kind for node in tape.nodes if node.kind != "leaf"]
+        assert len(recorded) == count and kinds == recorded, conditioning
 
 
 # ---------------------------------------------------------------------------
