@@ -1,8 +1,10 @@
 """Conditioning a gated scan block with five scalar knobs.
 
 `gated_block(f, w, mod)` is the C-VSS block: the plain gated scan block
-(`mod=None`) with three insertion points fed by (alpha1, beta1, alpha2,
-beta2, alpha3).  Two facts worth seeing live:
+(`mod=None`) with (alpha1, beta1, alpha2, beta2, alpha3) folded into the
+affine params of its two layer norms — (a1 gamma1, a1 beta1 + b1) and
+((a2 a3) gamma2, a2 beta2 + b2) — so both run the same grid-sized steps.
+Two facts worth seeing live:
 
   * at identity knobs (1, 0, 1, 0, 1) the conditional block IS the plain
     block, bit for bit — multiplying by 1.0 and adding 0.0 are exact in

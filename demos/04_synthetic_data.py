@@ -21,13 +21,13 @@ DOMAINS = ("natural-mouse", "natural-eye", "ecommerce", "ui")
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="sumnet-demo-"))
-    manifests = generate_dataset(root, n_per_domain=3, size=64, seed=14)
-    print("wrote corpus under", root, file=sys.stderr)  # a fresh temp path each run
-    for fold, path in sorted(manifests.items()):
-        print(f"  {fold}: {len(read_manifest(path))} rows")
+    with tempfile.TemporaryDirectory(prefix="sumnet-demo-") as tmp:
+        manifests = generate_dataset(Path(tmp), n_per_domain=3, size=64, seed=14)
+        print("wrote corpus under", tmp, file=sys.stderr)  # a fresh temp path each run
+        for fold, path in sorted(manifests.items()):
+            print(f"  {fold}: {len(read_manifest(path))} rows")
+        samples = load_samples(manifests["train"])
 
-    samples = load_samples(manifests["train"])
     s = samples[0]
     print(f"\nfirst sample {s.sid}: image {s.image.shape}, "
           f"map mass {s.smap.sum():.4f}, fixations {int(s.fmap.sum())}")

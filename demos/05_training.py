@@ -15,7 +15,12 @@ from sumnet.model import Model, SumConfig, train
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="sumnet-demo-"))
+    with tempfile.TemporaryDirectory(prefix="sumnet-demo-") as tmp:
+        run(Path(tmp))
+
+
+def run(root: Path):
+    """Write a corpus under `root`, train on it, checkpoint and reload."""
     manifests = generate_dataset(root, n_per_domain=5, size=32, seed=2)
     train_samples = load_samples(manifests["train"])
     val_samples = load_samples(manifests["val"])

@@ -8,18 +8,17 @@ of what other parameters exist around them.  Every random initial value is
 drawn by `tensor.init_uniforms`, which only allocates under
 `tensor.skip_draws` (the build `Model.from_state` overwrites).
 
-`linear`, `ln_core` and `depthwise_conv3x3` are each a pure numpy pair,
+`linear`, `layer_norm` and `depthwise_conv3x3` are each a pure numpy pair,
 `*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, recorded
 as one node by `tensor.primitive`.  `gated_block` chains those pairs and
 the ones of `scan.ss2d` into a single tape node per block.
 
 With `mod`, the block applies five scalars (a1, b1, a2, b2, a3) produced by
 a small MLP from a per-domain token: a row of a drawn prompt table, or of a
-fixed one-hot table, one expression for both.  The block without `mod` and
-the block at identity modulation (1, 0, 1, 0, 1) are required to be
-bit-identical, which is why the norm is split into ln_core and its affine:
-the a3 scale slots in between the normalize and the affine without
-re-deriving either.
+fixed one-hot table, one expression for both.  Each knob acts on the output
+of one of the block's two norms, and an affine map of an affine map is one
+affine map, so the knobs fold into the norms' gamma and beta on [C]-sized
+arrays: the plain and the conditional block run the same grid-sized steps.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def init_layer_norm(channels: int) -> LayerNormParams:
 
 
 def ln_core_fwd(x, eps: float = LN_EPS):
-    """ln_core on arrays: (normalized x, saved)."""
+    """The normalizing core of layer_norm_fwd: (normalized x, saved)."""
     axis = (x.ndim - 1,)
     mu = x.mean(axis=axis, keepdims=True)
     centered = x - mu
@@ -122,9 +121,10 @@ def ln_core_fwd(x, eps: float = LN_EPS):
 
 
 def ln_core_bwd(saved, g):
-    """Gradient of ln_core_fwd (a one-element tuple).  The two channel means
-    are matmuls with a vector of 1/C, several times faster than
-    ``ndarray.mean`` over the short trailing axis."""
+    """Gradient of ln_core_fwd as a one-element tuple: with x_hat the output
+    and sigma = sqrt(var + eps), (g - mean(g) - x_hat * mean(g * x_hat)) /
+    sigma.  The two channel means are matmuls with a vector of 1/C, several
+    times faster than ``ndarray.mean`` over the short trailing axis."""
     out, sigma = saved
     ch = g.shape[-1]
     inv_c = np.full(ch, 1.0 / ch)
@@ -138,18 +138,35 @@ def ln_core_bwd(saved, g):
     return (gx,)
 
 
-def ln_core(x: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Normalize the trailing channel axis to zero mean, unit variance.
+def layer_norm_fwd(x, gamma, beta, name: str = "layer_norm", eps: float = LN_EPS):
+    """layer_norm on arrays: (ln_core_fwd(x) * gamma + beta, saved).  gamma and
+    beta are [C] or per sample [B, 1, 1, C].  With per-op checks on, a
+    non-finite step is named `name` and "core", "scale" or "shift"."""
+    n, core_saved = ln_core_fwd(x, eps)
+    T._check(f"{name} core", n)
+    out = n * gamma
+    T._check(f"{name} scale", out)
+    out = out + beta
+    T._check(f"{name} shift", out)
+    return out, (core_saved, gamma, beta.shape)
 
-    One tape node.  With x_hat the output and sigma = sqrt(var + eps), the
-    gradient is (g - mean(g) - x_hat * mean(g * x_hat)) / sigma, means taken
-    over the channel axis.
-    """
-    return T.primitive("ln_core", (x,), lambda x, keep: ln_core_fwd(x, eps), ln_core_bwd)
+
+def layer_norm_bwd(saved, g):
+    """Gradients of layer_norm_fwd (x, gamma, beta), each summed back to its
+    input's shape."""
+    (n, sigma), gamma, beta_shape = saved
+    g_beta = T._unbroadcast(g, beta_shape)
+    g_gamma = T._unbroadcast(g * n, gamma.shape)
+    (g_x,) = ln_core_bwd((n, sigma), T._unbroadcast(g * gamma, n.shape))
+    return g_x, g_gamma, g_beta
 
 
 def layer_norm(x: Tensor, p: LayerNormParams, eps: float = LN_EPS) -> Tensor:
-    return T.add(T.mul(ln_core(x, eps), p.gamma), p.beta)
+    """Normalize the trailing channel axis to zero mean, unit variance, then
+    scale by gamma and shift by beta; one tape node over (x, gamma, beta)."""
+    return T.primitive("layer_norm", (x, p.gamma, p.beta),
+                       lambda x, gamma, beta, keep: layer_norm_fwd(x, gamma, beta, eps=eps),
+                       layer_norm_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +381,27 @@ class ModulationParams:
 def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -> Tensor:
     """Gated scan block, feature-modulated when `mod` is given; one tape node.
 
-    x = LN1(f), optionally a1 x + b1; gate = silu(linear_gate(x)); the scan
-    branch is ss2d(silu(dwconv(linear_in(x)))); attn = LN2 of it, with a3
-    scaling the norm's core before its affine, optionally a2 attn + b2; the
-    result is f + linear_out(gate * attn).  Without `mod` no insertion runs.
-    At identity modulation (1, 0, 1, 0, 1) every insertion multiplies by
-    1.0 or adds 0.0, which IEEE arithmetic keeps bit-exact, so the result
-    equals the unmodulated block exactly.
+    x = LN1(f); gate = silu(linear_gate(x)); the scan branch is
+    ss2d(silu(dwconv(linear_in(x)))); attn = LN2 of it; the result is
+    f + linear_out(gate * attn).  `mod` folds into the norms' affine params,
+    at [C] or [B, 1, 1, C]: LN1 runs with (a1 gamma1, a1 beta1 + b1) and LN2
+    with (a2 a3 gamma2, a2 beta2 + b2), the paper's a1 x + b1 and a2 attn + b2
+    with a3 scaling LN2's core, up to rounding.  At identity modulation
+    (1, 0, 1, 0, 1) each fold multiplies by 1.0 or adds 0.0, exact in IEEE
+    arithmetic, so the result equals the unmodulated block bit for bit.
 
     The node's inputs are f, every VSSWeights tensor (the scan parameters
     in SSMParams.tensors() order) and, with `mod`, the five knobs; their
-    gradients chain the pairs of `linear`, `ln_core`, `depthwise_conv3x3`
+    gradients chain the pairs of `linear`, `layer_norm`, `depthwise_conv3x3`
     and `scan.ss2d` with the elementwise steps between them, in the order
-    a tape of one node per step would, so values and gradients match that
-    composition.  Knob gradients are summed back to the knob's shape, ()
-    or [B, 1, 1, 1].  With per-op checks on (a direct call, or the replay
-    of a model boundary that tripped, see `tensor.checked_at_boundary`)
-    every intermediate must be finite, and a failure names it, e.g.
-    "gated_block gate silu: produced a non-finite value"; inside ss2d the
-    selective_scan and cross_merge checks keep their own names.  Inside the
-    model's forward those checks are off, and their names surface through
-    the replay.
+    a tape of one node per step would, then unfold the norms' params back
+    to gamma, beta and the knobs, each summed to its shape.  With per-op
+    checks on (a direct call, or the replay of a model boundary that
+    tripped, see `tensor.checked_at_boundary`) every intermediate must be
+    finite, and a failure names it, e.g. "gated_block gate silu: produced a
+    non-finite value"; inside ss2d the selective_scan and cross_merge checks
+    keep their own names.  Inside the model's forward those checks are off,
+    and their names surface through the replay.
     """
     f = T.as_tensor(f)
     if f.ndim not in (3, 4):
@@ -404,26 +421,19 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
     knobs; grad_fn(g) returns the gradients in that input order."""
     ssm, (gamma2, beta2, w_out, b_out), knobs = rest[:7], rest[7:11], rest[11:]
     check = T._check
+    ln1, ln2 = (gamma1, beta1), (gamma2, beta2)
     if knobs:
         a1, b1, a2, b2, a3 = knobs
-    n1, ln1_saved = ln_core_fwd(f)
-    check("gated_block ln1 core", n1)
-    x = n1 * gamma1
-    check("gated_block ln1 scale", x)
-    x = x + beta1
-    check("gated_block ln1 shift", x)
-    xm = x
-    if knobs:
-        xm = a1 * x
-        check("gated_block alpha1", xm)
-        xm = xm + b1
-        check("gated_block beta1", xm)
-    gl, gate_saved = linear_fwd(xm, w_gate, b_gate)
+        a23 = a2 * a3
+        ln1 = (a1 * gamma1, a1 * beta1 + b1)
+        ln2 = (a23 * gamma2, a2 * beta2 + b2)
+    x, ln1_saved = layer_norm_fwd(f, *ln1, name="gated_block ln1")
+    gl, gate_saved = linear_fwd(x, w_gate, b_gate)
     check("gated_block gate linear", gl)
     gl_s = T._sigmoid_raw(gl)
     gate = gl * gl_s
     check("gated_block gate silu", gate)
-    branch, in_saved = linear_fwd(xm, w_in, b_in)
+    branch, in_saved = linear_fwd(x, w_in, b_in)
     check("gated_block inproj", branch)
     conv, dw_saved = dwconv_fwd(branch, kernel, k_bias)
     check("gated_block dwconv", conv)
@@ -432,44 +442,17 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
     check("gated_block dwconv silu", branch)
     grid_shape = branch.shape if branch.ndim == 4 else (1,) + branch.shape
     scanned, ss_saved = ss2d_fwd(branch.reshape(grid_shape), ssm, keep=keep)
-    n2, ln2_saved = ln_core_fwd(scanned.reshape(branch.shape))
-    check("gated_block ln2 core", n2)
-    t2 = n2
-    if knobs:
-        t2 = a3 * n2
-        check("gated_block alpha3", t2)
-    attn = t2 * gamma2
-    check("gated_block ln2 scale", attn)
-    attn = attn + beta2
-    check("gated_block ln2 shift", attn)
-    attn_m = attn
-    if knobs:
-        attn_m = a2 * attn
-        check("gated_block alpha2", attn_m)
-        attn_m = attn_m + b2
-        check("gated_block beta2", attn_m)
-    prod = gate * attn_m
+    attn, ln2_saved = layer_norm_fwd(scanned.reshape(branch.shape), *ln2, name="gated_block ln2")
+    prod = gate * attn
     check("gated_block gate product", prod)
     fused, out_saved = linear_fwd(prod, w_out, b_out)
     check("gated_block outproj", fused)
-    f_shape, x_shape, c_shape = f.shape, x.shape, gamma1.shape
+    f_shape, c_shape = f.shape, gamma1.shape
 
     def grad_fn(g):
         g_prod, g_wo, g_bo = linear_bwd(out_saved, g)
-        g_gate = g_prod * attn_m
-        g_attn = g_prod * gate
-        g_knobs = ()
-        if knobs:
-            g_b2 = T._unbroadcast(g_attn, b2.shape)
-            g_a2 = T._unbroadcast(g_attn * attn, a2.shape)
-            g_attn = g_attn * a2
-        g_beta2 = T._unbroadcast(g_attn, c_shape)
-        g_gamma2 = T._unbroadcast(g_attn * t2, c_shape)
-        g_t2 = g_attn * gamma2
-        if knobs:
-            g_a3 = T._unbroadcast(g_t2 * n2, a3.shape)
-            g_t2 = g_t2 * a3
-        (g_scan,) = ln_core_bwd(ln2_saved, g_t2)
+        g_gate = g_prod * attn
+        g_scan, g_gamma2, g_beta2 = layer_norm_bwd(ln2_saved, g_prod * gate)
         g_grid, g_ssm = ss2d_bwd(ss_saved, g_scan.reshape(grid_shape))
         g_conv = T._silu_grad(conv, conv_s)
         g_conv *= g_grid.reshape(g_conv.shape)
@@ -478,15 +461,16 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
         g_gl = T._silu_grad(gl, gl_s)
         g_gl *= g_gate
         g_xg, g_wg, g_bg = linear_bwd(gate_saved, g_gl)
-        g_x = g_x + g_xg
-        if knobs:
-            g_b1 = T._unbroadcast(g_x, b1.shape)
-            g_a1 = T._unbroadcast(g_x * x, a1.shape)
-            g_x = T._unbroadcast(g_x * a1, x_shape)
-            g_knobs = (g_a1, g_b1, g_a2, g_b2, g_a3)
-        g_beta1 = T._unbroadcast(g_x, c_shape)
-        g_gamma1 = T._unbroadcast(g_x * n1, c_shape)
-        (g_f,) = ln_core_bwd(ln1_saved, g_x * gamma1)
+        g_f, g_gamma1, g_beta1 = layer_norm_bwd(ln1_saved, g_x + g_xg)
+        g_knobs = ()
+        if knobs:  # unfold the norms' params back to gamma, beta and the knobs
+            sum_to = T._unbroadcast
+            g_a23 = g_gamma2 * gamma2  # the gradient of a23 = a2 * a3, per channel
+            g_knobs = (sum_to(g_gamma1 * gamma1 + g_beta1 * beta1, a1.shape),
+                       sum_to(g_beta1, b1.shape), sum_to(g_a23 * a3 + g_beta2 * beta2, a2.shape),
+                       sum_to(g_beta2, b2.shape), sum_to(g_a23 * a2, a3.shape))
+            g_gamma1, g_beta1 = sum_to(g_gamma1 * a1, c_shape), sum_to(g_beta1 * a1, c_shape)
+            g_gamma2, g_beta2 = sum_to(g_gamma2 * a23, c_shape), sum_to(g_beta2 * a2, c_shape)
         return (T._unbroadcast(g, f_shape) + g_f, g_gamma1, g_beta1, g_wg, g_bg, g_wi, g_bi,
                 g_k, g_kb, *g_ssm, g_gamma2, g_beta2, g_wo, g_bo, *g_knobs)
 

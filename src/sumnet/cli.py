@@ -164,6 +164,8 @@ def cmd_eval(args) -> int:
     if args.oracle == bool(args.checkpoint):
         raise ConfigError("eval needs --checkpoint or --oracle, not both" if args.oracle
                           else "eval needs --checkpoint (or --oracle)")
+    if args.oracle and args.config:
+        raise ConfigError("eval --oracle scores no model, so it takes no --config")
     twice = [c for i, c in enumerate(args.checkpoint) if c in args.checkpoint[:i]]
     if twice:
         raise ConfigError(f"--checkpoint {twice[0]} given more than once")

@@ -162,12 +162,17 @@ def check_blocks() -> list:
     ln = B.init_layer_norm(c)
     rows.append(("layer_norm.input", _check(
         lambda t: _weighted_sum(B.layer_norm(t, ln), "ln.in"), x), OP_TOL))
-    rows.append(("ln_core.input", _check(
-        lambda t: _weighted_sum(B.ln_core(t), "lnc.in"), _arr((2, 3, 3, c), tag="lncx")),
+    # per-sample [2, 1, 1, C] gamma and beta, as a modulated gated block folds them
+    ln_b = B.LayerNormParams(*(Tensor(_arr((2, 1, 1, c), 0.5, 1.5, f"ln.{k}")) for k in "gb"))
+    rows.append(("layer_norm.input_batched", _check(
+        lambda t: _weighted_sum(B.layer_norm(t, ln_b), "ln.inb"), _arr((2, 3, 3, c), tag="lnbx")),
         OP_TOL))
     rows.append(("layer_norm.gamma", _check(
         lambda t: _weighted_sum(B.layer_norm(Tensor(x), B.LayerNormParams(t, ln.beta)),
                                 "ln.g"), ln.gamma.data.copy()), OP_TOL))
+    rows.append(("layer_norm.beta", _check(
+        lambda t: _weighted_sum(B.layer_norm(Tensor(x), B.LayerNormParams(ln.gamma, t)),
+                                "ln.b"), _arr((c,), tag="lnb")), OP_TOL))
 
     dw = B.init_dwconv(c, derive(_SEED, "dw"), "g")
     rows.append(("depthwise_conv.input", _check(

@@ -21,16 +21,16 @@ Every parameter lives in a flat name -> tensor registry; initialization
 draws from a stream derived from (config seed, parameter name), so any two
 models agree bit-for-bit on every parameter whose name and shape they
 share (a shared-scan and an unshared model both have ``<block>.ssm.a_log``,
-the direction-stacked [1, C, N] and [4, C, N]).  An Adam
-built over the registry packs every tensor's storage into its one flat
-vector, so code that writes parameters writes into ``Tensor.data`` in place
-(``load_state`` and ``train``'s best-epoch restore do) instead of rebinding
-it.  ``state_arrays`` and ``from_state`` are the checkpoint pair: the
-registry plus the config as its exact JSON record, and back.  ``from_state``
-(and ``loaded``, for a config given apart from the checkpoint) builds the
-registry through the same init helpers as ``Model(cfg)``, with their draws
-skipped (``tensor.skip_draws``), and takes every value from the checkpoint; ``load_state`` refuses a missing name, a wrong shape or a
-non-finite value before it writes anything.
+the direction-stacked [1, C, N] and [4, C, N]).  An Adam built over the
+registry packs every tensor's storage into its one flat vector, so code that
+writes parameters writes into ``Tensor.data`` in place (``load_state`` and
+``train``'s best-epoch restore do) instead of rebinding it.  ``state_arrays``
+and ``from_state`` are the checkpoint pair: the registry plus the config as
+its exact JSON record, and back.  ``from_state`` (and ``loaded``, for a config
+given apart from the checkpoint) builds the registry through the same init
+helpers as ``Model(cfg)``, with their draws skipped (``tensor.skip_draws``),
+and takes every value from the checkpoint; ``load_state`` refuses a missing
+name, a wrong shape or a non-finite value before it writes anything.
 """
 
 from __future__ import annotations

@@ -545,11 +545,11 @@ def bench_lengths(lengths, channels: int = 16, state_size: int = 8,
     """Per-length minimum scan times, measured round-robin across lengths.
 
     Each run is one untaped G=1 kernel call, `selective_scan_fwd` on a
-    [1, 1, L, C] sequence with one [1, ...] parameter set.  Interleaving the lengths spreads any scheduler or frequency burst over
-    at most one sample per length instead of a whole length's window, and
-    the minimum keeps only each length's least disturbed run: noise from
-    other processes only ever adds time.  Returns {length: minimum seconds}
-    in input order; `runs` below 1 is a ValueError.
+    [1, 1, L, C] sequence with one [1, ...] parameter set.  Interleaving the
+    lengths spreads any scheduler or frequency burst over at most one sample
+    per length instead of a whole length's window, and the minimum keeps only
+    each length's least disturbed run: other processes only ever add time.
+    Returns {length: minimum seconds} in input order; `runs` < 1 is a ValueError.
     """
     runs = int(runs)
     if runs < 1:

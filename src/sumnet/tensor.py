@@ -21,10 +21,10 @@ central differences evaluated with recording suspended.
 Checked mode (on by default; `_op_checks(False)` turns it off) raises
 NumericError when an op produces a non-finite value or hits a domain
 violation (log/sqrt of a negative, division by zero), naming the op.
-Direct op calls are checked op by op.  The model checks at its boundaries instead (`checked_at_boundary`):
-per-op checks off, one `isfinite` on the output, and a checked replay that
-names the op when the output is not finite.  So a non-finite intermediate
-squashed before the output (exp(exp(1000) * -1) = 0) is no error there.
+Direct op calls are checked op by op.  The model checks at its boundaries
+(`checked_at_boundary`): per-op checks off, one `isfinite` on the output,
+and a checked replay that names the op when the output is not finite, so a
+non-finite intermediate squashed before it (exp(exp(1000) * -1) = 0) passes.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from sumnet.blocks import (
     linear,
     linear_bwd,
     linear_fwd,
-    ln_core,
     ln_core_bwd,
     ln_core_fwd,
     patch_embed,
@@ -202,13 +201,21 @@ FUSED_GRIDS = [(1, 1, 4), (5, 6, 3), (1, 1, 1, 3), (2, 4, 3, 5)]
 
 
 @pytest.mark.parametrize("shape", FUSED_GRIDS)
-def test_ln_core_matches_reference_composition(shape):
-    x = rnd(shape, 41, -2.0, 2.0).data
-    got, got_g, n_ops = _forward_and_grads(ln_core, [x], 42)
-    want, want_g, _ = _forward_and_grads(_reference_ln_core, [x], 42)
+@pytest.mark.parametrize("affine", ["channel", "per-sample"])
+def test_layer_norm_matches_reference_composition(shape, affine):
+    # [C] affine params, or per-sample [B, 1, 1, C] ones as a modulated
+    # gated block folds them (they broadcast a 3-D grid to a batch)
+    c = shape[-1]
+    p_shape = (c,) if affine == "channel" else (shape[0] if len(shape) == 4 else 2, 1, 1, c)
+    inputs = [rnd(shape, 41, -2.0, 2.0).data, rnd(p_shape, 43, 0.5, 1.5).data,
+              rnd(p_shape, 44).data]
+    got, got_g, n_ops = _forward_and_grads(
+        lambda x, g, b: layer_norm(x, LayerNormParams(g, b)), inputs, 42)
+    want, want_g, _ = _forward_and_grads(
+        lambda x, g, b: T.add(T.mul(_reference_ln_core(x), g), b), inputs, 42)
     assert n_ops == 1
     assert np.array_equal(got, want)
-    _assert_grads_close(got_g, want_g)
+    _assert_grads_close(got_g, want_g)  # x, gamma and beta
 
 
 @pytest.mark.parametrize("shape", FUSED_GRIDS)
@@ -462,26 +469,31 @@ def _reference_scan_branch(x, w):
 
 def _reference_vss(f, w):
     """Gated scan block: LN, two branches (gate, scan), fuse, residual."""
-    x = T.add(T.mul(ln_core(f), w.ln1.gamma), w.ln1.beta)
+    x = layer_norm(f, w.ln1)
     gate = T.silu(linear(x, w.gate))
-    attn = _reference_scan_branch(x, w)
-    attn = T.add(T.mul(ln_core(attn), w.ln2.gamma), w.ln2.beta)
+    attn = layer_norm(_reference_scan_branch(x, w), w.ln2)
     fused = linear(T.mul(gate, attn), w.outproj)
     return T.add(fused, f)
 
 
 def _reference_cvss(f, w, mod):
-    """Conditional gated scan block.
+    """Conditional gated scan block: _reference_vss with the knobs folded
+    into the norms' affine params, LN1 with (a1 gamma1, a1 beta1 + b1) and
+    LN2 with ((a2 a3) gamma2, a2 beta2 + b2)."""
+    a1, b1, a2, b2, a3 = (getattr(mod, k) for k in KNOBS)
+    ln1 = LayerNormParams(T.mul(a1, w.ln1.gamma), T.add(T.mul(a1, w.ln1.beta), b1))
+    ln2 = LayerNormParams(T.mul(T.mul(a2, a3), w.ln2.gamma), T.add(T.mul(a2, w.ln2.beta), b2))
+    return _reference_vss(f, dataclasses.replace(w, ln1=ln1, ln2=ln2))
 
-    Identical wiring to _reference_vss with three insertion points: (a1, b1)
-    rescale the first normalized features, (a3) scales the second norm's
-    core before its affine, (a2, b2) rescale the result.
-    """
-    x = T.add(T.mul(ln_core(f), w.ln1.gamma), w.ln1.beta)
-    x = T.add(T.mul(mod.alpha1, x), mod.beta1)
+
+def _paper_cvss(f, w, mod):
+    """Conditional gated scan block in the paper's order, three insertion
+    points: (a1, b1) rescale the first normalized features, (a3) scales the
+    second norm's core before its affine, (a2, b2) rescale the result."""
+    x = T.add(T.mul(mod.alpha1, layer_norm(f, w.ln1)), mod.beta1)
     gate = T.silu(linear(x, w.gate))
     attn = _reference_scan_branch(x, w)
-    attn = T.add(T.mul(T.mul(mod.alpha3, ln_core(attn)), w.ln2.gamma), w.ln2.beta)
+    attn = T.add(T.mul(T.mul(mod.alpha3, _reference_ln_core(attn)), w.ln2.gamma), w.ln2.beta)
     attn = T.add(T.mul(mod.alpha2, attn), mod.beta2)
     fused = linear(T.mul(gate, attn), w.outproj)
     return T.add(fused, f)
@@ -546,6 +558,12 @@ def test_gated_block_matches_reference_composition(shape, mod, shared):
     assert n_ops == 1
     assert got.shape == want.shape and np.array_equal(got, want)
     _assert_grads_close(by_slice(got_g), by_slice(want_g))  # f, every weight, every knob
+    if m is not None:  # the fold reassociates the paper's order: equal at identity knobs
+        paper, paper_g, _ = run(_paper_cvss)
+        if mod == "identity":
+            assert np.array_equal(got, paper)
+        _assert_grads_close([got], [paper])
+        _assert_grads_close(by_slice(got_g), by_slice(paper_g))
     for k, g in zip(KNOBS, got_g[len(leaves) - len(knobs):]):
         assert g.shape == getattr(m, k).shape, k
 

@@ -273,6 +273,14 @@ def test_eval_rejects_oracle_with_checkpoint(trained, corpus32, capsys):
     assert "eval needs --checkpoint or --oracle, not both" in capsys.readouterr().err
 
 
+def test_eval_rejects_oracle_with_config(corpus32, tmp_path, capsys):
+    # the oracle builds no model, so a config (even a missing file) is a usage error
+    code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"), "--oracle",
+                     "--config", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert "eval --oracle scores no model, so it takes no --config" in capsys.readouterr().err
+
+
 def test_eval_rejects_architecture_mismatch(trained, corpus32, tmp_path, capsys):
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps({"input_size": 32, "base_channels": 8,
@@ -617,12 +625,12 @@ SCAN_ROWS = [
     "ss2d.row_bwd.w_c", "ss2d.col_fwd.v_delta", "ss2d.col_bwd.b_delta", "ss2d.shared",
 ]
 BLOCKS_ROWS = [
-    "layer_norm.input", "ln_core.input", "layer_norm.gamma", "depthwise_conv.input",
-    "depthwise_conv.kernel", "depthwise_conv.bias", "linear.weight", "linear.bias",
-    "linear.input", "patch_embed.input", "downsample.input", "patch_expand.input", "vss.input",
-    "vss.gate_weight", "gated_block.input", "gated_block.alpha1", "gated_block.beta1",
-    "gated_block.alpha2", "gated_block.beta2", "gated_block.alpha3", "conditioner.tokens",
-    "conditioner.l3_weight",
+    "layer_norm.input", "layer_norm.input_batched", "layer_norm.gamma", "layer_norm.beta",
+    "depthwise_conv.input", "depthwise_conv.kernel", "depthwise_conv.bias", "linear.weight",
+    "linear.bias", "linear.input", "patch_embed.input", "downsample.input",
+    "patch_expand.input", "vss.input", "vss.gate_weight", "gated_block.input",
+    "gated_block.alpha1", "gated_block.beta1", "gated_block.alpha2", "gated_block.beta2",
+    "gated_block.alpha3", "conditioner.tokens", "conditioner.l3_weight",
 ]
 
 

@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def _run(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demos that write files put them in mkdtemp()
+    env["TMPDIR"] = str(tmp_path)  # demos that write files put them in a temporary directory
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -24,6 +24,7 @@ def _run(demo, tmp_path):
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     _run(demo, tmp_path)
+    assert not list(tmp_path.glob("sumnet-demo-*"))  # its temporary directory is removed
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
