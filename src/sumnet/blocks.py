@@ -10,8 +10,12 @@ drawn by `tensor.init_uniforms`, which only allocates under
 
 `linear`, `layer_norm` and `depthwise_conv3x3` are each a pure numpy pair,
 `*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, recorded
-as one node by `tensor.primitive`.  `gated_block` chains those pairs and
-the ones of `scan.ss2d` into a single tape node per block.
+as one node by `tensor.primitive`.  The stages chain those pairs into one
+node each: `patch_embed` (a 4x4 tiling, `linear`, `layer_norm`),
+`downsample` (a 2x2 tiling, `layer_norm`, `linear`), `patch_expand`
+(`linear`, a pixel shuffle), `head` (`patch_expand`'s pair, a readout
+`linear`, a sigmoid), and `gated_block`, with the pairs of `scan.ss2d`, one
+node per block.
 
 With `mod`, the block applies five scalars (a1, b1, a2, b2, a3) produced by
 a small MLP from a per-domain token: a row of a drawn prompt table, or of a
@@ -26,6 +30,7 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -251,26 +256,62 @@ def init_patch_embed(channels: int, seed: int, name: str = "embed") -> PatchEmbe
                             init_layer_norm(channels))
 
 
-def _space_to_depth(x: Tensor, factor: int) -> Tensor:
-    """[.., H, W, C] -> [.., H/f, W/f, f*f*C] by stacking each f x f tile."""
-    h_ax, w_ax = x.ndim - 3, x.ndim - 2
-    h, w, c = x.shape[h_ax], x.shape[w_ax], x.shape[-1]
+def _retile(x: np.ndarray, tiled: tuple, out: tuple) -> np.ndarray:
+    """x's trailing [H, W, C] viewed as `tiled` (5 axes), axes 1 and 2
+    swapped, read out as `out`: the one transpose of both resamplings."""
+    nl = x.ndim - 3
+    r = x.reshape(x.shape[:-3] + tiled)
+    r = np.ascontiguousarray(r.transpose(tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)))
+    return r.reshape(x.shape[:-3] + out)
+
+
+def _space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:
+    """[.., H, W, C] -> [.., H/f, W/f, f*f*C] by stacking each f x f tile,
+    row-major with channels fastest."""
+    h, w, c = x.shape[-3:]
     if h % factor or w % factor:
         raise ShapeError(f"grid {h}x{w} not divisible by patch factor {factor}")
-    lead = x.shape[:-3]
-    r = T.reshape(x, lead + (h // factor, factor, w // factor, factor, c))
-    nl = len(lead)
-    r = T.transpose(r, tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4))
-    return T.reshape(r, lead + (h // factor, w // factor, factor * factor * c))
+    h, w = h // factor, w // factor
+    return _retile(x, (h, factor, w, factor, c), (h, w, factor * factor * c))
+
+
+def _depth_to_space(x: np.ndarray, factor: int) -> np.ndarray:
+    """The inverse of _space_to_depth, a pixel shuffle: [.., H, W, f*f*C] ->
+    [.., f*H, f*W, C], channel chunk (dy*f + dx) to offset (dy, dx) of its tile."""
+    h, w, c = x.shape[-3], x.shape[-2], x.shape[-1] // (factor * factor)
+    return _retile(x, (h, w, factor, factor, c), (h * factor, w * factor, c))
+
+
+def _embed_fwd(img, w, b, gamma, beta, keep):
+    """patch_embed on arrays: (out, saved)."""
+    y, lin_saved = linear_fwd(_space_to_depth(img, 4), w, b)
+    T._check("patch_embed proj", y)
+    out, ln_saved = layer_norm_fwd(y, gamma, beta, name="patch_embed norm")
+    return out, (lin_saved, ln_saved)
+
+
+def _embed_bwd(saved, g, img_grad=True):
+    """Gradients of _embed_fwd (img, weight, bias, gamma, beta); the image's
+    is None unless `img_grad`."""
+    lin_saved, ln_saved = saved
+    g_y, g_gamma, g_beta = layer_norm_bwd(ln_saved, g)
+    g_tiles, g_w, g_b = linear_bwd(lin_saved, g_y)
+    return _depth_to_space(g_tiles, 4) if img_grad else None, g_w, g_b, g_gamma, g_beta
 
 
 def patch_embed(img: Tensor, p: PatchEmbedParams) -> Tensor:
-    """RGB grid -> 4x-downsampled embedded grid (affine on 4x4x3 tiles + LN)."""
+    """RGB grid -> 4x-downsampled embedded grid (affine on 4x4x3 tiles + LN).
+
+    One tape node over (img, proj weight and bias, norm gamma and beta):
+    the tiling, then the `linear` and `layer_norm` pairs.  The backward
+    untiles the image's gradient only when the image requires one.
+    """
     img = T.as_tensor(img)
     if img.ndim not in (3, 4) or img.shape[-1] != 3:
         raise ShapeError(f"expected [.., H, W, 3] image grid, got {img.shape}")
-    tiles = _space_to_depth(img, 4)
-    return layer_norm(linear(tiles, p.proj), p.norm)
+    return T.primitive("patch_embed", (img, p.proj.weight, p.proj.bias, p.norm.gamma,
+                                       p.norm.beta), _embed_fwd,
+                       partial(_embed_bwd, img_grad=img.requires_grad))
 
 
 @dataclass
@@ -284,10 +325,28 @@ def init_downsample(channels: int, seed: int, name: str) -> DownsampleParams:
                             init_linear(4 * channels, 2 * channels, seed, f"{name}.proj"))
 
 
+def _down_fwd(x, gamma, beta, w, b, keep):
+    """downsample on arrays: (out, saved)."""
+    n, ln_saved = layer_norm_fwd(_space_to_depth(x, 2), gamma, beta, name="downsample norm")
+    out, lin_saved = linear_fwd(n, w, b)
+    return out, (ln_saved, lin_saved)
+
+
+def _down_bwd(saved, g):
+    """Gradients of _down_fwd (x, gamma, beta, weight, bias)."""
+    ln_saved, lin_saved = saved
+    g_n, g_w, g_b = linear_bwd(lin_saved, g)
+    g_merged, g_gamma, g_beta = layer_norm_bwd(ln_saved, g_n)
+    return _depth_to_space(g_merged, 2), g_gamma, g_beta, g_w, g_b
+
+
 def downsample(x: Tensor, p: DownsampleParams) -> Tensor:
-    """2x2 patch merge: concat (TL, TR, BL, BR) channels, LN, affine to 2C."""
-    merged = _space_to_depth(T.as_tensor(x), 2)
-    return linear(layer_norm(merged, p.norm), p.proj)
+    """2x2 patch merge: concat (TL, TR, BL, BR) channels, LN, affine to 2C.
+
+    One tape node over (x, norm gamma and beta, proj weight and bias).
+    """
+    return T.primitive("downsample", (x, p.norm.gamma, p.norm.beta, p.proj.weight,
+                                      p.proj.bias), _down_fwd, _down_bwd)
 
 
 @dataclass
@@ -303,23 +362,64 @@ def init_patch_expand(channels: int, factor: int, seed: int, name: str) -> Patch
     return PatchExpandParams(init_linear(channels, out, seed, f"{name}.proj"), factor)
 
 
+def _expand_fwd(x, w, b, factor):
+    """patch_expand on arrays: (out, saved)."""
+    y, lin_saved = linear_fwd(x, w, b)
+    return _depth_to_space(y, factor), (lin_saved, factor)
+
+
+def _expand_bwd(saved, g):
+    """Gradients of _expand_fwd (x, weight, bias)."""
+    lin_saved, factor = saved
+    return linear_bwd(lin_saved, _space_to_depth(g, factor))
+
+
+def _expand_input(x, p: PatchExpandParams) -> Tensor:
+    """x as a Tensor, checked to have the channel count p's projection takes."""
+    x = T.as_tensor(x)
+    if x.shape[-1] != p.proj.weight.shape[0]:
+        raise ShapeError(f"patch_expand expects trailing dim {p.proj.weight.shape[0]}, "
+                         f"got {x.shape}")
+    return x
+
+
 def patch_expand(x: Tensor, p: PatchExpandParams) -> Tensor:
     """Affine to f*f*(C/f) channels, then pixel-shuffle to an f-times grid.
 
     Channel chunk (dy*f + dx) of the projected vector lands at spatial offset
-    (dy, dx) inside each f x f output tile.
+    (dy, dx) inside each f x f output tile.  One tape node over (x, proj
+    weight and bias).
     """
-    x = T.as_tensor(x)
-    f = p.factor
-    h_ax, w_ax = x.ndim - 3, x.ndim - 2
-    h, w = x.shape[h_ax], x.shape[w_ax]
-    y = linear(x, p.proj)
-    c_out = y.shape[-1] // (f * f)
-    lead = y.shape[:-3]
-    nl = len(lead)
-    r = T.reshape(y, lead + (h, w, f, f, c_out))
-    r = T.transpose(r, tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4))
-    return T.reshape(r, lead + (h * f, w * f, c_out))
+    return T.primitive("patch_expand", (_expand_input(x, p), p.proj.weight, p.proj.bias),
+                       lambda x, w, b, keep: _expand_fwd(x, w, b, p.factor), _expand_bwd)
+
+
+def _head_fwd(x, w, b, w_out, b_out, factor):
+    """head on arrays: (out, saved)."""
+    up, expand_saved = _expand_fwd(x, w, b, factor)
+    T._check("head expand", up)
+    z, out_saved = linear_fwd(up, w_out, b_out)
+    T._check("head readout", z)
+    s = T._sigmoid_raw(z)
+    return s.reshape(s.shape[:-1]), (expand_saved, out_saved, s)
+
+
+def _head_bwd(saved, g):
+    """Gradients of _head_fwd (x, weight, bias, readout weight and bias)."""
+    expand_saved, out_saved, s = saved
+    g_up, g_w_out, g_b_out = linear_bwd(out_saved, g.reshape(s.shape) * s * (1.0 - s))
+    return (*_expand_bwd(expand_saved, g_up), g_w_out, g_b_out)
+
+
+def head(x: Tensor, p: PatchExpandParams, readout: Linear) -> Tensor:
+    """The saliency head: `patch_expand` by p, then readout's affine (C/f ->
+    1) and a sigmoid, the channel axis dropped: [.., H, W, C] -> [.., fH, fW]
+    maps in (0, 1).  One tape node over (x, proj weight and bias, readout
+    weight and bias).
+    """
+    return T.primitive("head", (_expand_input(x, p), p.proj.weight, p.proj.bias,
+                                readout.weight, readout.bias),
+                       lambda *arrays, keep: _head_fwd(*arrays, p.factor), _head_bwd)
 
 
 # ---------------------------------------------------------------------------

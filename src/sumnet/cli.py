@@ -131,15 +131,17 @@ def cmd_train(args) -> int:
     _require_size(val_samples, cfg.input_size, paths["val_manifest"])
 
     model = Model(cfg)
-    report = train(model, train_samples, val_samples)
-
     out = Path(paths["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
+    # each row is on disk once its epoch ends, so a numeric abort keeps them
+    with open(out / "epochs.jsonl", "w", encoding="utf-8") as fh:
+        def write_row(row):
+            fh.write(json.dumps(vars(row), sort_keys=True) + "\n")
+            fh.flush()
+
+        report = train(model, train_samples, val_samples, on_epoch=write_row)
     save_checkpoint(out / "checkpoint.ckpt", model.state_arrays())
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    with open(out / "epochs.jsonl", "w", encoding="utf-8") as fh:
-        for row in report.rows:
-            fh.write(json.dumps(vars(row), sort_keys=True) + "\n")
     print(f"best_epoch\t{report.best_epoch}")
     print(f"f_score\t{report.f_scores[report.best_epoch]:.6f}")
     print(f"val_cc\t{report.rows[report.best_epoch].val_cc:.6f}")

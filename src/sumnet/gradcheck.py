@@ -200,16 +200,37 @@ def check_blocks() -> list:
     pe = B.init_patch_embed(c, derive(_SEED, "pe"))
     rows.append(("patch_embed.input", _check(
         lambda t: _weighted_sum(B.patch_embed(t, pe), "pe.in"), img), OP_TOL))
+    rows.append(("patch_embed.proj_weight", _check(
+        lambda t: _weighted_sum(B.patch_embed(Tensor(img), B.PatchEmbedParams(
+            B.Linear(t, pe.proj.bias), pe.norm)), "pe.w"), pe.proj.weight.data.copy()), OP_TOL))
 
     down = B.init_downsample(c, derive(_SEED, "down"), "g")
+    dx = _arr((4, 4, c), tag="dx")
     rows.append(("downsample.input", _check(
-        lambda t: _weighted_sum(B.downsample(t, down), "down.in"), _arr((4, 4, c), tag="dx")),
-        OP_TOL))
+        lambda t: _weighted_sum(B.downsample(t, down), "down.in"), dx), OP_TOL))
+    rows.append(("downsample.norm_gamma", _check(
+        lambda t: _weighted_sum(B.downsample(Tensor(dx), B.DownsampleParams(
+            B.LayerNormParams(t, down.norm.beta), down.proj)), "down.g"),
+        _arr((4 * c,), 0.5, 1.5, "downg")), OP_TOL))
 
     up = B.init_patch_expand(c, 2, derive(_SEED, "up"), "g")
+    ux = _arr((3, 3, c), tag="ux")
     rows.append(("patch_expand.input", _check(
-        lambda t: _weighted_sum(B.patch_expand(t, up), "up.in"), _arr((3, 3, c), tag="ux")),
+        lambda t: _weighted_sum(B.patch_expand(t, up), "up.in"), ux), OP_TOL))
+    rows.append(("patch_expand.proj_weight", _check(
+        lambda t: _weighted_sum(B.patch_expand(Tensor(ux), B.PatchExpandParams(
+            B.Linear(t, up.proj.bias), 2)), "up.w"), up.proj.weight.data.copy()), OP_TOL))
+
+    # the saliency head: a 4x expand of 2C channels, a readout to one channel
+    head = B.init_patch_expand(2 * c, 4, derive(_SEED, "head"), "g")
+    readout = B.init_linear(c // 2, 1, derive(_SEED, "readout"), "g")
+    hx = _arr((2, 2, 2, 2 * c), tag="hx")
+    rows.append(("head.input", _check(
+        lambda t: _weighted_sum(B.head(t, head, readout), "head.in"), hx),
         OP_TOL))
+    rows.append(("head.readout_weight", _check(
+        lambda t: _weighted_sum(B.head(Tensor(hx), head, B.Linear(
+            t, readout.bias)), "head.w"), readout.weight.data.copy()), OP_TOL))
 
     vss = B.init_vss(c, 2, derive(_SEED, "vss"), "g")
     rows.append(("vss.input", _check(
@@ -282,6 +303,7 @@ def check_objective() -> list:
         ("nss_loss", lambda t: O.nss_loss(fix, t)),
         ("mse_loss", lambda t: O.mse_loss(gt, t)),
         ("composite_loss", lambda t: O.composite_loss(gt, fix, t)),
+        ("composite_loss.literal", lambda t: O.composite_loss(gt, fix, t, kl_literal=True)),
     ]
     for name, f in probes:
         rows.append((name, _check(f, pred0), OP_TOL))

@@ -399,10 +399,7 @@ class Model:
             if j < 3:
                 x = B.patch_expand(x, self.up[j])
                 x = T.add(x, B.linear(skips[2 - j], self.skip[j]))
-        x = B.patch_expand(x, self.head_expand)
-        y = T.sigmoid(B.linear(x, self.head_out))
-        s = self.cfg.input_size
-        return T.reshape(y, (imgs.shape[0], s, s))
+        return B.head(x, self.head_expand, self.head_out)
 
     def predict(self, images, labels=None) -> np.ndarray:
         """Forward pass without recording, even under an active tape, so every
@@ -600,14 +597,16 @@ def evaluate(model: Model, samples, batch_size: int = 16):
     return score(samples, preds)
 
 
-def train(model: Model, train_samples, val_samples) -> TrainingReport:
+def train(model: Model, train_samples, val_samples, on_epoch=None) -> TrainingReport:
     """Adam + stepped decay + patience stopping on the re-ranked F-score.
 
     After every epoch all epochs so far are re-ranked together (min-max
     scaling is relative, so adding a run can move earlier scores); the best
     epoch is the argmax, ties to the earliest, and training stops once the
     current epoch trails it by the patience.  The best epoch's parameters
-    are restored before returning.
+    are restored before returning.  `on_epoch(row)`, when given, receives
+    each epoch's EpochRow as soon as the epoch is scored, so a caller can
+    persist it before a later epoch aborts.
     """
     cfg = model.cfg
     if not train_samples:
@@ -660,6 +659,8 @@ def train(model: Model, train_samples, val_samples) -> TrainingReport:
             val_auc=_mean_or_nan(summary, "auc"),
             val_excluded=excluded,
         ))
+        if on_epoch is not None:
+            on_epoch(rows[-1])
         snapshots.append(opt.flat.copy())
         scores = f_scores([(f"epoch{r.epoch}", r.run_metrics()) for r in rows])
         best = int(np.argmax([s.f_score for s in scores]))

@@ -1,13 +1,17 @@
 """Differentiable training losses over 2-D saliency maps or stacks of them.
 
-Everything here runs through the tensor tape so gradients flow to the
-prediction.  Every loss takes a single [H, W] map or a [B, H, W] stack of
-maps: statistics are per map, over the last two axes, and a stack returns
-the mean of its rows' losses, so one call on a batch records one small set
-of tape nodes instead of one set per sample.  Guard terms (1e-12 on
-denominators) keep training stable on degenerate batches; the strict
-evaluation-time formulas live in `metrics`, implemented separately in plain
-numpy so the two routes can cross-check each other.
+Every loss takes a single [H, W] map or a [B, H, W] stack of maps:
+statistics are per map, over the last two axes, and a stack returns the mean
+of its rows' losses.  The five terms (`kl_loss` ... `mse_loss`) run through
+the tensor tape, one small set of tape nodes per call.  `composite_loss`,
+the objective training runs, is one numpy forward/backward pair recorded as
+one node over the prediction: the targets' statistics are batch constants,
+computed once per call, and the forward runs the terms' numpy operations in
+their order, so its value equals the weighted sum of the five terms bit for
+bit; the terms stay as its test oracle.  Guard terms (1e-12 on denominators)
+keep training stable on degenerate batches; the strict evaluation-time
+formulas live in `metrics`, implemented separately in plain numpy so the two
+routes can cross-check each other.
 
 Sign conventions follow the composite weighting (10, -2, -1, -1, 5) for
 (KL, CC, SIM, NSS, MSE): similarity terms enter negatively, divergences
@@ -57,13 +61,20 @@ def _row_mean(per_map: Tensor) -> Tensor:
     return per_map if per_map.ndim == 0 else T.reduce_mean(per_map)
 
 
+def _checked_mass(t: Tensor, name: str) -> np.ndarray:
+    """Each map's total mass, [.., 1, 1]; a map with a negative entry or no
+    mass is refused."""
+    total = t.data.sum(axis=_MAP_AXES, keepdims=True)
+    _refuse(t.data.min(axis=_MAP_AXES) < 0.0, t, name, "has negative entries")
+    _refuse(total <= 0.0, t, name, "has no mass to normalize")
+    return total
+
+
 def normalize_sum(x, name: str = "map") -> Tensor:
     """Scale each non-negative map to unit mass; zero or negative mass is an error."""
     t = _as_map(x, name)
-    total = T.reduce_sum(t, _MAP_AXES, keepdims=True)
-    _refuse(t.data.min(axis=_MAP_AXES) < 0.0, t, name, "has negative entries")
-    _refuse(total.data <= 0.0, t, name, "has no mass to normalize")
-    return T.div(t, total)
+    _checked_mass(t, name)
+    return T.div(t, T.reduce_sum(t, _MAP_AXES, keepdims=True))
 
 
 def kl_loss(gt, pred, literal: bool = False) -> Tensor:
@@ -130,17 +141,100 @@ def mse_loss(gt, pred) -> Tensor:
 
 def composite_loss(gt, fixations, pred, weights=DEFAULT_WEIGHTS,
                    kl_literal: bool = False) -> Tensor:
-    """Weighted sum: w1*KL + w2*CC + w3*SIM + w4*NSS + w5*MSE.
+    """Weighted sum: w1*KL + w2*CC + w3*SIM + w4*NSS + w5*MSE; one tape node.
 
     On a [B, H, W] stack every term is its mean over the rows, so the result
-    is the mean of the per-map composites.
+    is the mean of the per-map composites.  The node's one input is `pred`:
+    `gt` and `fixations` are targets, and their statistics are computed here
+    once per call, in plain numpy.  The inputs are checked as the five terms
+    check them, in the same order and with the same messages.
     """
     if len(weights) != 5:
         raise ValueError(f"need 5 loss weights, got {len(weights)}")
-    w1, w2, w3, w4, w5 = (float(w) for w in weights)
-    total = T.mul(kl_loss(gt, pred, literal=kl_literal), w1)
-    total = T.add(total, T.mul(cc_loss(gt, pred), w2))
-    total = T.add(total, T.mul(sim_loss(gt, pred), w3))
-    total = T.add(total, T.mul(nss_loss(fixations, pred), w4))
-    total = T.add(total, T.mul(mse_loss(gt, pred), w5))
-    return total
+    g = _as_map(gt, "gt map")
+    g_total = _checked_mass(g, "gt map")
+    p = _as_map(pred, "pred map")
+    _checked_mass(p, "pred map")
+    _check_pair(g, p)
+    f = _as_map(fixations, "fixation map")
+    _check_pair(f, p)
+    n_fix = f.data.sum(axis=_MAP_AXES, keepdims=True)
+    _refuse(n_fix < 1.0, f, "fixation map", "has no fixations")
+    gt, fix = g.data, f.data
+    gc = gt - gt.mean(axis=_MAP_AXES, keepdims=True)
+    targets = (gt, gt / g_total, gc, np.sqrt((gc * gc).mean(axis=_MAP_AXES, keepdims=True)),
+               fix, n_fix)
+    weights = tuple(float(w) for w in weights)
+    return T.primitive("composite_loss", (p,),
+                       lambda p, keep: _composite_fwd(p, targets, weights, kl_literal),
+                       lambda grad_fn, g: grad_fn(g))
+
+
+def _composite_fwd(p, targets, weights, literal):
+    """composite_loss on the prediction's array: (loss, grad_fn).
+
+    `targets` are the batch constants: the raw target, its unit-mass
+    normalization (KL and SIM share it), its centred copy and sigma (CC),
+    the fixation map and its per-map counts, all per-map statistics kept as
+    [.., 1, 1].  Each term is the same numpy expression, in the same order,
+    as the tape ops of its term function, so the loss is bit-identical to
+    theirs.  With per-op checks on, a non-finite term raises NumericError
+    naming it, e.g. "composite_loss cc: produced a non-finite value".
+    grad_fn(g) returns the prediction's gradient as a one-element tuple.
+    """
+    gt, gn, gc, sg, fix, n_fix = targets
+    w1, w2, w3, w4, w5 = weights
+    ax, stack, check = _MAP_AXES, p.ndim == 3, T._check
+
+    def row_mean(per_map):  # per-map values [.., 1, 1] -> the loss's scalar
+        return per_map.reshape(-1).mean() if stack else per_map.reshape(())
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = p.sum(axis=ax, keepdims=True)
+        pn = p / total
+        den = gn + EPS if literal else pn + EPS
+        arg = (pn if literal else gn) / den + EPS
+        kl = row_mean((gn * np.log(arg)).sum(axis=ax, keepdims=True))
+        check("composite_loss kl", kl)
+        pc = p - p.mean(axis=ax, keepdims=True)
+        cov = (gc * pc).mean(axis=ax, keepdims=True)
+        sigma = np.sqrt((pc * pc).mean(axis=ax, keepdims=True))
+        cc_den = sg * sigma + GUARD
+        cc = row_mean(cov / cc_den)
+        check("composite_loss cc", cc)
+        mask = gn <= pn
+        sim = row_mean(np.where(mask, gn, pn).sum(axis=ax, keepdims=True))
+        check("composite_loss sim", sim)
+        nss_den = sigma + GUARD
+        zf = (pc / nss_den * fix).sum(axis=ax, keepdims=True)
+        nss = row_mean(zf / n_fix)
+        check("composite_loss nss", nss)
+        d = gt - p
+        mse = row_mean((d * d).mean(axis=ax, keepdims=True))
+        check("composite_loss mse", mse)
+    loss = kl * w1 + cc * w2 + sim * w3 + nss * w4 + mse * w5
+
+    def grad_fn(g):
+        rows = p.shape[0] if stack else 1
+        c1, c2, c3, c4, c5 = (g * w / rows for w in weights)
+        n = p.shape[-2] * p.shape[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # KL and SIM reach p through its unit-mass map pn = p / total
+            g_arg = c1 * gn / arg
+            g_pn = g_arg / den if literal else -g_arg * gn / (den * den)
+            g_pn += c3 * ~mask
+            g_p = g_pn / total
+            g_p -= (g_pn * p).sum(axis=ax, keepdims=True) / (total * total)
+            # CC and NSS reach p through its centred copy pc, each as
+            # a * target + k * pc per map: the covariance or fixation sum
+            # over its denominator, whose sigma also depends on pc
+            g_sigma = -(c2 * cov * sg / (cc_den * cc_den) + c4 * zf / (n_fix * nss_den))
+            g_pc = (c2 / (n * cc_den)) * gc
+            g_pc += (c4 / (n_fix * nss_den)) * fix
+            g_pc += (g_sigma / (n * sigma)) * pc
+            g_pc -= g_pc.mean(axis=ax, keepdims=True)
+            g_p += g_pc
+            g_p += (c5 * (2.0 / n)) * (p - gt)
+        return (g_p,)
+
+    return loss, grad_fn

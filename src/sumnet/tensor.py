@@ -4,9 +4,10 @@ Every op that records a tape node is a numpy pair, `fwd(*arrays, keep) ->
 (out, saved)` and `bwd(saved, g) -> gradients`, and records its one node
 through `primitive`: the generic ops here (`add` ... `pad`; the six
 broadcasting ones sum each gradient back to its operand's shape) and the
-fused ops of `blocks` and `scan` (`linear`, layer-norm core, depthwise
-conv, `ss2d` over all four scan directions, the whole gated block, the
-bare scan recurrence).  A node's inputs may repeat
+fused ops of `blocks`, `scan` and `objective` (`linear`, `layer_norm`,
+depthwise conv, `ss2d` over all four scan directions, the whole gated
+block, the bare scan recurrence, the patch embedding, merges and expands,
+the saliency head, the composite loss).  A node's inputs may repeat
 (`mul(x, x)`); `backward` then adds up each occurrence's gradient in input
 order.  Tensors wrap C-order float64 numpy arrays.  When a Tape is active
 and an input requires gradients, each operation appends a node (op kind,
@@ -299,7 +300,7 @@ def primitive(kind: str, inputs, fwd, bwd) -> Tensor:
     """One tape node for an op given as a numpy forward/backward pair.
 
     Every op that records a node comes through here: the generic ops below
-    and the fused ops of `blocks` and `scan`.  Runs `fwd(*arrays, keep=keep)
+    and the fused ops of `blocks`, `scan` and `objective`.  Runs `fwd(*arrays, keep=keep)
     -> (out, saved)` on the inputs' arrays (plain arrays are accepted as
     inputs).  `keep` is True exactly when the node records, so a forward can
     skip state only its backward reads.  The node's gradient is

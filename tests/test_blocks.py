@@ -13,6 +13,8 @@ from sumnet.blocks import (
     LayerNormParams,
     Linear,
     ModulationParams,
+    PatchEmbedParams,
+    PatchExpandParams,
     conditioner,
     conditioner_param_count,
     conditioner_table,
@@ -21,6 +23,7 @@ from sumnet.blocks import (
     dwconv_bwd,
     dwconv_fwd,
     gated_block,
+    head,
     init_conditioner,
     init_downsample,
     init_dwconv,
@@ -333,8 +336,8 @@ def test_patch_embed_tile_vector_is_row_major():
     )
     from sumnet.blocks import _space_to_depth
 
-    tiles = _space_to_depth(Tensor(img), 4)
-    assert np.array_equal(tiles.data[0, 0], tiles_wanted)
+    tiles = _space_to_depth(img, 4)
+    assert np.array_equal(tiles[0, 0], tiles_wanted)
 
 
 def test_downsample_order_and_hand_oracle():
@@ -382,7 +385,7 @@ def test_downsample_matches_reference_gather(shape):
 
     got, got_g, n_ops = run(downsample)
     want, want_g, want_ops = run(_reference_downsample)
-    assert n_ops == want_ops - 2  # one tiling (3 nodes) for 4 gathers + concat
+    assert n_ops == 1 and want_ops == 7  # one node for 4 gathers, concat, LN and linear
     assert got.shape == shape[:-3] + (shape[-3] // 2, shape[-2] // 2, 2 * c)
     assert np.array_equal(got, want)
     for g, w in zip(got_g, want_g):  # x, gamma, beta, weight, bias
@@ -428,6 +431,111 @@ def test_expand_then_merge_constancy():
 def test_patch_expand_rejects_bad_factor():
     with pytest.raises(ShapeError):
         init_patch_expand(6, 4, seed=23, name="t")
+
+
+def test_patch_expand_and_head_reject_a_wrong_channel_count():
+    p = init_patch_expand(8, 4, seed=24, name="t")
+    with pytest.raises(ShapeError, match="patch_expand expects trailing dim 8"):
+        patch_expand(np.ones((2, 2, 4)), p)
+    with pytest.raises(ShapeError, match="patch_expand expects trailing dim 8"):
+        head(np.ones((2, 2, 4)), p, init_linear(2, 1, seed=25, name="r"))
+
+
+def test_patch_embed_untiles_no_gradient_for_a_constant_image():
+    pe = init_patch_embed(4, seed=26)
+    with T.Tape() as tape:
+        out = patch_embed(rnd((8, 4, 3), 27, 0.0, 1.0), pe)
+        (node,) = [n for n in tape.nodes if n.grad_fn is not None]
+    g_img, *g_params = node.grad_fn(np.ones(out.shape))
+    assert g_img is None and all(g is not None for g in g_params)
+
+
+# the stage pairs against the tape compositions they replaced
+
+_TILE_AXES = (0, 2, 1, 3, 4)
+
+
+def _reference_space_to_depth(x, f):
+    x = T.as_tensor(x)
+    (h, w, c), lead, nl = x.shape[-3:], x.shape[:-3], x.ndim - 3
+    r = T.reshape(x, lead + (h // f, f, w // f, f, c))
+    r = T.transpose(r, tuple(range(nl)) + tuple(nl + a for a in _TILE_AXES))
+    return T.reshape(r, lead + (h // f, w // f, f * f * c))
+
+
+def _reference_depth_to_space(y, f):
+    (h, w, c), lead, nl = y.shape[-3:], y.shape[:-3], y.ndim - 3
+    r = T.reshape(y, lead + (h, w, f, f, c // (f * f)))
+    r = T.transpose(r, tuple(range(nl)) + tuple(nl + a for a in _TILE_AXES))
+    return T.reshape(r, lead + (h * f, w * f, c // (f * f)))
+
+
+def _stage_case(stage, lead):
+    """(inputs, pair, reference composition) of one stage on a grid with
+    leading axes `lead`; the pair and the reference take the same arrays."""
+    c = 5
+    if stage == "patch_embed":
+        inputs = [rnd(lead + (8, 4, 3), 91, 0.0, 1.0).data, rnd((48, c), 92).data,
+                  rnd((c,), 93).data, rnd((c,), 94, 0.5, 1.5).data, rnd((c,), 95).data]
+
+        def params(w, b, g, bt):
+            return PatchEmbedParams(Linear(w, b), LayerNormParams(g, bt))
+
+        return (inputs, lambda x, *ps: patch_embed(x, params(*ps)),
+                lambda x, w, b, g, bt: layer_norm(
+                    linear(_reference_space_to_depth(x, 4), Linear(w, b)),
+                    LayerNormParams(g, bt)))
+    if stage == "downsample":
+        inputs = [rnd(lead + (4, 6, c), 96).data, rnd((4 * c,), 97, 0.5, 1.5).data,
+                  rnd((4 * c,), 98).data, rnd((4 * c, 2 * c), 99).data, rnd((2 * c,), 100).data]
+
+        def params(g, bt, w, b):
+            return DownsampleParams(LayerNormParams(g, bt), Linear(w, b))
+
+        return (inputs, lambda x, *ps: downsample(x, params(*ps)),
+                lambda x, g, bt, w, b: linear(layer_norm(_reference_space_to_depth(x, 2),
+                                                         LayerNormParams(g, bt)), Linear(w, b)))
+    f, c = (2, 4) if stage == "patch_expand" else (4, 8)
+    inputs = [rnd(lead + (3, 2, c), 101).data, rnd((c, f * c), 102).data, rnd((f * c,), 103).data]
+    if stage == "patch_expand":
+        return (inputs, lambda x, w, b: patch_expand(x, PatchExpandParams(Linear(w, b), f)),
+                lambda x, w, b: _reference_depth_to_space(linear(x, Linear(w, b)), f))
+    inputs += [rnd((c // f, 1), 104).data, rnd((1,), 105).data]
+
+    def reference_head(x, w, b, wr, br):
+        y = T.sigmoid(linear(_reference_depth_to_space(linear(x, Linear(w, b)), f),
+                             Linear(wr, br)))
+        return T.reshape(y, y.shape[:-1])
+
+    return (inputs, lambda x, w, b, wr, br: head(
+        x, PatchExpandParams(Linear(w, b), f), Linear(wr, br)), reference_head)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("stage", ["patch_embed", "downsample", "patch_expand", "head"])
+def test_stage_pairs_match_reference_composition(stage, lead):
+    inputs, pair, reference = _stage_case(stage, lead)
+    got, got_g, n_ops = _forward_and_grads(pair, inputs, 106)
+    want, want_g, want_ops = _forward_and_grads(reference, inputs, 106)
+    assert n_ops == 1 and want_ops > 1
+    assert np.array_equal(got, want)
+    _assert_grads_close(got_g, want_g)  # the grid's and every parameter's
+
+
+def test_stage_pairs_checked_mode_name_the_step():
+    pe = init_patch_embed(4, seed=31)
+    pe.proj.weight.data[0, 0] = np.inf
+    with pytest.raises(NumericError, match="patch_embed proj: produced a non-finite value"):
+        patch_embed(np.ones((4, 4, 3)), pe)
+    x = np.ones((2, 2, 4))
+    x[1, 1, 2] = np.nan
+    with pytest.raises(NumericError, match="downsample norm core"):
+        downsample(x, init_downsample(4, seed=32, name="t"))
+    up = init_patch_expand(8, 4, seed=33, name="t")
+    readout = init_linear(2, 1, seed=34, name="r")
+    readout.bias.data[0] = np.inf
+    with pytest.raises(NumericError, match="head readout: produced a non-finite value"):
+        head(np.ones((1, 1, 8)), up, readout)
 
 
 # ---------------------------------------------------------------------------

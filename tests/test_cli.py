@@ -188,6 +188,29 @@ def test_train_lr_override_can_force_numeric_abort(tmp_path, corpus32, capsys):
     assert "non-finite" in err and "epoch 0" in err
 
 
+def test_numeric_abort_keeps_the_rows_of_finished_epochs(tmp_path, corpus32, trained,
+                                                         monkeypatch, capsys):
+    # 32 training samples in batches of 8: the 9th batch loss opens epoch 2
+    real, calls = sumnet.model.batch_loss, []
+
+    def abort_in_epoch_2(model, samples, idxs):
+        calls.append(idxs)
+        if len(calls) == 9:
+            raise sumnet.tensor.NumericError("forced: produced a non-finite value")
+        return real(model, samples, idxs)
+
+    monkeypatch.setattr(sumnet.model, "batch_loss", abort_in_epoch_2)
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps(micro_config(corpus32, tmp_path / "out")), encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg), "--epochs", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "forced" in err and "(epoch 2, batch 0)" in err
+    # the two finished epochs, as the uninterrupted two-epoch run wrote them
+    rows = (tmp_path / "out" / "epochs.jsonl").read_text(encoding="utf-8")
+    assert rows == (trained / "epochs.jsonl").read_text(encoding="utf-8")
+    assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -627,14 +650,21 @@ SCAN_ROWS = [
 BLOCKS_ROWS = [
     "layer_norm.input", "layer_norm.input_batched", "layer_norm.gamma", "layer_norm.beta",
     "depthwise_conv.input", "depthwise_conv.kernel", "depthwise_conv.bias", "linear.weight",
-    "linear.bias", "linear.input", "patch_embed.input", "downsample.input",
-    "patch_expand.input", "vss.input", "vss.gate_weight", "gated_block.input",
+    "linear.bias", "linear.input", "patch_embed.input", "patch_embed.proj_weight",
+    "downsample.input", "downsample.norm_gamma", "patch_expand.input",
+    "patch_expand.proj_weight", "head.input", "head.readout_weight", "vss.input",
+    "vss.gate_weight", "gated_block.input",
     "gated_block.alpha1", "gated_block.beta1", "gated_block.alpha2", "gated_block.beta2",
     "gated_block.alpha3", "conditioner.tokens", "conditioner.l3_weight",
 ]
+OBJECTIVE_ROWS = [
+    "kl_loss", "kl_loss.literal", "cc_loss", "sim_loss", "nss_loss", "mse_loss",
+    "composite_loss", "composite_loss.literal", "composite_loss.batch",
+]
 
 
-@pytest.mark.parametrize("module,names", [("scan", SCAN_ROWS), ("blocks", BLOCKS_ROWS)])
+@pytest.mark.parametrize("module,names", [("scan", SCAN_ROWS), ("blocks", BLOCKS_ROWS),
+                                          ("objective", OBJECTIVE_ROWS)])
 def test_gradcheck_rows_are_pinned(module, names):
     # a row dropped or renamed with the code it probed must show up here
     assert [name for name, _, _ in run_suite(module)] == names

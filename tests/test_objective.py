@@ -201,6 +201,51 @@ def test_stack_errors_name_the_row(case, message):
 
 
 # ---------------------------------------------------------------------------
+# the composite pair against the tape composition it replaced
+
+
+def _reference_composite(gt, fix, pred, weights=DEFAULT_WEIGHTS, kl_literal=False):
+    """The weighted sum of the five term functions, one tape op at a time."""
+    w1, w2, w3, w4, w5 = (float(w) for w in weights)
+    total = T.mul(kl_loss(gt, pred, literal=kl_literal), w1)
+    total = T.add(total, T.mul(cc_loss(gt, pred), w2))
+    total = T.add(total, T.mul(sim_loss(gt, pred), w3))
+    total = T.add(total, T.mul(nss_loss(fix, pred), w4))
+    return T.add(total, T.mul(mse_loss(gt, pred), w5))
+
+
+def _value_grad_nodes(fn, gt, fix, pred, kl_literal):
+    p = Tensor(pred.copy(), requires_grad=True)
+    with T.Tape() as tape:
+        loss = fn(gt, fix, p, kl_literal=kl_literal)
+        n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
+        T.backward(tape, loss)
+    return loss.data, p.grad, n_ops
+
+
+@pytest.mark.parametrize("kl_literal", [False, True])
+@pytest.mark.parametrize("b", [None, 1, 3])
+def test_composite_matches_reference_composition(b, kl_literal):
+    # sparse targets, as the corpus's maps are: SIM's min switches sides
+    gt, fix, pred = _stack_case(b or 1, size=7)
+    gt[gt < 0.5] = 0.0
+    if b is None:
+        gt, fix, pred = gt[0], fix[0], pred[0]
+    got, got_g, n_ops = _value_grad_nodes(composite_loss, gt, fix, pred, kl_literal)
+    want, want_g, _ = _value_grad_nodes(_reference_composite, gt, fix, pred, kl_literal)
+    assert n_ops == 1
+    assert got.shape == () and np.array_equal(got, want)
+    assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max()
+
+
+def test_composite_checked_mode_names_the_term():
+    gt, fix, pred = _stack_case()
+    pred[1, 2, 2] = np.inf
+    with pytest.raises(T.NumericError, match="composite_loss kl: produced a non-finite value"):
+        composite_loss(gt, fix, pred)
+
+
+# ---------------------------------------------------------------------------
 # gradients through every loss
 
 

@@ -310,7 +310,7 @@ def test_every_recorded_node_comes_through_primitive(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(T, "primitive", counting)
-    for conditioning, count in (("prompt", 119), ("one-hot", 119), ("none", 105)):
+    for conditioning, count in (("prompt", 44), ("one-hot", 44), ("none", 30)):
         model = M.Model(M.SumConfig(input_size=32, base_channels=4, conditioning=conditioning))
         kinds.clear()
         with Tape() as tape:
