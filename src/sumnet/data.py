@@ -378,7 +378,11 @@ def write_manifest(path, entries) -> None:
 
 
 def read_manifest(path) -> list:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
     entries = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -29,12 +29,17 @@ gradient) as contiguous time-major arrays, copying any input not laid out
 so: with G*B rows, one step's rows sit a whole sequence apart in a
 batch-major array.  `selective_scan_fwd` keeps delta, B and C time-major
 and `ss2d_bwd` lays the gradient's traversals out time-major, so only x is
-copied.  Outputs are written batch-major through time-major views.  When a tape
-records the call, the hidden states and the decay factors are kept whole
-for the backward pass, trading memory for an exact reverse sweep without
-recomputation.  When nothing records (predict, eval, the finite-difference
-oracle) the forward reuses one K-row buffer per array and keeps no
-full-size state.
+copied.  Outputs are written batch-major through time-major views.  When a
+tape records the call, what the forward keeps for the backward pass depends
+on the state's size, L G B N C elements.  Below _CHECKPOINT_ELEMS (4 MiB)
+the hidden states and the decay factors are kept whole: a state that stays
+in cache is cheaper to store than to rebuild.  From that size on the
+forward keeps only each chunk's last hidden state, and the backward
+rebuilds each chunk's decay factors and hidden states from the checkpoint
+before it, in cache and bit for bit (Mamba's recomputation, Gu & Dao 2023,
+as gradient checkpointing per chunk).  When nothing records (predict,
+eval, the finite-difference oracle) the forward reuses one K-row buffer per
+array and keeps no state.
 
 The scan is plain numpy with hand-derived backwards.  `_traversals` (a
 grid's four traversals) and `cross_merge_fwd` (their sum back on the grid)
@@ -44,7 +49,7 @@ recurrence kernel.  Two pairs, `*_fwd(..., keep) -> (out, saved)` and
 sequences at once (projections, softplus, A = -exp(A_log), recurrence and
 skip; `saved` keeps the sequences, the rank-R delta projection, the
 softplus derivative, delta, the B/C projections, A, exp(A_log) and the
-kernel's hidden and abar), and `ss2d_fwd`/`_bwd`, which chain the
+kernel's state), and `ss2d_fwd`/`_bwd`, which chain the
 traversals, one grouped call and the merge.  `tensor.primitive` records
 `ssm_recurrence` (the bare kernel, G=1) and `ss2d` as one node each;
 `blocks.gated_block` chains the same pairs.
@@ -139,6 +144,11 @@ def _per_row(a, rows):
 # Elements of one [K, G*B, N, C] chunk buffer: 2^15 float64 is 256 KB, small
 # enough that a chunk's abar, hidden (or dh) and temporaries stay in L2.
 _CHUNK_ELEMS = 1 << 15
+# Elements of a chunked recorded call's [L, G*B, N, C] state from which it
+# keeps one hidden row per chunk, not hidden and abar whole: 2^19 float64 is
+# 4 MiB, 16 chunk buffers.  A smaller state stays in cache and is cheaper to
+# store than to rebuild; past it the full-size writes cost more.
+_CHECKPOINT_ELEMS = 1 << 19
 
 
 def _chunk_len(length, rows, n, ch):
@@ -146,17 +156,23 @@ def _chunk_len(length, rows, n, ch):
     return max(1, min(length, _CHUNK_ELEMS // (rows * n * ch)))
 
 
-def _forward_chunk(delta_c, dx_c, b_c, c_c, a_t, tmp, h_prev, ab=None, hd=None, y_c=None):
-    """All forward work on one time-major chunk while it is in cache.
+def _state_chunk(delta_c, dx_c, b_c, a_t, tmp, h_prev, ab=None, hd=None):
+    """abar and hidden of one time-major chunk, built while it is in cache.
 
     abar = exp(delta a) in place, du = delta x B straight into the hidden
-    rows, the in-place sweep from h_prev (None at t = 0), then C h.  Writes
-    into ab, hd and y_c when given; otherwise each op allocates its own
-    output, C-ordered so that every step's [G*B, N, C] block is contiguous.
-    a_t is A per row (`_per_row`).  Returns (abar, hidden, y [K, G*B, 1, C])
-    of the chunk.
+    rows, then the in-place sweep from h_prev (None at t = 0).  Writes into
+    ab and hd when given, else into new C-ordered arrays, so that every
+    step's [G*B, N, C] block is contiguous.  a_t is A per row (`_per_row`).
+    delta a is a broadcast copy of delta, then an in-place product with a_t
+    over whole rows: the same products as one broadcast product, whose
+    inner loop is only C long, and faster.  The forward builds each chunk's
+    state here, and a checkpointed backward rebuilds it here, bit for bit.
+    Returns (abar, hidden) of the chunk.
     """
-    ab = np.multiply(delta_c[:, :, None, :], a_t, out=ab, order="C")
+    if ab is None:
+        ab = np.empty((len(delta_c),) + a_t.shape)
+    np.copyto(ab, delta_c[:, :, None, :])
+    np.multiply(ab, a_t, out=ab)
     np.exp(ab, out=ab)
     if h_prev is not None:  # read before hd is written: it may be hd's last row
         np.multiply(ab[0], h_prev, out=tmp)
@@ -168,7 +184,7 @@ def _forward_chunk(delta_c, dx_c, b_c, c_c, a_t, tmp, h_prev, ab=None, hd=None, 
         np.multiply(ab_t, h_prev, out=tmp)
         h += tmp
         h_prev = h
-    return ab, hd, np.matmul(c_c[:, :, None, :], hd, out=y_c)
+    return ab, hd
 
 
 def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
@@ -176,30 +192,36 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
 
     Inputs batch-major: delta/x [G*B, L, C], b/c [G*B, L, N]; a is [G, C, N]
     (or [C, N] for one group), and rows g*B .. (g+1)*B - 1 use a[g].
-    Returns (y [G*B,L,C], hidden [L,G*B,N,C], abar [L,G*B,N,C]) when `keep`,
-    else (y, None, None).  The state arrays are time-major, so each sweep
-    step reads and writes one contiguous [G*B, N, C] block, and delta, B
-    and C are read time-major (copied unless laid out so).  Time is walked
-    in chunks of K steps (`_chunk_len` over all G*B rows), each finished by
-    `_forward_chunk` while it is in cache, with h carried from the previous
-    chunk's last step.  With `keep` the chunks are slices of the full hidden
-    and abar that the backward pass reads; without it (nothing records)
-    every chunk reuses one K-row buffer per array and no full-size state is
-    built.  A call that fits one chunk runs it on the whole arrays and lets
-    each op allocate, so it pays no chunking overhead.  einsum builds the
-    outer products because broadcasting runs an inner loop only C long.
+    Returns (y [G*B,L,C], state).  The state is what `_scan_backward`
+    reads: None without `keep`; with it (hidden, abar), both whole
+    [L,G*B,N,C], or (checkpoints, None) for a chunked call whose state has
+    at least _CHECKPOINT_ELEMS elements, hidden at each chunk's last step
+    as [n_chunks, G*B, N, C].  The state arrays are time-major, so each
+    sweep step reads and writes one contiguous [G*B, N, C] block, and
+    delta, B and C are read time-major (copied unless laid out so).  Time
+    is walked in chunks of K steps (`_chunk_len` over all G*B rows), each
+    built by `_state_chunk` and read by C h while it is in cache, with h
+    carried from the previous chunk's last step.  When hidden and abar are
+    kept whole the chunks are slices of them; otherwise (nothing records,
+    or checkpoints) every chunk reuses one K-row buffer per array and no
+    full-size state is built.  A call that fits one chunk runs it on the
+    whole arrays and lets each op allocate, so it pays no chunking
+    overhead.  einsum builds the outer products because broadcasting runs
+    an inner loop only C long.
 
     The pass budget.  Once per call: the time-major copies of delta, B and
     C (none from `selective_scan_fwd`, which lays them out so) and
     dx = delta x, one pass over [L, G*B, C].  Per chunk, over [K, G*B, N, C]
-    state (`_forward_chunk`):
-      1. abar = delta a          reads delta, A per row     writes abar
-      2. exp(abar), in place     reads and writes abar
-      3. du = einsum(dx, B)      reads dx, B                writes hidden
-      4. the sweep, per step:    h_t += abar_t h_{t-1}      reads abar,
+    state (1-5 in `_state_chunk`):
+      1. abar = delta, broadcast reads delta                writes abar
+      2. abar *= a, in place     reads A per row            updates abar
+      3. exp(abar), in place     reads and writes abar
+      4. du = einsum(dx, B)      reads dx, B                writes hidden
+      5. the sweep, per step:    h_t += abar_t h_{t-1}      reads abar,
          through one [G*B, N, C] temporary                  updates hidden
-      5. y = C h (matmul)        reads C, hidden            writes y
-    So four passes write the state and one more reads it.
+      6. y = C h (matmul)        reads C, hidden            writes y
+    So five passes write the state and one more reads it; with checkpoints
+    each chunk also copies its last hidden row.
     """
     rows, length, ch = delta.shape
     n = a.shape[-1]
@@ -211,22 +233,30 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
     y = np.empty((rows, length, ch))
     y_t = _time_major(y)[:, :, None]  # written time-major, returned batch-major
     if k == length:
-        abar, hidden, _ = _forward_chunk(delta_t, dx, b_t, c_t, a_t, tmp, None, y_c=y_t)
-    else:
-        abar = np.empty((length if keep else k, rows, n, ch))
-        hidden = np.empty_like(abar)
-        for s in range(0, length, k):
-            e = s + k
-            ab, hd = (abar[s:e], hidden[s:e]) if keep else (abar[:length - s], hidden[:length - s])
-            h_prev = hidden[s - 1 if keep else -1] if s else None
-            _forward_chunk(delta_t[s:e], dx[s:e], b_t[s:e], c_t[s:e], a_t, tmp, h_prev,
-                           ab, hd, y_t[s:e])
-    return (y, hidden, abar) if keep else (y, None, None)
+        abar, hidden = _state_chunk(delta_t, dx, b_t, a_t, tmp, None)
+        np.matmul(c_t[:, :, None, :], hidden, out=y_t)
+        return y, (hidden, abar) if keep else None
+    whole = keep and length * rows * n * ch < _CHECKPOINT_ELEMS
+    abar = np.empty((length if whole else k, rows, n, ch))
+    hidden = np.empty_like(abar)
+    ckpt = np.empty((-(-length // k), rows, n, ch)) if keep and not whole else None
+    h_prev = None
+    for i, s in enumerate(range(0, length, k)):
+        e = s + k
+        ab, hd = (abar[s:e], hidden[s:e]) if whole else (abar[:length - s], hidden[:length - s])
+        _state_chunk(delta_t[s:e], dx[s:e], b_t[s:e], a_t, tmp, h_prev, ab, hd)
+        np.matmul(c_t[s:e, :, None, :], hd, out=y_t[s:e])
+        h_prev = hd[-1]
+        if ckpt is not None:
+            ckpt[i] = h_prev
+    if not keep:
+        return y, None
+    return y, (hidden, abar) if whole else (ckpt, None)
 
 
-def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
-    """Reverse sweep for the recurrence above; returns batch-major gradients,
-    the A gradient shaped like `a`.
+def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
+    """Reverse sweep for the recurrence above, from the forward's `state`;
+    returns batch-major gradients, the A gradient shaped like `a`.
 
     With dh_t the gradient reaching h_t, the recurrence h_t = abar_t h_{t-1}
     + du_t gives dh_t = g_t * C_t + abar_{t+1} * dh_{t+1}, accumulated right
@@ -239,9 +269,21 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
     That gradient meets A per row, laid out like the state (`_per_row`):
     into delta, and into a per-row running A gradient that is summed over
     each group's B rows at the end.  The inputs are read time-major (copied
-    unless laid out so), the gradients written batch-major.
+    unless laid out so), the gradients written batch-major.  A state of
+    (checkpoints, None) has each chunk's abar and hidden rebuilt by
+    `_state_chunk`, the forward's ops in the forward's order, into a K-row
+    abar buffer and a (K+1)-row hidden buffer whose row 0 is the previous
+    chunk's checkpoint, h_{s-1}; a whole state is read in slices.
 
-    The pass budget per chunk, over [K, G*B, N, C] state:
+    The pass budget per chunk, over [K, G*B, N, C] state.  A checkpointed
+    call first rebuilds the chunk, the forward's passes 1-5 (`_state_chunk`)
+    into the two buffers after copying the checkpoint into row 0:
+      R1. abar = delta, broadcast     reads delta                 writes abar
+      R2. abar *= a, in place         reads A per row             updates abar
+      R3. exp(abar), in place         reads and writes abar
+      R4. du = einsum(delta x, B)     reads delta x, B            writes hidden
+      R5. the sweep, per step         reads abar                  updates hidden
+    Then, for either state:
       1. g_C = h g (matmul)           reads hidden, g             writes g_c
       2. dh = einsum(g, C)            reads g, C                  writes dh
       3. the sweep, per step:         dh_t += abar_{t+1} dh_{t+1} reads abar,
@@ -274,11 +316,23 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
     gd_t, gx_t = _time_major(g_delta), _time_major(g_x)
     gb_t, gc_t = _time_major(g_b)[..., None], _time_major(g_c)[..., None]
     g_a_rows = np.zeros((rows, n, ch))
+    hidden, abar = state  # hidden holds the checkpoints when abar is None
+    if abar is None:  # each chunk's state is rebuilt in these
+        ab_buf, h_buf = np.empty((k, rows, n, ch)), np.empty((k + 1, rows, n, ch))
     for s in reversed(range(0, length, k)):
         e = min(s + k, length)
-        d, ab, g_s = dh[:e - s], abar[s:e], g_t[s:e]
+        lo = max(s, 1)  # first step with a previous state
+        d, g_s = dh[:e - s], g_t[s:e]
         dx_s, g_dx_s = dx[:e - s], g_dx[:e - s]
-        np.matmul(hidden[s:e], g_s[..., None], out=gc_t[s:e])
+        np.multiply(delta_t[s:e], x_t[s:e], out=dx_s[..., 0])
+        if abar is None:
+            h_buf[0] = hidden[s // k - 1]  # h_{s-1}, unread at s = 0
+            ab, hid = _state_chunk(delta_t[s:e], dx_s[..., 0], b_t[s:e], a_t, tmp,
+                                   h_buf[0] if s else None, ab_buf[:e - s], h_buf[1:e - s + 1])
+            prev = h_buf[lo - s:e - s]
+        else:
+            ab, hid, prev = abar[s:e], hidden[s:e], hidden[lo - 1:e - 1]
+        np.matmul(hid, g_s[..., None], out=gc_t[s:e])
         np.einsum("lbc,lbn->lbnc", g_s, c_t[s:e], out=d)
         if e < length:
             d[-1] += carry
@@ -289,16 +343,14 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
             dh_next = dh_cur
         if s:
             np.multiply(ab[0], d[0], out=carry)
-        np.multiply(delta_t[s:e], x_t[s:e], out=dx_s[..., 0])
         np.matmul(b_t[s:e, :, None, :], d, out=g_dx_s)
         np.matmul(d, dx_s, out=gb_t[s:e])
         np.multiply(g_dx_s[:, :, 0], x_t[s:e], out=gd_t[s:e])
         np.multiply(g_dx_s[:, :, 0], delta_t[s:e], out=gx_t[s:e])
-        lo = max(s, 1)  # first step with a previous state
         if lo < e:
             g_da = d[lo - s:]
-            g_da *= hidden[lo - 1:e - 1]
-            g_da *= abar[lo:e]
+            g_da *= prev
+            g_da *= ab[lo - s:]
             gd_t[lo:e] += np.einsum("lbnc,bnc->lbc", g_da, a_t)
             g_a_rows += np.einsum("lbnc,lbc->bnc", g_da, delta_t[lo:e])
     g_a = g_a_rows.reshape(a.size // (n * ch), -1, n, ch).sum(axis=1)
@@ -310,8 +362,8 @@ def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
     [B, L, C], b_seq, c_seq [B, L, N] and a [C, N].  Unchecked: the model
     never calls it, and its callers pass arrays they built."""
     def fwd(delta, a, b_seq, c_seq, x, keep):
-        y, hidden, abar = _scan_forward(delta, a, b_seq, c_seq, x, keep=keep)
-        return y, (delta, a, b_seq, c_seq, x, hidden, abar)
+        y, state = _scan_forward(delta, a, b_seq, c_seq, x, keep=keep)
+        return y, (delta, a, b_seq, c_seq, x, state)
 
     return T.primitive("ssm_recurrence", (delta, a, b_seq, c_seq, x), fwd,
                        lambda saved, g: _scan_backward(g, *saved))
@@ -392,8 +444,8 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     their named errors (`tensor.checked_at_boundary`).  `saved`
     holds what selective_scan_bwd reads (the sequence, the rank-R delta
     projection, the softplus derivative, delta, the B/C projections, A,
-    exp(a_log), the kernel's hidden and abar) when `keep`, else None, and
-    then the kernel keeps no full-size state.
+    exp(a_log), the kernel's state) when `keep`, else None, and then the
+    kernel keeps no state.
 
     The softplus derivative comes from the softplus's own exponential:
     e = exp(min(pre, 30)), then sigmoid(pre) = e / (1 + e) before log1p
@@ -431,12 +483,12 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     delta3, b3, c3 = (_time_major(np.ascontiguousarray(_time_major(v.reshape(rows + (-1,)))))
                       for v in (delta, b_flat, c_flat))
     del delta, b_flat, c_flat
-    y, hidden, abar = _scan_forward(delta3, a, b3, c3, x4.reshape(rows + (ch,)), keep=keep)
+    y, state = _scan_forward(delta3, a, b3, c3, x4.reshape(rows + (ch,)), keep=keep)
     out = y.reshape(x4.shape)
     out += x4 * d_skip[:, None, None]
     if not keep:
         return out, None
-    return out, (x4, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
+    return out, (x4, low, deriv, delta3, a, e_a, b3, c3, state,
                  d_skip, w_b, w_c, w_delta, v_delta)
 
 
@@ -444,11 +496,11 @@ def selective_scan_bwd(saved, g4):
     """Gradients of selective_scan_fwd for y's gradient g4 [G, B, L, C]: the
     sequences', then a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta,
     each stacked over the groups like its parameter."""
-    (x4, low, deriv, delta3, a, e_a, b3, c3, hidden, abar,
+    (x4, low, deriv, delta3, a, e_a, b3, c3, state,
      d_skip, w_b, w_c, w_delta, v_delta) = saved
     groups, ch, n = a.shape
     g_pre, g_a, g_b, g_c, g_x = _scan_backward(g4.reshape(delta3.shape), delta3, a, b3, c3,
-                                               x4.reshape(delta3.shape), hidden, abar)
+                                               x4.reshape(delta3.shape), state)
     flat_t = x4.reshape(groups, -1, ch).transpose(0, 2, 1)
     g_pre = g_pre.reshape(groups, -1, ch)
     g_pre *= deriv  # delta's gradient becomes the pre-activation's in place

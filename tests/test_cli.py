@@ -304,6 +304,14 @@ def test_eval_rejects_oracle_with_config(corpus32, tmp_path, capsys):
     assert "eval --oracle scores no model, so it takes no --config" in capsys.readouterr().err
 
 
+def test_eval_names_a_manifests_first_non_utf8_byte(corpus32, tmp_path, capsys):
+    blob = (corpus32 / "manifest_val.tsv").read_bytes()
+    bad = tmp_path / "manifest_val.tsv"
+    bad.write_bytes(blob[:10] + b"\xff" + blob[10:])
+    assert cli.main(["eval", "--oracle", "--manifest", str(bad)]) == 2
+    assert f"error: {bad}: invalid UTF-8 at byte 10" in capsys.readouterr().err
+
+
 def test_eval_rejects_architecture_mismatch(trained, corpus32, tmp_path, capsys):
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps({"input_size": 32, "base_channels": 8,

@@ -208,7 +208,7 @@ def test_state_stays_bounded_long_sequence():
     b = (flat @ w_b)[None]
     c = (flat @ w_c)[None]
     a = -np.exp(a_log)
-    y, hidden, abar = _scan_forward(delta[None], a, b, c, x3)
+    y, (hidden, abar) = _scan_forward(delta[None], a, b, c, x3)
     assert np.isfinite(hidden).all() and np.isfinite(y).all()
     drive = np.abs((delta * flat)[..., None] * b[0][:, None, :])
     bound = drive.max() / (1.0 - abar.max())
@@ -281,12 +281,12 @@ def _assert_kernel_matches_reference(args, g):
     bsz, length, ch = args[4].shape
     n = args[1].shape[1]
     y_ref, hidden_ref, abar_ref = _reference_forward(*args)
-    y, hidden, abar = _scan_forward(*args)
+    y, (hidden, abar) = _scan_forward(*args)
     assert y.shape == (bsz, length, ch) and hidden.shape == (length, bsz, n, ch)
     assert np.array_equal(hidden, hidden_ref.transpose(1, 0, 3, 2))
     assert np.array_equal(abar, abar_ref.transpose(1, 0, 3, 2))
     grads_ref = _reference_backward(g, *args, hidden_ref, abar_ref)
-    grads = _scan_backward(g, *args, hidden, abar)
+    grads = _scan_backward(g, *args, (hidden, abar))
     names = ("y", "delta", "a", "b_seq", "c_seq", "x")
     for name, got, want in zip(names, (y,) + grads, (y_ref,) + grads_ref):
         assert got.shape == want.shape, name
@@ -294,6 +294,31 @@ def _assert_kernel_matches_reference(args, g):
         assert np.abs(got - want).max() <= 1e-12 * scale, name
     assert np.array_equal(_scan_forward(*args, keep=False)[0], y)
     return y
+
+
+def _assert_checkpoints_change_no_bit(args, g, hidden_ref):
+    """The checkpoint path against the whole-state path of the same call: y
+    and every gradient bit for bit, and each checkpoint the oracle's hidden
+    (time-major, [L, rows, N, C]) at its chunk's last step.  A call that
+    fits one chunk keeps its state whole at any size."""
+    y, state = _scan_forward(*args)
+    assert state[1] is not None  # below _CHECKPOINT_ELEMS: hidden and abar whole
+    grads = _scan_backward(g, *args, state)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scan, "_CHECKPOINT_ELEMS", 1)
+        y_ck, state_ck = _scan_forward(*args)
+        grads_ck = _scan_backward(g, *args, state_ck)
+    ckpt, abar = state_ck
+    length, rows, n, ch = hidden_ref.shape
+    k = scan._chunk_len(length, rows, n, ch)
+    if k == length:
+        assert abar is not None
+    else:
+        last = [min(s + k, length) - 1 for s in range(0, length, k)]
+        assert abar is None and ckpt.shape == (len(last), rows, n, ch)
+        assert np.array_equal(ckpt, hidden_ref[last])
+    for got, want in zip((y_ck,) + grads_ck, (y,) + grads):
+        assert got.tobytes() == want.tobytes()
 
 
 # (4, 300, 16, 8) runs five chunks of K=64 at the real budget, the last one
@@ -305,6 +330,7 @@ def test_kernel_matches_batch_major_reference(bsz, length, ch, n):
     args = _recurrence_inputs(bsz, length, ch, n, seed=17 * length + ch)
     g = rnd((bsz, length, ch), 999).data
     _assert_kernel_matches_reference(args, g)
+    _assert_checkpoints_change_no_bit(args, g, _reference_forward(*args)[1].transpose(1, 0, 3, 2))
 
 
 @pytest.mark.parametrize("length", [1, 6, 300])
@@ -316,9 +342,10 @@ def test_grouped_kernel_matches_reference_per_group(length):
     delta, b_seq, c_seq, x = (np.concatenate([p[j] for p in parts]) for j in (0, 2, 3, 4))
     a = np.stack([p[1] for p in parts])
     g = rnd((groups * bsz, length, ch), 997).data
-    y, hidden, abar = _scan_forward(delta, a, b_seq, c_seq, x)
-    g_delta, g_a, g_b, g_c, g_x = _scan_backward(g, delta, a, b_seq, c_seq, x, hidden, abar)
+    y, (hidden, abar) = _scan_forward(delta, a, b_seq, c_seq, x)
+    g_delta, g_a, g_b, g_c, g_x = _scan_backward(g, delta, a, b_seq, c_seq, x, (hidden, abar))
     assert g_a.shape == a.shape
+    hidden_refs = []
     for i, args in enumerate(parts):
         r = slice(i * bsz, (i + 1) * bsz)
         y_ref, hidden_ref, abar_ref = _reference_forward(*args)
@@ -326,6 +353,9 @@ def test_grouped_kernel_matches_reference_per_group(length):
         assert np.array_equal(abar[:, r], abar_ref.transpose(1, 0, 3, 2)), i
         want = (y_ref,) + _reference_backward(g[r], *args, hidden_ref, abar_ref)
         _assert_grads_close((y[r], g_delta[r], g_a[i], g_b[r], g_c[r], g_x[r]), want)
+        hidden_refs.append(hidden_ref.transpose(1, 0, 3, 2))
+    _assert_checkpoints_change_no_bit((delta, a, b_seq, c_seq, x), g,
+                                      np.concatenate(hidden_refs, axis=1))
 
 
 def test_chunking_changes_no_output_bit(monkeypatch):
@@ -335,10 +365,12 @@ def test_chunking_changes_no_output_bit(monkeypatch):
     args = _recurrence_inputs(bsz, length, ch, n, seed=5)
     g = rnd((bsz, length, ch), 998).data
     whole = _assert_kernel_matches_reference(args, g)
+    hidden_ref = _reference_forward(*args)[1].transpose(1, 0, 3, 2)
     for k in (1, 2, 3):
         monkeypatch.setattr(scan, "_CHUNK_ELEMS", k * bsz * n * ch)
         assert scan._chunk_len(length, bsz, n, ch) == k
         assert np.array_equal(_assert_kernel_matches_reference(args, g), whole), k
+        _assert_checkpoints_change_no_bit(args, g, hidden_ref)
 
 
 def test_only_recorded_calls_keep_scan_state(monkeypatch):
@@ -347,7 +379,7 @@ def test_only_recorded_calls_keep_scan_state(monkeypatch):
     def spy(*args, keep=True):
         seen.append(keep)
         out = kernel(*args, keep=keep)
-        assert (out[1] is not None) == keep and (out[2] is not None) == keep
+        assert (out[1] is not None) == keep
         return out
 
     monkeypatch.setattr(scan, "_scan_forward", spy)
@@ -379,6 +411,38 @@ def test_only_recorded_calls_keep_scan_state(monkeypatch):
     y_ref, hidden_ref, abar_ref = _reference_forward(*arrays)
     _assert_grads_close([t.grad for t in leaves],
                         _reference_backward(g, *arrays, hidden_ref, abar_ref))
+
+
+def test_a_recorded_ss2d_past_the_checkpoint_size_keeps_no_full_state(monkeypatch):
+    # step-std level 0: a [8, 16, 16, 16] grid with N=8 scans L=256 steps over
+    # 4B=32 rows, a 2^20-element (8 MiB) state per array; the tape keeps its
+    # 32 chunks' last hidden rows, 1 MiB, and no array of the state's size
+    bsz, side, ch, n = 8, 16, 16, 8
+    full = side * side * 4 * bsz * n * ch
+    assert full >= scan._CHECKPOINT_ELEMS
+    kernel, states = scan._scan_forward, []
+
+    def spy(*args, keep=True):
+        out = kernel(*args, keep=keep)
+        states.append(out[1])
+        return out
+
+    monkeypatch.setattr(scan, "_scan_forward", spy)
+    with T.Tape() as tape:
+        ss2d(rnd((bsz, side, side, ch), 41), init_ss2d_params(ch, n, seed=6))
+    (node,) = [nd for nd in tape.nodes if nd.grad_fn is not None]
+
+    def arrays(v):
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, (tuple, list)):
+            for u in v:
+                yield from arrays(u)
+
+    assert max(v.size for v in arrays(node.grad_fn.args)) < full
+    ((ckpt, abar),) = states
+    assert abar is None and ckpt.shape == (32, 4 * bsz, n, ch)
+    assert ckpt.nbytes == 32 * 32 * 8 * 16 * 8 == 1 << 20
 
 
 def test_recurrence_shape_errors():
@@ -549,6 +613,10 @@ def test_grouped_chunking_changes_no_output_bit(monkeypatch):
         assert np.array_equal(y, whole), k
         assert np.array_equal(ss2d(Tensor(x), params).data, whole), k
         _assert_grads_close([g], [whole_g])
+        with pytest.MonkeyPatch.context() as m:  # checkpoints at the same K: the same bits
+            m.setattr(scan, "_CHECKPOINT_ELEMS", 1)
+            y_ck, g_ck = _ss2d_run(x, params, weights)
+        assert y_ck.tobytes() == y.tobytes() and g_ck.tobytes() == g.tobytes(), k
 
 
 def test_one_kernel_call_per_ss2d_and_gated_block(monkeypatch):
