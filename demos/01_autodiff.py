@@ -1,16 +1,32 @@
 """A tour of the reverse-mode tape.
 
-Every differentiable operation in this package records onto an ambient
-Tape; backward() replays it in reverse and hands back one gradient array
-per leaf tensor.  The same finite-difference oracle the test suite uses
-is available as a library function, so we can watch the two gradient
-routes agree live.
+Every differentiable operation in this package is a numpy pair -- a
+forward that returns its output and what its backward needs, and that
+backward -- recorded as one node on an ambient Tape by `T.primitive`.
+backward() replays the tape in reverse and hands back one gradient array
+per leaf tensor.  Here we define an op of our own the same way, and watch
+its gradient agree live with the finite-difference oracle the test suite
+uses.
 """
 
 import numpy as np
 
 from sumnet import tensor as T
 from sumnet.rng import SplitMix64
+
+
+def mean_sigmoid_affine(x, w):
+    """mean(sigmoid(x @ w)) as one tape node over (x, w)."""
+    def fwd(x, w, keep):
+        s = 1.0 / (1.0 + np.exp(-(x @ w)))
+        return s.mean(), (x, w, s)
+
+    def bwd(saved, g):
+        x, w, s = saved
+        g_z = g * s * (1.0 - s) / s.size  # back through the mean and the sigmoid
+        return g_z @ w.T, x.T @ g_z
+
+    return T.primitive("mean_sigmoid_affine", (x, w), fwd, bwd)
 
 
 def main():
@@ -20,7 +36,7 @@ def main():
 
     # A scalar objective: mean of a sigmoid-squashed affine map.
     with T.Tape() as tape:
-        y = T.reduce_mean(T.sigmoid(T.matmul(x, w)))
+        y = mean_sigmoid_affine(x, w)
         grads = T.backward(tape, y)
 
     print("objective  :", float(y.data))
@@ -36,12 +52,11 @@ def main():
     print("max rel err:", T.max_rel_err(grads[w], fd))
 
     # Recorded leaves outside the objective's ancestry get exact zeros.
-    unused = T.Tensor(np.ones(4), requires_grad=True)
+    unused = T.Tensor(np.ones((3, 1)), requires_grad=True)
     with T.Tape() as tape:
-        z = T.reduce_sum(T.mul(w, w))
-        T.reduce_sum(unused)  # on the tape, but z never saw it
+        z = mean_sigmoid_affine(x, w)
+        mean_sigmoid_affine(x, unused)  # on the tape, but z never saw it
         grads = T.backward(tape, z)
-    print("d(w.w)/dw  :", grads[w].ravel(), "(= 2w)")
     print("unused leaf:", grads[unused].ravel())
 
 

@@ -1,7 +1,8 @@
 """The selective-scan kernel, checked against arithmetic you can do by hand.
 
 Three exhibits:
-  1. the linear recurrence on a 3-step input, unrolled with a calculator;
+  1. ss2d, the four-direction selective scan, on a 1x3 grid with one
+     channel, unrolled with a calculator;
   2. the four traversals of a grid and their merge (the numpy pair
      _traversals / cross_merge_fwd) as an exact (bit-for-bit) 4x identity;
   3. wall-clock growth of the kernel: doubling the sequence roughly
@@ -16,24 +17,28 @@ import sys
 import numpy as np
 
 from sumnet.rng import SplitMix64
-from sumnet.scan import (_traversals, bench_lengths, cross_merge_fwd, fit_loglog_slope,
-                         ssm_recurrence)
+from sumnet.scan import (SSMParams, _traversals, bench_lengths, cross_merge_fwd,
+                         fit_loglog_slope, ss2d)
+from sumnet.tensor import Tensor
 
 
 def main():
-    # -- 1. hand-unrolled recurrence ------------------------------------
-    # h_t = exp(dt*A) h_{t-1} + dt*B x_t ; y_t = C h_t, with dt=1, A=-1,
-    # B=C=1 and an impulse input: the state just decays, y = 1, 1/e, 1/e^2.
-    # One sequence of 3 steps, 1 channel, 1 state: [B=1, L=3, C=1].
-    delta = np.ones((1, 3, 1))
-    a = np.array([[-1.0]])
-    b_seq = np.ones((1, 3, 1))
-    c_seq = np.ones((1, 3, 1))
-    x = np.array([[[1.0], [0.0], [0.0]]])
-    y = ssm_recurrence(delta, a, b_seq, c_seq, x)
-    expected = [1.0, math.exp(-1), math.exp(-2)]
-    print("recurrence y:", y.data.ravel())
-    print("hand oracle :", np.array(expected))
+    # -- 1. hand-unrolled scan ------------------------------------------
+    # h_t = exp(delta A) h_{t-1} + delta B_t x_t ; y_t = C_t h_t + D x_t, with
+    # one channel and one state: delta = softplus(b_delta) = 1, A = -exp(0)
+    # = -1, B_t = C_t = x_t (weights 1) and D = 0.  On the constant input
+    # x = 1 the state runs 1, 1 + 1/e, 1 + 1/e + 1/e^2 along a traversal.
+    # One shared parameter set; a 1x3 grid's column-major traversals are
+    # its row-major ones, so the merge is twice (forward + backward sweep).
+    one, zero = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
+    params = SSMParams(a_log=Tensor(zero), d_skip=Tensor(np.zeros((1, 1))),
+                       w_b=Tensor(one), w_c=Tensor(one), w_delta=Tensor(zero),
+                       v_delta=Tensor(zero), b_delta=Tensor(np.full((1, 1), math.log(math.e - 1))))
+    y = ss2d(np.ones((1, 3, 1)), params)
+    fwd = np.cumsum([math.exp(-t) for t in range(3)])  # 1, 1 + 1/e, 1 + 1/e + 1/e^2
+    expected = 2.0 * (fwd + fwd[::-1])
+    print("ss2d y      :", y.data.ravel())
+    print("hand oracle :", expected)
     print("max abs diff:", np.max(np.abs(y.data.ravel() - expected)))
 
     # -- 2. four traversals, one exact inverse --------------------------

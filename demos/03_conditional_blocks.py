@@ -1,8 +1,8 @@
 """Conditioning a gated scan block with five scalar knobs.
 
-`gated_block(f, w, mod)` is the C-VSS block: the plain gated scan block
-(`mod=None`) with (alpha1, beta1, alpha2, beta2, alpha3) folded into the
-affine params of its two layer norms — (a1 gamma1, a1 beta1 + b1) and
+`gated_block(f, w, knobs)` is the C-VSS block: the plain gated scan block
+(`knobs=None`) with the knobs (a1, b1, a2, b2, a3), one [B, 5] array or a
+[5] one, folded into the affine params of its two layer norms — (a1 gamma1, a1 beta1 + b1) and
 ((a2 a3) gamma2, a2 beta2 + b2) — so both run the same grid-sized steps.
 Two facts worth seeing live:
 
@@ -18,14 +18,7 @@ import dataclasses
 import numpy as np
 
 from sumnet import tensor as T
-from sumnet.blocks import (
-    ModulationParams,
-    conditioner,
-    conditioner_table,
-    gated_block,
-    init_conditioner,
-    init_vss,
-)
+from sumnet.blocks import conditioner, gated_block, init_conditioner, init_vss
 from sumnet.rng import SplitMix64
 
 
@@ -35,14 +28,14 @@ def main():
     f = T.Tensor(rng.uniforms(1 * 6 * 6 * 8).reshape(1, 6, 6, 8))
 
     plain = gated_block(f, w)
-    conditioned = gated_block(f, w, ModulationParams.identity())
+    conditioned = gated_block(f, w, np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
     print("identity knobs == plain block:",
           np.array_equal(plain.data, conditioned.data))
 
     # A fresh conditioner starts at identity because its last layer is
     # zero-initialized: every domain gets the same (1,0,1,0,1).
     cond = init_conditioner(num_domains=4, token_dim=16, seed=5)
-    print("raw knob rows at init:\n", conditioner_table(cond).data)
+    print("knob rows (a1, b1, a2, b2, a3) at init:\n", conditioner(cond, range(4)).data)
 
     # Nudge the head and the domains separate.
     cond.l3.weight.data = SplitMix64(9).uniforms(64 * 5).reshape(64, 5) * 0.3
@@ -54,8 +47,7 @@ def main():
     # fixed table of unit vectors — a strictly smaller hypothesis class.
     oh = conditioner(dataclasses.replace(cond, tokens=T.Tensor(np.eye(4, 16))), [0])
     pr = conditioner(cond, [0])
-    print("prompt vs one-hot alpha1 for domain 0:",
-          float(pr.alpha1.data.ravel()[0]), "vs", float(oh.alpha1.data.ravel()[0]))
+    print("prompt vs one-hot a1 for domain 0:", float(pr.data[0, 0]), "vs", float(oh.data[0, 0]))
 
 
 if __name__ == "__main__":

@@ -11,18 +11,20 @@ drawn by `tensor.init_uniforms`, which only allocates under
 `linear`, `layer_norm` and `depthwise_conv3x3` are each a pure numpy pair,
 `*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, recorded
 as one node by `tensor.primitive`.  The stages chain those pairs into one
-node each: `patch_embed` (a 4x4 tiling, `linear`, `layer_norm`),
-`downsample` (a 2x2 tiling, `layer_norm`, `linear`), `patch_expand`
-(`linear`, a pixel shuffle), `head` (`patch_expand`'s pair, a readout
-`linear`, a sigmoid), and `gated_block`, with the pairs of `scan.ss2d`, one
-node per block.
+node each: `conditioner` (the token-table MLP, the label rows' gather and
+the scales' 1 +), `patch_embed` (a 4x4 tiling, `linear`, `layer_norm`),
+`downsample` (a 2x2 tiling, `layer_norm`, `linear`), `up_step` (the patch
+expand, `linear` and a pixel shuffle, plus a projected skip), `head` (the
+patch expand, a readout `linear`, a sigmoid), and `gated_block`, with the
+pairs of `scan.ss2d`, one node per block.
 
-With `mod`, the block applies five scalars (a1, b1, a2, b2, a3) produced by
-a small MLP from a per-domain token: a row of a drawn prompt table, or of a
-fixed one-hot table, one expression for both.  Each knob acts on the output
-of one of the block's two norms, and an affine map of an affine map is one
-affine map, so the knobs fold into the norms' gamma and beta on [C]-sized
-arrays: the plain and the conditional block run the same grid-sized steps.
+With knobs, the block applies five scalars (a1, b1, a2, b2, a3), one [B, 5]
+array from `conditioner`: a small MLP over a per-domain token, a row of a
+drawn prompt table or of a fixed one-hot table, one expression for both.
+Each knob acts on the output of one of the block's two norms, and an affine
+map of an affine map is one affine map, so the knobs fold into the norms'
+gamma and beta on [C]-sized arrays: the plain and the conditional block run
+the same grid-sized steps.
 """
 
 from __future__ import annotations
@@ -81,11 +83,13 @@ def linear_fwd(x, w, b):
     return (flat @ w + b).reshape(x.shape[:-1] + (n_out,)), (flat, w, x.shape)
 
 
-def linear_bwd(saved, g):
-    """Gradients of linear_fwd: (g W^T, x^T g, sum of g), leading axes flattened."""
+def linear_bwd(saved, g, x_grad=True):
+    """Gradients of linear_fwd: (g W^T, x^T g, sum of g), leading axes
+    flattened; the input's is None, and not formed, unless `x_grad`."""
     flat, w, x_shape = saved
     g2 = g.reshape(-1, w.shape[1])
-    return (g2 @ w.T).reshape(x_shape), flat.T @ g2, T._sum_rows(g2)
+    g_x = (g2 @ w.T).reshape(x_shape) if x_grad else None
+    return g_x, flat.T @ g2, T._sum_rows(g2)
 
 
 def linear(x: Tensor, p: Linear) -> Tensor:
@@ -292,10 +296,10 @@ def _embed_fwd(img, w, b, gamma, beta, keep):
 
 def _embed_bwd(saved, g, img_grad=True):
     """Gradients of _embed_fwd (img, weight, bias, gamma, beta); the image's
-    is None unless `img_grad`."""
+    is None, and not formed, unless `img_grad`."""
     lin_saved, ln_saved = saved
     g_y, g_gamma, g_beta = layer_norm_bwd(ln_saved, g)
-    g_tiles, g_w, g_b = linear_bwd(lin_saved, g_y)
+    g_tiles, g_w, g_b = linear_bwd(lin_saved, g_y, x_grad=img_grad)
     return _depth_to_space(g_tiles, 4) if img_grad else None, g_w, g_b, g_gamma, g_beta
 
 
@@ -363,7 +367,9 @@ def init_patch_expand(channels: int, factor: int, seed: int, name: str) -> Patch
 
 
 def _expand_fwd(x, w, b, factor):
-    """patch_expand on arrays: (out, saved)."""
+    """The patch expand of `up_step` and `head` on arrays: an affine to
+    f*f*(C/f) channels, then a pixel shuffle to an f-times grid, channel chunk
+    (dy*f + dx) to spatial offset (dy, dx) of each f x f tile: (out, saved)."""
     y, lin_saved = linear_fwd(x, w, b)
     return _depth_to_space(y, factor), (lin_saved, factor)
 
@@ -383,15 +389,31 @@ def _expand_input(x, p: PatchExpandParams) -> Tensor:
     return x
 
 
-def patch_expand(x: Tensor, p: PatchExpandParams) -> Tensor:
-    """Affine to f*f*(C/f) channels, then pixel-shuffle to an f-times grid.
+def _up_fwd(x, skip, w, b, w_skip, b_skip, factor):
+    """up_step on arrays: (out, saved)."""
+    up, expand_saved = _expand_fwd(x, w, b, factor)
+    T._check("up_step expand", up)
+    projected, skip_saved = linear_fwd(skip, w_skip, b_skip)
+    T._check("up_step skip", projected)
+    return up + projected, (expand_saved, skip_saved)
 
-    Channel chunk (dy*f + dx) of the projected vector lands at spatial offset
-    (dy, dx) inside each f x f output tile.  One tape node over (x, proj
-    weight and bias).
+
+def _up_bwd(saved, g):
+    """Gradients of _up_fwd (x, skip, weight, bias, skip weight and bias)."""
+    expand_saved, skip_saved = saved
+    g_skip, g_ws, g_bs = linear_bwd(skip_saved, g)
+    g_x, g_w, g_b = _expand_bwd(expand_saved, g)
+    return g_x, g_skip, g_w, g_b, g_ws, g_bs
+
+
+def up_step(x: Tensor, skip: Tensor, p: PatchExpandParams, skip_proj: Linear) -> Tensor:
+    """One decoder up-step: x expanded by p (`_expand_fwd`) plus skip_proj's
+    affine of the encoder grid `skip`, [.., fH, fW, C/f] on both sides.  One
+    tape node over (x, skip, proj weight and bias, skip weight and bias).
     """
-    return T.primitive("patch_expand", (_expand_input(x, p), p.proj.weight, p.proj.bias),
-                       lambda x, w, b, keep: _expand_fwd(x, w, b, p.factor), _expand_bwd)
+    return T.primitive("up_step", (_expand_input(x, p), skip, p.proj.weight, p.proj.bias,
+                                   skip_proj.weight, skip_proj.bias),
+                       lambda *arrays, keep: _up_fwd(*arrays, p.factor), _up_bwd)
 
 
 def _head_fwd(x, w, b, w_out, b_out, factor):
@@ -412,10 +434,10 @@ def _head_bwd(saved, g):
 
 
 def head(x: Tensor, p: PatchExpandParams, readout: Linear) -> Tensor:
-    """The saliency head: `patch_expand` by p, then readout's affine (C/f ->
-    1) and a sigmoid, the channel axis dropped: [.., H, W, C] -> [.., fH, fW]
-    maps in (0, 1).  One tape node over (x, proj weight and bias, readout
-    weight and bias).
+    """The saliency head: the patch expand by p (`_expand_fwd`), then
+    readout's affine (C/f -> 1) and a sigmoid, the channel axis dropped:
+    [.., H, W, C] -> [.., fH, fW] maps in (0, 1).  One tape node over (x,
+    proj weight and bias, readout weight and bias).
     """
     return T.primitive("head", (_expand_input(x, p), p.proj.weight, p.proj.bias,
                                 readout.weight, readout.bias),
@@ -455,43 +477,25 @@ def init_vss(channels: int, state_size: int, seed: int, name: str,
 # ---------------------------------------------------------------------------
 # conditioning
 
-
-@dataclass
-class ModulationParams:
-    """Five scalar knobs applied inside a conditional block.
-
-    Each field is a Tensor of shape () for one sample or [B, 1, 1, 1] for a
-    batch; both broadcast over [.., H, W, C] grids.
-    """
-
-    alpha1: Tensor
-    beta1: Tensor
-    alpha2: Tensor
-    beta2: Tensor
-    alpha3: Tensor
-
-    @staticmethod
-    def identity() -> "ModulationParams":
-        one = Tensor(np.float64(1.0))
-        zero = Tensor(np.float64(0.0))
-        return ModulationParams(one, zero, Tensor(np.float64(1.0)), Tensor(np.float64(0.0)),
-                                Tensor(np.float64(1.0)))
+_SCALES = [0, 2, 4]  # the knob columns that are scales, 1 + raw; the shifts are raw
 
 
-def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -> Tensor:
-    """Gated scan block, feature-modulated when `mod` is given; one tape node.
+def gated_block(f: Tensor, w: VSSWeights, knobs: Tensor | None = None) -> Tensor:
+    """Gated scan block, feature-modulated when `knobs` is given; one tape node.
 
     x = LN1(f); gate = silu(linear_gate(x)); the scan branch is
     ss2d(silu(dwconv(linear_in(x)))); attn = LN2 of it; the result is
-    f + linear_out(gate * attn).  `mod` folds into the norms' affine params,
-    at [C] or [B, 1, 1, C]: LN1 runs with (a1 gamma1, a1 beta1 + b1) and LN2
-    with (a2 a3 gamma2, a2 beta2 + b2), the paper's a1 x + b1 and a2 attn + b2
-    with a3 scaling LN2's core, up to rounding.  At identity modulation
-    (1, 0, 1, 0, 1) each fold multiplies by 1.0 or adds 0.0, exact in IEEE
-    arithmetic, so the result equals the unmodulated block bit for bit.
+    f + linear_out(gate * attn).  `knobs` holds the five knobs (a1, b1, a2,
+    b2, a3) as columns, [B, 5] per sample of a batch or [5] for a 3-D grid;
+    [B, 5] knobs broadcast a 3-D grid to a batch.  They fold into the norms'
+    affine params, at [B, 1, 1, C] or [C]: LN1 runs with (a1 gamma1, a1 beta1
+    + b1) and LN2 with (a2 a3 gamma2, a2 beta2 + b2), the paper's a1 x + b1
+    and a2 attn + b2 with a3 scaling LN2's core, up to rounding.  At identity
+    knobs (1, 0, 1, 0, 1) each fold multiplies by 1.0 or adds 0.0, exact in
+    IEEE arithmetic, so the result equals the unmodulated block bit for bit.
 
     The node's inputs are f, every VSSWeights tensor (the scan parameters
-    in SSMParams.tensors() order) and, with `mod`, the five knobs; their
+    in SSMParams.tensors() order) and, with knobs, the knob tensor; their
     gradients chain the pairs of `linear`, `layer_norm`, `depthwise_conv3x3`
     and `scan.ss2d` with the elementwise steps between them, in the order
     a tape of one node per step would, then unfold the norms' params back
@@ -508,25 +512,44 @@ def gated_block(f: Tensor, w: VSSWeights, mod: ModulationParams | None = None) -
         raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
     if f.shape[-1] != w.ln1.gamma.shape[0]:
         raise ShapeError(f"grid has {f.shape[-1]} channels, block has {w.ln1.gamma.shape[0]}")
-    knobs = () if mod is None else (mod.alpha1, mod.beta1, mod.alpha2, mod.beta2, mod.alpha3)
     inputs = (f, w.ln1.gamma, w.ln1.beta, w.gate.weight, w.gate.bias, w.inproj.weight,
               w.inproj.bias, w.dw.kernel, w.dw.bias, *w.ssm.tensors(), w.ln2.gamma,
-              w.ln2.beta, w.outproj.weight, w.outproj.bias, *knobs)
+              w.ln2.beta, w.outproj.weight, w.outproj.bias, *(() if knobs is None else (knobs,)))
     return T.primitive("gated_block", inputs, _gated_block_fwd, lambda grad_fn, g: grad_fn(g))
+
+
+def _fold_knobs(knobs, gamma1, beta1, gamma2, beta2):
+    """The norms' (gamma, beta) pairs with the knobs folded in (see
+    gated_block), and unfold, which takes the folded pairs' gradients back
+    to gamma1, beta1, gamma2, beta2 and the knobs, each summed to its shape."""
+    lead = knobs.shape[:-1]
+    a1, b1, a2, b2, a3 = (col.reshape(lead + (1, 1, 1) if lead else ())
+                          for col in np.moveaxis(knobs, -1, 0))
+    a23 = a2 * a3
+    c_shape = gamma1.shape
+
+    def unfold(g_gamma1, g_beta1, g_gamma2, g_beta2):
+        sum_to = T._unbroadcast
+        g_a23 = g_gamma2 * gamma2  # the gradient of a23 = a2 * a3, per channel
+        cols = (sum_to(g_gamma1 * gamma1 + g_beta1 * beta1, a1.shape),
+                sum_to(g_beta1, b1.shape), sum_to(g_a23 * a3 + g_beta2 * beta2, a2.shape),
+                sum_to(g_beta2, b2.shape), sum_to(g_a23 * a2, a3.shape))
+        return (sum_to(g_gamma1 * a1, c_shape), sum_to(g_beta1 * a1, c_shape),
+                sum_to(g_gamma2 * a23, c_shape), sum_to(g_beta2 * a2, c_shape),
+                np.stack([col.reshape(lead) for col in cols], axis=-1))
+
+    return (a1 * gamma1, a1 * beta1 + b1), (a23 * gamma2, a2 * beta2 + b2), unfold
 
 
 def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bias, *rest, keep):
     """gated_block on arrays: (out, grad_fn).  `rest` is the seven scan
-    parameters, gamma2, beta2, w_out, b_out and, when modulated, the five
-    knobs; grad_fn(g) returns the gradients in that input order."""
+    parameters, gamma2, beta2, w_out, b_out and, when modulated, the knob
+    array; grad_fn(g) returns the gradients in that input order."""
     ssm, (gamma2, beta2, w_out, b_out), knobs = rest[:7], rest[7:11], rest[11:]
     check = T._check
-    ln1, ln2 = (gamma1, beta1), (gamma2, beta2)
+    ln1, ln2, unfold = (gamma1, beta1), (gamma2, beta2), None
     if knobs:
-        a1, b1, a2, b2, a3 = knobs
-        a23 = a2 * a3
-        ln1 = (a1 * gamma1, a1 * beta1 + b1)
-        ln2 = (a23 * gamma2, a2 * beta2 + b2)
+        ln1, ln2, unfold = _fold_knobs(knobs[0], gamma1, beta1, gamma2, beta2)
     x, ln1_saved = layer_norm_fwd(f, *ln1, name="gated_block ln1")
     gl, gate_saved = linear_fwd(x, w_gate, b_gate)
     check("gated_block gate linear", gl)
@@ -547,7 +570,7 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
     check("gated_block gate product", prod)
     fused, out_saved = linear_fwd(prod, w_out, b_out)
     check("gated_block outproj", fused)
-    f_shape, c_shape = f.shape, gamma1.shape
+    f_shape = f.shape
 
     def grad_fn(g):
         g_prod, g_wo, g_bo = linear_bwd(out_saved, g)
@@ -563,14 +586,9 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
         g_xg, g_wg, g_bg = linear_bwd(gate_saved, g_gl)
         g_f, g_gamma1, g_beta1 = layer_norm_bwd(ln1_saved, g_x + g_xg)
         g_knobs = ()
-        if knobs:  # unfold the norms' params back to gamma, beta and the knobs
-            sum_to = T._unbroadcast
-            g_a23 = g_gamma2 * gamma2  # the gradient of a23 = a2 * a3, per channel
-            g_knobs = (sum_to(g_gamma1 * gamma1 + g_beta1 * beta1, a1.shape),
-                       sum_to(g_beta1, b1.shape), sum_to(g_a23 * a3 + g_beta2 * beta2, a2.shape),
-                       sum_to(g_beta2, b2.shape), sum_to(g_a23 * a2, a3.shape))
-            g_gamma1, g_beta1 = sum_to(g_gamma1 * a1, c_shape), sum_to(g_beta1 * a1, c_shape)
-            g_gamma2, g_beta2 = sum_to(g_gamma2 * a23, c_shape), sum_to(g_beta2 * a2, c_shape)
+        if unfold is not None:
+            g_gamma1, g_beta1, g_gamma2, g_beta2, *g_knobs = unfold(g_gamma1, g_beta1,
+                                                                    g_gamma2, g_beta2)
         return (T._unbroadcast(g, f_shape) + g_f, g_gamma1, g_beta1, g_wg, g_bg, g_wi, g_bi,
                 g_k, g_kb, *g_ssm, g_gamma2, g_beta2, g_wo, g_bo, *g_knobs)
 
@@ -607,14 +625,6 @@ def init_conditioner(num_domains: int, token_dim: int, seed: int,
     )
 
 
-def conditioner_table(p: ConditionerParams) -> Tensor:
-    """Run every row of the token table through the MLP: [T, 5] raw knob rows,
-    for a prompt table and a one-hot table alike."""
-    h = T.gelu(linear(p.tokens, p.l1))
-    h = T.gelu(linear(h, p.l2))
-    return linear(h, p.l3)
-
-
 def _check_labels(labels, num_domains: int) -> np.ndarray:
     """Labels as int64 rows; a non-integer (0.7, True, "1") is refused, not
     truncated, while an integral float (2.0) passes, as in SumConfig."""
@@ -631,26 +641,47 @@ def _check_labels(labels, num_domains: int) -> np.ndarray:
     return arr
 
 
-def modulation_from_raw(raw: Tensor) -> ModulationParams:
-    """Map raw rows [B, 5] to knobs: scales pass through 1 + raw, shifts raw.
+def _cond_fwd(tokens, w1, b1, w2, b2, w3, b3, rows, keep):
+    """conditioner on arrays: (knobs [B, 5], saved)."""
+    h, l1_saved = linear_fwd(tokens, w1, b1)
+    T._check("conditioner l1", h)
+    h, d1 = T._gelu_fwd(h, keep)
+    h, l2_saved = linear_fwd(h, w2, b2)
+    T._check("conditioner l2", h)
+    h, d2 = T._gelu_fwd(h, keep)
+    table, l3_saved = linear_fwd(h, w3, b3)
+    knobs = np.take(table, rows, axis=0)
+    knobs[:, _SCALES] += 1.0
+    return knobs, (l1_saved, d1, l2_saved, d2, l3_saved, rows, table.shape)
 
-    One index node, raw[:, j, None, None, None], cuts knob j as [B, 1, 1, 1].
-    Zero raw rows therefore give exact identity modulation.
+
+def _cond_bwd(saved, g, token_grad=True):
+    """Gradients of _cond_fwd (tokens, l1, l2 and l3 weight and bias); the
+    tokens' is None, and not formed, unless `token_grad`."""
+    l1_saved, d1, l2_saved, d2, l3_saved, rows, table_shape = saved
+    g_table = np.zeros(table_shape)
+    np.add.at(g_table, rows, g)  # a label drawn twice adds both rows' gradients
+    g_h, g_w3, g_b3 = linear_bwd(l3_saved, g_table)
+    g_h, g_w2, g_b2 = linear_bwd(l2_saved, g_h * d2)
+    g_tokens, g_w1, g_b1 = linear_bwd(l1_saved, g_h * d1, x_grad=token_grad)
+    return g_tokens, g_w1, g_b1, g_w2, g_b2, g_w3, g_b3
+
+
+def conditioner(p: ConditionerParams, labels) -> Tensor:
+    """The knobs (a1, b1, a2, b2, a3) of a batch of domain labels, [B, 5].
+
+    The MLP runs over every row of the token table, a prompt table or a
+    one-hot one alike (linear, GELU, linear, GELU, linear); each label then
+    gathers its row, and the three scales become 1 + raw while the two
+    shifts stay raw, so zero raw rows give exact identity knobs.  One tape
+    node over (tokens, l1, l2 and l3 weight and bias); a fixed one-hot table
+    forms no gradient.
     """
-    cols = [raw[:, j, None, None, None] for j in range(5)]
-    return ModulationParams(
-        alpha1=T.add(cols[0], 1.0),
-        beta1=cols[1],
-        alpha2=T.add(cols[2], 1.0),
-        beta2=cols[3],
-        alpha3=T.add(cols[4], 1.0),
-    )
-
-
-def conditioner(p: ConditionerParams, labels) -> ModulationParams:
-    """Knobs for a batch of domain labels: the rows of the knob table."""
-    arr = _check_labels(labels, p.tokens.shape[0])
-    return modulation_from_raw(T.take(conditioner_table(p), arr, axis=0))
+    rows = _check_labels(labels, p.tokens.shape[0])
+    inputs = (p.tokens, *(t for lin in (p.l1, p.l2, p.l3) for t in (lin.weight, lin.bias)))
+    return T.primitive("conditioner", inputs,
+                       lambda *arrays, keep: _cond_fwd(*arrays, rows, keep),
+                       partial(_cond_bwd, token_grad=p.tokens.requires_grad))
 
 
 def conditioner_param_count(p: ConditionerParams) -> int:

@@ -33,7 +33,7 @@ from .data import (
     save_checkpoint,
     write_pgm,
 )
-from .gradcheck import run_suite
+from .gradcheck import SUITES, run_suite
 from .metrics import f_scores
 from .objective import NormalizationError
 from .model import (
@@ -61,9 +61,19 @@ def _read_config_doc(path: str) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
+
+
+def _config(path: str, doc: dict) -> SumConfig:
+    """SumConfig.from_dict(doc), its ConfigError naming the file `path`."""
+    try:
+        return SumConfig.from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _load_train_config(path: str, overrides: dict) -> tuple:
@@ -73,11 +83,14 @@ def _load_train_config(path: str, overrides: dict) -> tuple:
     paths = {}
     for key in _PATH_KEYS:
         if key in doc:
-            paths[key] = str(base / doc.pop(key))
+            value = doc.pop(key)
+            if not isinstance(value, str):
+                raise ConfigError(f"{path}: {key} must be a path string, got {value!r}")
+            paths[key] = str(base / value)
     for key, value in overrides.items():
         if value is not None:
             doc[key] = value
-    cfg = SumConfig.from_dict(doc)
+    cfg = _config(path, doc)
     missing = [k for k in _PATH_KEYS if k not in paths]
     if missing:
         raise ConfigError(f"{path}: missing {', '.join(missing)}")
@@ -156,7 +169,7 @@ def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
     doc = _read_config_doc(config_path)
     for key in _PATH_KEYS:
         doc.pop(key, None)
-    return Model.loaded(SumConfig.from_dict(doc), arrays)
+    return Model.loaded(_config(config_path, doc), arrays)
 
 
 def cmd_eval(args) -> int:
@@ -308,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_infer)
 
     c = sub.add_parser("gradcheck", help="finite-difference verification")
-    c.add_argument("--module", default="all",
-                   choices=("all", "tensor", "scan", "blocks", "objective", "model"))
+    c.add_argument("--module", default="all", choices=("all", *SUITES))
     c.set_defaults(func=cmd_gradcheck)
 
     b = sub.add_parser("bench-scan", help="time the scan kernel across lengths")

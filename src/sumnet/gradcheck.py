@@ -1,9 +1,11 @@
-"""Finite-difference verification suites over every differentiable piece.
+"""Finite-difference verification suites over every pair the model runs.
 
 Each suite returns (name, rel_err, tol) rows; a row passes when
-rel_err < tol.  Elementwise/matrix/reduction/shape ops and the composite
-blocks use OP_TOL; the end-to-end model check samples individual parameter
-scalars and compares against central differences at MODEL_TOL.
+rel_err < tol.  There is a row for every pair the model runs: the scan's,
+the blocks' and stages', and the composite loss, each at OP_TOL; the
+end-to-end model check samples individual parameter scalars and compares
+against central differences at MODEL_TOL.  The generic tape ops and the loss
+terms are test oracles, checked by the test suite.
 
 Outputs that pass through a layer norm are reduced with a fixed random
 weighting, never a plain sum: a layer-norm row sums to zero by construction,
@@ -11,6 +13,9 @@ which would leave nothing but round-off in the finite differences.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -32,282 +37,161 @@ def _arr(shape, lo=-1.0, hi=1.0, tag="x"):
 
 
 def _weighted_sum(out: Tensor, tag: str) -> Tensor:
+    """sum(out * w) for a fixed random w in [0.1, 1) drawn from `tag`: one node."""
     w = uniform_array(out.shape, 0.1, 1.0, derive(_SEED, "wsum", tag))
-    return T.reduce_sum(T.mul(out, Tensor(w)))
+    return T.primitive("weighted_sum", (out,), lambda x, keep: ((x * w).sum(), None),
+                       lambda _, g: (g * w,))
 
 
-def _check(f, x: np.ndarray, h: float = 1e-4) -> float:
-    err, _, _ = T.check_gradient(f, Tensor(x), h)
-    return err
-
-
-def check_tensor_ops() -> list:
-    """One row per differentiable primitive, probed at generic points."""
-    x = _arr((3, 4))
-    pos = _arr((3, 4), 0.5, 2.0, "pos")
-    other = Tensor(_arr((3, 4), -1.0, 1.0, "other"))
-    safe = Tensor(_arr((3, 4), 0.6, 1.4, "den"))
-    rows = []
-
-    def add(name, f, point, tol=OP_TOL):
-        rows.append((name, _check(f, point), tol))
-
-    add("add", lambda t: _weighted_sum(T.add(t, other), "add"), x)
-    add("sub", lambda t: _weighted_sum(T.sub(t, other), "sub"), x)
-    add("mul", lambda t: _weighted_sum(T.mul(t, other), "mul"), x)
-    add("div", lambda t: _weighted_sum(T.div(t, safe), "div"), x)
-    add("minimum", lambda t: _weighted_sum(T.minimum(t, other), "min"), x)
-    add("maximum", lambda t: _weighted_sum(T.maximum(t, other), "max"), x)
-    add("exp", lambda t: _weighted_sum(T.exp(t), "exp"), x)
-    add("log", lambda t: _weighted_sum(T.log(t), "log"), pos)
-    add("sqrt", lambda t: _weighted_sum(T.sqrt(t), "sqrt"), pos)
-    add("sigmoid", lambda t: _weighted_sum(T.sigmoid(t), "sigmoid"), x)
-    add("silu", lambda t: _weighted_sum(T.silu(t), "silu"), x)
-    add("softplus", lambda t: _weighted_sum(T.softplus(t), "softplus"), x)
-    add("gelu", lambda t: _weighted_sum(T.gelu(t), "gelu"), x)
-    mat = Tensor(_arr((4, 5), tag="mat"))
-    add("matmul", lambda t: _weighted_sum(T.matmul(t, mat), "matmul"), x)
-    add("reduce_sum", lambda t: _weighted_sum(T.reduce_sum(t, axes=1), "rsum"), x)
-    add("reduce_mean", lambda t: _weighted_sum(T.reduce_mean(t, axes=0), "rmean"), x)
-    add("reduce_var", lambda t: _weighted_sum(T.reduce_var(t, axes=1), "rvar"), x)
-    add("reshape", lambda t: _weighted_sum(T.reshape(t, (2, 6)), "reshape"), x)
-    add("transpose", lambda t: _weighted_sum(T.transpose(t, (1, 0)), "transpose"), x)
-    add("flip", lambda t: _weighted_sum(T.flip(t, 1), "flip"), x)
-    add("index", lambda t: _weighted_sum(t[1:, ::2], "index"), x)
-    add("take", lambda t: _weighted_sum(T.take(t, np.array([0, 2, 2]), axis=0), "take"), x)
-    add("concat", lambda t: _weighted_sum(T.concat([t, other], axis=1), "concat"), x)
-    add("pad", lambda t: _weighted_sum(T.pad(t, ((1, 1), (0, 2))), "pad"), x)
-    return rows
+def _probe(rows: list, name: str, point: np.ndarray, f) -> None:
+    """Append the row `name` of f's gradient at `point` against central
+    differences, f's output weighted by the row's name."""
+    err, _, _ = T.check_gradient(lambda t: _weighted_sum(f(t), name), Tensor(point))
+    rows.append((name, err, OP_TOL))
 
 
 def check_scan() -> list:
-    """Recurrence inputs, the merge, and the 4-direction scan: its grid input
-    and each of its seven parameter fields."""
+    """The merge and the 4-direction scan: its grid input and each of its
+    seven parameter fields."""
     rows = []
-    b, length, c, n = 2, 5, 3, 2
-    delta = _arr((b, length, c), 0.05, 0.5, "delta")
-    a = _arr((c, n), -1.5, -0.2, "a")
-    b_seq = _arr((b, length, n), tag="bseq")
-    c_seq = _arr((b, length, n), tag="cseq")
-    xs = _arr((b, length, c), tag="xs")
-
-    def rec(name, f, point):
-        rows.append((f"ssm_recurrence.{name}", _check(f, point), OP_TOL))
-
-    rec("delta", lambda t: _weighted_sum(
-        S.ssm_recurrence(t, Tensor(a), Tensor(b_seq), Tensor(c_seq), Tensor(xs)), "r.d"), delta)
-    rec("a", lambda t: _weighted_sum(
-        S.ssm_recurrence(Tensor(delta), t, Tensor(b_seq), Tensor(c_seq), Tensor(xs)), "r.a"), a)
-    rec("b_seq", lambda t: _weighted_sum(
-        S.ssm_recurrence(Tensor(delta), Tensor(a), t, Tensor(c_seq), Tensor(xs)), "r.b"), b_seq)
-    rec("c_seq", lambda t: _weighted_sum(
-        S.ssm_recurrence(Tensor(delta), Tensor(a), Tensor(b_seq), t, Tensor(xs)), "r.c"), c_seq)
-    rec("x", lambda t: _weighted_sum(
-        S.ssm_recurrence(Tensor(delta), Tensor(a), Tensor(b_seq), Tensor(c_seq), t), "r.x"), xs)
-
-    def param_row(name, params, field, f, k=None):
-        """A row probing params.<field>, or only its slice k on the direction
-        axis (the other slices held fixed): f() runs with the probe in place."""
-        def probe(t):
-            saved = getattr(params, field)
-            if k is not None:
-                t = T.concat([saved.data[:k], T.reshape(t, (1,) + t.shape),
-                              saved.data[k + 1:]], axis=0)
-            setattr(params, field, t)
-            try:
-                return f()
-            finally:
-                setattr(params, field, saved)
-        point = getattr(params, field).data
-        rows.append((name, _check(probe, (point if k is None else point[k]).copy()), OP_TOL))
-
+    row = partial(_probe, rows)
+    b, c, n = 2, 3, 2
     h, w = 2, 3
     seqs = [_arr((b, h * w, c), tag=f"merge.{d}") for d in S.DIRECTION_ORDER]
     for k, d in enumerate(S.DIRECTION_ORDER):
-        def merge(t, k=k):
-            parts = [t if j == k else v for j, v in enumerate(seqs)]
-            node = T.primitive("cross_merge", parts,
-                               lambda *s, keep: (S.cross_merge_fwd(s, h, w), None),
-                               lambda _, g: tuple(S._traversals(g)))
-            return _weighted_sum(node, "merge")
-        rows.append((f"cross_merge.{d}", _check(merge, seqs[k]), OP_TOL))
+        row(f"cross_merge.{d}", seqs[k], lambda t, k=k: T.primitive(
+            "cross_merge", [t if j == k else v for j, v in enumerate(seqs)],
+            lambda *s, keep: (S.cross_merge_fwd(s, h, w), None),
+            lambda _, g: tuple(S._traversals(g))))
 
     grid = _arr((4, 4, c), tag="grid")
     p2 = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-params"), "g2")
-    rows.append(("ss2d.input",
-                 _check(lambda t: _weighted_sum(S.ss2d(t, p2), "ss2d.in"), grid), OP_TOL))
-    rows.append(("ss2d.input_batched",
-                 _check(lambda t: _weighted_sum(S.ss2d(t, p2), "ss2d.inb"),
-                        _arr((b, 3, 4, c), tag="gridb")), OP_TOL))
+    row("ss2d.input", grid, lambda t: S.ss2d(t, p2))
+    row("ss2d.input_batched", _arr((b, 3, 4, c), tag="gridb"), lambda t: S.ss2d(t, p2))
+
+    def with_slice(params, field, k):  # params with slice k of field probed, the rest fixed
+        stack = getattr(params, field).data
+        return lambda t: replace(params, **{field: T.primitive(
+            "slice_probe", (t,), lambda x, keep: (np.concatenate(
+                [stack[:k], x[None], stack[k + 1:]]), None), lambda _, g: (g[k],))})
+
     # one direction's slice of an unshared parameter each, every field
     # once at least: a direction or group mix-up in the grouped scan moves
     # these rows, not the input rows
     for d, field in (("row_fwd", "a_log"), ("col_bwd", "a_log"), ("row_bwd", "w_delta"),
                      ("col_fwd", "d_skip"), ("row_fwd", "w_b"), ("row_bwd", "w_c"),
                      ("col_fwd", "v_delta"), ("col_bwd", "b_delta")):
-        param_row(f"ss2d.{d}.{field}", p2, field,
-                  lambda tag=f"ss2d.{d}.{field}": _weighted_sum(S.ss2d(Tensor(grid), p2), tag),
-                  k=S.DIRECTION_ORDER.index(d))
+        k = S.DIRECTION_ORDER.index(d)
+        probed = with_slice(p2, field, k)
+        row(f"ss2d.{d}.{field}", getattr(p2, field).data[k].copy(),
+            lambda t, probed=probed: S.ss2d(grid, probed(t)))
     shared = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-shared"), "g3", shared=True)
-    param_row("ss2d.shared", shared, "a_log",
-              lambda: _weighted_sum(S.ss2d(Tensor(grid), shared), "ss2d.shared"))
+    row("ss2d.shared", shared.a_log.data.copy(),
+        lambda t: S.ss2d(grid, replace(shared, a_log=t)))
     return rows
 
 
 def check_blocks() -> list:
-    """Norms, convolution, resampling, the gated block, and conditioning."""
+    """Norms, convolution, the stages, the gated block, and conditioning."""
     rows = []
+    row = partial(_probe, rows)
     c = 4
-    x = _arr((5, 5, c), tag="bx")
+    x = Tensor(_arr((5, 5, c), tag="bx"))
     ln = B.init_layer_norm(c)
-    rows.append(("layer_norm.input", _check(
-        lambda t: _weighted_sum(B.layer_norm(t, ln), "ln.in"), x), OP_TOL))
+    row("layer_norm.input", x.data, lambda t: B.layer_norm(t, ln))
     # per-sample [2, 1, 1, C] gamma and beta, as a modulated gated block folds them
     ln_b = B.LayerNormParams(*(Tensor(_arr((2, 1, 1, c), 0.5, 1.5, f"ln.{k}")) for k in "gb"))
-    rows.append(("layer_norm.input_batched", _check(
-        lambda t: _weighted_sum(B.layer_norm(t, ln_b), "ln.inb"), _arr((2, 3, 3, c), tag="lnbx")),
-        OP_TOL))
-    rows.append(("layer_norm.gamma", _check(
-        lambda t: _weighted_sum(B.layer_norm(Tensor(x), B.LayerNormParams(t, ln.beta)),
-                                "ln.g"), ln.gamma.data.copy()), OP_TOL))
-    rows.append(("layer_norm.beta", _check(
-        lambda t: _weighted_sum(B.layer_norm(Tensor(x), B.LayerNormParams(ln.gamma, t)),
-                                "ln.b"), _arr((c,), tag="lnb")), OP_TOL))
+    row("layer_norm.input_batched", _arr((2, 3, 3, c), tag="lnbx"),
+        lambda t: B.layer_norm(t, ln_b))
+    row("layer_norm.gamma", ln.gamma.data.copy(),
+        lambda t: B.layer_norm(x, B.LayerNormParams(t, ln.beta)))
+    row("layer_norm.beta", _arr((c,), tag="lnb"),
+        lambda t: B.layer_norm(x, B.LayerNormParams(ln.gamma, t)))
 
     dw = B.init_dwconv(c, derive(_SEED, "dw"), "g")
-    rows.append(("depthwise_conv.input", _check(
-        lambda t: _weighted_sum(B.depthwise_conv3x3(t, dw), "dw.in"),
-        _arr((2, 4, 3, c), tag="dwx")), OP_TOL))
-    rows.append(("depthwise_conv.kernel", _check(
-        lambda t: _weighted_sum(B.depthwise_conv3x3(Tensor(x), B.DWConvParams(t, dw.bias)),
-                                "dw.k"), dw.kernel.data.copy()), OP_TOL))
-    rows.append(("depthwise_conv.bias", _check(
-        lambda t: _weighted_sum(B.depthwise_conv3x3(Tensor(x), B.DWConvParams(dw.kernel, t)),
-                                "dw.b"), _arr((c,), tag="dwb")), OP_TOL))
+    row("depthwise_conv.input", _arr((2, 4, 3, c), tag="dwx"),
+        lambda t: B.depthwise_conv3x3(t, dw))
+    row("depthwise_conv.kernel", dw.kernel.data.copy(),
+        lambda t: B.depthwise_conv3x3(x, B.DWConvParams(t, dw.bias)))
+    row("depthwise_conv.bias", _arr((c,), tag="dwb"),
+        lambda t: B.depthwise_conv3x3(x, B.DWConvParams(dw.kernel, t)))
 
     lin = B.init_linear(c, 3, derive(_SEED, "lin"), "g")
-    rows.append(("linear.weight", _check(
-        lambda t: _weighted_sum(B.linear(Tensor(x), B.Linear(t, lin.bias)), "lin.w"),
-        lin.weight.data.copy()), OP_TOL))
-    rows.append(("linear.bias", _check(
-        lambda t: _weighted_sum(B.linear(Tensor(x), B.Linear(lin.weight, t)), "lin.b"),
-        _arr((3,), tag="linb")), OP_TOL))
-    rows.append(("linear.input", _check(
-        lambda t: _weighted_sum(B.linear(t, lin), "lin.in"), _arr((2, 3, 3, c), tag="linx")),
-        OP_TOL))
+    row("linear.weight", lin.weight.data.copy(), lambda t: B.linear(x, B.Linear(t, lin.bias)))
+    row("linear.bias", _arr((3,), tag="linb"), lambda t: B.linear(x, B.Linear(lin.weight, t)))
+    row("linear.input", _arr((2, 3, 3, c), tag="linx"), lambda t: B.linear(t, lin))
 
     img = _arr((8, 8, 3), 0.0, 1.0, "img")
     pe = B.init_patch_embed(c, derive(_SEED, "pe"))
-    rows.append(("patch_embed.input", _check(
-        lambda t: _weighted_sum(B.patch_embed(t, pe), "pe.in"), img), OP_TOL))
-    rows.append(("patch_embed.proj_weight", _check(
-        lambda t: _weighted_sum(B.patch_embed(Tensor(img), B.PatchEmbedParams(
-            B.Linear(t, pe.proj.bias), pe.norm)), "pe.w"), pe.proj.weight.data.copy()), OP_TOL))
+    row("patch_embed.input", img, lambda t: B.patch_embed(t, pe))
+    row("patch_embed.proj_weight", pe.proj.weight.data.copy(), lambda t: B.patch_embed(
+        img, B.PatchEmbedParams(B.Linear(t, pe.proj.bias), pe.norm)))
 
     down = B.init_downsample(c, derive(_SEED, "down"), "g")
     dx = _arr((4, 4, c), tag="dx")
-    rows.append(("downsample.input", _check(
-        lambda t: _weighted_sum(B.downsample(t, down), "down.in"), dx), OP_TOL))
-    rows.append(("downsample.norm_gamma", _check(
-        lambda t: _weighted_sum(B.downsample(Tensor(dx), B.DownsampleParams(
-            B.LayerNormParams(t, down.norm.beta), down.proj)), "down.g"),
-        _arr((4 * c,), 0.5, 1.5, "downg")), OP_TOL))
+    row("downsample.input", dx, lambda t: B.downsample(t, down))
+    row("downsample.norm_gamma", _arr((4 * c,), 0.5, 1.5, "downg"), lambda t: B.downsample(
+        dx, B.DownsampleParams(B.LayerNormParams(t, down.norm.beta), down.proj)))
 
+    # a decoder up-step: a 2x expand of C channels plus a projected C/2 skip
     up = B.init_patch_expand(c, 2, derive(_SEED, "up"), "g")
-    ux = _arr((3, 3, c), tag="ux")
-    rows.append(("patch_expand.input", _check(
-        lambda t: _weighted_sum(B.patch_expand(t, up), "up.in"), ux), OP_TOL))
-    rows.append(("patch_expand.proj_weight", _check(
-        lambda t: _weighted_sum(B.patch_expand(Tensor(ux), B.PatchExpandParams(
-            B.Linear(t, up.proj.bias), 2)), "up.w"), up.proj.weight.data.copy()), OP_TOL))
+    skip = B.init_linear(c // 2, c // 2, derive(_SEED, "skip"), "g")
+    ux, sx = _arr((2, 3, 3, c), tag="ux"), _arr((2, 6, 6, c // 2), tag="sx")
+    row("up_step.input", ux, lambda t: B.up_step(t, sx, up, skip))
+    row("up_step.skip", sx, lambda t: B.up_step(ux, t, up, skip))
+    row("up_step.proj_weight", up.proj.weight.data.copy(), lambda t: B.up_step(
+        ux, sx, B.PatchExpandParams(B.Linear(t, up.proj.bias), 2), skip))
+    row("up_step.skip_weight", skip.weight.data.copy(),
+        lambda t: B.up_step(ux, sx, up, B.Linear(t, skip.bias)))
 
     # the saliency head: a 4x expand of 2C channels, a readout to one channel
     head = B.init_patch_expand(2 * c, 4, derive(_SEED, "head"), "g")
     readout = B.init_linear(c // 2, 1, derive(_SEED, "readout"), "g")
     hx = _arr((2, 2, 2, 2 * c), tag="hx")
-    rows.append(("head.input", _check(
-        lambda t: _weighted_sum(B.head(t, head, readout), "head.in"), hx),
-        OP_TOL))
-    rows.append(("head.readout_weight", _check(
-        lambda t: _weighted_sum(B.head(Tensor(hx), head, B.Linear(
-            t, readout.bias)), "head.w"), readout.weight.data.copy()), OP_TOL))
+    row("head.input", hx, lambda t: B.head(t, head, readout))
+    row("head.readout_weight", readout.weight.data.copy(),
+        lambda t: B.head(hx, head, B.Linear(t, readout.bias)))
 
     vss = B.init_vss(c, 2, derive(_SEED, "vss"), "g")
-    rows.append(("vss.input", _check(
-        lambda t: _weighted_sum(B.gated_block(t, vss), "vss.in"), _arr((4, 4, c), tag="vx")),
-        OP_TOL))
-    rows.append(("vss.gate_weight", _check(
-        lambda t: _weighted_sum(
-            B.gated_block(Tensor(_arr((4, 4, c), tag="vx")),
-                          B.VSSWeights(vss.ln1, B.Linear(t, vss.gate.bias), vss.inproj,
-                                       vss.dw, vss.ssm, vss.ln2, vss.outproj)), "vss.gw"),
-        vss.gate.weight.data.copy()), OP_TOL))
-
-    # [2, 1, 1, 1] knobs away from identity on a [2, 4, 4, C] grid
-    grid = Tensor(_arr((2, 4, 4, c), tag="cvx"))
-    knobs = {k: _arr((2, 1, 1, 1), lo, hi, f"knob.{k}") for k, lo, hi in (
-        ("alpha1", 0.5, 1.5), ("beta1", -0.5, 0.5), ("alpha2", 0.5, 1.5),
-        ("beta2", -0.5, 0.5), ("alpha3", 0.5, 1.5))}
-    rows.append(("gated_block.input", _check(
-        lambda t: _weighted_sum(B.gated_block(t, vss, B.ModulationParams(
-            *(Tensor(v) for v in knobs.values()))), "gb.in"), grid.data), OP_TOL))
-    for name in knobs:
-        def knob_path(t, name=name):
-            mod = B.ModulationParams(*(t if k == name else Tensor(v) for k, v in knobs.items()))
-            return _weighted_sum(B.gated_block(grid, vss, mod), f"gb.{name}")
-        rows.append((f"gated_block.{name}", _check(knob_path, knobs[name]), OP_TOL))
+    vx = _arr((4, 4, c), tag="vx")
+    row("vss.input", vx, lambda t: B.gated_block(t, vss))
+    row("vss.gate_weight", vss.gate.weight.data.copy(),
+        lambda t: B.gated_block(vx, replace(vss, gate=B.Linear(t, vss.gate.bias))))
+    # [2, 5] knobs away from identity on a [2, 4, 4, C] grid
+    grid = _arr((2, 4, 4, c), tag="cvx")
+    knobs = _arr((2, 5), -0.5, 0.5, "knobs") + np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+    row("gated_block.input", grid, lambda t: B.gated_block(t, vss, knobs))
+    row("gated_block.knobs", knobs, lambda t: B.gated_block(grid, vss, t))
 
     cond = B.init_conditioner(4, 8, derive(_SEED, "cond"))
-    # make raw knobs nonzero so the modulation path carries real gradients
-    cond.l3.weight.data = uniform_array(cond.l3.weight.shape, -0.3, 0.3,
-                                        derive(_SEED, "l3w"))
-
-    def cond_path(tokens):
-        saved = cond.tokens
-        cond.tokens = tokens
-        try:
-            mod = B.conditioner(cond, np.array([1, 3]))
-            return _weighted_sum(B.gated_block(grid, vss, mod), "cvss.tok")
-        finally:
-            cond.tokens = saved
-
-    rows.append(("conditioner.tokens", _check(cond_path, cond.tokens.data.copy()), OP_TOL))
-
-    def l3_path(w):
-        saved = cond.l3
-        cond.l3 = B.Linear(w, saved.bias)
-        try:
-            mod = B.conditioner(cond, np.array([0, 2]))
-            return _weighted_sum(B.gated_block(grid, vss, mod), "cvss.l3")
-        finally:
-            cond.l3 = saved
-
-    rows.append(("conditioner.l3_weight", _check(l3_path, cond.l3.weight.data.copy()), OP_TOL))
+    one_hot = B.init_conditioner(4, 8, derive(_SEED, "cond"), one_hot=True)
+    # make raw knobs nonzero so every layer of the MLP carries real gradients
+    for p in (cond, one_hot):
+        p.l3.weight.data = uniform_array(p.l3.weight.shape, -0.3, 0.3, derive(_SEED, "l3w"))
+    labels = np.array([1, 3, 1])  # a label drawn twice adds both rows' gradients
+    row("conditioner.tokens", cond.tokens.data.copy(),
+        lambda t: B.conditioner(replace(cond, tokens=t), labels))
+    for name, p, k in (("l1_weight", cond, 1), ("l3_weight", cond, 3),
+                       ("one_hot.l1_weight", one_hot, 1)):
+        lin = getattr(p, f"l{k}")
+        row(f"conditioner.{name}", lin.weight.data.copy(), lambda t, p=p, k=k, lin=lin:
+            B.conditioner(replace(p, **{f"l{k}": B.Linear(t, lin.bias)}), labels))
     return rows
 
 
 def check_objective() -> list:
-    """Every loss term and the weighted composite, gradients wrt prediction."""
+    """The composite loss, gradients wrt prediction: one map, the literal KL
+    and a stack."""
     rows = []
+    row = partial(_probe, rows)
     size = 6
     gt = uniform_array((size, size), 0.01, 1.0, derive(_SEED, "gt"))
     gt = gt / gt.sum()
     fix = np.zeros((size, size))
     fix[1, 2] = fix[4, 4] = fix[0, 5] = 1.0
     pred0 = uniform_array((size, size), 0.05, 0.95, derive(_SEED, "pred"))
-    probes = [
-        ("kl_loss", lambda t: O.kl_loss(gt, t)),
-        ("kl_loss.literal", lambda t: O.kl_loss(gt, t, literal=True)),
-        ("cc_loss", lambda t: O.cc_loss(gt, t)),
-        ("sim_loss", lambda t: O.sim_loss(gt, t)),
-        ("nss_loss", lambda t: O.nss_loss(fix, t)),
-        ("mse_loss", lambda t: O.mse_loss(gt, t)),
-        ("composite_loss", lambda t: O.composite_loss(gt, fix, t)),
-        ("composite_loss.literal", lambda t: O.composite_loss(gt, fix, t, kl_literal=True)),
-    ]
-    for name, f in probes:
-        rows.append((name, _check(f, pred0), OP_TOL))
-
+    row("composite_loss", pred0, lambda t: O.composite_loss(gt, fix, t))
+    row("composite_loss.literal", pred0, lambda t: O.composite_loss(gt, fix, t, kl_literal=True))
     # a stack, built like the single map above: per-map statistics, then
     # the mean over rows
     gts = uniform_array((3, size, size), 0.01, 1.0, derive(_SEED, "gts"))
@@ -315,8 +199,7 @@ def check_objective() -> list:
     fixes = np.zeros((3, size, size))
     fixes[:, 1, 2] = fixes[0, 4, 4] = fixes[2, 0, 5] = 1.0
     preds = uniform_array((3, size, size), 0.05, 0.95, derive(_SEED, "preds"))
-    rows.append(("composite_loss.batch",
-                 _check(lambda t: O.composite_loss(gts, fixes, t), preds), OP_TOL))
+    row("composite_loss.batch", preds, lambda t: O.composite_loss(gts, fixes, t))
     return rows
 
 
@@ -395,7 +278,6 @@ def check_model(scalars_per_param: int = 2, max_params: int = 120) -> list:
 
 
 SUITES = {
-    "tensor": check_tensor_ops,
     "scan": check_scan,
     "blocks": check_blocks,
     "objective": check_objective,
@@ -407,7 +289,7 @@ def run_suite(module: str = "all") -> list:
     """Rows for one module or all of them, in a fixed order."""
     if module == "all":
         rows = []
-        for name in ("tensor", "scan", "blocks", "objective", "model"):
+        for name in ("scan", "blocks", "objective", "model"):
             rows.extend(SUITES[name]())
         return rows
     if module not in SUITES:

@@ -5,14 +5,15 @@ Layout for input side S and base width C (S divisible by 32, C by 4):
     embed      4x4 tiles -> [S/4, S/4, C]
     enc0..enc3 gated scan stages at widths C, 2C, 4C, 8C,
                with a 2x patch merge (down0..down2) between stages
-    dec0..dec3 mirror stages at widths 8C, 4C, 2C, C, with a 2x pixel
-               shuffle (up0..up2) between stages and an additive projected
-               skip from the matching encoder stage
+    dec0..dec3 mirror stages at widths 8C, 4C, 2C, C, with an up-step
+               between stages: a 2x pixel shuffle (up0..up2) plus an
+               additive projected skip (skip0..skip2) from the matching
+               encoder stage
     head       4x pixel shuffle to full resolution, affine to one channel,
                then a sigmoid
 
-Conditioning: a per-domain knob vector (scales and shifts) computed once per
-forward and applied inside a placement-dependent subset of blocks --
+Conditioning: per-domain knobs (scales and shifts), one [B, 5] array computed
+once per forward and applied inside a placement-dependent subset of blocks --
 "bottleneck" modulates only dec0 (the deepest decoder stage), "decoder" all
 dec stages, "all-blocks" every block.  With the knob head zero-initialized
 the modulated network starts bit-identical to the unconditioned one.
@@ -348,11 +349,11 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def _stage(self, x, stage_name: str, weights, mod):
+    def _stage(self, x, stage_name: str, weights, knobs):
         if stage_name not in self._conditioned:
-            mod = None
+            knobs = None
         for w in weights:
-            x = B.gated_block(x, w, mod)
+            x = B.gated_block(x, w, knobs)
         return x
 
     def forward(self, images, labels=None) -> Tensor:
@@ -375,8 +376,8 @@ class Model:
             if not finite.all():
                 raise NumericError(f"input image {int(np.argmin(finite))} "
                                    "has a non-finite pixel")
-        if imgs.ndim == 3:
-            imgs = T.reshape(imgs, shape)
+        if imgs.ndim == 3:  # one image, as data: a batch of one
+            imgs = imgs.data.reshape(shape)
         if self.cfg.conditioning != "none":
             if labels is None:
                 raise ConfigError("conditioned model needs domain labels")
@@ -385,20 +386,19 @@ class Model:
         return T.checked_at_boundary("forward", self._forward, imgs, labels)
 
     def _forward(self, imgs, labels) -> Tensor:
-        mod = None if self.cond is None else B.conditioner(self.cond, labels)
+        knobs = None if self.cond is None else B.conditioner(self.cond, labels)
 
         x = B.patch_embed(imgs, self.embed)
         skips = []
         for i in range(4):
-            x = self._stage(x, f"enc{i}", self.enc[i], mod)
+            x = self._stage(x, f"enc{i}", self.enc[i], knobs)
             if i < 3:
                 skips.append(x)
                 x = B.downsample(x, self.down[i])
         for j in range(4):
-            x = self._stage(x, f"dec{j}", self.dec[j], mod)
+            x = self._stage(x, f"dec{j}", self.dec[j], knobs)
             if j < 3:
-                x = B.patch_expand(x, self.up[j])
-                x = T.add(x, B.linear(skips[2 - j], self.skip[j]))
+                x = B.up_step(x, skips[2 - j], self.up[j], self.skip[j])
         return B.head(x, self.head_expand, self.head_out)
 
     def predict(self, images, labels=None) -> np.ndarray:

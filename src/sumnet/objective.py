@@ -1,17 +1,16 @@
 """Differentiable training losses over 2-D saliency maps or stacks of them.
 
-Every loss takes a single [H, W] map or a [B, H, W] stack of maps:
+The loss takes a single [H, W] map or a [B, H, W] stack of maps:
 statistics are per map, over the last two axes, and a stack returns the mean
-of its rows' losses.  The five terms (`kl_loss` ... `mse_loss`) run through
-the tensor tape, one small set of tape nodes per call.  `composite_loss`,
-the objective training runs, is one numpy forward/backward pair recorded as
-one node over the prediction: the targets' statistics are batch constants,
-computed once per call, and the forward runs the terms' numpy operations in
-their order, so its value equals the weighted sum of the five terms bit for
-bit; the terms stay as its test oracle.  Guard terms (1e-12 on denominators)
-keep training stable on degenerate batches; the strict evaluation-time
-formulas live in `metrics`, implemented separately in plain numpy so the two
-routes can cross-check each other.
+of its rows' losses.  `composite_loss`, the objective training runs, is one
+numpy forward/backward pair recorded as one node over the prediction: the
+targets' statistics are batch constants, computed once per call, and the
+forward runs the numpy operations of its five terms (KL, CC, SIM, NSS, MSE)
+in the order a tape of generic ops would, so its value equals the weighted
+sum of the five term functions the tests keep as its oracle, bit for bit.
+Guard terms (1e-12 on denominators) keep training stable on degenerate
+batches; the strict evaluation-time formulas live in `metrics`, implemented
+separately in plain numpy so the two routes can cross-check each other.
 
 Sign conventions follow the composite weighting (10, -2, -1, -1, 5) for
 (KL, CC, SIM, NSS, MSE): similarity terms enter negatively, divergences
@@ -56,11 +55,6 @@ def _refuse(bad: np.ndarray, t: Tensor, name: str, problem: str) -> None:
         raise NormalizationError(f"{name}{where} {problem}")
 
 
-def _row_mean(per_map: Tensor) -> Tensor:
-    """A single map's value as is; a stack's per-row values averaged."""
-    return per_map if per_map.ndim == 0 else T.reduce_mean(per_map)
-
-
 def _checked_mass(t: Tensor, name: str) -> np.ndarray:
     """Each map's total mass, [.., 1, 1]; a map with a negative entry or no
     mass is refused."""
@@ -70,75 +64,6 @@ def _checked_mass(t: Tensor, name: str) -> np.ndarray:
     return total
 
 
-def normalize_sum(x, name: str = "map") -> Tensor:
-    """Scale each non-negative map to unit mass; zero or negative mass is an error."""
-    t = _as_map(x, name)
-    _checked_mass(t, name)
-    return T.div(t, T.reduce_sum(t, _MAP_AXES, keepdims=True))
-
-
-def kl_loss(gt, pred, literal: bool = False) -> Tensor:
-    """KL divergence between sum-normalized maps.
-
-    Default orientation penalizes missing predicted mass where the target
-    has mass: sum(g * log(EPS + g / (p + EPS))).  `literal` flips the ratio
-    to sum(g * log(EPS + p / (g + EPS))) -- a printed form kept only for
-    side-by-side debugging; it rewards shrinking p wherever g > 0 and is not
-    a divergence.
-    """
-    g = normalize_sum(gt, "gt map")
-    p = normalize_sum(pred, "pred map")
-    _check_pair(g, p)
-    if literal:
-        ratio = T.div(p, T.add(g, EPS))
-    else:
-        ratio = T.div(g, T.add(p, EPS))
-    return _row_mean(T.reduce_sum(T.mul(g, T.log(T.add(ratio, EPS))), _MAP_AXES))
-
-
-def cc_loss(gt, pred) -> Tensor:
-    """Pearson correlation with guarded denominator (population moments)."""
-    g = _as_map(gt, "gt map")
-    p = _as_map(pred, "pred map")
-    _check_pair(g, p)
-    gc = T.sub(g, T.reduce_mean(g, _MAP_AXES, keepdims=True))
-    pc = T.sub(p, T.reduce_mean(p, _MAP_AXES, keepdims=True))
-    cov = T.reduce_mean(T.mul(gc, pc), _MAP_AXES)
-    sg = T.sqrt(T.reduce_mean(T.mul(gc, gc), _MAP_AXES))
-    sp = T.sqrt(T.reduce_mean(T.mul(pc, pc), _MAP_AXES))
-    return _row_mean(T.div(cov, T.add(T.mul(sg, sp), GUARD)))
-
-
-def sim_loss(gt, pred) -> Tensor:
-    """Histogram intersection of sum-normalized maps: sum of cellwise minima."""
-    g = normalize_sum(gt, "gt map")
-    p = normalize_sum(pred, "pred map")
-    _check_pair(g, p)
-    return _row_mean(T.reduce_sum(T.minimum(g, p), _MAP_AXES))
-
-
-def nss_loss(fixations, pred) -> Tensor:
-    """Mean z-scored prediction at fixated cells (population sigma + guard)."""
-    f = _as_map(fixations, "fixation map")
-    p = _as_map(pred, "pred map")
-    _check_pair(f, p)
-    n_fix = f.data.sum(axis=_MAP_AXES)
-    _refuse(n_fix < 1.0, f, "fixation map", "has no fixations")
-    mu = T.reduce_mean(p, _MAP_AXES, keepdims=True)
-    sigma = T.sqrt(T.reduce_var(p, _MAP_AXES, keepdims=True))
-    z = T.div(T.sub(p, mu), T.add(sigma, GUARD))
-    return _row_mean(T.div(T.reduce_sum(T.mul(z, f), _MAP_AXES), n_fix))
-
-
-def mse_loss(gt, pred) -> Tensor:
-    """Mean squared error on the raw [0, 1] maps (no normalization)."""
-    g = _as_map(gt, "gt map")
-    p = _as_map(pred, "pred map")
-    _check_pair(g, p)
-    d = T.sub(g, p)
-    return _row_mean(T.reduce_mean(T.mul(d, d), _MAP_AXES))
-
-
 def composite_loss(gt, fixations, pred, weights=DEFAULT_WEIGHTS,
                    kl_literal: bool = False) -> Tensor:
     """Weighted sum: w1*KL + w2*CC + w3*SIM + w4*NSS + w5*MSE; one tape node.
@@ -146,8 +71,8 @@ def composite_loss(gt, fixations, pred, weights=DEFAULT_WEIGHTS,
     On a [B, H, W] stack every term is its mean over the rows, so the result
     is the mean of the per-map composites.  The node's one input is `pred`:
     `gt` and `fixations` are targets, and their statistics are computed here
-    once per call, in plain numpy.  The inputs are checked as the five terms
-    check them, in the same order and with the same messages.
+    once per call, in plain numpy.  The inputs are checked as the five term
+    oracles check them, in the same order and with the same messages.
     """
     if len(weights) != 5:
         raise ValueError(f"need 5 loss weights, got {len(weights)}")

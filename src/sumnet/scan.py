@@ -51,8 +51,7 @@ skip; `saved` keeps the sequences, the rank-R delta projection, the
 softplus derivative, delta, the B/C projections, A, exp(A_log) and the
 kernel's state), and `ss2d_fwd`/`_bwd`, which chain the
 traversals, one grouped call and the merge.  `tensor.primitive` records
-`ssm_recurrence` (the bare kernel, G=1) and `ss2d` as one node each;
-`blocks.gated_block` chains the same pairs.
+`ss2d` as one node; `blocks.gated_block` chains the same pairs.
 
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
@@ -355,18 +354,6 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
             g_a_rows += np.einsum("lbnc,lbc->bnc", g_da, delta_t[lo:e])
     g_a = g_a_rows.reshape(a.size // (n * ch), -1, n, ch).sum(axis=1)
     return g_delta, g_a.transpose(0, 2, 1).reshape(a.shape), g_b, g_c, g_x
-
-
-def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
-    """The bare recurrence kernel as one tape node: y [B, L, C] for delta, x
-    [B, L, C], b_seq, c_seq [B, L, N] and a [C, N].  Unchecked: the model
-    never calls it, and its callers pass arrays they built."""
-    def fwd(delta, a, b_seq, c_seq, x, keep):
-        y, state = _scan_forward(delta, a, b_seq, c_seq, x, keep=keep)
-        return y, (delta, a, b_seq, c_seq, x, state)
-
-    return T.primitive("ssm_recurrence", (delta, a, b_seq, c_seq, x), fwd,
-                       lambda saved, g: _scan_backward(g, *saved))
 
 
 # ---------------------------------------------------------------------------

@@ -2,26 +2,25 @@
 
 Every op that records a tape node is a numpy pair, `fwd(*arrays, keep) ->
 (out, saved)` and `bwd(saved, g) -> gradients`, and records its one node
-through `primitive`: the generic ops here (`add` ... `pad`; the six
-broadcasting ones sum each gradient back to its operand's shape) and the
-fused ops of `blocks`, `scan` and `objective` (`linear`, `layer_norm`,
-depthwise conv, `ss2d` over all four scan directions, the whole gated
-block, the bare scan recurrence, the patch embedding, merges and expands,
-the saliency head, the composite loss).  A node's inputs may repeat
-(`mul(x, x)`); `backward` then adds up each occurrence's gradient in input
-order.  Tensors wrap C-order float64 numpy arrays.  When a Tape is active
-and an input requires gradients, each operation appends a node (op kind,
-input node ids, output node id, `bwd` bound to its saved values) to the
-tape; `backward` replays the node list once in reverse, accumulating
-gradients additively so a value consumed twice gets the sum of both branch
-gradients.  The tape is rebuilt on every forward pass.
+through `primitive`.  The model's ops are the stage pairs of `blocks`,
+`scan` and `objective`: the conditioner, the patch embedding, the whole
+gated block, the merges, the decoder up-steps, the saliency head and the
+composite loss, with `linear`, `layer_norm`, depthwise conv and `ss2d` as
+pairs of their own.  A node's inputs may repeat; `backward` then adds up
+each occurrence's gradient in input order.  Tensors wrap C-order float64
+numpy arrays.  When a Tape is active and an input requires gradients, each
+operation appends a node (op kind, input node ids, output node id, `bwd`
+bound to its saved values) to the tape; `backward` replays the node list
+once in reverse, accumulating gradients additively so a value consumed
+twice gets the sum of both branch gradients.  The tape is rebuilt on every
+forward pass.  The numpy helpers the pairs share (`_sum_rows`,
+`_unbroadcast`, `_sigmoid_raw`, `_silu_grad`, `_gelu_fwd`) live here too.
 
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.
 
 Checked mode (on by default; `_op_checks(False)` turns it off) raises
-NumericError when an op produces a non-finite value or hits a domain
-violation (log/sqrt of a negative, division by zero), naming the op.
+NumericError when an op produces a non-finite value, naming the op.
 Direct op calls are checked op by op.  The model checks at its boundaries
 (`checked_at_boundary`): per-op checks off, one `isfinite` on the output,
 and a checked replay that names the op when the output is not finite, so a
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -112,8 +111,8 @@ def skip_draws() -> _scope:
 
 
 def _op_checks(on: bool) -> _scope:
-    """Context in which the per-op checks (`_check` and the domain checks of
-    div, log and sqrt) run or not as `on` says, and a `checked_at_boundary`
+    """Context in which the per-op checks (`_check`, and any check that reads
+    `checked_mode`) run or not as `on` says, and a `checked_at_boundary`
     inside calls through: the caller owns the check.
     Off, a check costs an attribute read."""
     return _scope("op_checks", bool(on))
@@ -180,47 +179,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return index(self, key)
-
-    def sum(self, axes=None, keepdims: bool = False):
-        return reduce_sum(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims: bool = False):
-        return reduce_mean(self, axes, keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def as_tensor(value) -> Tensor:
@@ -299,9 +257,9 @@ def _recording_tape(inputs: list):
 def primitive(kind: str, inputs, fwd, bwd) -> Tensor:
     """One tape node for an op given as a numpy forward/backward pair.
 
-    Every op that records a node comes through here: the generic ops below
-    and the fused ops of `blocks`, `scan` and `objective`.  Runs `fwd(*arrays, keep=keep)
-    -> (out, saved)` on the inputs' arrays (plain arrays are accepted as
+    Every op that records a node comes through here: the stage pairs of
+    `blocks`, `scan` and `objective`.  Runs `fwd(*arrays, keep=keep) -> (out,
+    saved)` on the inputs' arrays (plain arrays are accepted as
     inputs).  `keep` is True exactly when the node records, so a forward can
     skip state only its backward reads.  The node's gradient is
     `bwd(saved, g)`, one array (or None) per input.  In checked mode a
@@ -387,7 +345,7 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# broadcasting binary ops
+# numpy helpers of the fused pairs
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -412,105 +370,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcasting(kind: str, a, b, fwd, bwd) -> Tensor:
-    """Record a broadcasting binary op: `fwd(a, b, keep) -> (out, saved)` and
-    `bwd(saved, g) -> (ga, gb)` at the broadcast shape; each gradient is summed
-    back down to its operand's shape."""
-    a, b = as_tensor(a), as_tensor(b)
-    ash, bsh = a.data.shape, b.data.shape
-    if ash != bsh:
-        try:
-            np.broadcast_shapes(ash, bsh)
-        except ValueError:
-            raise ShapeError(f"{kind}: shapes {ash} and {bsh} do not broadcast") from None
-
-    def unbroadcast_bwd(saved, g):
-        ga, gb = bwd(saved, g)
-        return _unbroadcast(ga, ash), _unbroadcast(gb, bsh)
-
-    return primitive(kind, (a, b), fwd, unbroadcast_bwd)
-
-
-def add(a, b) -> Tensor:
-    return _broadcasting("add", a, b, lambda a, b, keep: (a + b, None), lambda _, g: (g, g))
-
-
-def sub(a, b) -> Tensor:
-    return _broadcasting("sub", a, b, lambda a, b, keep: (a - b, None), lambda _, g: (g, -g))
-
-
-def mul(a, b) -> Tensor:
-    return _broadcasting("mul", a, b, lambda a, b, keep: (a * b, (a, b)),
-                         lambda ab, g: (g * ab[1], g * ab[0]))
-
-
-def _div_fwd(a, b, keep):
-    if _local.op_checks is not False and (b == 0.0).any():
-        raise NumericError("div: division by zero")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return a / b, (a, b)
-
-
-def div(a, b) -> Tensor:
-    return _broadcasting("div", a, b, _div_fwd,
-                         lambda ab, g: (g / ab[1], -g * ab[0] / (ab[1] * ab[1])))
-
-
-def _select(mask, a, b):
-    return np.where(mask, a, b), mask
-
-
-def _select_bwd(mask, g):
-    return g * mask, g * ~mask
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise min; ties send the gradient to the first operand."""
-    return _broadcasting("min", a, b, lambda a, b, keep: _select(a <= b, a, b), _select_bwd)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties send the gradient to the first operand."""
-    return _broadcasting("max", a, b, lambda a, b, keep: _select(a >= b, a, b), _select_bwd)
-
-
-# ---------------------------------------------------------------------------
-# unary ops
-
-
-def _exp_fwd(x, keep):
-    with np.errstate(over="ignore"):
-        out = np.exp(x)
-    return out, out
-
-
-def exp(x) -> Tensor:
-    return primitive("exp", (x,), _exp_fwd, lambda out, g: (g * out,))
-
-
-def _log_fwd(x, keep):
-    if _local.op_checks is not False and (x < 0.0).any():
-        raise NumericError("log: negative argument")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(x), x
-
-
-def log(x) -> Tensor:
-    return primitive("log", (x,), _log_fwd, lambda x, g: (g / x,))
-
-
-def _sqrt_fwd(x, keep):
-    if _local.op_checks is not False and (x < 0.0).any():
-        raise NumericError("sqrt: negative argument")
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(x)
-    return out, out
-
-
-def sqrt(x) -> Tensor:
-    return primitive("sqrt", (x,), _sqrt_fwd, lambda out, g: (g * 0.5 / out,))
-
-
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e) for x >= 0, e / (1 + e) below, e = exp(-|x|): stable in
     both tails, and one masked divide, so each element is still one IEEE
@@ -520,15 +379,6 @@ def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     e += 1.0
     out /= e
     return out
-
-
-def _sigmoid_fwd(x, keep):
-    out = _sigmoid_raw(x)
-    return out, out
-
-
-def sigmoid(x) -> Tensor:
-    return primitive("sigmoid", (x,), _sigmoid_fwd, lambda out, g: (g * out * (1.0 - out),))
 
 
 def _silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -541,222 +391,19 @@ def _silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _silu_fwd(x, keep):
-    s = _sigmoid_raw(x)
-    return x * s, (x, s)
-
-
-def silu(x) -> Tensor:
-    return primitive("silu", (x,), _silu_fwd, lambda xs, g: (g * _silu_grad(*xs),))
-
-
-def _softplus_fwd(x, keep):
-    big = x > 30.0
-    out = np.where(big, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-    return out, (np.where(big, 1.0, _sigmoid_raw(x)) if keep else None)
-
-
-def softplus(x) -> Tensor:
-    """log(1 + e^x), returning x directly above 30 to dodge overflow."""
-    return primitive("softplus", (x,), _softplus_fwd, lambda deriv, g: (g * deriv,))
-
-
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
 def _gelu_fwd(x, keep):
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + a x^3))), on an array:
+    (out, its derivative when `keep`, else None)."""
     t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
     deriv = None
     if keep:
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
         deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
     return 0.5 * x * (1.0 + t), deriv
-
-
-def gelu(x) -> Tensor:
-    """tanh-approximation GELU: 0.5 x (1 + tanh(c (x + a x^3)))."""
-    return primitive("gelu", (x,), _gelu_fwd, lambda deriv, g: (g * deriv,))
-
-
-# ---------------------------------------------------------------------------
-# matmul and reductions
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return primitive("matmul", (a, b), lambda a, b, keep: (a @ b, (a, b)),
-                     lambda ab, g: (g @ ab[1].T, ab[0].T @ g))
-
-
-def _norm_axes(ndim: int, axes) -> tuple:
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    out = []
-    for ax in axes:
-        ax = int(ax)
-        if ax < 0:
-            ax += ndim
-        if not 0 <= ax < ndim:
-            raise ShapeError(f"axis {ax} out of range for ndim {ndim}")
-        out.append(ax)
-    if len(set(out)) != len(out):
-        raise ShapeError(f"duplicate axes in {axes}")
-    return tuple(sorted(out))
-
-
-def _expand_reduced(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) -> np.ndarray:
-    if not keepdims:
-        for ax in axes:
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def reduce_sum(x, axes=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    ax = _norm_axes(x.ndim, axes)
-    xsh = x.data.shape
-    return primitive("sum", (x,), lambda x, keep: (x.sum(axis=ax, keepdims=keepdims), None),
-                     lambda _, g: (_expand_reduced(g, xsh, ax, keepdims).copy(),))
-
-
-def reduce_mean(x, axes=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    ax = _norm_axes(x.ndim, axes)
-    xsh = x.data.shape
-    n = math.prod(xsh[a] for a in ax)
-    return primitive("mean", (x,), lambda x, keep: (x.mean(axis=ax, keepdims=keepdims), None),
-                     lambda _, g: (_expand_reduced(g, xsh, ax, keepdims) / n,))
-
-
-def reduce_var(x, axes=None, keepdims: bool = False) -> Tensor:
-    """Population variance (divide by n, not n-1)."""
-    x = as_tensor(x)
-    ax = _norm_axes(x.ndim, axes)
-    xsh = x.data.shape
-    n = math.prod(xsh[a] for a in ax)
-
-    def fwd(x, keep):
-        centered = x - x.mean(axis=ax, keepdims=True)
-        return (centered * centered).mean(axis=ax, keepdims=keepdims), centered
-
-    return primitive("var", (x,), fwd, lambda centered, g: (
-        _expand_reduced(g, xsh, ax, keepdims) * (2.0 / n) * centered,))
-
-
-# ---------------------------------------------------------------------------
-# shape ops
-
-
-def reshape(x, shape) -> Tensor:
-    def fwd(x, keep):
-        try:
-            return x.reshape(tuple(shape)), x.shape
-        except ValueError:
-            raise ShapeError(f"cannot reshape {x.shape} to {tuple(shape)}") from None
-
-    return primitive("reshape", (x,), fwd, lambda xsh, g: (g.reshape(xsh),))
-
-
-def transpose(x, axes) -> Tensor:
-    x = as_tensor(x)
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose axes {axes} are not a permutation for ndim {x.ndim}")
-    inv = tuple(int(a) for a in np.argsort(axes))
-    return primitive("transpose", (x,),
-                     lambda x, keep: (np.ascontiguousarray(x.transpose(axes)), None),
-                     lambda _, g: (np.ascontiguousarray(g.transpose(inv)),))
-
-
-def flip(x, axis: int) -> Tensor:
-    x = as_tensor(x)
-    ax = _norm_axes(x.ndim, axis)[0]
-    return primitive("flip", (x,), lambda x, keep: (np.ascontiguousarray(np.flip(x, ax)), None),
-                     lambda _, g: (np.ascontiguousarray(np.flip(g, ax)),))
-
-
-def copy(x) -> Tensor:
-    """Identity with a fresh buffer (no aliasing of the input's storage)."""
-    return primitive("copy", (x,), lambda x, keep: (x.copy(), None), lambda _, g: (g,))
-
-
-def index(x, key) -> Tensor:
-    """Basic indexing (ints, slices and None axes, which insert a length-1 axis);
-    the gradient scatters back into place."""
-
-    def fwd(x, keep):
-        try:
-            out = x[key]
-        except IndexError:
-            raise ShapeError(f"index {key!r} invalid for shape {x.shape}") from None
-        return np.asarray(out).copy(), x.shape
-
-    def bwd(xsh, g):
-        gz = np.zeros(xsh)
-        gz[key] = g  # basic keys never alias, plain assignment is the scatter
-        return (gz,)
-
-    return primitive("index", (x,), fwd, bwd)
-
-
-def take(x, indices, axis: int = 0) -> Tensor:
-    """Integer-array gather along one axis; duplicate rows accumulate grads."""
-    x = as_tensor(x)
-    ax = _norm_axes(x.ndim, axis)[0]
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("take expects a 1-D index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[ax]):
-        raise ShapeError(f"take indices out of range for axis {ax} of shape {x.shape}")
-
-    def bwd(xsh, g):
-        gz = np.zeros(xsh)
-        np.add.at(gz, (slice(None),) * ax + (idx,), g)
-        return (gz,)
-
-    return primitive("take", (x,), lambda x, keep: (np.take(x, idx, axis=ax), x.shape), bwd)
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat of an empty list")
-    ax = _norm_axes(tensors[0].ndim, axis)[0]
-
-    def fwd(*arrays, keep):
-        try:
-            out = np.concatenate(arrays, axis=ax)
-        except ValueError:
-            raise ShapeError(
-                f"concat shapes incompatible: {[a.shape for a in arrays]} on axis {ax}"
-            ) from None
-        return out, [a.shape[ax] for a in arrays]
-
-    def bwd(sizes, g):
-        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=ax)
-        return [np.ascontiguousarray(p) for p in pieces]
-
-    return primitive("concat", tensors, fwd, bwd)
-
-
-def pad(x, pad_width) -> Tensor:
-    """Zero padding; pad_width is a ((before, after), ...) pair per axis."""
-    x = as_tensor(x)
-    pw = tuple((int(b), int(a)) for b, a in pad_width)
-    if len(pw) != x.ndim:
-        raise ShapeError(f"pad needs {x.ndim} (before, after) pairs, got {len(pw)}")
-    if any(b < 0 or a < 0 for b, a in pw):
-        raise ShapeError("pad amounts must be non-negative")
-    inner = tuple(slice(b, b + s) for (b, _), s in zip(pw, x.shape))
-    return primitive("pad", (x,), lambda x, keep: (np.pad(x, pw), None),
-                     lambda _, g: (np.ascontiguousarray(g[inner]),))
 
 
 # ---------------------------------------------------------------------------

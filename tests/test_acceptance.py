@@ -15,7 +15,7 @@ import pytest
 import sumnet.scan
 from sumnet import cli
 from sumnet import tensor as T
-from sumnet.blocks import ModulationParams, gated_block, init_vss
+from sumnet.blocks import gated_block, init_vss
 from sumnet.data import generate_dataset, load_samples, read_manifest
 from sumnet.gradcheck import MODEL_TOL, OP_TOL, run_suite
 from sumnet.metrics import (
@@ -35,10 +35,11 @@ from sumnet.model import (
     evaluate,
     train,
 )
-from sumnet.objective import DEFAULT_WEIGHTS, composite_loss, kl_loss, sim_loss
+from sumnet.objective import DEFAULT_WEIGHTS, composite_loss
 from sumnet.rng import SplitMix64
-from sumnet.scan import (_traversals, bench_lengths, cross_merge_fwd, fit_loglog_slope,
-                         ssm_recurrence)
+from sumnet.scan import _traversals, bench_lengths, cross_merge_fwd, fit_loglog_slope
+
+from oracles import kl_loss, sim_loss, ssm_recurrence
 
 
 def verdict(capsys, name, ok, detail):
@@ -151,7 +152,7 @@ def test_conditional_identity(capsys):
     w = init_vss(channels=8, state_size=4, seed=2, name="blk")
     f = T.Tensor(rng.uniforms(2 * 6 * 6 * 8).reshape(2, 6, 6, 8))
     block_ok = np.array_equal(gated_block(f, w).data,
-                              gated_block(f, w, ModulationParams.identity()).data)
+                              gated_block(f, w, np.array([1.0, 0.0, 1.0, 0.0, 1.0])).data)
 
     imgs = rng.uniforms(2 * 32 * 32 * 3).reshape(2, 32, 32, 3)
     none_out = Model(micro_cfg(conditioning="none")).forward(imgs).data

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sumnet.blocks
 import sumnet.model
 import sumnet.scan
 import sumnet.tensor
@@ -140,14 +141,18 @@ def test_train_config_type_error_names_the_field(tmp_path, corpus32, capsys):
     ("input_size", 64.5, "input_size must be an integer, got 64.5"),
     ("epochs", True, "epochs must be an integer, got True"),
     ("lr", "0.001", "lr must be a number, got '0.001'"),
+    ("train_manifest", 5, "train_manifest must be a path string, got 5"),
+    ("val_manifest", None, "val_manifest must be a path string, got None"),
+    ("out_dir", ["a"], "out_dir must be a path string, got ['a']"),
 ])
 def test_train_rejects_a_config_value_it_would_have_to_coerce(tmp_path, corpus32, capsys,
                                                              field, value, message):
+    doc = micro_config(corpus32, tmp_path / "out")
+    doc[field] = value
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(micro_config(corpus32, tmp_path / "out", **{field: value})),
-                   encoding="utf-8")
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["train", "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err  # the file and the key
     assert not (tmp_path / "out").exists()
 
 
@@ -165,6 +170,17 @@ def test_train_rejects_malformed_json(tmp_path, capsys):
     cfg.write_text("{not json", encoding="utf-8")
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert "JSON" in capsys.readouterr().err
+
+
+def test_a_deeply_nested_config_is_a_config_error(tmp_path, trained, corpus32, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert f"error: {cfg}: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
+                     "--checkpoint", str(trained / "checkpoint.ckpt"),
+                     "--config", str(cfg)]) == 2
+    assert f"error: {cfg}: invalid JSON (nested too deeply)" in capsys.readouterr().err
 
 
 def test_train_relative_paths_resolve_against_config(tmp_path, corpus32):
@@ -605,32 +621,34 @@ def test_numeric_error_outside_scoring_is_a_program_fault(monkeypatch):
 
     monkeypatch.setattr(cli, "run_suite", broken)
     with pytest.raises(sumnet.tensor.NumericError, match="exp: produced"):
-        cli.main(["gradcheck", "--module", "tensor"])
+        cli.main(["gradcheck", "--module", "objective"])
 
 
 # ---------------------------------------------------------------------------
 # gradcheck
 
 
-def test_gradcheck_tensor_suite_passes(capsys):
-    assert cli.main(["gradcheck", "--module", "tensor"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("op,rel_err,tol,status")
-    assert "FAIL" not in out
-    assert "silu" in out
+def test_gradcheck_has_no_tensor_module(capsys):
+    # the generic ops are test oracles now, checked in test_tensor.py
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", "--module", "tensor"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tensor'" in capsys.readouterr().err
+
+
+def _gradcheck_status(capsys, module):
+    """{row: "ok" or "FAIL"} of `sumnet gradcheck --module <module>`, which must exit 4."""
+    assert cli.main(["gradcheck", "--module", module]) == 4
+    rows = capsys.readouterr().out.splitlines()[1:]
+    return {line.split(",")[0]: line.split(",")[-1] for line in rows}
 
 
 def test_gradcheck_flags_injected_gradient_bug(capsys, monkeypatch):
     monkeypatch.setattr(sumnet.tensor, "_silu_grad", lambda x, s: s)
-    assert cli.main(["gradcheck", "--module", "tensor"]) == 4
-    captured = capsys.readouterr()
-    assert "silu" in captured.err
-    for line in captured.out.splitlines():
-        if line.startswith("silu,"):
-            assert line.endswith(",FAIL")
-            break
-    else:
-        pytest.fail("no silu row in gradcheck output")
+    status = _gradcheck_status(capsys, "blocks")
+    # both silus of the gated block, its gate's and its scan branch's
+    assert status["vss.input"] == status["vss.gate_weight"] == "FAIL"
+    assert status["linear.input"] == status["head.input"] == "ok"
 
 
 def test_gradcheck_catches_a_bug_in_a_numpy_pair(capsys, monkeypatch):
@@ -641,34 +659,42 @@ def test_gradcheck_catches_a_bug_in_a_numpy_pair(capsys, monkeypatch):
         return g_delta, np.zeros_like(g_a), g_b, g_c, g_x
 
     monkeypatch.setattr(sumnet.scan, "_scan_backward", zero_a_gradient)
-    assert cli.main(["gradcheck", "--module", "scan"]) == 4
-    rows = capsys.readouterr().out.splitlines()[1:]
-    status = {line.split(",")[0]: line.split(",")[-1] for line in rows}
-    assert status["ssm_recurrence.a"] == "FAIL"
-    assert status["ssm_recurrence.x"] == "ok"
+    status = _gradcheck_status(capsys, "scan")
+    assert status["ss2d.row_fwd.a_log"] == status["ss2d.col_bwd.a_log"] == "FAIL"
+    assert status["ss2d.shared"] == "FAIL"  # the shared set's a_log
+    assert status["ss2d.input"] == status["ss2d.row_fwd.w_b"] == "ok"
+
+
+def test_gradcheck_catches_a_bug_in_the_knob_gradient(capsys, monkeypatch):
+    fold = sumnet.blocks._fold_knobs
+
+    def swapped_shifts(*args):  # b1 and b2 trade gradients
+        ln1, ln2, unfold = fold(*args)
+        return ln1, ln2, lambda *g: (*unfold(*g)[:4], unfold(*g)[4][..., [0, 3, 2, 1, 4]])
+
+    monkeypatch.setattr(sumnet.blocks, "_fold_knobs", swapped_shifts)
+    status = _gradcheck_status(capsys, "blocks")
+    assert status["gated_block.knobs"] == "FAIL"
+    assert status["gated_block.input"] == status["conditioner.l3_weight"] == "ok"
 
 
 SCAN_ROWS = [
-    "ssm_recurrence.delta", "ssm_recurrence.a", "ssm_recurrence.b_seq", "ssm_recurrence.c_seq",
-    "ssm_recurrence.x", "cross_merge.row_fwd", "cross_merge.row_bwd", "cross_merge.col_fwd",
-    "cross_merge.col_bwd", "ss2d.input", "ss2d.input_batched", "ss2d.row_fwd.a_log",
-    "ss2d.col_bwd.a_log", "ss2d.row_bwd.w_delta", "ss2d.col_fwd.d_skip", "ss2d.row_fwd.w_b",
-    "ss2d.row_bwd.w_c", "ss2d.col_fwd.v_delta", "ss2d.col_bwd.b_delta", "ss2d.shared",
+    "cross_merge.row_fwd", "cross_merge.row_bwd", "cross_merge.col_fwd", "cross_merge.col_bwd",
+    "ss2d.input", "ss2d.input_batched", "ss2d.row_fwd.a_log", "ss2d.col_bwd.a_log",
+    "ss2d.row_bwd.w_delta", "ss2d.col_fwd.d_skip", "ss2d.row_fwd.w_b", "ss2d.row_bwd.w_c",
+    "ss2d.col_fwd.v_delta", "ss2d.col_bwd.b_delta", "ss2d.shared",
 ]
 BLOCKS_ROWS = [
     "layer_norm.input", "layer_norm.input_batched", "layer_norm.gamma", "layer_norm.beta",
     "depthwise_conv.input", "depthwise_conv.kernel", "depthwise_conv.bias", "linear.weight",
     "linear.bias", "linear.input", "patch_embed.input", "patch_embed.proj_weight",
-    "downsample.input", "downsample.norm_gamma", "patch_expand.input",
-    "patch_expand.proj_weight", "head.input", "head.readout_weight", "vss.input",
-    "vss.gate_weight", "gated_block.input",
-    "gated_block.alpha1", "gated_block.beta1", "gated_block.alpha2", "gated_block.beta2",
-    "gated_block.alpha3", "conditioner.tokens", "conditioner.l3_weight",
+    "downsample.input", "downsample.norm_gamma", "up_step.input", "up_step.skip",
+    "up_step.proj_weight", "up_step.skip_weight", "head.input", "head.readout_weight",
+    "vss.input", "vss.gate_weight", "gated_block.input", "gated_block.knobs",
+    "conditioner.tokens", "conditioner.l1_weight", "conditioner.l3_weight",
+    "conditioner.one_hot.l1_weight",
 ]
-OBJECTIVE_ROWS = [
-    "kl_loss", "kl_loss.literal", "cc_loss", "sim_loss", "nss_loss", "mse_loss",
-    "composite_loss", "composite_loss.literal", "composite_loss.batch",
-]
+OBJECTIVE_ROWS = ["composite_loss", "composite_loss.literal", "composite_loss.batch"]
 
 
 @pytest.mark.parametrize("module,names", [("scan", SCAN_ROWS), ("blocks", BLOCKS_ROWS),

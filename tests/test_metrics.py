@@ -13,8 +13,9 @@ from sumnet.metrics import (
     sim_metric,
     summarize,
 )
-from sumnet.objective import cc_loss, kl_loss, nss_loss, sim_loss
 from sumnet.rng import SplitMix64, uniform_array
+
+from oracles import cc_loss, kl_loss, nss_loss, sim_loss
 
 
 def rmap(shape, seed, lo=0.05, hi=1.0):

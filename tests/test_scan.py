@@ -15,14 +15,16 @@ from sumnet.scan import (
     selective_scan_bwd,
     selective_scan_fwd,
     ss2d,
-    ssm_recurrence,
     _scan_backward,
     _scan_forward,
     _traversals,
 )
-from sumnet.blocks import ModulationParams, gated_block, init_vss
+from sumnet.blocks import gated_block, init_vss
 from sumnet.rng import derive, uniform_array
 from sumnet.tensor import NumericError, ShapeError, Tensor, check_gradient
+
+import oracles as ops
+from oracles import ssm_recurrence
 
 TOL = 1e-4
 
@@ -94,7 +96,7 @@ def _grid4(f: Tensor):
     """Normalize a grid to [B, H, W, C]; returns (tensor, had_batch)."""
     if f.ndim == 3:
         h, w, c = f.shape
-        return T.reshape(f, (1, h, w, c)), False
+        return ops.reshape(f, (1, h, w, c)), False
     if f.ndim == 4:
         return f, True
     raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
@@ -103,19 +105,19 @@ def _grid4(f: Tensor):
 def _reference_cross_scan(f4):
     """The four traversals of a [B, H, W, C] grid, in DIRECTION_ORDER, as T ops."""
     b, h, w, c = f4.shape
-    row_fwd = T.copy(T.reshape(f4, (b, h * w, c)))
-    col_fwd = T.reshape(T.transpose(f4, (0, 2, 1, 3)), (b, h * w, c))
-    return [row_fwd, T.flip(row_fwd, 1), col_fwd, T.flip(col_fwd, 1)]
+    row_fwd = ops.copy(ops.reshape(f4, (b, h * w, c)))
+    col_fwd = ops.reshape(ops.transpose(f4, (0, 2, 1, 3)), (b, h * w, c))
+    return [row_fwd, ops.flip(row_fwd, 1), col_fwd, ops.flip(col_fwd, 1)]
 
 
 def _reference_cross_merge(parts, h, w):
     """Four [B, H*W, C] traversals, in DIRECTION_ORDER, summed on the grid as T ops."""
     b, _, c = parts[0].shape
-    rf = T.reshape(parts[0], (b, h, w, c))
-    rb = T.reshape(T.flip(parts[1], 1), (b, h, w, c))
-    cf = T.transpose(T.reshape(parts[2], (b, w, h, c)), (0, 2, 1, 3))
-    cb = T.transpose(T.reshape(T.flip(parts[3], 1), (b, w, h, c)), (0, 2, 1, 3))
-    return T.add(T.add(rf, rb), T.add(cf, cb))
+    rf = ops.reshape(parts[0], (b, h, w, c))
+    rb = ops.reshape(ops.flip(parts[1], 1), (b, h, w, c))
+    cf = ops.transpose(ops.reshape(parts[2], (b, w, h, c)), (0, 2, 1, 3))
+    cb = ops.transpose(ops.reshape(ops.flip(parts[3], 1), (b, w, h, c)), (0, 2, 1, 3))
+    return ops.add(ops.add(rf, rb), ops.add(cf, cb))
 
 
 def _assert_grads_close(got, want):
@@ -136,7 +138,7 @@ def test_cross_scan_matches_reference_composition(shape):
     f = Tensor(rnd(shape4, 49).data, requires_grad=True)
     with T.Tape() as tape:
         seqs = _reference_cross_scan(f)
-        T.backward(tape, sum(T.reduce_sum(T.mul(seq, wt)) for seq, wt in zip(seqs, weights)))
+        T.backward(tape, ops.reduce_sum(ops.mul(ops.concat(seqs), weights.reshape(-1, h * w, c))))
     got = _traversals(f.data)
     for g, want in zip(got, seqs):
         assert g.shape == want.shape and np.array_equal(g, want.data)
@@ -151,7 +153,7 @@ def test_cross_merge_matches_reference_composition(shape):
     parts = [Tensor(rnd((b, h * w, c), 60 + i).data, requires_grad=True) for i in range(4)]
     with T.Tape() as tape:
         want = _reference_cross_merge(parts, h, w)
-        T.backward(tape, T.reduce_sum(T.mul(want, weights)))
+        T.backward(tape, ops.reduce_sum(ops.mul(want, weights)))
     got = cross_merge_fwd([t.data for t in parts], h, w)
     assert got.shape == want.shape and np.array_equal(got, want.data)
     _assert_grads_close(list(_traversals(weights)), [t.grad for t in parts])  # DIRECTION_ORDER
@@ -405,7 +407,7 @@ def test_only_recorded_calls_keep_scan_state(monkeypatch):
     leaves = [Tensor(v, requires_grad=True) for v in arrays]
     with T.Tape() as tape:
         seen.clear()
-        loss = T.reduce_sum(T.mul(ssm_recurrence(*leaves), g))
+        loss = ops.reduce_sum(ops.mul(ssm_recurrence(*leaves), g))
     assert seen == [True]
     T.backward(tape, loss)
     y_ref, hidden_ref, abar_ref = _reference_forward(*arrays)
@@ -459,17 +461,17 @@ def _reference_selective_scan(seq, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_
     """One direction's scan of a [L, C] or [B, L, C] sequence with one
     parameter set (a_log [C, N], ...): ssm_recurrence between tensor ops."""
     squeeze = seq.ndim == 2
-    x3 = T.reshape(seq, (1,) + seq.shape) if squeeze else seq
+    x3 = ops.reshape(seq, (1,) + seq.shape) if squeeze else seq
     bsz, length, ch = x3.shape
-    flat = T.reshape(x3, (bsz * length, ch))
-    delta = T.softplus(T.add(T.matmul(T.matmul(flat, w_delta), v_delta), b_delta))
-    delta = T.reshape(delta, (bsz, length, ch))
-    b_seq = T.reshape(T.matmul(flat, w_b), (bsz, length, w_b.shape[1]))
-    c_seq = T.reshape(T.matmul(flat, w_c), (bsz, length, w_c.shape[1]))
-    a = T.mul(T.exp(a_log), -1.0)
+    flat = ops.reshape(x3, (bsz * length, ch))
+    delta = ops.softplus(ops.add(ops.matmul(ops.matmul(flat, w_delta), v_delta), b_delta))
+    delta = ops.reshape(delta, (bsz, length, ch))
+    b_seq = ops.reshape(ops.matmul(flat, w_b), (bsz, length, w_b.shape[1]))
+    c_seq = ops.reshape(ops.matmul(flat, w_c), (bsz, length, w_c.shape[1]))
+    a = ops.mul(ops.exp(a_log), -1.0)
     y = ssm_recurrence(delta, a, b_seq, c_seq, x3)
-    y = T.add(y, T.mul(x3, d_skip))
-    return T.reshape(y, seq.shape) if squeeze else y
+    y = ops.add(y, ops.mul(x3, d_skip))
+    return ops.reshape(y, seq.shape) if squeeze else y
 
 
 SSM_FIELDS = ("a_log", "d_skip", "w_b", "w_c", "w_delta", "v_delta", "b_delta")
@@ -502,7 +504,7 @@ def test_selective_scan_matches_reference_composition(shape):
         Tensor(arrays[f].copy(), requires_grad=True) for f in SSM_FIELDS]
     with T.Tape() as tape:
         want = _reference_selective_scan(*leaves)
-        T.backward(tape, T.reduce_sum(T.mul(want, weights)))
+        T.backward(tape, ops.reduce_sum(ops.mul(want, weights)))
 
     x4 = x.reshape((1,) * (4 - len(shape)) + shape)
     params = [arrays[f][None] for f in SSM_FIELDS]
@@ -540,10 +542,10 @@ def _reference_ss2d(f, params):
     if f4.shape[-1] != params.channels:
         raise ShapeError(f"grid has {f4.shape[-1]} channels, params have {params.channels}")
     sets = len(params.a_log.data)  # 4, or 1 shared by every direction
-    scanned = [_reference_selective_scan(t, *(p[k % sets] for p in params.tensors()))
+    scanned = [_reference_selective_scan(t, *(ops.index(p, k % sets) for p in params.tensors()))
                for k, t in enumerate(_reference_cross_scan(f4))]
     merged = _reference_cross_merge(scanned, *f4.shape[1:3])
-    return merged if had_batch else T.reshape(merged, f4.shape[1:])
+    return merged if had_batch else ops.reshape(merged, f4.shape[1:])
 
 
 # ss2d scans its four traversals as one G=4 kernel call over 4B rows.  At
@@ -575,7 +577,7 @@ def test_ss2d_matches_reference_composition(shape, shared):
         with T.Tape() as tape:
             y = scan_2d(f, params)
             n_ops = sum(1 for node in tape.nodes if node.grad_fn is not None)
-            T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+            T.backward(tape, ops.reduce_sum(ops.mul(y, weights)))
         # each set's slice of every stacked parameter gradient on its own
         return (y.data, [f.grad] + [t.grad[k] for k in range(len(sets)) for t in params.tensors()],
                 n_ops)
@@ -593,7 +595,7 @@ def _ss2d_run(x, params, weights):
     f = Tensor(x.copy(), requires_grad=True)
     with T.Tape() as tape:
         y = ss2d(f, params)
-        T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+        T.backward(tape, ops.reduce_sum(ops.mul(y, weights)))
     return y.data, f.grad
 
 
@@ -638,13 +640,13 @@ def test_one_kernel_call_per_ss2d_and_gated_block(monkeypatch):
         with T.Tape() as tape:
             y = op(f)
             assert calls == ["_scan_forward"]
-            loss = T.reduce_sum(T.mul(y, weights))
+            loss = ops.reduce_sum(ops.mul(y, weights))
         T.backward(tape, loss)
         assert calls == ["_scan_forward", "_scan_backward"]
 
     forward_then_backward(lambda f: ss2d(f, pp))
     forward_then_backward(lambda f: gated_block(f, w))
-    forward_then_backward(lambda f: gated_block(f, w, ModulationParams.identity()))
+    forward_then_backward(lambda f: gated_block(f, w, np.array([1.0, 0.0, 1.0, 0.0, 1.0])))
     calls.clear()
     ss2d(Tensor(grid), pp)  # untaped
     assert calls == ["_scan_forward"]
@@ -705,7 +707,7 @@ def test_grad_recurrence_all_inputs():
         def f(t, i=i):
             args = [Tensor(p.data) for p in parts]
             args[i] = t
-            return T.reduce_sum(ssm_recurrence(*args) * weights)
+            return ops.reduce_sum(ops.mul(ssm_recurrence(*args), weights))
 
         err, _, _ = check_gradient(f, parts[i])
         assert err < TOL, f"{name}: rel err {err}"
@@ -717,19 +719,19 @@ def test_grad_selective_scan_params_and_input():
     grid = rnd((2, 3, 3), 21)
     for field in SSM_FIELDS:
         def f(t, field=field):
-            return T.reduce_sum(ss2d(Tensor(grid.data), dataclasses.replace(p, **{field: t}))
-                                * 0.3)
+            return ops.reduce_sum(
+                ops.mul(ss2d(Tensor(grid.data), dataclasses.replace(p, **{field: t})), 0.3))
 
         err, _, _ = check_gradient(f, Tensor(getattr(p, field).data))
         assert err < TOL, f"{field}: rel err {err}"
-    err, _, _ = check_gradient(lambda t: T.reduce_sum(ss2d(t, p) * 0.3), grid)
+    err, _, _ = check_gradient(lambda t: ops.reduce_sum(ops.mul(ss2d(t, p), 0.3)), grid)
     assert err < TOL
 
 
 def test_grad_ss2d_end_to_end():
     pp = init_ss2d_params(3, 2, seed=9)
     g = rnd((4, 5, 3), 31)
-    err, _, _ = check_gradient(lambda t: T.reduce_sum(ss2d(t, pp) * 0.2), g)
+    err, _, _ = check_gradient(lambda t: ops.reduce_sum(ops.mul(ss2d(t, pp), 0.2)), g)
     assert err < TOL
 
 
@@ -786,7 +788,7 @@ def test_ss2d_shared_set_gradient_sums_directions_in_tape_order():
         params = _stacked_params(stack, requires_grad=True)
         with T.Tape() as tape:
             y = ss2d(Tensor(x), params)
-            T.backward(tape, T.reduce_sum(T.mul(y, weights)))
+            T.backward(tape, ops.reduce_sum(ops.mul(y, weights)))
         grads.append([t.grad for t in params.tensors()])
     for one, four in zip(*grads):
         assert one.shape[0] == 1
