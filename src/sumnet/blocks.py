@@ -25,6 +25,13 @@ Each knob acts on the output of one of the block's two norms, and an affine
 map of an affine map is one affine map, so the knobs fold into the norms'
 gamma and beta on [C]-sized arrays: the plain and the conditional block run
 the same grid-sized steps.
+
+At the small grids of a B=1 predict a block call costs its fixed per-call
+work, not its arithmetic, so what does not depend on the values is built
+once.  The layer norm's channel mean and variance are matmuls with a
+cached, read-only vector of 1/C (`_channel_mean`, in the backward too), and
+the depthwise conv's nine tap windows are built once per grid shape
+(`_tap_windows`).  Each such cache is bounded and keyed only on shapes.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -80,7 +87,9 @@ def linear_fwd(x, w, b):
     """linear on arrays: (x W + b over the trailing axis, saved)."""
     n_in, n_out = w.shape
     flat = x.reshape(-1, n_in)
-    return (flat @ w + b).reshape(x.shape[:-1] + (n_out,)), (flat, w, x.shape)
+    y = flat @ w
+    y += b
+    return y.reshape(x.shape[:-1] + (n_out,)), (flat, w, x.shape)
 
 
 def linear_bwd(saved, g, x_grad=True):
@@ -117,32 +126,40 @@ def init_layer_norm(channels: int) -> LayerNormParams:
     )
 
 
+@lru_cache(maxsize=64)
+def _inv_count(ch: int) -> np.ndarray:
+    """A read-only [ch] vector of 1/ch, built once per channel count."""
+    v = np.full(ch, 1.0 / ch)
+    v.flags.writeable = False
+    return v
+
+
+def _channel_mean(v):
+    """The mean of v over its trailing channel axis, keepdims: a matmul with a
+    vector of 1/C, several times faster than ``ndarray.mean`` over the short
+    trailing axis, which sums before it divides, so the last bits differ."""
+    ch = v.shape[-1]
+    return (v.reshape(-1, ch) @ _inv_count(ch)).reshape(v.shape[:-1] + (1,))
+
+
 def ln_core_fwd(x, eps: float = LN_EPS):
-    """The normalizing core of layer_norm_fwd: (normalized x, saved)."""
-    axis = (x.ndim - 1,)
-    mu = x.mean(axis=axis, keepdims=True)
+    """The normalizing core of layer_norm_fwd: (normalized x, saved).  The
+    mean and the variance are `_channel_mean`s.  sigma >= sqrt(eps) > 0, so
+    the divide raises no warning on finite input."""
+    mu = _channel_mean(x)
     centered = x - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = centered / sigma
+    sigma = np.sqrt(_channel_mean(centered * centered) + eps)
+    out = centered / sigma
     return out, (out, sigma)
 
 
 def ln_core_bwd(saved, g):
     """Gradient of ln_core_fwd as a one-element tuple: with x_hat the output
     and sigma = sqrt(var + eps), (g - mean(g) - x_hat * mean(g * x_hat)) /
-    sigma.  The two channel means are matmuls with a vector of 1/C, several
-    times faster than ``ndarray.mean`` over the short trailing axis."""
+    sigma, both means `_channel_mean`s."""
     out, sigma = saved
-    ch = g.shape[-1]
-    inv_c = np.full(ch, 1.0 / ch)
-
-    def mean(v):
-        return (v.reshape(-1, ch) @ inv_c).reshape(sigma.shape)
-
-    gx = g - mean(g)
-    gx -= out * mean(g * out)
+    gx = g - _channel_mean(g)
+    gx -= out * _channel_mean(g * out)
     gx /= sigma
     return (gx,)
 
@@ -196,19 +213,29 @@ def init_dwconv(channels: int, seed: int, name: str) -> DWConvParams:
     )
 
 
+@lru_cache(maxsize=64)
+def _tap_windows(ndim: int, h: int, w: int) -> tuple:
+    """The nine tap windows of an [.., H, W, C] grid of `ndim` axes into its
+    zero-padded [.., H + 2, W + 2, C] copy, as index tuples, tap dy * 3 + dx
+    at offset (dy, dx); window 4, the centre, is the interior.  Built once
+    per shape."""
+    lead = (slice(None),) * (ndim - 3)
+    return tuple(lead + (slice(dy, dy + h), slice(dx, dx + w))
+                 for dy in range(3) for dx in range(3))
+
+
 def dwconv_fwd(x, kernel, bias):
     """depthwise_conv3x3 on arrays ([H, W, C] or [B, H, W, C]): (out, saved)."""
     h, w = x.shape[-3], x.shape[-2]
-    lead = (slice(None),) * (x.ndim - 3)
-    windows = [lead + (slice(dy, dy + h), slice(dx, dx + w))
-               for dy in range(3) for dx in range(3)]
+    windows = _tap_windows(x.ndim, h, w)
     k9 = kernel.reshape(-1, 9)  # column dy * 3 + dx is tap (dy, dx)
     padded = np.zeros(x.shape[:-3] + (h + 2, w + 2, x.shape[-1]))
-    padded[lead + (slice(1, h + 1), slice(1, w + 1))] = x
+    padded[windows[4]] = x
     acc = padded[windows[0]] * k9[:, 0]
     for tap, win in enumerate(windows[1:], 1):
         acc += padded[win] * k9[:, tap]
-    return acc + bias, (padded, k9, windows)
+    acc += bias
+    return acc, (padded, k9, windows)
 
 
 def dwconv_bwd(saved, g):
@@ -523,8 +550,8 @@ def _fold_knobs(knobs, gamma1, beta1, gamma2, beta2):
     gated_block), and unfold, which takes the folded pairs' gradients back
     to gamma1, beta1, gamma2, beta2 and the knobs, each summed to its shape."""
     lead = knobs.shape[:-1]
-    a1, b1, a2, b2, a3 = (col.reshape(lead + (1, 1, 1) if lead else ())
-                          for col in np.moveaxis(knobs, -1, 0))
+    cols = knobs.reshape(lead + (1, 1, 1, 5)) if lead else knobs
+    a1, b1, a2, b2, a3 = cols[..., 0], cols[..., 1], cols[..., 2], cols[..., 3], cols[..., 4]
     a23 = a2 * a3
     c_shape = gamma1.shape
 

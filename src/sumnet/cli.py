@@ -163,13 +163,21 @@ def cmd_train(args) -> int:
 
 
 def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
+    """The model a checkpoint holds, built from its recorded config or from
+    `config_path`'s; a checkpoint the model refuses (a missing parameter, a
+    shape, a non-finite value, a bad config record) is a ConfigError that
+    starts with the checkpoint's path."""
     arrays = load_checkpoint(path)
-    if config_path is None:
-        return Model.from_state(arrays)
-    doc = _read_config_doc(config_path)
-    for key in _PATH_KEYS:
-        doc.pop(key, None)
-    return Model.loaded(_config(config_path, doc), arrays)
+    cfg = None
+    if config_path is not None:
+        doc = _read_config_doc(config_path)
+        for key in _PATH_KEYS:
+            doc.pop(key, None)
+        cfg = _config(config_path, doc)
+    try:
+        return Model.from_state(arrays) if cfg is None else Model.loaded(cfg, arrays)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_eval(args) -> int:

@@ -11,6 +11,7 @@ bit-reproducible across machines and Python versions.  No platform RNG, no
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,17 +32,31 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _fold(h: int, part) -> int:
+    """The FNV-1a state h with str(part)'s UTF-8 bytes folded in, then the
+    separator, so that ("ab", "c") and ("a", "bc") differ."""
+    for byte in str(part).encode("utf-8"):
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return (h ^ 0x2E) & _MASK64
+
+
+@lru_cache(maxsize=1024)
+def _label_state(label: str) -> int:
+    """_fold of a label from the FNV offset basis: a model's build derives
+    several fields from each parameter label, so each label is folded once."""
+    return _fold(_FNV_OFFSET, label)
+
+
 def derive(seed: int, *parts) -> int:
     """Derive a stream seed from a base seed and a label path.
 
     Labels are hashed with FNV-1a over their str() bytes, so derivation is
-    stable across processes (unlike built-in hash()).
+    stable across processes (unlike built-in hash()).  The first part's
+    state comes from `_label_state`, and each later part is folded onto it.
     """
-    h = _FNV_OFFSET
-    for part in parts:
-        for byte in str(part).encode("utf-8"):
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-        h = (h ^ 0x2E) & _MASK64  # separator so ("ab","c") != ("a","bc")
+    h = _label_state(str(parts[0])) if parts else _FNV_OFFSET
+    for part in parts[1:]:
+        h = _fold(h, part)
     return _mix((seed & _MASK64) ^ h)
 
 

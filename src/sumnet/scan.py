@@ -43,7 +43,10 @@ array and keeps no state.
 
 The scan is plain numpy with hand-derived backwards.  `_traversals` (a
 grid's four traversals) and `cross_merge_fwd` (their sum back on the grid)
-are each the other's backward; `_scan_forward`/`_scan_backward` are the
+are each the other's backward, and read each direction's layout from one
+constant, `_DIRECTION_FLAGS`; the layer norms around the scan in a gated
+block take their statistics as matmuls and the conv's tap windows are built
+once per shape (see `blocks`); `_scan_forward`/`_scan_backward` are the
 recurrence kernel.  Two pairs, `*_fwd(..., keep) -> (out, saved)` and
 `*_bwd(saved, g)`, build on them: `selective_scan_fwd`/`_bwd` for G
 sequences at once (projections, softplus, A = -exp(A_log), recurrence and
@@ -83,19 +86,28 @@ DIRECTION_ORDER = ("row_fwd", "row_bwd", "col_fwd", "col_bwd")
 # directional flattening
 
 
-def _unflatten(seq: np.ndarray, direction: str, h: int, w: int) -> np.ndarray:
-    """A [B, H*W, C] traversal as a [B, H, W, C] view in grid layout.
+# (column-major, reversed) of each direction, in DIRECTION_ORDER
+_DIRECTION_FLAGS = ((False, False), (False, True), (True, False), (True, True))
+
+
+def _unflatten(seq: np.ndarray, col: bool, rev: bool, h: int, w: int) -> np.ndarray:
+    """A [B, H*W, C] traversal as a [B, H, W, C] view in grid layout; `col`
+    and `rev` are its direction's flags (_DIRECTION_FLAGS).
 
     Reversing a row-major flattening is the same as reversing both spatial
     axes before it; column-major is row-major of the transposed grid.
     Assigning a grid to this view writes the traversal into `seq`.
     """
     b, _, c = seq.shape
-    col = direction.startswith("col")
     grid = seq.reshape((b, w, h, c) if col else (b, h, w, c))
-    if direction.endswith("bwd"):
+    if rev:
         grid = grid[:, ::-1, ::-1]
     return grid.transpose(0, 2, 1, 3) if col else grid
+
+
+def _grids(seqs, h: int, w: int) -> list:
+    """Four [B, H*W, C] traversals, in DIRECTION_ORDER, as grid-layout views."""
+    return [_unflatten(s, col, rev, h, w) for s, (col, rev) in zip(seqs, _DIRECTION_FLAGS)]
 
 
 def _traversals(grid: np.ndarray, out=None) -> np.ndarray:
@@ -105,8 +117,8 @@ def _traversals(grid: np.ndarray, out=None) -> np.ndarray:
     b, h, w, c = grid.shape
     if out is None:
         out = np.empty((len(DIRECTION_ORDER), b, h * w, c))
-    for seq, d in zip(out, DIRECTION_ORDER):
-        _unflatten(seq, d, h, w)[...] = grid
+    for view in _grids(out, h, w):
+        view[...] = grid
     return out
 
 
@@ -118,7 +130,7 @@ def cross_merge_fwd(seqs, h: int, w: int) -> np.ndarray:
     The backward needs no saved state: it is `_traversals` of the grid
     gradient.
     """
-    rf, rb, cf, cb = (_unflatten(s, d, h, w) for d, s in zip(DIRECTION_ORDER, seqs))
+    rf, rb, cf, cb = _grids(seqs, h, w)
     merged = rf + rb  # C-ordered; the column pair is added into it in place
     merged += cf + cb
     return merged
@@ -137,7 +149,7 @@ def _per_row(a, rows):
     """A as [rows, N, C], laid out like one step of the state: the rows are
     G consecutive groups, for a of [G, C, N] (or [C, N], one group)."""
     a3 = a.reshape((-1,) + a.shape[-2:])
-    return np.repeat(a3.transpose(0, 2, 1), rows // len(a3), axis=0)
+    return a3.transpose(0, 2, 1).repeat(rows // len(a3), axis=0)
 
 
 # Elements of one [K, G*B, N, C] chunk buffer: 2^15 float64 is 256 KB, small
@@ -179,9 +191,10 @@ def _state_chunk(delta_c, dx_c, b_c, a_t, tmp, h_prev, ab=None, hd=None):
     if h_prev is not None:
         hd[0] += tmp
     h_prev = hd[0]
+    mul, add = np.multiply, np.add  # outputs passed by position: a keyword costs per step
     for ab_t, h in zip(ab[1:], hd[1:]):
-        np.multiply(ab_t, h_prev, out=tmp)
-        h += tmp
+        mul(ab_t, h_prev, tmp)
+        add(h, tmp, h)
         h_prev = h
     return ab, hd
 
@@ -225,7 +238,7 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
     rows, length, ch = delta.shape
     n = a.shape[-1]
     k = _chunk_len(length, rows, n, ch)
-    delta_t, b_t, c_t = (np.ascontiguousarray(_time_major(v)) for v in (delta, b_seq, c_seq))
+    delta_t, b_t, c_t = [np.ascontiguousarray(_time_major(v)) for v in (delta, b_seq, c_seq)]
     a_t = _per_row(a, rows)
     dx = delta_t * _time_major(x)
     tmp = np.empty((rows, n, ch))
@@ -298,8 +311,8 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
     become one multiply, measured slower: the sweep's temporary stops
     living in L1.
     """
-    g_t, delta_t, x_t, b_t, c_t = (np.ascontiguousarray(_time_major(v))
-                                   for v in (g, delta, x, b_seq, c_seq))
+    g_t, delta_t, x_t, b_t, c_t = [np.ascontiguousarray(_time_major(v))
+                                   for v in (g, delta, x, b_seq, c_seq)]
     length, rows, ch = g_t.shape
     n = a.shape[-1]
     a_t = _per_row(a, rows)
@@ -318,6 +331,7 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
     hidden, abar = state  # hidden holds the checkpoints when abar is None
     if abar is None:  # each chunk's state is rebuilt in these
         ab_buf, h_buf = np.empty((k, rows, n, ch)), np.empty((k + 1, rows, n, ch))
+    mul, add = np.multiply, np.add  # as in _state_chunk's sweep
     for s in reversed(range(0, length, k)):
         e = min(s + k, length)
         lo = max(s, 1)  # first step with a previous state
@@ -337,8 +351,8 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
             d[-1] += carry
         dh_next = d[-1]
         for ab_next, dh_cur in zip(ab[:0:-1], d[-2::-1]):
-            np.multiply(ab_next, dh_next, out=tmp)
-            dh_cur += tmp
+            mul(ab_next, dh_next, tmp)
+            add(dh_cur, tmp, dh_cur)
             dh_next = dh_cur
         if s:
             np.multiply(ab[0], d[0], out=carry)
@@ -467,8 +481,8 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     # laid out time-major ([L, G*B, .], passed as batch-major views) once,
     # for both kernels, which read them so
     rows = (groups * bsz, length)
-    delta3, b3, c3 = (_time_major(np.ascontiguousarray(_time_major(v.reshape(rows + (-1,)))))
-                      for v in (delta, b_flat, c_flat))
+    delta3, b3, c3 = [_time_major(np.ascontiguousarray(_time_major(v.reshape(rows + (-1,)))))
+                      for v in (delta, b_flat, c_flat)]
     del delta, b_flat, c_flat
     y, state = _scan_forward(delta3, a, b3, c3, x4.reshape(rows + (ch,)), keep=keep)
     out = y.reshape(x4.shape)
@@ -545,7 +559,7 @@ def ss2d_bwd(saved, g):
     # the traversals are laid out time-major, as the kernel reads them
     seqs = np.empty((h * w, len(DIRECTION_ORDER), b, c)).transpose(1, 2, 0, 3)
     g_seq, *g_params = selective_scan_bwd(saved, _traversals(g, seqs))
-    rf, rb, cf, cb = (_unflatten(s, d, h, w) for d, s in zip(DIRECTION_ORDER, g_seq))
+    rf, rb, cf, cb = _grids(g_seq, h, w)
     g_grid = np.add(cb, cf, order="C")
     g_grid += rb
     g_grid += rf

@@ -14,7 +14,9 @@ bound to its saved values) to the tape; `backward` replays the node list
 once in reverse, accumulating gradients additively so a value consumed
 twice gets the sum of both branch gradients.  The tape is rebuilt on every
 forward pass.  The numpy helpers the pairs share (`_sum_rows`,
-`_unbroadcast`, `_sigmoid_raw`, `_silu_grad`, `_gelu_fwd`) live here too.
+`_unbroadcast`, `_sigmoid_raw`, `_silu_grad`, `_gelu_fwd`) live here too;
+`_sum_rows` reads its vector of ones from a cache bounded and keyed on the
+length, which hands out read-only arrays.
 
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -348,12 +350,20 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
 # numpy helpers of the fused pairs
 
 
+@lru_cache(maxsize=64)
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, built once per length."""
+    v = np.ones(n)
+    v.flags.writeable = False
+    return v
+
+
 def _sum_rows(x: np.ndarray) -> np.ndarray:
     """x [..., M, K] summed over its M rows: a matmul with a vector of ones,
     which BLAS runs several times faster than ``ndarray.sum`` over a
     non-trailing axis; the order of the additions differs, so the last bits
     may."""
-    return np.ones(x.shape[-2]) @ x
+    return _ones(x.shape[-2]) @ x
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -373,8 +383,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e) for x >= 0, e / (1 + e) below, e = exp(-|x|): stable in
     both tails, and one masked divide, so each element is still one IEEE
-    division of the same operands."""
-    e = np.exp(-np.abs(x))
+    division of the same operands.  e is built in one buffer."""
+    e = np.abs(x)
+    np.negative(e, e)
+    np.exp(e, e)
     out = np.where(x >= 0.0, 1.0, e)
     e += 1.0
     out /= e

@@ -142,10 +142,18 @@ def test_dwconv_batched_matches_single():
 # fused primitives against the tape compositions they replaced
 
 
+def _reference_channel_mean(x):
+    """The mean over the trailing channel axis, keepdims, as the layer-norm
+    pair takes it: the rows times a column of 1/C."""
+    c = x.shape[-1]
+    means = ops.matmul(ops.reshape(x, (-1, c)), np.full((c, 1), 1.0 / c))
+    return ops.reshape(means, x.shape[:-1] + (1,))
+
+
 def _reference_ln_core(x, eps=LN_EPS):
-    mu = ops.reduce_mean(x, -1, keepdims=True)
+    mu = _reference_channel_mean(x)
     centered = ops.sub(x, mu)
-    var = ops.reduce_mean(ops.mul(centered, centered), -1, keepdims=True)
+    var = _reference_channel_mean(ops.mul(centered, centered))
     return ops.div(centered, ops.sqrt(ops.add(var, eps)))
 
 
@@ -225,6 +233,41 @@ def test_layer_norm_matches_reference_composition(shape, affine):
     assert n_ops == 1
     assert np.array_equal(got, want)
     _assert_grads_close(got_g, want_g)  # x, gamma and beta
+
+
+@pytest.mark.parametrize("shape", FUSED_GRIDS)
+def test_layer_norm_statistics_match_reduce_mean(shape):
+    # the matmul means sum in another order than reduce_mean, which sums
+    # then divides: they agree to a few ulp
+    x = rnd(shape, 45, -2.0, 2.0)
+    mu, want_mu = B._channel_mean(x.data), ops.reduce_mean(x, -1, keepdims=True).data
+    centered = x.data - want_mu
+    var = B._channel_mean(centered * centered)
+    want_var = ops.reduce_mean(Tensor(centered * centered), -1, keepdims=True).data
+    assert np.abs(mu - want_mu).max() <= 1e-14 * np.abs(x.data).max()
+    assert np.abs(var - want_var).max() <= 1e-14 * np.abs(want_var).max()
+
+
+SHAPE_CACHES = [(T._ones, (7,)), (B._inv_count, (7,)), (B._tap_windows, (4, 3, 5))]
+
+
+@pytest.mark.parametrize("cache, key", SHAPE_CACHES)
+def test_shape_caches_are_read_only_bounded_and_keyed_on_shapes(cache, key):
+    # each call gets the one cached object, so no caller may write into it
+    got = cache(*key)
+    assert cache(*key) is got
+    arrays = [got] if isinstance(got, np.ndarray) else []
+    assert arrays or all(isinstance(win, tuple) and all(isinstance(s, slice) for s in win)
+                         for win in got)  # the windows: tuples of slices, immutable
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert all(isinstance(k, int) for k in key)
+    size = cache.cache_info().maxsize
+    assert size is not None
+    for n in range(size + 5):  # more shapes than it holds
+        cache(*key[:-1], n + 1)
+    assert cache.cache_info().currsize <= size
 
 
 @pytest.mark.parametrize("shape", FUSED_GRIDS)

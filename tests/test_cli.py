@@ -507,6 +507,20 @@ def test_infer_rejects_checkpoint_with_per_direction_scan_names(trained, tmp_pat
     assert "checkpoint lacks parameters: dec0.b0.ssm.a_log" in capsys.readouterr().err
 
 
+def test_eval_names_the_checkpoint_the_model_refuses(trained, corpus32, tmp_path, capsys):
+    # one parameter deleted: the file's CRC is valid, so the model's own
+    # check refuses it, and the message must say which file
+    arrays = load_checkpoint(trained / "checkpoint.ckpt")
+    del arrays["dec0.b0.ssm.a_log"]
+    bad = tmp_path / "lacking.ckpt"
+    save_checkpoint(bad, arrays)
+    code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_test.tsv"),
+                     "--checkpoint", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: checkpoint lacks parameters: dec0.b0.ssm.a_log")
+
+
 def test_infer_rejects_checkpoint_with_non_utf8_array_name(tmp_path, capsys):
     # one array, named "w", whose name byte becomes 0xFF under a valid CRC
     bad = tmp_path / "bad.ckpt"

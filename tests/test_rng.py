@@ -38,6 +38,20 @@ def test_derive_stable_and_separating():
     assert derive(1, "ab", "c") != derive(1, "a", "bc")
 
 
+def test_derive_values_are_pinned():
+    # the stream seeds of every parameter hang on these: the label-state
+    # cache must give the byte-at-a-time FNV-1a fold's values
+    for args, want in [((0, "enc0.b0.gate", "weight"), 0x5EFC1BBF3769103A),
+                       ((7, "bench-x", 64), 0x31E152D74FC06B99),
+                       ((3, "cond", "tokens"), 0x585B4573FC7AAAEF),
+                       ((2**64 + 5, "dec3.b0.ssm.col_bwd", "w_delta"), 0x7B976ED6694B2995),
+                       ((1,), 0x7F555C6A530FDF81),
+                       ((1, "a", "b", "c"), 0xF2512A80A4F6C0D8),
+                       ((9, "\u00fcn\u00ef", "field"), 0x472B2AF8BDD02E21)]:
+        assert derive(*args) == want, args
+        assert derive(*args) == want, args  # again, from the cached label state
+
+
 def test_uniform_array_shape_and_bytes():
     a = uniform_array((3, 4), -1.0, 1.0, seed=99)
     b = uniform_array((3, 4), -1.0, 1.0, seed=99)
