@@ -4,7 +4,8 @@ gated scan block with its optional feature modulation, and the conditioner.
 Grids are channels-last: [H, W, C] or [B, H, W, C].  Every learnable array is
 a float64 Tensor initialized from a seed derived from its name, so two models
 that share a parameter name and seed start from identical values regardless
-of what other parameters exist around them.  Every random initial value is
+of what other parameters exist around them (a float32 model rounds them
+once, see `model.Model`).  Every pair allocates in its input's dtype.  Every random initial value is
 drawn by `tensor.init_uniforms`, which only allocates under
 `tensor.skip_draws` (the build `Model.from_state` overwrites).
 
@@ -31,7 +32,8 @@ work, not its arithmetic, so what does not depend on the values is built
 once.  The layer norm's channel mean and variance are matmuls with a
 cached, read-only vector of 1/C (`_channel_mean`, in the backward too), and
 the depthwise conv's nine tap windows are built once per grid shape
-(`_tap_windows`).  Each such cache is bounded and keyed only on shapes.
+(`_tap_windows`).  Each such cache is bounded and keyed only on shapes and
+dtypes.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ def init_layer_norm(channels: int) -> LayerNormParams:
 
 
 @lru_cache(maxsize=64)
-def _inv_count(ch: int) -> np.ndarray:
-    """A read-only [ch] vector of 1/ch, built once per channel count."""
-    v = np.full(ch, 1.0 / ch)
+def _inv_count(ch: int, dtype: np.dtype) -> np.ndarray:
+    """A read-only [ch] vector of 1/ch in `dtype`, built once per (channel
+    count, dtype)."""
+    v = np.full(ch, 1.0 / ch, dtype=dtype)
     v.flags.writeable = False
     return v
 
@@ -139,7 +142,7 @@ def _channel_mean(v):
     vector of 1/C, several times faster than ``ndarray.mean`` over the short
     trailing axis, which sums before it divides, so the last bits differ."""
     ch = v.shape[-1]
-    return (v.reshape(-1, ch) @ _inv_count(ch)).reshape(v.shape[:-1] + (1,))
+    return (v.reshape(-1, ch) @ _inv_count(ch, v.dtype)).reshape(v.shape[:-1] + (1,))
 
 
 def ln_core_fwd(x, eps: float = LN_EPS):
@@ -229,7 +232,7 @@ def dwconv_fwd(x, kernel, bias):
     h, w = x.shape[-3], x.shape[-2]
     windows = _tap_windows(x.ndim, h, w)
     k9 = kernel.reshape(-1, 9)  # column dy * 3 + dx is tap (dy, dx)
-    padded = np.zeros(x.shape[:-3] + (h + 2, w + 2, x.shape[-1]))
+    padded = np.zeros(x.shape[:-3] + (h + 2, w + 2, x.shape[-1]), dtype=x.dtype)
     padded[windows[4]] = x
     acc = padded[windows[0]] * k9[:, 0]
     for tap, win in enumerate(windows[1:], 1):
@@ -246,11 +249,11 @@ def dwconv_bwd(saved, g):
     contracts g with each tap's window; the bias's is a column sum."""
     padded, k9, windows = saved
     taps = "bhwc,bhwc->c" if g.ndim == 4 else "hwc,hwc->c"
-    g_pad = np.zeros(padded.shape)
+    g_pad = np.zeros_like(padded)
     g_pad[windows[4]] = g  # the centre window is the interior
     g_x = g_pad[windows[8]] * k9[:, 0]
     tmp = np.empty_like(g_x)
-    g_k = np.empty(k9.shape)
+    g_k = np.empty_like(k9)
     for tap, win in enumerate(windows):
         if tap:
             g_x += np.multiply(g_pad[windows[8 - tap]], k9[:, tap], out=tmp)
@@ -686,7 +689,7 @@ def _cond_bwd(saved, g, token_grad=True):
     """Gradients of _cond_fwd (tokens, l1, l2 and l3 weight and bias); the
     tokens' is None, and not formed, unless `token_grad`."""
     l1_saved, d1, l2_saved, d2, l3_saved, rows, table_shape = saved
-    g_table = np.zeros(table_shape)
+    g_table = np.zeros(table_shape, dtype=g.dtype)
     np.add.at(g_table, rows, g)  # a label drawn twice adds both rows' gradients
     g_h, g_w3, g_b3 = linear_bwd(l3_saved, g_table)
     g_h, g_w2, g_b2 = linear_bwd(l2_saved, g_h * d2)

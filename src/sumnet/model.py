@@ -45,7 +45,7 @@ from . import blocks as B
 from . import tensor as T
 from .objective import DEFAULT_WEIGHTS, composite_loss
 from .rng import SplitMix64, derive
-from .scan import _CHUNK_ELEMS
+from .scan import _CHUNK_BYTES
 from .tensor import NumericError, ShapeError, Tensor
 from .metrics import evaluate_sample, f_scores, summarize
 
@@ -414,17 +414,18 @@ class Model:
 
 
 class Adam:
-    """Adam over one contiguous float64 vector that holds every parameter.
+    """Adam over one contiguous vector that holds every parameter.
 
-    Construction packs the tensors in sorted-name order into ``flat`` and
-    rebinds each ``Tensor.data`` to a reshaped view of its slot; ``m`` and
-    ``v`` are flat vectors of the same length.  From then on a parameter
+    Construction packs the tensors in sorted-name order into ``flat``, in
+    the parameters' dtype (the wider one if they mix), and rebinds each
+    ``Tensor.data`` to a reshaped view of its slot; ``m`` and ``v`` are
+    flat vectors of the same length and dtype.  From then on a parameter
     must be written in place (``np.copyto``, ``out=``): a tensor whose
     ``.data`` was rebound no longer reaches ``flat``, and ``step`` raises a
     RuntimeError naming it.
 
     ``step`` groups consecutive slots into blocks within the scan's cache
-    budget, ``scan._CHUNK_ELEMS`` (a larger parameter is a block of its own),
+    budget, ``scan._CHUNK_BYTES`` (a larger parameter is a block of its own),
     gathers a block's gradients into one reused buffer and updates its
     slices of ``m``, ``v`` and ``flat`` with ``out=``.  Every element goes
     through the same IEEE operations in the same order as the per-array
@@ -443,19 +444,21 @@ class Adam:
         self.eps = float(eps)
         self.t = 0
         sizes = [params[n].size for n in self.names]
-        self.flat = np.empty(sum(sizes))
+        dtype = np.result_type(*[params[n].data.dtype for n in self.names] or [np.float64])
+        self.flat = np.empty(sum(sizes), dtype=dtype)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        budget = _CHUNK_BYTES // dtype.itemsize  # elements per block
         spans, hi = [], 0  # [lo, hi, names] of each block
         for n, size in zip(self.names, sizes):
-            if not spans or hi + size - spans[-1][0] > _CHUNK_ELEMS:
+            if not spans or hi + size - spans[-1][0] > budget:
                 spans.append([hi, hi, []])
             hi += size
             spans[-1][1] = hi
             spans[-1][2].append(n)
         width = max((hi - lo for lo, hi, _ in spans), default=0)
-        gbuf = np.empty(width)  # a block's gradients, then lr * m_hat
-        work = np.empty(width)
+        gbuf = np.empty(width, dtype=dtype)  # a block's gradients, then lr * m_hat
+        work = np.empty_like(gbuf)
         self._slots = []  # (name, tensor, its view of flat)
         self._blocks = []  # (gradient slots, m, v, flat, g, work) per block
         for lo, hi, names in spans:

@@ -22,8 +22,9 @@ four calls over B.
 The state arrays are time-major, [L, G*B, N, C], and both sweeps update
 them in place one contiguous step at a time: the cost is memory traffic
 through these arrays, not FLOPs.  So both kernels walk time in chunks of
-K = max(1, min(L, _CHUNK_ELEMS // (G B N C))) steps, 256 KB of state per
-chunk buffer, and finish each chunk's work while it is in L2.  The kernels
+K = max(1, min(L, _CHUNK_BYTES // (G B N C itemsize))) steps, 256 KiB of
+state per chunk buffer in either dtype, and finish each chunk's work while
+it is in L2; every buffer is allocated in the inputs' dtype.  The kernels
 read their per-step inputs (delta, B, C, and backward also x and the output
 gradient) as contiguous time-major arrays, copying any input not laid out
 so: with G*B rows, one step's rows sit a whole sequence apart in a
@@ -31,7 +32,7 @@ batch-major array.  `selective_scan_fwd` keeps delta, B and C time-major
 and `ss2d_bwd` lays the gradient's traversals out time-major, so only x is
 copied.  Outputs are written batch-major through time-major views.  When a
 tape records the call, what the forward keeps for the backward pass depends
-on the state's size, L G B N C elements.  Below _CHECKPOINT_ELEMS (4 MiB)
+on the state's size in bytes.  Below _CHECKPOINT_BYTES (4 MiB)
 the hidden states and the decay factors are kept whole: a state that stays
 in cache is cheaper to store than to rebuild.  From that size on the
 forward keeps only each chunk's last hidden state, and the backward
@@ -116,7 +117,7 @@ def _traversals(grid: np.ndarray, out=None) -> np.ndarray:
     strided view, else into a fresh array."""
     b, h, w, c = grid.shape
     if out is None:
-        out = np.empty((len(DIRECTION_ORDER), b, h * w, c))
+        out = np.empty((len(DIRECTION_ORDER), b, h * w, c), dtype=grid.dtype)
     for view in _grids(out, h, w):
         view[...] = grid
     return out
@@ -152,19 +153,21 @@ def _per_row(a, rows):
     return a3.transpose(0, 2, 1).repeat(rows // len(a3), axis=0)
 
 
-# Elements of one [K, G*B, N, C] chunk buffer: 2^15 float64 is 256 KB, small
-# enough that a chunk's abar, hidden (or dh) and temporaries stay in L2.
-_CHUNK_ELEMS = 1 << 15
-# Elements of a chunked recorded call's [L, G*B, N, C] state from which it
-# keeps one hidden row per chunk, not hidden and abar whole: 2^19 float64 is
-# 4 MiB, 16 chunk buffers.  A smaller state stays in cache and is cheaper to
-# store than to rebuild; past it the full-size writes cost more.
-_CHECKPOINT_ELEMS = 1 << 19
+# Bytes of one [K, G*B, N, C] chunk buffer: 256 KiB (2^15 float64 or 2^16
+# float32 elements), small enough that a chunk's abar, hidden (or dh) and
+# temporaries stay in L2.
+_CHUNK_BYTES = 256 << 10
+# Bytes of a chunked recorded call's [L, G*B, N, C] state from which it keeps
+# one hidden row per chunk, not hidden and abar whole: 4 MiB, 16 chunk
+# buffers.  A smaller state stays in cache and is cheaper to store than to
+# rebuild; past it the full-size writes cost more.
+_CHECKPOINT_BYTES = 4 << 20
 
 
-def _chunk_len(length, rows, n, ch):
-    """Time steps per chunk: K = max(1, min(L, _CHUNK_ELEMS // (G B N C)))."""
-    return max(1, min(length, _CHUNK_ELEMS // (rows * n * ch)))
+def _chunk_len(length, rows, n, ch, itemsize):
+    """Time steps per chunk for elements of `itemsize` bytes:
+    K = max(1, min(L, _CHUNK_BYTES // (G B N C itemsize)))."""
+    return max(1, min(length, _CHUNK_BYTES // (rows * n * ch * itemsize)))
 
 
 def _state_chunk(delta_c, dx_c, b_c, a_t, tmp, h_prev, ab=None, hd=None):
@@ -181,7 +184,7 @@ def _state_chunk(delta_c, dx_c, b_c, a_t, tmp, h_prev, ab=None, hd=None):
     Returns (abar, hidden) of the chunk.
     """
     if ab is None:
-        ab = np.empty((len(delta_c),) + a_t.shape)
+        ab = np.empty((len(delta_c),) + a_t.shape, dtype=delta_c.dtype)
     np.copyto(ab, delta_c[:, :, None, :])
     np.multiply(ab, a_t, out=ab)
     np.exp(ab, out=ab)
@@ -207,7 +210,7 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
     Returns (y [G*B,L,C], state).  The state is what `_scan_backward`
     reads: None without `keep`; with it (hidden, abar), both whole
     [L,G*B,N,C], or (checkpoints, None) for a chunked call whose state has
-    at least _CHECKPOINT_ELEMS elements, hidden at each chunk's last step
+    at least _CHECKPOINT_BYTES bytes, hidden at each chunk's last step
     as [n_chunks, G*B, N, C].  The state arrays are time-major, so each
     sweep step reads and writes one contiguous [G*B, N, C] block, and
     delta, B and C are read time-major (copied unless laid out so).  Time
@@ -236,22 +239,22 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
     each chunk also copies its last hidden row.
     """
     rows, length, ch = delta.shape
-    n = a.shape[-1]
-    k = _chunk_len(length, rows, n, ch)
+    n, dt = a.shape[-1], delta.dtype
+    k = _chunk_len(length, rows, n, ch, dt.itemsize)
     delta_t, b_t, c_t = [np.ascontiguousarray(_time_major(v)) for v in (delta, b_seq, c_seq)]
     a_t = _per_row(a, rows)
     dx = delta_t * _time_major(x)
-    tmp = np.empty((rows, n, ch))
-    y = np.empty((rows, length, ch))
+    tmp = np.empty((rows, n, ch), dtype=dt)
+    y = np.empty((rows, length, ch), dtype=dt)
     y_t = _time_major(y)[:, :, None]  # written time-major, returned batch-major
     if k == length:
         abar, hidden = _state_chunk(delta_t, dx, b_t, a_t, tmp, None)
         np.matmul(c_t[:, :, None, :], hidden, out=y_t)
         return y, (hidden, abar) if keep else None
-    whole = keep and length * rows * n * ch < _CHECKPOINT_ELEMS
-    abar = np.empty((length if whole else k, rows, n, ch))
+    whole = keep and length * rows * n * ch * dt.itemsize < _CHECKPOINT_BYTES
+    abar = np.empty((length if whole else k, rows, n, ch), dtype=dt)
     hidden = np.empty_like(abar)
-    ckpt = np.empty((-(-length // k), rows, n, ch)) if keep and not whole else None
+    ckpt = np.empty((-(-length // k), rows, n, ch), dtype=dt) if keep and not whole else None
     h_prev = None
     for i, s in enumerate(range(0, length, k)):
         e = s + k
@@ -314,23 +317,24 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
     g_t, delta_t, x_t, b_t, c_t = [np.ascontiguousarray(_time_major(v))
                                    for v in (g, delta, x, b_seq, c_seq)]
     length, rows, ch = g_t.shape
-    n = a.shape[-1]
+    n, dt = a.shape[-1], delta_t.dtype
     a_t = _per_row(a, rows)
-    k = _chunk_len(length, rows, n, ch)
-    dh = np.empty((k, rows, n, ch))
-    tmp = np.empty((rows, n, ch))
-    carry = np.empty((rows, n, ch))
-    dx = np.empty((k, rows, ch, 1))  # delta * x of the chunk
-    g_dx = np.empty((k, rows, 1, ch))  # into delta * x
-    g_delta, g_x = np.empty((rows, length, ch)), np.empty((rows, length, ch))
-    g_b, g_c = np.empty((rows, length, n)), np.empty((rows, length, n))
+    k = _chunk_len(length, rows, n, ch, dt.itemsize)
+    dh = np.empty((k, rows, n, ch), dtype=dt)
+    tmp = np.empty((rows, n, ch), dtype=dt)
+    carry = np.empty((rows, n, ch), dtype=dt)
+    dx = np.empty((k, rows, ch, 1), dtype=dt)  # delta * x of the chunk
+    g_dx = np.empty((k, rows, 1, ch), dtype=dt)  # into delta * x
+    g_delta, g_x = np.empty((rows, length, ch), dtype=dt), np.empty((rows, length, ch), dtype=dt)
+    g_b, g_c = np.empty((rows, length, n), dtype=dt), np.empty((rows, length, n), dtype=dt)
     # written time-major, returned batch-major
     gd_t, gx_t = _time_major(g_delta), _time_major(g_x)
     gb_t, gc_t = _time_major(g_b)[..., None], _time_major(g_c)[..., None]
-    g_a_rows = np.zeros((rows, n, ch))
+    g_a_rows = np.zeros((rows, n, ch), dtype=dt)
     hidden, abar = state  # hidden holds the checkpoints when abar is None
     if abar is None:  # each chunk's state is rebuilt in these
-        ab_buf, h_buf = np.empty((k, rows, n, ch)), np.empty((k + 1, rows, n, ch))
+        ab_buf = np.empty((k, rows, n, ch), dtype=dt)
+        h_buf = np.empty((k + 1, rows, n, ch), dtype=dt)
     mul, add = np.multiply, np.add  # as in _state_chunk's sweep
     for s in reversed(range(0, length, k)):
         e = min(s + k, length)
@@ -421,13 +425,14 @@ def init_ss2d_params(channels: int, state_size: int, seed: int,
 
     return SSMParams(
         a_log=Tensor(np.tile(a_row, (k, channels, 1)), requires_grad=True),
-        d_skip=Tensor(np.ones((k, channels)), requires_grad=True),
+        d_skip=Tensor(np.ones((k, channels), dtype=np.float64), requires_grad=True),
         w_b=draw("w_b", (channels, state_size), glorot_bn),
         w_c=draw("w_c", (channels, state_size), glorot_bn),
         w_delta=draw("w_delta", (channels, r), glorot_wd),
         v_delta=draw("v_delta", (r, channels), glorot_wd),
         # softplus(b) = 0.01  =>  b = log(expm1(0.01))
-        b_delta=Tensor(np.full((k, channels), np.log(np.expm1(0.01))), requires_grad=True),
+        b_delta=Tensor(np.full((k, channels), np.log(np.expm1(0.01)), dtype=np.float64),
+                       requires_grad=True),
     )
 
 
@@ -557,7 +562,7 @@ def ss2d_bwd(saved, g):
     saved, sets = saved
     b, h, w, c = g.shape
     # the traversals are laid out time-major, as the kernel reads them
-    seqs = np.empty((h * w, len(DIRECTION_ORDER), b, c)).transpose(1, 2, 0, 3)
+    seqs = np.empty((h * w, len(DIRECTION_ORDER), b, c), dtype=g.dtype).transpose(1, 2, 0, 3)
     g_seq, *g_params = selective_scan_bwd(saved, _traversals(g, seqs))
     rf, rb, cf, cb = _grids(g_seq, h, w)
     g_grid = np.add(cb, cf, order="C")

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a define-by-run reverse-mode tape.
+"""Dense float32 or float64 tensors with a define-by-run reverse-mode tape.
 
 Every op that records a tape node is a numpy pair, `fwd(*arrays, keep) ->
 (out, saved)` and `bwd(saved, g) -> gradients`, and records its one node
@@ -7,8 +7,11 @@ through `primitive`.  The model's ops are the stage pairs of `blocks`,
 gated block, the merges, the decoder up-steps, the saliency head and the
 composite loss, with `linear`, `layer_norm`, depthwise conv and `ss2d` as
 pairs of their own.  A node's inputs may repeat; `backward` then adds up
-each occurrence's gradient in input order.  Tensors wrap C-order float64
-numpy arrays.  When a Tape is active and an input requires gradients, each
+each occurrence's gradient in input order.  Tensors wrap C-order numpy
+arrays of float32 or float64, kept as given; any other input is converted
+to float64.  Every pair allocates in its inputs' dtype, so a float32 model
+computes, records and differentiates in float32 throughout; the float64
+route is the one the finite-difference checks verify.  When a Tape is active and an input requires gradients, each
 operation appends a node (op kind, input node ids, output node id, `bwd`
 bound to its saved values) to the tape; `backward` replays the node list
 once in reverse, accumulating gradients additively so a value consumed
@@ -16,7 +19,7 @@ twice gets the sum of both branch gradients.  The tape is rebuilt on every
 forward pass.  The numpy helpers the pairs share (`_sum_rows`,
 `_unbroadcast`, `_sigmoid_raw`, `_silu_grad`, `_gelu_fwd`) live here too;
 `_sum_rows` reads its vector of ones from a cache bounded and keyed on the
-length, which hands out read-only arrays.
+length and dtype, which hands out read-only arrays.
 
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.
@@ -149,13 +152,18 @@ def checked_at_boundary(kind: str, fn, *args):
     return out
 
 
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Tensor:
-    """Immutable-by-convention float64 array plus gradient metadata."""
+    """Immutable-by-convention float32 or float64 array plus gradient metadata."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype not in FLOAT_DTYPES:  # ints, bools, other floats: float64
+            arr = arr.astype(np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -325,11 +333,11 @@ def _validate_shape(shape) -> tuple:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(_validate_shape(shape)), requires_grad)
+    return Tensor(np.zeros(_validate_shape(shape), dtype=np.float64), requires_grad)
 
 
 def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(_validate_shape(shape), float(value)), requires_grad)
+    return Tensor(np.full(_validate_shape(shape), float(value), dtype=np.float64), requires_grad)
 
 
 def uniform(shape, lo: float, hi: float, seed: int, requires_grad: bool = False) -> Tensor:
@@ -342,7 +350,7 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
     of the init helpers' random values.  Under `skip_draws`, uninitialized."""
     dims = _validate_shape(shape)
     if _local.skip_draws:
-        return np.empty((len(labels),) + dims)
+        return np.empty((len(labels),) + dims, dtype=np.float64)
     return uniform_stack(dims, -bound, bound, [derive(seed, label, field) for label in labels])
 
 
@@ -351,9 +359,9 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
 
 
 @lru_cache(maxsize=64)
-def _ones(n: int) -> np.ndarray:
-    """A read-only vector of n ones, built once per length."""
-    v = np.ones(n)
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """A read-only vector of n ones in `dtype`, built once per (length, dtype)."""
+    v = np.ones(n, dtype=dtype)
     v.flags.writeable = False
     return v
 
@@ -363,7 +371,7 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     which BLAS runs several times faster than ``ndarray.sum`` over a
     non-trailing axis; the order of the additions differs, so the last bits
     may."""
-    return _ones(x.shape[-2]) @ x
+    return _ones(x.shape[-2], x.dtype) @ x
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

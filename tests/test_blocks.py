@@ -248,7 +248,8 @@ def test_layer_norm_statistics_match_reduce_mean(shape):
     assert np.abs(var - want_var).max() <= 1e-14 * np.abs(want_var).max()
 
 
-SHAPE_CACHES = [(T._ones, (7,)), (B._inv_count, (7,)), (B._tap_windows, (4, 3, 5))]
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+SHAPE_CACHES = [(T._ones, (7, F64)), (B._inv_count, (7, F64)), (B._tap_windows, (4, 3, 5))]
 
 
 @pytest.mark.parametrize("cache, key", SHAPE_CACHES)
@@ -262,11 +263,17 @@ def test_shape_caches_are_read_only_bounded_and_keyed_on_shapes(cache, key):
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
-    assert all(isinstance(k, int) for k in key)
+    keyed_on_dtype = isinstance(key[-1], np.dtype)
+    if keyed_on_dtype:  # a vector per (length, dtype), in that dtype
+        single = cache(key[0], F32)
+        assert got.dtype == F64 and single.dtype == F32
+        assert np.array_equal(single, got.astype(F32))
+    assert all(isinstance(k, int) for k in key[:-1 if keyed_on_dtype else None])
     size = cache.cache_info().maxsize
     assert size is not None
+    at = 0 if keyed_on_dtype else len(key) - 1  # the length it varies
     for n in range(size + 5):  # more shapes than it holds
-        cache(*key[:-1], n + 1)
+        cache(*key[:at], n + 1, *key[at + 1:])
     assert cache.cache_info().currsize <= size
 
 

@@ -304,15 +304,15 @@ def _assert_checkpoints_change_no_bit(args, g, hidden_ref):
     (time-major, [L, rows, N, C]) at its chunk's last step.  A call that
     fits one chunk keeps its state whole at any size."""
     y, state = _scan_forward(*args)
-    assert state[1] is not None  # below _CHECKPOINT_ELEMS: hidden and abar whole
+    assert state[1] is not None  # below _CHECKPOINT_BYTES: hidden and abar whole
     grads = _scan_backward(g, *args, state)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(scan, "_CHECKPOINT_ELEMS", 1)
+        m.setattr(scan, "_CHECKPOINT_BYTES", 1)
         y_ck, state_ck = _scan_forward(*args)
         grads_ck = _scan_backward(g, *args, state_ck)
     ckpt, abar = state_ck
     length, rows, n, ch = hidden_ref.shape
-    k = scan._chunk_len(length, rows, n, ch)
+    k = scan._chunk_len(length, rows, n, ch, hidden_ref.itemsize)
     if k == length:
         assert abar is not None
     else:
@@ -369,8 +369,8 @@ def test_chunking_changes_no_output_bit(monkeypatch):
     whole = _assert_kernel_matches_reference(args, g)
     hidden_ref = _reference_forward(*args)[1].transpose(1, 0, 3, 2)
     for k in (1, 2, 3):
-        monkeypatch.setattr(scan, "_CHUNK_ELEMS", k * bsz * n * ch)
-        assert scan._chunk_len(length, bsz, n, ch) == k
+        monkeypatch.setattr(scan, "_CHUNK_BYTES", k * bsz * n * ch * 8)  # float64
+        assert scan._chunk_len(length, bsz, n, ch, 8) == k
         assert np.array_equal(_assert_kernel_matches_reference(args, g), whole), k
         _assert_checkpoints_change_no_bit(args, g, hidden_ref)
 
@@ -421,7 +421,7 @@ def test_a_recorded_ss2d_past_the_checkpoint_size_keeps_no_full_state(monkeypatc
     # 32 chunks' last hidden rows, 1 MiB, and no array of the state's size
     bsz, side, ch, n = 8, 16, 16, 8
     full = side * side * 4 * bsz * n * ch
-    assert full >= scan._CHECKPOINT_ELEMS
+    assert full * 8 >= scan._CHECKPOINT_BYTES  # float64
     kernel, states = scan._scan_forward, []
 
     def spy(*args, keep=True):
@@ -607,16 +607,16 @@ def test_grouped_chunking_changes_no_output_bit(monkeypatch):
     x = rnd((bsz, h, w, ch), 111, -1.5, 1.5).data
     weights = rnd((bsz, h, w, ch), 112).data
     whole, whole_g = _ss2d_run(x, params, weights)
-    assert scan._chunk_len(h * w, 4 * bsz, n, ch) == h * w
+    assert scan._chunk_len(h * w, 4 * bsz, n, ch, 8) == h * w
     for k in (1, 2, 3):
-        monkeypatch.setattr(scan, "_CHUNK_ELEMS", k * 4 * bsz * n * ch)
-        assert scan._chunk_len(h * w, 4 * bsz, n, ch) == k
+        monkeypatch.setattr(scan, "_CHUNK_BYTES", k * 4 * bsz * n * ch * 8)  # float64
+        assert scan._chunk_len(h * w, 4 * bsz, n, ch, 8) == k
         y, g = _ss2d_run(x, params, weights)
         assert np.array_equal(y, whole), k
         assert np.array_equal(ss2d(Tensor(x), params).data, whole), k
         _assert_grads_close([g], [whole_g])
         with pytest.MonkeyPatch.context() as m:  # checkpoints at the same K: the same bits
-            m.setattr(scan, "_CHECKPOINT_ELEMS", 1)
+            m.setattr(scan, "_CHECKPOINT_BYTES", 1)
             y_ck, g_ck = _ss2d_run(x, params, weights)
         assert y_ck.tobytes() == y.tobytes() and g_ck.tobytes() == g.tobytes(), k
 

@@ -172,9 +172,13 @@ def test_create_validation():
         T.full((-1,), 1.0)
 
 
-def test_float64_c_order_always():
-    t = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3).T)
-    assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
+def test_float32_or_float64_in_c_order_always():
+    # float32 and float64 arrays keep their dtype; anything else is float64
+    for given, kept in ((np.float32, np.float32), (np.float64, np.float64),
+                        (np.int64, np.float64), (np.float16, np.float64), (bool, np.float64)):
+        t = Tensor(np.arange(6).astype(given).reshape(2, 3).T)
+        assert t.data.dtype == kept and t.data.flags.c_contiguous, given
+    assert Tensor([1, 2]).data.dtype == Tensor(2.5).data.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
