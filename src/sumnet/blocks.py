@@ -1,13 +1,14 @@
 """Network building blocks: norms, depthwise conv, patch resampling, the
 gated scan block with its optional feature modulation, and the conditioner.
 
-Grids are channels-last: [H, W, C] or [B, H, W, C].  Every learnable array is
-a float64 Tensor initialized from a seed derived from its name, so two models
-that share a parameter name and seed start from identical values regardless
-of what other parameters exist around them (a float32 model rounds them
-once, see `model.Model`).  Every pair allocates in its input's dtype.  Every random initial value is
-drawn by `tensor.init_uniforms`, which only allocates under
-`tensor.skip_draws` (the build `Model.from_state` overwrites).
+Grids are channels-last: [H, W, C] or [B, H, W, C].  Every learnable array
+is a float64 Tensor initialized from a seed derived from its name, so two
+models that share a parameter name and seed start from identical values
+regardless of what other parameters exist around them (a float32 model
+rounds them once, see `model.Model`).  Every pair allocates in its input's
+dtype.  Every random initial value is drawn by `tensor.init_uniforms`,
+which only allocates under `tensor.skip_draws` (the build
+`Model.from_state` overwrites).
 
 `linear`, `layer_norm` and `depthwise_conv3x3` are each a pure numpy pair,
 `*_fwd(...) -> (out, saved)` and `*_bwd(saved, g) -> gradients`, recorded

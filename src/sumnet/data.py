@@ -15,10 +15,14 @@ relative to the manifest location.
 Checkpoints: magic "SUMCKPT1", little-endian u32 array count, then per
 array (u16 name length, UTF-8 name, u8 ndim, u32 dims, float32 LE payload)
 with names sorted, and a trailing CRC32 of all preceding bytes.  Payloads
-are float32: saving float64 parameters rounds once, and a save/load/save
+are float32, so a float32 model (the default) round-trips bit for bit;
+saving a float64 model's parameters rounds them once, and a save/load/save
 cycle is byte-stable.  A model checkpoint holds the parameter registry plus
 a "config" record: the config's JSON as UTF-8 bytes, one byte per element,
-which float32 stores exactly (``Model.state_arrays`` / ``Model.from_state``).
+which float32 stores exactly (``Model.state_arrays`` / ``Model.from_state``);
+the record names the model's dtype.  ``save_checkpoint`` writes a temporary
+file beside the target and renames it over the target, so a write that
+fails part way leaves the previous checkpoint as it was.
 ``load_checkpoint`` checks the magic and the CRC, then reads each header
 field with ``struct.unpack_from`` at a running offset, bounds-tested before
 every read; it checks layout, not values: a finite-valued, well-shaped
@@ -27,6 +31,7 @@ registry is ``Model.load_state``'s check.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -527,7 +532,13 @@ def save_checkpoint(path, arrays: dict) -> None:
             buf += struct.pack("<I", d)
         buf += arr.astype("<f4").tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
+    try:
+        tmp.write_bytes(bytes(buf))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> dict:

@@ -7,6 +7,9 @@ end-to-end model check samples individual parameter scalars and compares
 against central differences at MODEL_TOL.  The generic tape ops and the loss
 terms are test oracles, checked by the test suite.
 
+Every suite runs in float64: the op rows on float64 arrays, the model rows
+on a float64 model, whatever dtype training uses.
+
 Outputs that pass through a layer norm are reduced with a fixed random
 weighting, never a plain sum: a layer-norm row sums to zero by construction,
 which would leave nothing but round-off in the finite differences.
@@ -204,9 +207,11 @@ def check_objective() -> list:
 
 
 def _micro_model() -> tuple:
+    """A float64 micro model and one sample: in float32 the differences
+    would measure rounding, not gradients."""
     cfg = SumConfig(input_size=32, base_channels=4, state_size=2,
                     encoder_depths=(1, 1, 1, 1), decoder_depths=(1, 1, 1, 1),
-                    token_dim=8, seed=_SEED % (2 ** 24))
+                    token_dim=8, seed=_SEED % (2 ** 24), dtype="float64")
     model = Model(cfg)
     from .data import Sample
 
@@ -224,9 +229,9 @@ def check_model(scalars_per_param: int = 2, max_params: int = 120) -> list:
     """End-to-end: batch loss vs central differences on sampled parameters.
 
     Perturbs individual scalars (two per parameter over a deterministic
-    sample of parameters, each direction of a scan parameter on its own)
-    rather than whole arrays, keeping the check under a minute while still
-    crossing every module boundary.
+    sample of parameters, each direction of a scan parameter on its own,
+    plus the conditioner's last layer) rather than whole arrays, keeping the
+    check under a minute while still crossing every module boundary.
     """
     model, sample = _micro_model()
 
@@ -252,6 +257,10 @@ def check_model(scalars_per_param: int = 2, max_params: int = 120) -> list:
     if len(names) > max_params:
         idx = np.linspace(0, len(names) - 1, max_params).astype(int)
         names = [names[i] for i in sorted(set(idx.tolist()))]
+    # every conditioner scalar but its last layer's sits behind that
+    # zero-initialized layer, where gradient and differences are both 0:
+    # the last layer is what the model.cond row checks
+    names += [n for n in ("cond.l3.weight", "cond.l3.bias") if n in units and n not in names]
 
     h = 1e-4
     worst = {}

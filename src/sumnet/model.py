@@ -18,6 +18,12 @@ once per forward and applied inside a placement-dependent subset of blocks --
 dec stages, "all-blocks" every block.  With the knob head zero-initialized
 the modulated network starts bit-identical to the unconditioned one.
 
+Precision: ``SumConfig.dtype`` is what a model computes in, "float32" by
+default or "float64".  The forward, the tape, the scan and Adam all run in
+it; the composite loss computes in float64 and hands back its value and
+gradient in the prediction's dtype.  The gradient checks (``gradcheck``)
+build float64 models: finite differences in float32 would measure rounding.
+
 Every parameter lives in a flat name -> tensor registry; initialization
 draws from a stream derived from (config seed, parameter name), so any two
 models agree bit-for-bit on every parameter whose name and shape they
@@ -31,7 +37,8 @@ its exact JSON record, and back.  ``from_state`` (and ``loaded``, for a config
 given apart from the checkpoint) builds the registry through the same init
 helpers as ``Model(cfg)``, with their draws skipped (``tensor.skip_draws``),
 and takes every value from the checkpoint; ``load_state`` refuses a missing
-name, a wrong shape or a non-finite value before it writes anything.
+name, a wrong shape or a non-finite value before it writes anything.  The
+config record carries the dtype; a record without one loads as float64.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ PLACEMENT_STAGES = {  # the stages whose blocks each placement conditions
 }
 PLACEMENTS = tuple(PLACEMENT_STAGES)
 CONDITIONINGS = ("prompt", "one-hot", "none")
+DTYPES = ("float32", "float64")  # what a model computes in; gradcheck verifies float64
 
 
 class ConfigError(ValueError):
@@ -123,6 +131,7 @@ class SumConfig:
     decay_every: int = 4
     decay_factor: float = 0.1
     seed: int = 0
+    dtype: str = "float32"
 
     def __post_init__(self):
         for name, (coerce, wanted) in _FIELD_KINDS.items():
@@ -163,6 +172,8 @@ class SumConfig:
             raise ConfigError(f"decay_factor {self.decay_factor} must be in (0, 1]")
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be non-negative")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype {self.dtype!r} not in {DTYPES}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -187,15 +198,15 @@ class SumConfig:
 # parameter registry
 
 
-def _collect_params(prefix: str, obj, out: dict) -> None:
+def _collect_tensors(prefix: str, obj, out: dict) -> None:
     """Flatten nested weight dataclasses into name -> tensor, each tensor
-    named by its field path, e.g. ``enc0.b0.ssm.a_log``; a fixed tensor is none."""
+    named by its field path, e.g. ``enc0.b0.ssm.a_log``; fixed tensors (a
+    one-hot token table) too."""
     if isinstance(obj, Tensor):
-        if obj.requires_grad:
-            out[prefix] = obj
+        out[prefix] = obj
     elif is_dataclass(obj):
         for f in fields(obj):
-            _collect_params(f"{prefix}.{f.name}", getattr(obj, f.name), out)
+            _collect_tensors(f"{prefix}.{f.name}", getattr(obj, f.name), out)
 
 
 def _recorded_config(arrays: dict) -> SumConfig:
@@ -218,6 +229,7 @@ def _recorded_config(arrays: dict) -> SumConfig:
         raise ConfigError(f"checkpoint config record is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("checkpoint config record is not a JSON object")
+    doc.setdefault("dtype", "float64")  # a record without one holds a float64 model
     try:
         return SumConfig.from_dict(doc)
     except ConfigError as exc:
@@ -229,11 +241,17 @@ def _recorded_config(arrays: dict) -> SumConfig:
 
 
 class Model:
-    """Named-parameter network; forward is a pure function of the registry."""
+    """Named-parameter network; forward is a pure function of the registry.
+
+    Every tensor is drawn in float64 and then cast once to ``cfg.dtype``, so
+    a float32 model starts from the float64 model's values rounded, and
+    computes in float32 from there on.
+    """
 
     def __init__(self, cfg: SumConfig):
         cfg.validate()
         self.cfg = cfg
+        self.dtype = np.dtype(cfg.dtype)
         c, seed = cfg.base_channels, cfg.seed
         self.embed = B.init_patch_embed(c, seed, "embed")
         self.enc = []
@@ -266,11 +284,16 @@ class Model:
         if cfg.conditioning != "none":
             self.cond = B.init_conditioner(cfg.num_domains, cfg.token_dim, seed,
                                            one_hot=cfg.conditioning == "one-hot")
-        self._params = self._build_registry()
+        tensors = self._tensors()
+        with np.errstate(all="ignore"):  # a skip_draws build casts unset memory
+            for t in tensors.values():
+                t.data = t.data.astype(self.dtype, copy=False)
+        self._params = {name: t for name, t in tensors.items() if t.requires_grad}
         self._conditioned = (set() if cfg.conditioning == "none"
                              else set(PLACEMENT_STAGES[cfg.placement]))
 
-    def _build_registry(self) -> dict:
+    def _tensors(self) -> dict:
+        """Every tensor of the model by name, the fixed ones too."""
         parts = [("embed", self.embed)]
         parts += [(f"enc{i}.b{j}", w) for i, st in enumerate(self.enc) for j, w in enumerate(st)]
         parts += [(f"down{i}", d) for i, d in enumerate(self.down)]
@@ -281,7 +304,7 @@ class Model:
                   ("cond", self.cond)]  # no entries without a conditioner (cond None)
         out: dict = {}
         for prefix, obj in parts:
-            _collect_params(prefix, obj, out)
+            _collect_tensors(prefix, obj, out)
         return out
 
     # -- registry views ----------------------------------------------------
@@ -320,13 +343,14 @@ class Model:
         return model
 
     def load_state(self, arrays: dict) -> None:
-        """Copy checkpoint arrays into the parameters, in place.
+        """Copy checkpoint arrays into the parameters, in place, in the
+        model's dtype (exact for the float32 values a checkpoint stores).
 
         Every name, shape and value is checked before anything is written, so
         a rejected checkpoint leaves the model as it was: a value must be
-        finite, tested in one pass over all of them.  The copy goes into each
-        existing ``Tensor.data``, so parameters packed into an Adam's flat
-        vector stay packed.
+        finite in the model's dtype, tested in one pass over all of them.
+        The copy goes into each existing ``Tensor.data``, so parameters
+        packed into an Adam's flat vector stay packed.
         """
         missing = sorted(set(self._params) - set(arrays))
         if missing:
@@ -336,16 +360,25 @@ class Model:
             if shape != t.data.shape:
                 raise ConfigError(
                     f"shape mismatch for {name}: checkpoint {shape}, model {t.data.shape}")
-        if not np.isfinite(np.concatenate([arrays[n] for n in self._params], axis=None)).all():
-            for name in self._params:  # find the first bad value to name it
-                value = np.asarray(arrays[name])
-                bad = np.argwhere(~np.isfinite(value))
+        with np.errstate(over="ignore"):  # past the dtype's range is refused below
+            values = np.concatenate([arrays[n] for n in self._params], axis=None,
+                                    dtype=self.dtype)
+        if not np.isfinite(values).all():
+            at = 0
+            for name, t in self._params.items():  # find the first bad value to name it
+                bad = np.flatnonzero(~np.isfinite(values[at:at + t.size]))
                 if len(bad):
-                    at = tuple(map(int, bad[0]))
-                    raise ConfigError(f"checkpoint parameter {name} is {float(value[at])!r} "
-                                      f"at index {at}, not finite")
-        for name, t in self._params.items():
-            np.copyto(t.data, arrays[name])
+                    index = np.unravel_index(int(bad[0]), t.shape)
+                    value = float(np.asarray(arrays[name])[index])
+                    why = ("not finite" if not np.isfinite(value)
+                           else f"outside the range of {self.dtype}")
+                    raise ConfigError(f"checkpoint parameter {name} is {value!r} "
+                                      f"at index {tuple(map(int, index))}, {why}")
+                at += t.size
+        at = 0
+        for t in self._params.values():
+            np.copyto(t.data, values[at:at + t.size].reshape(t.shape))
+            at += t.size
 
     # -- forward -----------------------------------------------------------
 
@@ -357,7 +390,9 @@ class Model:
         return x
 
     def forward(self, images, labels=None) -> Tensor:
-        """[B, S, S, 3] images (+ labels unless unconditioned) -> [B, S, S].
+        """[B, S, S, 3] images (+ labels unless unconditioned) -> [B, S, S],
+        in the model's dtype.  Images of another dtype are cast once, as
+        data: a gradient does not reach a cast copy's source.
 
         In checked mode the boundaries are checked, not every op: a
         non-finite pixel raises NumericError naming its image's batch index,
@@ -366,6 +401,8 @@ class Model:
         names the op that produced it.
         """
         imgs = T.as_tensor(images)
+        if imgs.data.dtype != self.dtype:
+            imgs = Tensor(imgs.data.astype(self.dtype))
         shape = (1,) + imgs.shape if imgs.ndim == 3 else imgs.shape
         s = self.cfg.input_size
         if len(shape) != 4 or shape[1:] != (s, s, 3):

@@ -1,16 +1,21 @@
 """Differentiable training losses over 2-D saliency maps or stacks of them.
 
-The loss takes a single [H, W] map or a [B, H, W] stack of maps:
-statistics are per map, over the last two axes, and a stack returns the mean
-of its rows' losses.  `composite_loss`, the objective training runs, is one
-numpy forward/backward pair recorded as one node over the prediction: the
-targets' statistics are batch constants, computed once per call, and the
-forward runs the numpy operations of its five terms (KL, CC, SIM, NSS, MSE)
-in the order a tape of generic ops would, so its value equals the weighted
-sum of the five term functions the tests keep as its oracle, bit for bit.
-Guard terms (1e-12 on denominators) keep training stable on degenerate
-batches; the strict evaluation-time formulas live in `metrics`, implemented
-separately in plain numpy so the two routes can cross-check each other.
+The loss takes a single [H, W] map or a [B, H, W] stack of maps: statistics
+are per map, over the last two axes, and a stack returns the mean of its
+rows' losses.  It computes in float64 whatever the prediction's dtype, and
+returns its value and the prediction's gradient in that dtype: a map's mass
+and spread sum and square values that float32 underflows (the squares of a
+spread below 1e-19, the square of a mass below 1e-19), and on [B, S, S]
+values the two casts cost little next to the network.  `composite_loss`,
+the objective training runs, is one numpy forward/backward pair recorded as
+one node over the prediction: the targets' statistics are batch constants,
+computed once per call, and the forward runs the numpy operations of its
+five terms (KL, CC, SIM, NSS, MSE) in the order a tape of generic ops
+would, so its value equals the weighted sum of the five term functions the
+tests keep as its oracle, bit for bit.  Guard terms (1e-12 on denominators)
+keep training stable on degenerate batches; the strict evaluation-time
+formulas live in `metrics`, implemented separately in plain numpy so the
+two routes can cross-check each other.
 
 Sign conventions follow the composite weighting (10, -2, -1, -1, 5) for
 (KL, CC, SIM, NSS, MSE): similarity terms enter negatively, divergences
@@ -85,7 +90,7 @@ def composite_loss(gt, fixations, pred, weights=DEFAULT_WEIGHTS,
     _check_pair(f, p)
     n_fix = f.data.sum(axis=_MAP_AXES, keepdims=True)
     _refuse(n_fix < 1.0, f, "fixation map", "has no fixations")
-    gt, fix = g.data, f.data
+    gt, fix = g.data.astype(np.float64, copy=False), f.data.astype(np.float64, copy=False)
     gc = gt - gt.mean(axis=_MAP_AXES, keepdims=True)
     targets = (gt, gt / g_total, gc, np.sqrt((gc * gc).mean(axis=_MAP_AXES, keepdims=True)),
                fix, n_fix)
@@ -96,7 +101,8 @@ def composite_loss(gt, fixations, pred, weights=DEFAULT_WEIGHTS,
 
 
 def _composite_fwd(p, targets, weights, literal):
-    """composite_loss on the prediction's array: (loss, grad_fn).
+    """composite_loss on the prediction's array: (loss, grad_fn), the loss in
+    p's dtype, computed in float64.
 
     `targets` are the batch constants: the raw target, its unit-mass
     normalization (KL and SIM share it), its centred copy and sigma (CC),
@@ -108,6 +114,7 @@ def _composite_fwd(p, targets, weights, literal):
     grad_fn(g) returns the prediction's gradient as a one-element tuple.
     """
     gt, gn, gc, sg, fix, n_fix = targets
+    dtype, p = p.dtype, p.astype(np.float64, copy=False)
     w1, w2, w3, w4, w5 = weights
     ax, stack, check = _MAP_AXES, p.ndim == 3, T._check
 
@@ -141,6 +148,7 @@ def _composite_fwd(p, targets, weights, literal):
 
     def grad_fn(g):
         rows = p.shape[0] if stack else 1
+        g = np.asarray(g, dtype=np.float64)
         c1, c2, c3, c4, c5 = (g * w / rows for w in weights)
         n = p.shape[-2] * p.shape[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -156,10 +164,13 @@ def _composite_fwd(p, targets, weights, literal):
             g_sigma = -(c2 * cov * sg / (cc_den * cc_den) + c4 * zf / (n_fix * nss_den))
             g_pc = (c2 / (n * cc_den)) * gc
             g_pc += (c4 / (n_fix * nss_den)) * fix
-            g_pc += (g_sigma / (n * sigma)) * pc
+            # sigma's own gradient is pc / (n sigma); a constant map, as a
+            # saturated sigmoid gives (sigma = 0, pc = 0), takes 0, not 0/0
+            g_pc += np.divide(g_sigma, n * sigma, out=np.zeros_like(sigma),
+                              where=sigma > 0) * pc
             g_pc -= g_pc.mean(axis=ax, keepdims=True)
             g_p += g_pc
             g_p += (c5 * (2.0 / n)) * (p - gt)
-        return (g_p,)
+        return (g_p.astype(dtype, copy=False),)
 
-    return loss, grad_fn
+    return np.asarray(loss, dtype=dtype), grad_fn

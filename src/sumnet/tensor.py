@@ -11,15 +11,16 @@ each occurrence's gradient in input order.  Tensors wrap C-order numpy
 arrays of float32 or float64, kept as given; any other input is converted
 to float64.  Every pair allocates in its inputs' dtype, so a float32 model
 computes, records and differentiates in float32 throughout; the float64
-route is the one the finite-difference checks verify.  When a Tape is active and an input requires gradients, each
-operation appends a node (op kind, input node ids, output node id, `bwd`
-bound to its saved values) to the tape; `backward` replays the node list
-once in reverse, accumulating gradients additively so a value consumed
-twice gets the sum of both branch gradients.  The tape is rebuilt on every
-forward pass.  The numpy helpers the pairs share (`_sum_rows`,
-`_unbroadcast`, `_sigmoid_raw`, `_silu_grad`, `_gelu_fwd`) live here too;
-`_sum_rows` reads its vector of ones from a cache bounded and keyed on the
-length and dtype, which hands out read-only arrays.
+route is the one the finite-difference checks verify.  When a Tape is
+active and an input requires gradients, each operation appends a node (op
+kind, input node ids, output node id, `bwd` bound to its saved values) to
+the tape; `backward` replays the node list once in reverse, accumulating
+gradients additively so a value consumed twice gets the sum of both branch
+gradients.  The tape is rebuilt on every forward pass.  The numpy helpers
+the pairs share (`_sum_rows`, `_unbroadcast`, `_sigmoid_raw`, `_silu_grad`,
+`_gelu_fwd`) live here too; `_sum_rows` reads its vector of ones from a
+cache bounded and keyed on the length and dtype, which hands out read-only
+arrays.
 
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.

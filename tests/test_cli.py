@@ -575,42 +575,53 @@ def test_infer_rejects_a_non_finite_parameter(trained, tmp_path, capsys):
     assert not (tmp_path / "y.pgm").exists()
 
 
-def _overflowing_checkpoint(trained, tmp_path):
+# the op that overflows first, per dtype: float64 holds the float32-max
+# products until the scan's outer products; float32 not even the inproj's
+OVERFLOWING_OP = {"float64": "selective_scan", "float32": "gated_block inproj"}
+
+
+def _overflowing_checkpoint(trained, tmp_path, dtype):
     """The trained checkpoint with float32-max weights chained through one
-    block (inproj, dwconv, the B and C projections): its scan output
-    overflows, so every prediction is non-finite."""
+    block (inproj, dwconv, the B and C projections), its config record set
+    to `dtype`: every prediction is non-finite."""
     arrays = load_checkpoint(trained / "checkpoint.ckpt")
     for name in ("inproj.weight", "dw.kernel", "ssm.w_b", "ssm.w_c"):
         arrays[f"enc1.b0.{name}"][...] = np.finfo(np.float32).max
-    bad = tmp_path / "overflow.ckpt"
+    doc = json.loads(bytes(arrays["config"].astype(np.uint8)))
+    record = json.dumps({**doc, "dtype": dtype}, sort_keys=True).encode("utf-8")
+    arrays["config"] = np.frombuffer(record, dtype=np.uint8).astype(np.float64)
+    bad = tmp_path / f"overflow-{dtype}.ckpt"
     save_checkpoint(bad, arrays)
     return bad
 
 
 def test_eval_numeric_failure_exits_3(trained, corpus32, tmp_path, capsys):
     out = tmp_path / "eval.txt"
-    with warnings.catch_warnings():  # the checked replay warns of nothing
-        warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
-                         "--checkpoint", str(_overflowing_checkpoint(trained, tmp_path)),
-                         "--out", str(out)])
-    assert code == 3
-    assert ("error: selective_scan: produced a non-finite value"
-            in capsys.readouterr().err.splitlines())
-    assert not out.exists()
+    for dtype, op in OVERFLOWING_OP.items():
+        with warnings.catch_warnings():  # the checked replay warns of nothing
+            warnings.simplefilter("error", RuntimeWarning)
+            bad = _overflowing_checkpoint(trained, tmp_path, dtype)
+            code = cli.main(["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
+                             "--checkpoint", str(bad), "--out", str(out)])
+        assert code == 3, dtype
+        assert (f"error: {op}: produced a non-finite value"
+                in capsys.readouterr().err.splitlines()), dtype
+        assert not out.exists()
 
 
 def test_infer_numeric_failure_exits_3(trained, tmp_path, capsys):
     src = tmp_path / "img.ppm"
     write_ppm(src, np.full((32, 32, 3), 0.5))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main(["infer", "--checkpoint", str(_overflowing_checkpoint(trained, tmp_path)),
-                         "--image", str(src), "--domain", "ui",
-                         "--out", str(tmp_path / "y.pgm")])
-    assert code == 3
-    assert "error: selective_scan: produced a non-finite value" in capsys.readouterr().err
-    assert not (tmp_path / "y.pgm").exists()
+    for dtype, op in OVERFLOWING_OP.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["infer", "--checkpoint",
+                             str(_overflowing_checkpoint(trained, tmp_path, dtype)),
+                             "--image", str(src), "--domain", "ui",
+                             "--out", str(tmp_path / "y.pgm")])
+        assert code == 3, dtype
+        assert f"error: {op}: produced a non-finite value" in capsys.readouterr().err, dtype
+        assert not (tmp_path / "y.pgm").exists()
 
 
 def test_infer_internal_shape_error_is_not_a_config_error(trained, tmp_path, monkeypatch):
@@ -690,6 +701,21 @@ def test_gradcheck_catches_a_bug_in_the_knob_gradient(capsys, monkeypatch):
     status = _gradcheck_status(capsys, "blocks")
     assert status["gated_block.knobs"] == "FAIL"
     assert status["gated_block.input"] == status["conditioner.l3_weight"] == "ok"
+
+
+def test_gradcheck_model_cond_row_catches_a_bug_in_the_conditioner_gradient(capsys,
+                                                                           monkeypatch):
+    # the row samples the conditioner's last layer, the one whose gradient is nonzero
+    cond_bwd = sumnet.blocks._cond_bwd
+
+    def doubled_last_layer(*args, **kw):
+        *rest, g_w3, g_b3 = cond_bwd(*args, **kw)
+        return (*rest, 2.0 * g_w3, 2.0 * g_b3)
+
+    monkeypatch.setattr(sumnet.blocks, "_cond_bwd", doubled_last_layer)
+    status = _gradcheck_status(capsys, "model")
+    assert status["model.cond"] == "FAIL"
+    assert {row for row, verdict in status.items() if verdict == "FAIL"} == {"model.cond"}
 
 
 SCAN_ROWS = [

@@ -2,6 +2,7 @@
 
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +366,25 @@ def test_checkpoint_round_trip(tmp_path):
         assert back[name].shape == np.asarray(arr).shape
         assert np.max(np.abs(back[name] - arr)) < 1e-6  # float32 rounding only
         assert back[name].dtype == np.float64
+
+
+def test_checkpoint_write_that_fails_part_way_keeps_the_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {"w": np.arange(6.0).reshape(2, 3)})
+    before = p.read_bytes()
+    real = Path.write_bytes
+
+    def crash_half_way(self, data):
+        real(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", crash_half_way)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(p, {"w": np.ones((2, 3)), "v": np.zeros(4)})
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [p]  # no temporary left behind
+    assert np.array_equal(load_checkpoint(p)["w"], np.arange(6.0).reshape(2, 3))
 
 
 def test_checkpoint_save_is_idempotent_after_rounding(tmp_path):

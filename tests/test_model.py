@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -274,9 +275,9 @@ def _params_digest(model) -> str:
 def test_initial_parameters_are_pinned_across_commits():
     # SHA-256 over the sorted (name, bytes) pairs: any change to the stream
     # derivation, the splitmix64 pipeline or an init's draw order shows here
-    assert _params_digest(Model(SumConfig(input_size=32, base_channels=4))) == (
+    assert _params_digest(Model(SumConfig(input_size=32, base_channels=4, dtype="float64"))) == (
         "921ad29d9bd560f77dbb6c81fc08eac437c77484d3ca3d61f8e0b42abe6d937f")
-    assert _params_digest(Model(SumConfig(share_scan_params=True))) == (
+    assert _params_digest(Model(SumConfig(share_scan_params=True, dtype="float64"))) == (
         "2d1b690bef3888a699cc6fef405b45091651567bfc4a6a0d4831ef4e5939889a")
     draws = uniform_array((3, 5), -1.0, 1.0, 2**64 - 1)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == (
@@ -392,6 +393,38 @@ def test_state_round_trip_through_checkpoint(tmp_path):
     a = m.predict(img, [1])
     b = m2.predict(img, [1])
     assert np.max(np.abs(a - b)) < 1e-5  # float32 storage rounding only
+
+
+def test_a_float32_model_round_trips_exactly_through_checkpoint(tmp_path):
+    m = _perturbed(micro_cfg())
+    assert m.cfg.dtype == "float32" and m.dtype == np.float32  # the default
+    p = tmp_path / "f32.ckpt"
+    save_checkpoint(p, m.state_arrays())
+    back = Model.from_state(load_checkpoint(p))
+    assert back.cfg == m.cfg and back.dtype == np.float32
+    for name, t in m.params().items():
+        assert back.params()[name].data.tobytes() == t.data.tobytes(), name
+    img = SplitMix64(4).uniforms(2 * 32 * 32 * 3).reshape(2, 32, 32, 3)
+    assert back.predict(img, [1, 3]).tobytes() == m.predict(img, [1, 3]).tobytes()
+    save_checkpoint(tmp_path / "again.ckpt", back.state_arrays())
+    assert (tmp_path / "again.ckpt").read_bytes() == p.read_bytes()
+
+
+def test_a_config_record_without_a_dtype_loads_as_float64(tmp_path):
+    arrays = _perturbed(micro_cfg(dtype="float64")).state_arrays()
+    doc = json.loads(bytes(arrays["config"].astype(np.uint8)))
+    del doc["dtype"]
+    record = json.dumps(doc, sort_keys=True).encode("utf-8")
+    arrays["config"] = np.frombuffer(record, dtype=np.uint8).astype(np.float64)
+    p = tmp_path / "undated.ckpt"
+    save_checkpoint(p, arrays)
+    back = Model.from_state(load_checkpoint(p))
+    assert back.cfg.dtype == "float64" and back.dtype == np.float64
+    assert all(t.data.dtype == np.float64 for t in back.params().values())
+    # a config document without one is the default, float32; any other is refused
+    assert SumConfig.from_dict(doc).dtype == "float32"
+    with pytest.raises(ConfigError, match="dtype 'float16' not in"):
+        SumConfig.from_dict({**doc, "dtype": "float16"})
 
 
 def test_load_state_rejects_mismatches():
@@ -608,20 +641,22 @@ def test_flat_adam_matches_reference_bit_for_bit():
 
 
 def test_flat_adam_matches_reference_on_shared_scan_model():
-    cfg = micro_cfg(share_scan_params=True)
-    ours, theirs = Model(cfg), Model(cfg)
-    flat, ref = Adam(ours.params(), lr=1e-3), _reference_adam(theirs.params(), lr=1e-3)
-    samples = micro_samples(2)
-    for k in range(4):
-        if k == 2:
-            flat.lr = ref.lr = 1e-4
-        for model, opt in ((ours, flat), (theirs, ref)):
-            with T.Tape() as tape:
-                grads = T.backward(tape, batch_loss(model, samples, [0, 1]))
-            if k == 3:
-                del grads[model.params()["enc0.b0.ssm.a_log"]]
-            opt.step(grads)
-        _assert_same_state(flat, ref)
+    for dtype in ("float64", "float32"):  # the flat vector, m and v in the model's dtype
+        cfg = micro_cfg(share_scan_params=True, dtype=dtype)
+        ours, theirs = Model(cfg), Model(cfg)
+        flat, ref = Adam(ours.params(), lr=1e-3), _reference_adam(theirs.params(), lr=1e-3)
+        assert flat.flat.dtype == flat.m.dtype == flat.v.dtype == dtype
+        samples = micro_samples(2)
+        for k in range(4):
+            if k == 2:
+                flat.lr = ref.lr = 1e-4
+            for model, opt in ((ours, flat), (theirs, ref)):
+                with T.Tape() as tape:
+                    grads = T.backward(tape, batch_loss(model, samples, [0, 1]))
+                if k == 3:
+                    del grads[model.params()["enc0.b0.ssm.a_log"]]
+                opt.step(grads)
+            _assert_same_state(flat, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +678,7 @@ def _reference_batch_loss(model, samples, idxs):
 
 @pytest.mark.parametrize("kl_literal", [False, True])
 def test_batch_loss_matches_per_sample_loop(kl_literal):
-    m = Model(micro_cfg(kl_literal=kl_literal))
+    m = Model(micro_cfg(kl_literal=kl_literal, dtype="float64"))
     samples = micro_samples(3)
 
     def run(loss_fn):
@@ -661,7 +696,7 @@ def test_batch_loss_matches_per_sample_loop(kl_literal):
 
 
 def test_batch_loss_matches_manual_mean():
-    m = Model(micro_cfg())
+    m = Model(micro_cfg(dtype="float64"))
     samples = micro_samples(3)
     loss = batch_loss(m, samples, [0, 1, 2])
     pred = m.forward(np.stack([s.image for s in samples]),
@@ -843,8 +878,9 @@ def test_numeric_abort_names_location():
 def test_numeric_abort_message_is_pinned():
     # the lr=1e30 step leaves a_log so large that exp(a_log) overflows; the
     # forward squashes it (abar = 0), so only the gradient boundary trips,
-    # and its checked replay names the op
-    m = Model(micro_cfg(epochs=1, batch_size=2, lr=1e30))
+    # and its checked replay names the op (in float32 an earlier product
+    # already overflows, see test_numerics.py)
+    m = Model(micro_cfg(epochs=1, batch_size=2, lr=1e30, dtype="float64"))
     samples = micro_samples(4)
     with pytest.raises(NumericAbort) as exc:
         train(m, samples[:3], samples[3:])
