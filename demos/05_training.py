@@ -47,7 +47,8 @@ def run(root: Path):
     img = np.stack([s.image for s in val_samples])
     labels = [s.label for s in val_samples]
     drift = np.max(np.abs(model.predict(img, labels) - clone.predict(img, labels)))
-    print(f"reloaded-model prediction drift: {drift:.2e} (float32 storage)")
+    print(f"reloaded-model prediction drift: {drift:.2e} "
+          f"({cfg.dtype} model, float32 checkpoint storage)")
 
 
 if __name__ == "__main__":

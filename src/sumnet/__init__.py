@@ -2,7 +2,8 @@
 
 Layout:
   rng        deterministic splitmix64 randomness
-  tensor     float64 autodiff tape (the only math substrate)
+  tensor     float32/float64 autodiff tape (the only math substrate);
+             models compute in float32 by default, gradient checks in float64
   scan       directional flatten + selective state-space recurrence
   blocks     norm/conv/resampling layers, gated scan blocks, conditioning
   model      full encoder/decoder assembly, Adam, training loop
