@@ -360,25 +360,18 @@ class Model:
             if shape != t.data.shape:
                 raise ConfigError(
                     f"shape mismatch for {name}: checkpoint {shape}, model {t.data.shape}")
-        with np.errstate(over="ignore"):  # past the dtype's range is refused below
-            values = np.concatenate([arrays[n] for n in self._params], axis=None,
-                                    dtype=self.dtype)
-        if not np.isfinite(values).all():
-            at = 0
-            for name, t in self._params.items():  # find the first bad value to name it
-                bad = np.flatnonzero(~np.isfinite(values[at:at + t.size]))
+        with np.errstate(over="ignore"):  # a value past the dtype's range casts to inf
+            cast = {name: np.asarray(arrays[name], dtype=self.dtype) for name in self._params}
+        if not np.isfinite(np.concatenate(list(cast.values()), axis=None)).all():
+            for name, value in cast.items():  # find the first bad value to name it
+                bad = np.argwhere(~np.isfinite(value))
                 if len(bad):
-                    index = np.unravel_index(int(bad[0]), t.shape)
-                    value = float(np.asarray(arrays[name])[index])
-                    why = ("not finite" if not np.isfinite(value)
-                           else f"outside the range of {self.dtype}")
-                    raise ConfigError(f"checkpoint parameter {name} is {value!r} "
-                                      f"at index {tuple(map(int, index))}, {why}")
-                at += t.size
-        at = 0
-        for t in self._params.values():
-            np.copyto(t.data, values[at:at + t.size].reshape(t.shape))
-            at += t.size
+                    at = tuple(map(int, bad[0]))
+                    given = float(np.asarray(arrays[name])[at])
+                    raise ConfigError(f"checkpoint parameter {name} is {given!r} "
+                                      f"at index {at}, not finite in {self.dtype}")
+        for name, t in self._params.items():
+            np.copyto(t.data, cast[name])
 
     # -- forward -----------------------------------------------------------
 

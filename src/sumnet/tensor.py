@@ -153,7 +153,7 @@ def checked_at_boundary(kind: str, fn, *args):
     return out
 
 
-FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
@@ -163,7 +163,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in FLOAT_DTYPES:  # ints, bools, other floats: float64
+        if arr.dtype not in _FLOAT_DTYPES:  # ints, bools, other floats: float64
             arr = arr.astype(np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)

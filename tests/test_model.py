@@ -427,6 +427,15 @@ def test_a_config_record_without_a_dtype_loads_as_float64(tmp_path):
         SumConfig.from_dict({**doc, "dtype": "float16"})
 
 
+def test_load_state_refuses_a_value_past_the_models_dtype_range():
+    state = Model(micro_cfg(dtype="float64")).state_arrays()
+    state["dec1.b0.gate.weight"][0, 2] = 1e39  # a float64, not a float32
+    assert Model.from_state(state).params()["dec1.b0.gate.weight"].data[0, 2] == 1e39
+    with pytest.raises(ConfigError, match=re.escape(
+            "dec1.b0.gate.weight is 1e+39 at index (0, 2), not finite in float32")):
+        Model.loaded(micro_cfg(), state)
+
+
 def test_load_state_rejects_mismatches():
     m = Model(micro_cfg())
     good = m.state_arrays()
