@@ -42,7 +42,11 @@ def _loss_and_grads(model, samples):
 @pytest.mark.parametrize("kw", CONDITIONINGS)
 def test_a_float32_train_step_stays_float32(kw):
     m = Model(micro_cfg(**kw))
-    assert m.dtype == F32 and all(t.data.dtype == F32 for t in m._tensors().values())
+    tensors = m._tensors()
+    assert m.dtype == F32 and all(t.data.dtype == F32 for t in tensors.values())
+    # drawn in float64, rounded once
+    for name, t in Model(micro_cfg(dtype="float64", **kw))._tensors().items():
+        assert np.array_equal(tensors[name].data, t.data.astype(F32)), name
     samples = micro_samples(3)
     opt = Adam(m.params(), lr=1e-3)
     loss, tape, grads = _loss_and_grads(m, samples)
@@ -154,20 +158,6 @@ def test_a_log_past_the_float32_edge_aborts_training_and_names_the_op():
         with pytest.raises(NumericAbort, match=r"^selective_scan exp\(a_log\): produced a "
                                                r"non-finite value \(epoch 0, batch 0\)$"):
             train(m, samples[:3], samples[3:])
-
-
-def test_an_overflow_only_float32_has_names_its_op_in_predict():
-    # 3e38 gate weights: about 1e39 before the gate's silu, finite in float64
-    samples = micro_samples(2)
-    imgs = np.stack([s.image for s in samples])
-    for dtype in ("float64", "float32"):
-        m = Model(micro_cfg(dtype=dtype))
-        m.params()["dec1.b0.gate.weight"].data[...] = 3e38
-        if dtype == "float64":
-            assert np.isfinite(m.predict(imgs, [0, 1])).all()
-            continue
-        with pytest.raises(NumericError, match=r"^gated_block gate linear: produced"):
-            m.predict(imgs, [0, 1])
 
 
 def _edge_maps(size=16):
