@@ -887,8 +887,8 @@ def test_numeric_abort_names_location():
 def test_numeric_abort_message_is_pinned():
     # the lr=1e30 step leaves a_log so large that exp(a_log) overflows; the
     # forward squashes it (abar = 0), so only the gradient boundary trips,
-    # and its checked replay names the op (in float32 an earlier product
-    # already overflows, see test_numerics.py)
+    # and its checked replay names the op (in float32 the gate linear's
+    # product overflows first; test_precision.py has float32's own edges)
     m = Model(micro_cfg(epochs=1, batch_size=2, lr=1e30, dtype="float64"))
     samples = micro_samples(4)
     with pytest.raises(NumericAbort) as exc:
