@@ -90,7 +90,7 @@ def composite_loss(gt, fixations, pred, weights=DEFAULT_WEIGHTS,
     _check_pair(f, p)
     n_fix = f.data.sum(axis=_MAP_AXES, keepdims=True)
     _refuse(n_fix < 1.0, f, "fixation map", "has no fixations")
-    gt, fix = g.data.astype(np.float64, copy=False), f.data.astype(np.float64, copy=False)
+    gt, fix = g.data, f.data
     gc = gt - gt.mean(axis=_MAP_AXES, keepdims=True)
     targets = (gt, gt / g_total, gc, np.sqrt((gc * gc).mean(axis=_MAP_AXES, keepdims=True)),
                fix, n_fix)
