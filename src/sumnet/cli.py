@@ -15,6 +15,7 @@ resolve against the config file's own directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -44,6 +45,7 @@ from .model import (
     PLACEMENTS,
     SumConfig,
     evaluate,
+    recorded_config,
     score,
     train,
 )
@@ -164,9 +166,10 @@ def cmd_train(args) -> int:
 
 def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
     """The model a checkpoint holds, built from its recorded config or from
-    `config_path`'s; a checkpoint the model refuses (a missing parameter, a
-    shape, a non-finite value, a bad config record) is a ConfigError that
-    starts with the checkpoint's path."""
+    `config_path`'s; a config that names no dtype takes the recorded one, so
+    one checkpoint computes in one dtype either way.  A checkpoint the model
+    refuses (a missing parameter, a shape, a non-finite value, a bad config
+    record) is a ConfigError that starts with the checkpoint's path."""
     arrays = load_checkpoint(path)
     cfg = None
     if config_path is not None:
@@ -175,7 +178,11 @@ def _model_from_checkpoint(path: str, config_path: str | None) -> Model:
             doc.pop(key, None)
         cfg = _config(config_path, doc)
     try:
-        return Model.from_state(arrays) if cfg is None else Model.loaded(cfg, arrays)
+        if cfg is None:
+            return Model.from_state(arrays)
+        if "dtype" not in doc:
+            cfg = dataclasses.replace(cfg, dtype=recorded_config(arrays).dtype)
+        return Model.loaded(cfg, arrays)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -209,7 +209,7 @@ def _collect_tensors(prefix: str, obj, out: dict) -> None:
             _collect_tensors(f"{prefix}.{f.name}", getattr(obj, f.name), out)
 
 
-def _recorded_config(arrays: dict) -> SumConfig:
+def recorded_config(arrays: dict) -> SumConfig:
     """The config a ``state_arrays`` checkpoint records; a bad record raises
     a ConfigError that says what is wrong with it."""
     if "config" not in arrays:
@@ -326,7 +326,7 @@ class Model:
     @classmethod
     def from_state(cls, arrays: dict) -> "Model":
         """Inverse of ``state_arrays``: the recorded config's model, loaded."""
-        return cls.loaded(_recorded_config(arrays), arrays)
+        return cls.loaded(recorded_config(arrays), arrays)
 
     @classmethod
     def loaded(cls, cfg: SumConfig, arrays: dict) -> "Model":
@@ -663,7 +663,10 @@ def train(model: Model, train_samples, val_samples, on_epoch=None) -> TrainingRe
                     value = float(loss.data)
                     if not np.isfinite(value):
                         raise NumericAbort(f"non-finite loss {value}", epoch, b)
-                    grads = T.backward(tape, loss)
+                    # a value squashed in the forward (abar = exp(-inf) = 0)
+                    # can meet inf here; the finiteness test below names it
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        grads = T.backward(tape, loss)
             except NumericError as exc:
                 raise NumericAbort(str(exc), epoch, b) from exc
             for t, g in grads.items():

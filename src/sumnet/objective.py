@@ -135,7 +135,7 @@ def _composite_fwd(p, targets, weights, literal):
         cc = row_mean(cov / cc_den)
         check("composite_loss cc", cc)
         mask = gn <= pn
-        sim = row_mean(np.where(mask, gn, pn).sum(axis=ax, keepdims=True))
+        sim = row_mean(np.minimum(gn, pn).sum(axis=ax, keepdims=True))  # mask is the backward's
         check("composite_loss sim", sim)
         nss_den = sigma + GUARD
         zf = (pc / nss_den * fix).sum(axis=ax, keepdims=True)

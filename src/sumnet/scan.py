@@ -31,16 +31,19 @@ so: with G*B rows, one step's rows sit a whole sequence apart in a
 batch-major array.  `selective_scan_fwd` keeps delta, B and C time-major
 and `ss2d_bwd` lays the gradient's traversals out time-major, so only x is
 copied.  Outputs are written batch-major through time-major views.  When a
-tape records the call, what the forward keeps for the backward pass depends
-on the state's size in bytes.  Below _CHECKPOINT_BYTES (4 MiB)
-the hidden states and the decay factors are kept whole: a state that stays
-in cache is cheaper to store than to rebuild.  From that size on the
-forward keeps only each chunk's last hidden state, and the backward
-rebuilds each chunk's decay factors and hidden states from the checkpoint
-before it, in cache and bit for bit (Mamba's recomputation, Gu & Dao 2023,
-as gradient checkpointing per chunk).  When nothing records (predict,
-eval, the finite-difference oracle) the forward reuses one K-row buffer per
-array and keeps no state.
+tape records the call, the forward keeps the hidden states and the
+backward rebuilds the rest, in cache and bit for bit (Mamba's
+recomputation, Gu & Dao 2023, as gradient checkpointing per chunk).  The
+decay factors abar = exp(delta A) cost three passes to rebuild and as many
+bytes as the hidden states to keep, so a chunked call never keeps them:
+the backward rebuilds each chunk's abar in one K-row buffer.  The hidden
+states are kept whole below _CHECKPOINT_BYTES (4 MiB), where they stay in
+cache and are cheaper to store than to rebuild; from that size on only
+each chunk's last hidden state is kept, and the backward rebuilds each
+chunk's hidden states from the checkpoint before it.  A call that fits one
+chunk keeps its abar, at most one chunk buffer, rather than rebuild it.
+When nothing records (predict, eval, the finite-difference oracle) the
+forward reuses one K-row buffer per array and keeps no state.
 
 The scan is plain numpy with hand-derived backwards.  `_traversals` (a
 grid's four traversals) and `cross_merge_fwd` (their sum back on the grid)
@@ -49,13 +52,14 @@ constant, `_DIRECTION_FLAGS`; the layer norms around the scan in a gated
 block take their statistics as matmuls and the conv's tap windows are built
 once per shape (see `blocks`); `_scan_forward`/`_scan_backward` are the
 recurrence kernel.  Two pairs, `*_fwd(..., keep) -> (out, saved)` and
-`*_bwd(saved, g)`, build on them: `selective_scan_fwd`/`_bwd` for G
+`*_bwd(saved, ...)`, build on them: `selective_scan_fwd`/`_bwd` for G
 sequences at once (projections, softplus, A = -exp(A_log), recurrence and
-skip; `saved` keeps the sequences, the rank-R delta projection, the
-softplus derivative, delta, the B/C projections, A, exp(A_log) and the
-kernel's state), and `ss2d_fwd`/`_bwd`, which chain the
-traversals, one grouped call and the merge.  `tensor.primitive` records
-`ss2d` as one node; `blocks.gated_block` chains the same pairs.
+skip; `saved` keeps the rank-R delta projection, the softplus derivative,
+delta, the B/C projections, A, exp(A_log) and the kernel's state, and the
+caller passes the sequences back), and `ss2d_fwd`/`_bwd`, which chain the
+traversals, one grouped call and the merge, and keep the grid, not its
+four traversals, rebuilding them for the backward pass.  `tensor.primitive`
+records `ss2d` as one node; `blocks.gated_block` chains the same pairs.
 
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
@@ -158,9 +162,9 @@ def _per_row(a, rows):
 # temporaries stay in L2.
 _CHUNK_BYTES = 256 << 10
 # Bytes of a chunked recorded call's [L, G*B, N, C] state from which it keeps
-# one hidden row per chunk, not hidden and abar whole: 4 MiB, 16 chunk
-# buffers.  A smaller state stays in cache and is cheaper to store than to
-# rebuild; past it the full-size writes cost more.
+# one hidden row per chunk, not hidden whole: 4 MiB, 16 chunk buffers.  A
+# smaller state stays in cache and is cheaper to store than to rebuild; past
+# it the full-size writes cost more.
 _CHECKPOINT_BYTES = 4 << 20
 
 
@@ -170,24 +174,31 @@ def _chunk_len(length, rows, n, ch, itemsize):
     return max(1, min(length, _CHUNK_BYTES // (rows * n * ch * itemsize)))
 
 
-def _state_chunk(delta_c, dx_c, b_c, a_t, tmp, h_prev, ab=None, hd=None):
-    """abar and hidden of one time-major chunk, built while it is in cache.
-
-    abar = exp(delta a) in place, du = delta x B straight into the hidden
-    rows, then the in-place sweep from h_prev (None at t = 0).  Writes into
-    ab and hd when given, else into new C-ordered arrays, so that every
-    step's [G*B, N, C] block is contiguous.  a_t is A per row (`_per_row`).
-    delta a is a broadcast copy of delta, then an in-place product with a_t
-    over whole rows: the same products as one broadcast product, whose
-    inner loop is only C long, and faster.  The forward builds each chunk's
-    state here, and a checkpointed backward rebuilds it here, bit for bit.
-    Returns (abar, hidden) of the chunk.
-    """
+def _decay_chunk(delta_c, a_t, ab=None):
+    """abar = exp(delta a) of one time-major chunk, in place in ab when given,
+    else in a new C-ordered array.  a_t is A per row (`_per_row`).  delta a
+    is a broadcast copy of delta, then an in-place product with a_t over
+    whole rows: the same products as one broadcast product, whose inner
+    loop is only C long, and faster."""
     if ab is None:
         ab = np.empty((len(delta_c),) + a_t.shape, dtype=delta_c.dtype)
     np.copyto(ab, delta_c[:, :, None, :])
     np.multiply(ab, a_t, out=ab)
     np.exp(ab, out=ab)
+    return ab
+
+
+def _state_chunk(delta_c, dx_c, b_c, a_t, tmp, h_prev, ab=None, hd=None):
+    """abar and hidden of one time-major chunk, built while it is in cache.
+
+    abar by `_decay_chunk`, du = delta x B straight into the hidden rows,
+    then the in-place sweep from h_prev (None at t = 0).  Writes into ab and
+    hd when given, else into new C-ordered arrays, so that every step's
+    [G*B, N, C] block is contiguous.  The forward builds each chunk's state
+    here, and a checkpointed backward rebuilds it here, bit for bit.
+    Returns (abar, hidden) of the chunk.
+    """
+    ab = _decay_chunk(delta_c, a_t, ab)
     if h_prev is not None:  # read before hd is written: it may be hd's last row
         np.multiply(ab[0], h_prev, out=tmp)
     hd = np.einsum("lbc,lbn->lbnc", dx_c, b_c, out=hd, order="C")
@@ -208,21 +219,22 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
     Inputs batch-major: delta/x [G*B, L, C], b/c [G*B, L, N]; a is [G, C, N]
     (or [C, N] for one group), and rows g*B .. (g+1)*B - 1 use a[g].
     Returns (y [G*B,L,C], state).  The state is what `_scan_backward`
-    reads: None without `keep`; with it (hidden, abar), both whole
-    [L,G*B,N,C], or (checkpoints, None) for a chunked call whose state has
-    at least _CHECKPOINT_BYTES bytes, hidden at each chunk's last step
-    as [n_chunks, G*B, N, C].  The state arrays are time-major, so each
-    sweep step reads and writes one contiguous [G*B, N, C] block, and
-    delta, B and C are read time-major (copied unless laid out so).  Time
-    is walked in chunks of K steps (`_chunk_len` over all G*B rows), each
-    built by `_state_chunk` and read by C h while it is in cache, with h
-    carried from the previous chunk's last step.  When hidden and abar are
-    kept whole the chunks are slices of them; otherwise (nothing records,
-    or checkpoints) every chunk reuses one K-row buffer per array and no
-    full-size state is built.  A call that fits one chunk runs it on the
-    whole arrays and lets each op allocate, so it pays no chunking
-    overhead.  einsum builds the outer products because broadcasting runs
-    an inner loop only C long.
+    reads: None without `keep`; with it (hidden, abar) for a call that fits
+    one chunk, both whole [L,G*B,N,C]; (hidden, None) for a chunked call,
+    hidden whole below _CHECKPOINT_BYTES of state, else hidden at each
+    chunk's last step as [n_chunks, G*B, N, C] (the checkpoints).  A chunked
+    call keeps no abar: the backward rebuilds it per chunk.  The state
+    arrays are time-major, so each sweep step reads and writes one
+    contiguous [G*B, N, C] block, and delta, B and C are read time-major
+    (copied unless laid out so).  Time is walked in chunks of K steps
+    (`_chunk_len` over all G*B rows), each built by `_state_chunk` and read
+    by C h while it is in cache, with h carried from the previous chunk's
+    last step.  abar is always built in one K-row buffer; hidden is too,
+    unless it is kept whole, when the chunks are slices of it.  A call that
+    fits one chunk runs it on the whole arrays and lets each op allocate, so
+    it pays no chunking overhead; its abar is at most one chunk buffer, so
+    it is kept rather than rebuilt.  einsum builds the outer products
+    because broadcasting runs an inner loop only C long.
 
     The pass budget.  Once per call: the time-major copies of delta, B and
     C (none from `selective_scan_fwd`, which lays them out so) and
@@ -252,21 +264,21 @@ def _scan_forward(delta, a, b_seq, c_seq, x, keep=True):
         np.matmul(c_t[:, :, None, :], hidden, out=y_t)
         return y, (hidden, abar) if keep else None
     whole = keep and length * rows * n * ch * dt.itemsize < _CHECKPOINT_BYTES
-    abar = np.empty((length if whole else k, rows, n, ch), dtype=dt)
-    hidden = np.empty_like(abar)
+    abar = np.empty((k, rows, n, ch), dtype=dt)
+    hidden = np.empty((length if whole else k, rows, n, ch), dtype=dt)
     ckpt = np.empty((-(-length // k), rows, n, ch), dtype=dt) if keep and not whole else None
     h_prev = None
     for i, s in enumerate(range(0, length, k)):
         e = s + k
-        ab, hd = (abar[s:e], hidden[s:e]) if whole else (abar[:length - s], hidden[:length - s])
-        _state_chunk(delta_t[s:e], dx[s:e], b_t[s:e], a_t, tmp, h_prev, ab, hd)
+        hd = hidden[s:e] if whole else hidden[:length - s]
+        _state_chunk(delta_t[s:e], dx[s:e], b_t[s:e], a_t, tmp, h_prev, abar[:length - s], hd)
         np.matmul(c_t[s:e, :, None, :], hd, out=y_t[s:e])
         h_prev = hd[-1]
         if ckpt is not None:
             ckpt[i] = h_prev
     if not keep:
         return y, None
-    return y, (hidden, abar) if whole else (ckpt, None)
+    return y, (hidden if whole else ckpt, None)
 
 
 def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
@@ -284,21 +296,27 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
     That gradient meets A per row, laid out like the state (`_per_row`):
     into delta, and into a per-row running A gradient that is summed over
     each group's B rows at the end.  The inputs are read time-major (copied
-    unless laid out so), the gradients written batch-major.  A state of
-    (checkpoints, None) has each chunk's abar and hidden rebuilt by
-    `_state_chunk`, the forward's ops in the forward's order, into a K-row
-    abar buffer and a (K+1)-row hidden buffer whose row 0 is the previous
-    chunk's checkpoint, h_{s-1}; a whole state is read in slices.
+    unless laid out so), the gradients written batch-major.  Every state
+    form is read chunk by chunk, and what the forward did not keep is
+    rebuilt with the forward's own ops in the forward's order, so bit for
+    bit.  A one-chunk state (hidden, abar) is read as kept.  A whole hidden
+    with abar None has each chunk's abar rebuilt by `_decay_chunk` into one
+    K-row buffer, and hidden read in slices.  Checkpoints (fewer rows than
+    L) have each chunk's abar and hidden rebuilt by `_state_chunk` into that
+    buffer and a (K+1)-row hidden buffer whose row 0 is the previous chunk's
+    checkpoint, h_{s-1}.  (With K = 1 the checkpoints are every hidden row,
+    and are read as a whole hidden.)
 
-    The pass budget per chunk, over [K, G*B, N, C] state.  A checkpointed
-    call first rebuilds the chunk, the forward's passes 1-5 (`_state_chunk`)
-    into the two buffers after copying the checkpoint into row 0:
+    The pass budget per chunk, over [K, G*B, N, C] state.  A chunked call
+    first rebuilds the chunk into the buffers: a whole hidden runs R1-R3,
+    checkpoints run R1-R5 (the forward's passes 1-5, `_state_chunk`) after
+    copying the checkpoint into row 0; a one-chunk state runs none:
       R1. abar = delta, broadcast     reads delta                 writes abar
       R2. abar *= a, in place         reads A per row             updates abar
       R3. exp(abar), in place         reads and writes abar
       R4. du = einsum(delta x, B)     reads delta x, B            writes hidden
       R5. the sweep, per step         reads abar                  updates hidden
-    Then, for either state:
+    Then, for every state form:
       1. g_C = h g (matmul)           reads hidden, g             writes g_c
       2. dh = einsum(g, C)            reads g, C                  writes dh
       3. the sweep, per step:         dh_t += abar_{t+1} dh_{t+1} reads abar,
@@ -331,9 +349,11 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
     gd_t, gx_t = _time_major(g_delta), _time_major(g_x)
     gb_t, gc_t = _time_major(g_b)[..., None], _time_major(g_c)[..., None]
     g_a_rows = np.zeros((rows, n, ch), dtype=dt)
-    hidden, abar = state  # hidden holds the checkpoints when abar is None
+    hidden, abar = state
+    rebuild = len(hidden) < length  # hidden holds the checkpoints
     if abar is None:  # each chunk's state is rebuilt in these
         ab_buf = np.empty((k, rows, n, ch), dtype=dt)
+    if rebuild:
         h_buf = np.empty((k + 1, rows, n, ch), dtype=dt)
     mul, add = np.multiply, np.add  # as in _state_chunk's sweep
     for s in reversed(range(0, length, k)):
@@ -342,13 +362,14 @@ def _scan_backward(g, delta, a, b_seq, c_seq, x, state):
         d, g_s = dh[:e - s], g_t[s:e]
         dx_s, g_dx_s = dx[:e - s], g_dx[:e - s]
         np.multiply(delta_t[s:e], x_t[s:e], out=dx_s[..., 0])
-        if abar is None:
+        if rebuild:
             h_buf[0] = hidden[s // k - 1]  # h_{s-1}, unread at s = 0
             ab, hid = _state_chunk(delta_t[s:e], dx_s[..., 0], b_t[s:e], a_t, tmp,
                                    h_buf[0] if s else None, ab_buf[:e - s], h_buf[1:e - s + 1])
             prev = h_buf[lo - s:e - s]
         else:
-            ab, hid, prev = abar[s:e], hidden[s:e], hidden[lo - 1:e - 1]
+            ab = abar[s:e] if abar is not None else _decay_chunk(delta_t[s:e], a_t, ab_buf[:e - s])
+            hid, prev = hidden[s:e], hidden[lo - 1:e - 1]
         np.matmul(hid, g_s[..., None], out=gc_t[s:e])
         np.einsum("lbc,lbn->lbnc", g_s, c_t[s:e], out=d)
         if e < length:
@@ -447,11 +468,11 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     all G*B rows and the skip term D x.  With per-op checks on the delta
     pre-activation, both projections and exp(a_log) must be finite; in the
     model's forward they are off, and a boundary's checked replay raises
-    their named errors (`tensor.checked_at_boundary`).  `saved`
-    holds what selective_scan_bwd reads (the sequence, the rank-R delta
-    projection, the softplus derivative, delta, the B/C projections, A,
-    exp(a_log), the kernel's state) when `keep`, else None, and then the
-    kernel keeps no state.
+    their named errors (`tensor.checked_at_boundary`).  `saved` holds what
+    selective_scan_bwd reads besides x4, which its caller passes back (the
+    rank-R delta projection, the softplus derivative, delta, the B/C
+    projections, A, exp(a_log), the kernel's state) when `keep`, else None,
+    and then the kernel keeps no state.
 
     The softplus derivative comes from the softplus's own exponential:
     e = exp(min(pre, 30)), then sigmoid(pre) = e / (1 + e) before log1p
@@ -494,16 +515,15 @@ def selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta, k
     out += x4 * d_skip[:, None, None]
     if not keep:
         return out, None
-    return out, (x4, low, deriv, delta3, a, e_a, b3, c3, state,
-                 d_skip, w_b, w_c, w_delta, v_delta)
+    return out, (low, deriv, delta3, a, e_a, b3, c3, state, d_skip, w_b, w_c, w_delta, v_delta)
 
 
-def selective_scan_bwd(saved, g4):
-    """Gradients of selective_scan_fwd for y's gradient g4 [G, B, L, C]: the
-    sequences', then a_log, d_skip, w_b, w_c, w_delta, v_delta, b_delta,
-    each stacked over the groups like its parameter."""
-    (x4, low, deriv, delta3, a, e_a, b3, c3, state,
-     d_skip, w_b, w_c, w_delta, v_delta) = saved
+def selective_scan_bwd(saved, x4, g4):
+    """Gradients of selective_scan_fwd on the sequences x4 for y's gradient
+    g4, both [G, B, L, C]: the sequences', then a_log, d_skip, w_b, w_c,
+    w_delta, v_delta, b_delta, each stacked over the groups like its
+    parameter."""
+    low, deriv, delta3, a, e_a, b3, c3, state, d_skip, w_b, w_c, w_delta, v_delta = saved
     groups, ch, n = a.shape
     g_pre, g_a, g_b, g_c, g_x = _scan_backward(g4.reshape(delta3.shape), delta3, a, b3, c3,
                                                x4.reshape(delta3.shape), state)
@@ -535,7 +555,8 @@ def ss2d_fwd(grid, params, keep):
     selective_scan_fwd's own checks; the traversals only copy values
     already checked.  In the model's forward these names surface through a
     boundary's checked replay (`tensor.checked_at_boundary`).  `saved` is
-    the grouped scan's and the set count.
+    the grouped scan's, the grid and the set count: the grid, not its four
+    traversals, a quarter of their bytes, which ss2d_bwd rebuilds.
     """
     _, h, w, _ = grid.shape
     k, sets = len(DIRECTION_ORDER), len(params[0])
@@ -547,23 +568,25 @@ def ss2d_fwd(grid, params, keep):
     T._check("selective_scan", y)
     merged = cross_merge_fwd(y, h, w)
     T._check("cross_merge", merged)
-    return merged, (saved, sets)
+    return merged, (saved, grid, sets)
 
 
 def ss2d_bwd(saved, g):
     """Gradients of ss2d_fwd for the merged grid's gradient g [B, H, W, C]:
     (the grid's, the seven parameter gradients stacked like the parameters).
 
-    The grid gradient's traversals run back through one grouped
+    The grid's traversals are rebuilt, the forward's own copies, and they
+    and the grid gradient's run back through one grouped
     selective_scan_bwd.  The four grid gradients are summed as
     ((col_bwd + col_fwd) + row_bwd) + row_fwd, and a shared set's four
     parameter gradients in the same order, keeping its [1, ...] shape.
     """
-    saved, sets = saved
+    saved, grid, sets = saved
     b, h, w, c = g.shape
-    # the traversals are laid out time-major, as the kernel reads them
+    # the gradient's traversals are laid out time-major, as the kernel reads
+    # them; the grid's batch-major, as the projections' gradients read them
     seqs = np.empty((h * w, len(DIRECTION_ORDER), b, c), dtype=g.dtype).transpose(1, 2, 0, 3)
-    g_seq, *g_params = selective_scan_bwd(saved, _traversals(g, seqs))
+    g_seq, *g_params = selective_scan_bwd(saved, _traversals(grid), _traversals(g, seqs))
     rf, rb, cf, cb = _grids(g_seq, h, w)
     g_grid = np.add(cb, cf, order="C")
     g_grid += rb

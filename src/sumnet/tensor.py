@@ -392,11 +392,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e) for x >= 0, e / (1 + e) below, e = exp(-|x|): stable in
     both tails, and one masked divide, so each element is still one IEEE
-    division of the same operands.  e is built in one buffer."""
+    division of the same operands.  e is built in one buffer.  The
+    numerator is max(e, x >= 0): 1 where x >= 0 and e below, since
+    0 <= e <= 1, and NaN for NaN; a masked select costs several times more."""
     e = np.abs(x)
     np.negative(e, e)
     np.exp(e, e)
-    out = np.where(x >= 0.0, 1.0, e)
+    out = np.maximum(e, x >= 0.0)
     e += 1.0
     out /= e
     return out

@@ -580,6 +580,12 @@ def test_infer_rejects_a_non_finite_parameter(trained, tmp_path, capsys):
 OVERFLOWING_OP = {"float64": "selective_scan", "float32": "gated_block inproj"}
 
 
+def _set_recorded_dtype(arrays, dtype):
+    doc = json.loads(bytes(arrays["config"].astype(np.uint8)))
+    record = json.dumps({**doc, "dtype": dtype}, sort_keys=True).encode("utf-8")
+    arrays["config"] = np.frombuffer(record, dtype=np.uint8).astype(np.float64)
+
+
 def _overflowing_checkpoint(trained, tmp_path, dtype):
     """The trained checkpoint with float32-max weights chained through one
     block (inproj, dwconv, the B and C projections), its config record set
@@ -587,12 +593,32 @@ def _overflowing_checkpoint(trained, tmp_path, dtype):
     arrays = load_checkpoint(trained / "checkpoint.ckpt")
     for name in ("inproj.weight", "dw.kernel", "ssm.w_b", "ssm.w_c"):
         arrays[f"enc1.b0.{name}"][...] = np.finfo(np.float32).max
-    doc = json.loads(bytes(arrays["config"].astype(np.uint8)))
-    record = json.dumps({**doc, "dtype": dtype}, sort_keys=True).encode("utf-8")
-    arrays["config"] = np.frombuffer(record, dtype=np.uint8).astype(np.float64)
+    _set_recorded_dtype(arrays, dtype)
     bad = tmp_path / f"overflow-{dtype}.ckpt"
     save_checkpoint(bad, arrays)
     return bad
+
+
+def test_eval_config_without_a_dtype_takes_the_checkpoints(trained, corpus32, tmp_path):
+    # a float64 checkpoint scores the same bytes with or without a --config
+    # that names no dtype; a config's explicit dtype still wins
+    arrays = load_checkpoint(trained / "checkpoint.ckpt")
+    _set_recorded_dtype(arrays, "float64")
+    ckpt = tmp_path / "f64.ckpt"
+    save_checkpoint(ckpt, arrays)
+    doc = micro_config(corpus32, tmp_path / "unused")
+    outs = {}
+    for name, extra in (("none", None), ("no dtype", {}), ("float32", {"dtype": "float32"})):
+        argv = ["eval", "--manifest", str(corpus32 / "manifest_val.tsv"),
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / f"{name}.jsonl")]
+        if extra is not None:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**doc, **extra}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 0, name
+        outs[name] = (tmp_path / f"{name}.jsonl").read_bytes()
+    assert outs["no dtype"] == outs["none"]
+    assert outs["float32"] != outs["none"]
 
 
 def test_eval_numeric_failure_exits_3(trained, corpus32, tmp_path, capsys):

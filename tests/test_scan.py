@@ -210,7 +210,8 @@ def test_state_stays_bounded_long_sequence():
     b = (flat @ w_b)[None]
     c = (flat @ w_c)[None]
     a = -np.exp(a_log)
-    y, (hidden, abar) = _scan_forward(delta[None], a, b, c, x3)
+    y, (hidden, _) = _scan_forward(delta[None], a, b, c, x3)
+    abar, _ = _kernel_state(delta[None], a, b, x3)
     assert np.isfinite(hidden).all() and np.isfinite(y).all()
     drive = np.abs((delta * flat)[..., None] * b[0][:, None, :])
     bound = drive.max() / (1.0 - abar.max())
@@ -270,6 +271,15 @@ def _reference_backward(g, delta, a, b_seq, c_seq, x, hidden, abar):
     return g_delta, g_a, g_b, g_c, g_x
 
 
+def _kernel_state(delta, a, b_seq, x):
+    """(abar, hidden) as the kernel builds them, time-major [L, rows, N, C]:
+    `_state_chunk` over the whole sequence as one chunk."""
+    delta_t, b_t = (np.ascontiguousarray(v.transpose(1, 0, 2)) for v in (delta, b_seq))
+    a_t = scan._per_row(a, len(delta))
+    return scan._state_chunk(delta_t, delta_t * x.transpose(1, 0, 2), b_t, a_t,
+                             np.empty(a_t.shape), None)
+
+
 def _recurrence_inputs(bsz, length, ch, n, seed):
     return (rnd((bsz, length, ch), seed, 0.05, 1.5).data,
             rnd((ch, n), seed + 1, -3.0, -0.2).data,
@@ -279,16 +289,20 @@ def _recurrence_inputs(bsz, length, ch, n, seed):
 
 
 def _assert_kernel_matches_reference(args, g):
-    """Taped kernel against the oracle; returns its y for chunking comparisons."""
+    """Taped kernel against the oracle; returns its y for chunking comparisons.
+    The kernel's abar, which a chunked call does not keep, is `_state_chunk`'s."""
     bsz, length, ch = args[4].shape
     n = args[1].shape[1]
     y_ref, hidden_ref, abar_ref = _reference_forward(*args)
-    y, (hidden, abar) = _scan_forward(*args)
+    y, state = _scan_forward(*args)
+    hidden = state[0]
     assert y.shape == (bsz, length, ch) and hidden.shape == (length, bsz, n, ch)
     assert np.array_equal(hidden, hidden_ref.transpose(1, 0, 3, 2))
+    abar, hidden_one = _kernel_state(args[0], args[1], args[2], args[4])
     assert np.array_equal(abar, abar_ref.transpose(1, 0, 3, 2))
+    assert np.array_equal(hidden_one, hidden)
     grads_ref = _reference_backward(g, *args, hidden_ref, abar_ref)
-    grads = _scan_backward(g, *args, (hidden, abar))
+    grads = _scan_backward(g, *args, state)
     names = ("y", "delta", "a", "b_seq", "c_seq", "x")
     for name, got, want in zip(names, (y,) + grads, (y_ref,) + grads_ref):
         assert got.shape == want.shape, name
@@ -299,20 +313,22 @@ def _assert_kernel_matches_reference(args, g):
 
 
 def _assert_checkpoints_change_no_bit(args, g, hidden_ref):
-    """The checkpoint path against the whole-state path of the same call: y
+    """The checkpoint path against the whole-hidden path of the same call: y
     and every gradient bit for bit, and each checkpoint the oracle's hidden
-    (time-major, [L, rows, N, C]) at its chunk's last step.  A call that
-    fits one chunk keeps its state whole at any size."""
+    (time-major, [L, rows, N, C]) at its chunk's last step.  Only a call
+    that fits one chunk keeps abar, and it keeps its state whole at any
+    size."""
+    length, rows, n, ch = hidden_ref.shape
+    k = scan._chunk_len(length, rows, n, ch, hidden_ref.itemsize)
     y, state = _scan_forward(*args)
-    assert state[1] is not None  # below _CHECKPOINT_BYTES: hidden and abar whole
+    hidden, abar = state  # below _CHECKPOINT_BYTES: hidden whole
+    assert np.array_equal(hidden, hidden_ref) and (abar is not None) == (k == length)
     grads = _scan_backward(g, *args, state)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(scan, "_CHECKPOINT_BYTES", 1)
         y_ck, state_ck = _scan_forward(*args)
         grads_ck = _scan_backward(g, *args, state_ck)
     ckpt, abar = state_ck
-    length, rows, n, ch = hidden_ref.shape
-    k = scan._chunk_len(length, rows, n, ch, hidden_ref.itemsize)
     if k == length:
         assert abar is not None
     else:
@@ -344,9 +360,10 @@ def test_grouped_kernel_matches_reference_per_group(length):
     delta, b_seq, c_seq, x = (np.concatenate([p[j] for p in parts]) for j in (0, 2, 3, 4))
     a = np.stack([p[1] for p in parts])
     g = rnd((groups * bsz, length, ch), 997).data
-    y, (hidden, abar) = _scan_forward(delta, a, b_seq, c_seq, x)
-    g_delta, g_a, g_b, g_c, g_x = _scan_backward(g, delta, a, b_seq, c_seq, x, (hidden, abar))
+    y, state = _scan_forward(delta, a, b_seq, c_seq, x)
+    g_delta, g_a, g_b, g_c, g_x = _scan_backward(g, delta, a, b_seq, c_seq, x, state)
     assert g_a.shape == a.shape
+    hidden, abar = state[0], _kernel_state(delta, a, b_seq, x)[0]
     hidden_refs = []
     for i, args in enumerate(parts):
         r = slice(i * bsz, (i + 1) * bsz)
@@ -415,13 +432,29 @@ def test_only_recorded_calls_keep_scan_state(monkeypatch):
                         _reference_backward(g, *arrays, hidden_ref, abar_ref))
 
 
+def test_a_recorded_chunked_ss2d_below_the_checkpoint_size_keeps_hidden_alone(monkeypatch):
+    # a [2, 8, 8, 16] grid with N=8 scans L=64 steps over 4B=8 rows in two
+    # chunks of K=32: a 512 KiB state, hidden kept whole, abar rebuilt
+    _assert_chunked_ss2d_keeps_no_decay_factors_or_traversals(monkeypatch, 2, 8, 2, True)
+
+
 def test_a_recorded_ss2d_past_the_checkpoint_size_keeps_no_full_state(monkeypatch):
-    # step-std level 0: a [8, 16, 16, 16] grid with N=8 scans L=256 steps over
-    # 4B=32 rows, a 2^20-element (8 MiB) state per array; the tape keeps its
-    # 32 chunks' last hidden rows, 1 MiB, and no array of the state's size
-    bsz, side, ch, n = 8, 16, 16, 8
-    full = side * side * 4 * bsz * n * ch
-    assert full * 8 >= scan._CHECKPOINT_BYTES  # float64
+    # step-std level 0: a [8, 16, 16, 16] grid with N=8 scans L=256 steps
+    # over 4B=32 rows, a 2^20-element (8 MiB) state per array; the tape keeps
+    # its 32 chunks' last hidden rows, 1 MiB, and no array of the state's size
+    _assert_chunked_ss2d_keeps_no_decay_factors_or_traversals(monkeypatch, 8, 16, 32, False)
+
+
+def _assert_chunked_ss2d_keeps_no_decay_factors_or_traversals(monkeypatch, bsz, side, chunks,
+                                                              whole):
+    """What the tape keeps of a recorded ss2d that runs in `chunks` chunks,
+    hidden `whole` or checkpointed, counted in bytes: no [L, 4B, N, C] abar
+    and no [4, B, L, C] traversals."""
+    ch, n, rank, size = 16, 8, delta_rank(16), 8  # float64
+    length, rows = side * side, 4 * bsz
+    full = length * rows * n * ch
+    assert -(-length // scan._chunk_len(length, rows, n, ch, size)) == chunks
+    assert (full * size < scan._CHECKPOINT_BYTES) == whole
     kernel, states = scan._scan_forward, []
 
     def spy(*args, keep=True):
@@ -430,8 +463,9 @@ def test_a_recorded_ss2d_past_the_checkpoint_size_keeps_no_full_state(monkeypatc
         return out
 
     monkeypatch.setattr(scan, "_scan_forward", spy)
+    params = init_ss2d_params(ch, n, seed=6)
     with T.Tape() as tape:
-        ss2d(rnd((bsz, side, side, ch), 41), init_ss2d_params(ch, n, seed=6))
+        ss2d(rnd((bsz, side, side, ch), 41), params)
     (node,) = [nd for nd in tape.nodes if nd.grad_fn is not None]
 
     def arrays(v):
@@ -441,10 +475,21 @@ def test_a_recorded_ss2d_past_the_checkpoint_size_keeps_no_full_state(monkeypatc
             for u in v:
                 yield from arrays(u)
 
-    assert max(v.size for v in arrays(node.grad_fn.args)) < full
-    ((ckpt, abar),) = states
-    assert abar is None and ckpt.shape == (32, 4 * bsz, n, ch)
-    assert ckpt.nbytes == 32 * 32 * 8 * 16 * 8 == 1 << 20
+    ((hidden, abar),) = states
+    assert abar is None
+    assert hidden.shape == ((length,) if whole else (chunks,)) + (rows, n, ch)
+    # besides the state: the softplus derivative and delta [4B, L, C], the
+    # B and C projections [4B, L, N], the rank-R delta projection, A and
+    # exp(a_log), the grid and the five parameters the backward reads; no
+    # [L, 4B, N, C] abar and no [4, B, L, C] copy of the grid's traversals
+    read = (params.d_skip, params.w_b, params.w_c, params.w_delta, params.v_delta)
+    rest = (2 * rows * length * ch + 2 * rows * length * n + rows * length * rank
+            + 2 * 4 * ch * n + bsz * length * ch + sum(t.size for t in read))
+    saved = list(arrays(node.grad_fn.args))
+    assert sum(v.nbytes for v in saved) == hidden.nbytes + rest * size
+    assert max(v.size for v in saved) == (full if whole else rows * length * ch)
+    if not whole:
+        assert hidden.nbytes == 32 * 32 * 8 * 16 * 8 == 1 << 20
 
 
 def test_recurrence_shape_errors():
@@ -511,7 +556,7 @@ def test_selective_scan_matches_reference_composition(shape):
     got, saved = selective_scan_fwd(x4, *params, keep=True)
     assert got.shape == x4.shape and np.array_equal(got.reshape(shape), want.data)
     assert np.array_equal(selective_scan_fwd(x4, *params, keep=False)[0], got)
-    g_x, *g_params = selective_scan_bwd(saved, weights.reshape(x4.shape))
+    g_x, *g_params = selective_scan_bwd(saved, x4, weights.reshape(x4.shape))
     assert [g.shape for g in g_params] == [q.shape for q in params]
     # the sequence, then every SSM_FIELDS entry
     _assert_grads_close([g_x.reshape(shape)] + [g[0] for g in g_params],
@@ -529,7 +574,7 @@ def test_softplus_derivative_from_its_own_exp():
                                np.ones((1, ch, 1)))
     _, saved = scan.selective_scan_fwd(x4, a_log, d_skip, w_b, w_c, np.zeros((1, ch, 1)),
                                        np.zeros((1, 1, ch)), pre[None], keep=True)
-    deriv = saved[2][0]
+    deriv = saved[1][0]
     want = np.where(pre > 30.0, 1.0, T._sigmoid_raw(pre))  # the old expression
     assert np.all(np.abs(deriv - want) <= 2 * np.spacing(want))
     assert (deriv[:, pre <= 0.0] == want[pre <= 0.0]).all()  # the same e / (1 + e)
