@@ -28,13 +28,14 @@ def main():
     # one channel and one state: delta = softplus(b_delta) = 1, A = -exp(0)
     # = -1, B_t = C_t = x_t (weights 1) and D = 0.  On the constant input
     # x = 1 the state runs 1, 1 + 1/e, 1 + 1/e + 1/e^2 along a traversal.
-    # One shared parameter set; a 1x3 grid's column-major traversals are
-    # its row-major ones, so the merge is twice (forward + backward sweep).
+    # One shared parameter set, on a batch of one 1x3 grid: its
+    # column-major traversals are its row-major ones, so the merge is twice
+    # (forward + backward sweep).
     one, zero = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
     params = SSMParams(a_log=Tensor(zero), d_skip=Tensor(np.zeros((1, 1))),
                        w_b=Tensor(one), w_c=Tensor(one), w_delta=Tensor(zero),
                        v_delta=Tensor(zero), b_delta=Tensor(np.full((1, 1), math.log(math.e - 1))))
-    y = ss2d(np.ones((1, 3, 1)), params)
+    y = ss2d(np.ones((1, 1, 3, 1)), params)
     fwd = np.cumsum([math.exp(-t) for t in range(3)])  # 1, 1 + 1/e, 1 + 1/e + 1/e^2
     expected = 2.0 * (fwd + fwd[::-1])
     print("ss2d y      :", y.data.ravel())

@@ -1,9 +1,10 @@
 """Conditioning a gated scan block with five scalar knobs.
 
 `gated_block(f, w, knobs)` is the C-VSS block: the plain gated scan block
-(`knobs=None`) with the knobs (a1, b1, a2, b2, a3), one [B, 5] array or a
-[5] one, folded into the affine params of its two layer norms — (a1 gamma1, a1 beta1 + b1) and
-((a2 a3) gamma2, a2 beta2 + b2) — so both run the same grid-sized steps.
+(`knobs=None`) with the knobs (a1, b1, a2, b2, a3), one [B, 5] array with a
+row per grid of the [B, H, W, C] batch f, folded into the affine params of
+its two layer norms — (a1 gamma1, a1 beta1 + b1) and ((a2 a3) gamma2,
+a2 beta2 + b2) — so both run the same grid-sized steps.
 Two facts worth seeing live:
 
   * at identity knobs (1, 0, 1, 0, 1) the conditional block IS the plain
@@ -28,7 +29,7 @@ def main():
     f = T.Tensor(rng.uniforms(1 * 6 * 6 * 8).reshape(1, 6, 6, 8))
 
     plain = gated_block(f, w)
-    conditioned = gated_block(f, w, np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
+    conditioned = gated_block(f, w, np.array([[1.0, 0.0, 1.0, 0.0, 1.0]]))
     print("identity knobs == plain block:",
           np.array_equal(plain.data, conditioned.data))
 

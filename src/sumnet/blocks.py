@@ -1,7 +1,9 @@
 """Network building blocks: norms, depthwise conv, patch resampling, the
 gated scan block with its optional feature modulation, and the conditioner.
 
-Grids are channels-last: [H, W, C] or [B, H, W, C].  Every learnable array
+Grids are channels-last and batched, [B, H, W, C]: the grid ops take that
+layout only, and refuse any other with a ShapeError that names it (knobs
+are [B, 5], one row per grid of the batch).  Every learnable array
 is a float64 Tensor initialized from a seed derived from its name, so two
 models that share a parameter name and seed start from identical values
 regardless of what other parameters exist around them (a float32 model
@@ -33,8 +35,8 @@ work, not its arithmetic, so what does not depend on the values is built
 once.  The layer norm's channel mean and variance are matmuls with a
 cached, read-only vector of 1/C (`_channel_mean`, in the backward too), and
 the depthwise conv's nine tap windows are built once per grid shape
-(`_tap_windows`).  Each such cache is bounded and keyed only on shapes and
-dtypes.
+(`_tap_windows`).  Each such cache is bounded and keyed only on shapes,
+constants and dtypes.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import tensor as T
-from .scan import SSMParams, init_ss2d_params, ss2d_bwd, ss2d_fwd
+from .scan import SSMParams, as_grid, init_ss2d_params, ss2d_bwd, ss2d_fwd
 from .tensor import ShapeError, Tensor
 
 LN_EPS = 1e-6
@@ -129,21 +131,13 @@ def init_layer_norm(channels: int) -> LayerNormParams:
     )
 
 
-@lru_cache(maxsize=64)
-def _inv_count(ch: int, dtype: np.dtype) -> np.ndarray:
-    """A read-only [ch] vector of 1/ch in `dtype`, built once per (channel
-    count, dtype)."""
-    v = np.full(ch, 1.0 / ch, dtype=dtype)
-    v.flags.writeable = False
-    return v
-
-
 def _channel_mean(v):
     """The mean of v over its trailing channel axis, keepdims: a matmul with a
-    vector of 1/C, several times faster than ``ndarray.mean`` over the short
-    trailing axis, which sums before it divides, so the last bits differ."""
+    cached vector of 1/C (`tensor._filled`), several times faster than
+    ``ndarray.mean`` over the short trailing axis, which sums before it
+    divides, so the last bits differ."""
     ch = v.shape[-1]
-    return (v.reshape(-1, ch) @ _inv_count(ch, v.dtype)).reshape(v.shape[:-1] + (1,))
+    return (v.reshape(-1, ch) @ T._filled(ch, 1.0 / ch, v.dtype)).reshape(v.shape[:-1] + (1,))
 
 
 def ln_core_fwd(x, eps: float = LN_EPS):
@@ -218,22 +212,20 @@ def init_dwconv(channels: int, seed: int, name: str) -> DWConvParams:
 
 
 @lru_cache(maxsize=64)
-def _tap_windows(ndim: int, h: int, w: int) -> tuple:
-    """The nine tap windows of an [.., H, W, C] grid of `ndim` axes into its
-    zero-padded [.., H + 2, W + 2, C] copy, as index tuples, tap dy * 3 + dx
-    at offset (dy, dx); window 4, the centre, is the interior.  Built once
-    per shape."""
-    lead = (slice(None),) * (ndim - 3)
-    return tuple(lead + (slice(dy, dy + h), slice(dx, dx + w))
+def _tap_windows(h: int, w: int) -> tuple:
+    """The nine tap windows of a [B, H, W, C] grid into its zero-padded
+    [B, H + 2, W + 2, C] copy, as index tuples, tap dy * 3 + dx at offset
+    (dy, dx); window 4, the centre, is the interior.  Built once per shape."""
+    return tuple((slice(None), slice(dy, dy + h), slice(dx, dx + w))
                  for dy in range(3) for dx in range(3))
 
 
 def dwconv_fwd(x, kernel, bias):
-    """depthwise_conv3x3 on arrays ([H, W, C] or [B, H, W, C]): (out, saved)."""
-    h, w = x.shape[-3], x.shape[-2]
-    windows = _tap_windows(x.ndim, h, w)
+    """depthwise_conv3x3 on arrays, x [B, H, W, C]: (out, saved)."""
+    b, h, w, c = x.shape
+    windows = _tap_windows(h, w)
     k9 = kernel.reshape(-1, 9)  # column dy * 3 + dx is tap (dy, dx)
-    padded = np.zeros(x.shape[:-3] + (h + 2, w + 2, x.shape[-1]), dtype=x.dtype)
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
     padded[windows[4]] = x
     acc = padded[windows[0]] * k9[:, 0]
     for tap, win in enumerate(windows[1:], 1):
@@ -249,7 +241,6 @@ def dwconv_bwd(saved, g):
     products in the order a scatter of g * k[:, dy, dx] would.  The kernel's
     contracts g with each tap's window; the bias's is a column sum."""
     padded, k9, windows = saved
-    taps = "bhwc,bhwc->c" if g.ndim == 4 else "hwc,hwc->c"
     g_pad = np.zeros_like(padded)
     g_pad[windows[4]] = g  # the centre window is the interior
     g_x = g_pad[windows[8]] * k9[:, 0]
@@ -258,21 +249,18 @@ def dwconv_bwd(saved, g):
     for tap, win in enumerate(windows):
         if tap:
             g_x += np.multiply(g_pad[windows[8 - tap]], k9[:, tap], out=tmp)
-        g_k[:, tap] = np.einsum(taps, padded[win], g)
+        g_k[:, tap] = np.einsum("bhwc,bhwc->c", padded[win], g)
     return g_x, g_k.reshape(-1, 3, 3), T._sum_rows(g.reshape(-1, g.shape[-1]))
 
 
 def depthwise_conv3x3(x: Tensor, p: DWConvParams) -> Tensor:
-    """Per-channel 3x3 conv, zero-padded, stride 1; no cross-channel mixing.
+    """Per-channel 3x3 conv of a [B, H, W, C] grid, zero-padded, stride 1;
+    no cross-channel mixing.
 
     One tape node over (x, kernel, bias); see dwconv_fwd / dwconv_bwd.
     """
-    x = T.as_tensor(x)
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"expected a grid, got {x.shape}")
-    if x.shape[-1] != p.kernel.shape[0]:
-        raise ShapeError(f"grid has {x.shape[-1]} channels, kernel has {p.kernel.shape[0]}")
-    return T.primitive("depthwise_conv3x3", (x, p.kernel, p.bias),
+    return T.primitive("depthwise_conv3x3", (as_grid(x, "depthwise_conv3x3", p.kernel.shape[0]),
+                                             p.kernel, p.bias),
                        lambda x, k, b, keep: dwconv_fwd(x, k, b), dwconv_bwd)
 
 
@@ -292,18 +280,17 @@ def init_patch_embed(channels: int, seed: int, name: str = "embed") -> PatchEmbe
 
 
 def _retile(x: np.ndarray, tiled: tuple, out: tuple) -> np.ndarray:
-    """x's trailing [H, W, C] viewed as `tiled` (5 axes), axes 1 and 2
-    swapped, read out as `out`: the one transpose of both resamplings."""
-    nl = x.ndim - 3
-    r = x.reshape(x.shape[:-3] + tiled)
-    r = np.ascontiguousarray(r.transpose(tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)))
-    return r.reshape(x.shape[:-3] + out)
+    """Each [H, W, C] grid of the batch x viewed as `tiled` (5 axes), axes 1
+    and 2 swapped, read out as `out`: the one transpose of both resamplings."""
+    b = len(x)
+    r = np.ascontiguousarray(x.reshape((b,) + tiled).transpose(0, 1, 3, 2, 4, 5))
+    return r.reshape((b,) + out)
 
 
 def _space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:
-    """[.., H, W, C] -> [.., H/f, W/f, f*f*C] by stacking each f x f tile,
+    """[B, H, W, C] -> [B, H/f, W/f, f*f*C] by stacking each f x f tile,
     row-major with channels fastest."""
-    h, w, c = x.shape[-3:]
+    _, h, w, c = x.shape
     if h % factor or w % factor:
         raise ShapeError(f"grid {h}x{w} not divisible by patch factor {factor}")
     h, w = h // factor, w // factor
@@ -311,9 +298,10 @@ def _space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _depth_to_space(x: np.ndarray, factor: int) -> np.ndarray:
-    """The inverse of _space_to_depth, a pixel shuffle: [.., H, W, f*f*C] ->
-    [.., f*H, f*W, C], channel chunk (dy*f + dx) to offset (dy, dx) of its tile."""
-    h, w, c = x.shape[-3], x.shape[-2], x.shape[-1] // (factor * factor)
+    """The inverse of _space_to_depth, a pixel shuffle: [B, H, W, f*f*C] ->
+    [B, f*H, f*W, C], channel chunk (dy*f + dx) to offset (dy, dx) of its tile."""
+    _, h, w, c = x.shape
+    c //= factor * factor
     return _retile(x, (h, w, factor, factor, c), (h * factor, w * factor, c))
 
 
@@ -335,15 +323,14 @@ def _embed_bwd(saved, g, img_grad=True):
 
 
 def patch_embed(img: Tensor, p: PatchEmbedParams) -> Tensor:
-    """RGB grid -> 4x-downsampled embedded grid (affine on 4x4x3 tiles + LN).
+    """[B, H, W, 3] RGB images -> 4x-downsampled embedded grids (affine on
+    4x4x3 tiles + LN).
 
     One tape node over (img, proj weight and bias, norm gamma and beta):
     the tiling, then the `linear` and `layer_norm` pairs.  The backward
     untiles the image's gradient only when the image requires one.
     """
-    img = T.as_tensor(img)
-    if img.ndim not in (3, 4) or img.shape[-1] != 3:
-        raise ShapeError(f"expected [.., H, W, 3] image grid, got {img.shape}")
+    img = as_grid(img, "patch_embed", 3)
     return T.primitive("patch_embed", (img, p.proj.weight, p.proj.bias, p.norm.gamma,
                                        p.norm.beta), _embed_fwd,
                        partial(_embed_bwd, img_grad=img.requires_grad))
@@ -376,12 +363,14 @@ def _down_bwd(saved, g):
 
 
 def downsample(x: Tensor, p: DownsampleParams) -> Tensor:
-    """2x2 patch merge: concat (TL, TR, BL, BR) channels, LN, affine to 2C.
+    """2x2 patch merge of a [B, H, W, C] grid: concat (TL, TR, BL, BR)
+    channels, LN, affine to 2C.
 
     One tape node over (x, norm gamma and beta, proj weight and bias).
     """
-    return T.primitive("downsample", (x, p.norm.gamma, p.norm.beta, p.proj.weight,
-                                      p.proj.bias), _down_fwd, _down_bwd)
+    x = as_grid(x, "downsample", p.proj.weight.shape[0] // 4)
+    return T.primitive("downsample", (x, p.norm.gamma, p.norm.beta, p.proj.weight, p.proj.bias),
+                       _down_fwd, _down_bwd)
 
 
 @dataclass
@@ -411,15 +400,6 @@ def _expand_bwd(saved, g):
     return linear_bwd(lin_saved, _space_to_depth(g, factor))
 
 
-def _expand_input(x, p: PatchExpandParams) -> Tensor:
-    """x as a Tensor, checked to have the channel count p's projection takes."""
-    x = T.as_tensor(x)
-    if x.shape[-1] != p.proj.weight.shape[0]:
-        raise ShapeError(f"patch_expand expects trailing dim {p.proj.weight.shape[0]}, "
-                         f"got {x.shape}")
-    return x
-
-
 def _up_fwd(x, skip, w, b, w_skip, b_skip, factor):
     """up_step on arrays: (out, saved)."""
     up, expand_saved = _expand_fwd(x, w, b, factor)
@@ -439,11 +419,15 @@ def _up_bwd(saved, g):
 
 def up_step(x: Tensor, skip: Tensor, p: PatchExpandParams, skip_proj: Linear) -> Tensor:
     """One decoder up-step: x expanded by p (`_expand_fwd`) plus skip_proj's
-    affine of the encoder grid `skip`, [.., fH, fW, C/f] on both sides.  One
+    affine of the encoder grid `skip`, [B, fH, fW, C/f] on both sides.  One
     tape node over (x, skip, proj weight and bias, skip weight and bias).
     """
-    return T.primitive("up_step", (_expand_input(x, p), skip, p.proj.weight, p.proj.bias,
-                                   skip_proj.weight, skip_proj.bias),
+    x = as_grid(x, "up_step", p.proj.weight.shape[0])
+    skip = as_grid(skip, "up_step skip", skip_proj.weight.shape[0])
+    if skip.shape[:3] != (x.shape[0], p.factor * x.shape[1], p.factor * x.shape[2]):
+        raise ShapeError(f"up_step skip {skip.shape} does not fit the expand of {x.shape}")
+    return T.primitive("up_step", (x, skip, p.proj.weight, p.proj.bias, skip_proj.weight,
+                                   skip_proj.bias),
                        lambda *arrays, keep: _up_fwd(*arrays, p.factor), _up_bwd)
 
 
@@ -467,11 +451,11 @@ def _head_bwd(saved, g):
 def head(x: Tensor, p: PatchExpandParams, readout: Linear) -> Tensor:
     """The saliency head: the patch expand by p (`_expand_fwd`), then
     readout's affine (C/f -> 1) and a sigmoid, the channel axis dropped:
-    [.., H, W, C] -> [.., fH, fW] maps in (0, 1).  One tape node over (x,
+    [B, H, W, C] -> [B, fH, fW] maps in (0, 1).  One tape node over (x,
     proj weight and bias, readout weight and bias).
     """
-    return T.primitive("head", (_expand_input(x, p), p.proj.weight, p.proj.bias,
-                                readout.weight, readout.bias),
+    x = as_grid(x, "head", p.proj.weight.shape[0])
+    return T.primitive("head", (x, p.proj.weight, p.proj.bias, readout.weight, readout.bias),
                        lambda *arrays, keep: _head_fwd(*arrays, p.factor), _head_bwd)
 
 
@@ -516,14 +500,14 @@ def gated_block(f: Tensor, w: VSSWeights, knobs: Tensor | None = None) -> Tensor
 
     x = LN1(f); gate = silu(linear_gate(x)); the scan branch is
     ss2d(silu(dwconv(linear_in(x)))); attn = LN2 of it; the result is
-    f + linear_out(gate * attn).  `knobs` holds the five knobs (a1, b1, a2,
-    b2, a3) as columns, [B, 5] per sample of a batch or [5] for a 3-D grid;
-    [B, 5] knobs broadcast a 3-D grid to a batch.  They fold into the norms'
-    affine params, at [B, 1, 1, C] or [C]: LN1 runs with (a1 gamma1, a1 beta1
-    + b1) and LN2 with (a2 a3 gamma2, a2 beta2 + b2), the paper's a1 x + b1
-    and a2 attn + b2 with a3 scaling LN2's core, up to rounding.  At identity
-    knobs (1, 0, 1, 0, 1) each fold multiplies by 1.0 or adds 0.0, exact in
-    IEEE arithmetic, so the result equals the unmodulated block bit for bit.
+    f + linear_out(gate * attn), f a [B, H, W, C] grid.  `knobs` holds the
+    five knobs (a1, b1, a2, b2, a3) as columns, [B, 5], one row per grid of
+    f.  They fold into the norms' affine params, at [B, 1, 1, C]: LN1 runs
+    with (a1 gamma1, a1 beta1 + b1) and LN2 with (a2 a3 gamma2, a2 beta2 +
+    b2), the paper's a1 x + b1 and a2 attn + b2 with a3 scaling LN2's core,
+    up to rounding.  At identity knobs (1, 0, 1, 0, 1) each fold multiplies
+    by 1.0 or adds 0.0, exact in IEEE arithmetic, so the result equals the
+    unmodulated block bit for bit.
 
     The node's inputs are f, every VSSWeights tensor (the scan parameters
     in SSMParams.tensors() order) and, with knobs, the knob tensor; their
@@ -538,11 +522,12 @@ def gated_block(f: Tensor, w: VSSWeights, knobs: Tensor | None = None) -> Tensor
     keep their own names.  Inside the model's forward those checks are off,
     and their names surface through the replay.
     """
-    f = T.as_tensor(f)
-    if f.ndim not in (3, 4):
-        raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
-    if f.shape[-1] != w.ln1.gamma.shape[0]:
-        raise ShapeError(f"grid has {f.shape[-1]} channels, block has {w.ln1.gamma.shape[0]}")
+    f = as_grid(f, "gated_block", w.ln1.gamma.shape[0])
+    if knobs is not None:
+        knobs, b = T.as_tensor(knobs), f.shape[0]
+        if knobs.shape != (b, 5):
+            raise ShapeError(f"gated_block expects [B, 5] knobs, one row per grid of the "
+                             f"batch of {b}, got {knobs.shape}")
     inputs = (f, w.ln1.gamma, w.ln1.beta, w.gate.weight, w.gate.bias, w.inproj.weight,
               w.inproj.bias, w.dw.kernel, w.dw.bias, *w.ssm.tensors(), w.ln2.gamma,
               w.ln2.beta, w.outproj.weight, w.outproj.bias, *(() if knobs is None else (knobs,)))
@@ -553,8 +538,8 @@ def _fold_knobs(knobs, gamma1, beta1, gamma2, beta2):
     """The norms' (gamma, beta) pairs with the knobs folded in (see
     gated_block), and unfold, which takes the folded pairs' gradients back
     to gamma1, beta1, gamma2, beta2 and the knobs, each summed to its shape."""
-    lead = knobs.shape[:-1]
-    cols = knobs.reshape(lead + (1, 1, 1, 5)) if lead else knobs
+    b = len(knobs)
+    cols = knobs.reshape(b, 1, 1, 1, 5)
     a1, b1, a2, b2, a3 = cols[..., 0], cols[..., 1], cols[..., 2], cols[..., 3], cols[..., 4]
     a23 = a2 * a3
     c_shape = gamma1.shape
@@ -567,7 +552,7 @@ def _fold_knobs(knobs, gamma1, beta1, gamma2, beta2):
                 sum_to(g_beta2, b2.shape), sum_to(g_a23 * a2, a3.shape))
         return (sum_to(g_gamma1 * a1, c_shape), sum_to(g_beta1 * a1, c_shape),
                 sum_to(g_gamma2 * a23, c_shape), sum_to(g_beta2 * a2, c_shape),
-                np.stack([col.reshape(lead) for col in cols], axis=-1))
+                np.stack([col.reshape(b) for col in cols], axis=-1))
 
     return (a1 * gamma1, a1 * beta1 + b1), (a23 * gamma2, a2 * beta2 + b2), unfold
 
@@ -585,31 +570,29 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
     gl, gate_saved = linear_fwd(x, w_gate, b_gate)
     check("gated_block gate linear", gl)
     gl_s = T._sigmoid_raw(gl)
-    gate = gl * gl_s
+    gate = gl * gl_s  # not kept: the backward rebuilds it from gl and gl_s
     check("gated_block gate silu", gate)
     branch, in_saved = linear_fwd(x, w_in, b_in)
     check("gated_block inproj", branch)
     conv, dw_saved = dwconv_fwd(branch, kernel, k_bias)
     check("gated_block dwconv", conv)
     conv_s = T._sigmoid_raw(conv)
-    branch = conv * conv_s
+    branch = conv * conv_s  # not kept either: rebuilt from conv and conv_s
     check("gated_block dwconv silu", branch)
-    grid_shape = branch.shape if branch.ndim == 4 else (1,) + branch.shape
-    scanned, ss_saved = ss2d_fwd(branch.reshape(grid_shape), ssm, keep=keep)
-    attn, ln2_saved = layer_norm_fwd(scanned.reshape(branch.shape), *ln2, name="gated_block ln2")
+    scanned, ss_saved = ss2d_fwd(branch, ssm, keep=keep)
+    attn, ln2_saved = layer_norm_fwd(scanned, *ln2, name="gated_block ln2")
     prod = gate * attn
     check("gated_block gate product", prod)
     fused, out_saved = linear_fwd(prod, w_out, b_out)
     check("gated_block outproj", fused)
-    f_shape = f.shape
 
     def grad_fn(g):
         g_prod, g_wo, g_bo = linear_bwd(out_saved, g)
         g_gate = g_prod * attn
-        g_scan, g_gamma2, g_beta2 = layer_norm_bwd(ln2_saved, g_prod * gate)
-        g_grid, g_ssm = ss2d_bwd(ss_saved, g_scan.reshape(grid_shape))
+        g_scan, g_gamma2, g_beta2 = layer_norm_bwd(ln2_saved, g_prod * (gl * gl_s))
+        g_grid, *g_ssm = ss2d_bwd(ss_saved, conv * conv_s, g_scan)
         g_conv = T._silu_grad(conv, conv_s)
-        g_conv *= g_grid.reshape(g_conv.shape)
+        g_conv *= g_grid
         g_branch, g_k, g_kb = dwconv_bwd(dw_saved, g_conv)
         g_x, g_wi, g_bi = linear_bwd(in_saved, g_branch)
         g_gl = T._silu_grad(gl, gl_s)
@@ -620,7 +603,7 @@ def _gated_block_fwd(f, gamma1, beta1, w_gate, b_gate, w_in, b_in, kernel, k_bia
         if unfold is not None:
             g_gamma1, g_beta1, g_gamma2, g_beta2, *g_knobs = unfold(g_gamma1, g_beta1,
                                                                     g_gamma2, g_beta2)
-        return (T._unbroadcast(g, f_shape) + g_f, g_gamma1, g_beta1, g_wg, g_bg, g_wi, g_bi,
+        return (g + g_f, g_gamma1, g_beta1, g_wg, g_bg, g_wi, g_bi,
                 g_k, g_kb, *g_ssm, g_gamma2, g_beta2, g_wo, g_bo, *g_knobs)
 
     return fused + f, grad_fn
@@ -713,9 +696,3 @@ def conditioner(p: ConditionerParams, labels) -> Tensor:
     return T.primitive("conditioner", inputs,
                        lambda *arrays, keep: _cond_fwd(*arrays, rows, keep),
                        partial(_cond_bwd, token_grad=p.tokens.requires_grad))
-
-
-def conditioner_param_count(p: ConditionerParams) -> int:
-    """Trainable conditioner entries: a one-hot table is fixed, so not counted."""
-    tensors = (p.tokens, *(t for lin in (p.l1, p.l2, p.l3) for t in (lin.weight, lin.bias)))
-    return sum(t.size for t in tensors if t.requires_grad)

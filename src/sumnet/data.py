@@ -522,7 +522,7 @@ def save_checkpoint(path, arrays: dict) -> None:
     names = sorted(arrays)
     buf += struct.pack("<I", len(names))
     for name in names:
-        arr = np.asarray(arrays[name], dtype=np.float64)
+        arr = np.asarray(arrays[name], dtype="<f4")  # a float64 value rounds once
         nb = name.encode("utf-8")
         if len(nb) > 0xFFFF:
             raise CheckpointError(f"array name too long: {name[:32]}...")
@@ -530,7 +530,7 @@ def save_checkpoint(path, arrays: dict) -> None:
         buf += struct.pack("<B", arr.ndim)
         for d in arr.shape:
             buf += struct.pack("<I", d)
-        buf += arr.astype("<f4").tobytes()
+        buf += arr.tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
@@ -542,7 +542,8 @@ def save_checkpoint(path, arrays: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read arrays back as float64 (exact embed of the stored float32)."""
+    """Read arrays back as the float32 arrays stored (a float64 model loads
+    them exactly: float32 embeds in float64)."""
     blob = Path(path).read_bytes()
     if len(blob) < len(CKPT_MAGIC) + 8:
         raise CheckpointError(f"{path}: truncated checkpoint")
@@ -588,7 +589,7 @@ def load_checkpoint(path) -> dict:
             raise CheckpointError(f"{path}: truncated at byte {pos}")
         arr = np.frombuffer(blob, dtype="<f4", count=n_items, offset=pos)
         try:  # a zero dim lets the bounds test pass whatever the others are
-            arrays[name] = arr.astype(np.float64).reshape(dims)
+            arrays[name] = arr.reshape(dims).copy()  # writable, not a view of the file's bytes
         except ValueError:
             raise CheckpointError(
                 f"{path}: array {name!r} dims {dims} at byte {dims_at} are too big") from None

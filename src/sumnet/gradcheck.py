@@ -67,7 +67,7 @@ def check_scan() -> list:
             lambda *s, keep: (S.cross_merge_fwd(s, h, w), None),
             lambda _, g: tuple(S._traversals(g))))
 
-    grid = _arr((4, 4, c), tag="grid")
+    grid = _arr((4, 4, c), tag="grid")[None]  # a batch of one
     p2 = S.init_ss2d_params(c, n, derive(_SEED, "ss2d-params"), "g2")
     row("ss2d.input", grid, lambda t: S.ss2d(t, p2))
     row("ss2d.input_batched", _arr((b, 3, 4, c), tag="gridb"), lambda t: S.ss2d(t, p2))
@@ -99,7 +99,7 @@ def check_blocks() -> list:
     rows = []
     row = partial(_probe, rows)
     c = 4
-    x = Tensor(_arr((5, 5, c), tag="bx"))
+    x = Tensor(_arr((5, 5, c), tag="bx")[None])  # a batch of one, as every grid below
     ln = B.init_layer_norm(c)
     row("layer_norm.input", x.data, lambda t: B.layer_norm(t, ln))
     # per-sample [2, 1, 1, C] gamma and beta, as a modulated gated block folds them
@@ -124,14 +124,14 @@ def check_blocks() -> list:
     row("linear.bias", _arr((3,), tag="linb"), lambda t: B.linear(x, B.Linear(lin.weight, t)))
     row("linear.input", _arr((2, 3, 3, c), tag="linx"), lambda t: B.linear(t, lin))
 
-    img = _arr((8, 8, 3), 0.0, 1.0, "img")
+    img = _arr((8, 8, 3), 0.0, 1.0, "img")[None]
     pe = B.init_patch_embed(c, derive(_SEED, "pe"))
     row("patch_embed.input", img, lambda t: B.patch_embed(t, pe))
     row("patch_embed.proj_weight", pe.proj.weight.data.copy(), lambda t: B.patch_embed(
         img, B.PatchEmbedParams(B.Linear(t, pe.proj.bias), pe.norm)))
 
     down = B.init_downsample(c, derive(_SEED, "down"), "g")
-    dx = _arr((4, 4, c), tag="dx")
+    dx = _arr((4, 4, c), tag="dx")[None]
     row("downsample.input", dx, lambda t: B.downsample(t, down))
     row("downsample.norm_gamma", _arr((4 * c,), 0.5, 1.5, "downg"), lambda t: B.downsample(
         dx, B.DownsampleParams(B.LayerNormParams(t, down.norm.beta), down.proj)))
@@ -156,7 +156,7 @@ def check_blocks() -> list:
         lambda t: B.head(hx, head, B.Linear(t, readout.bias)))
 
     vss = B.init_vss(c, 2, derive(_SEED, "vss"), "g")
-    vx = _arr((4, 4, c), tag="vx")
+    vx = _arr((4, 4, c), tag="vx")[None]
     row("vss.input", vx, lambda t: B.gated_block(t, vss))
     row("vss.gate_weight", vss.gate.weight.data.copy(),
         lambda t: B.gated_block(vx, replace(vss, gate=B.Linear(t, vss.gate.bias))))
@@ -183,20 +183,20 @@ def check_blocks() -> list:
 
 
 def check_objective() -> list:
-    """The composite loss, gradients wrt prediction: one map, the literal KL
-    and a stack."""
+    """The composite loss, gradients wrt prediction: a batch of one map, the
+    literal KL and a batch of three."""
     rows = []
     row = partial(_probe, rows)
     size = 6
-    gt = uniform_array((size, size), 0.01, 1.0, derive(_SEED, "gt"))
+    gt = uniform_array((1, size, size), 0.01, 1.0, derive(_SEED, "gt"))
     gt = gt / gt.sum()
-    fix = np.zeros((size, size))
-    fix[1, 2] = fix[4, 4] = fix[0, 5] = 1.0
-    pred0 = uniform_array((size, size), 0.05, 0.95, derive(_SEED, "pred"))
+    fix = np.zeros((1, size, size))
+    fix[0, 1, 2] = fix[0, 4, 4] = fix[0, 0, 5] = 1.0
+    pred0 = uniform_array((1, size, size), 0.05, 0.95, derive(_SEED, "pred"))
     row("composite_loss", pred0, lambda t: O.composite_loss(gt, fix, t))
     row("composite_loss.literal", pred0, lambda t: O.composite_loss(gt, fix, t, kl_literal=True))
-    # a stack, built like the single map above: per-map statistics, then
-    # the mean over rows
+    # three maps, built like the one above: per-map statistics, then the
+    # mean over rows
     gts = uniform_array((3, size, size), 0.01, 1.0, derive(_SEED, "gts"))
     gts = gts / gts.sum(axis=(1, 2), keepdims=True)
     fixes = np.zeros((3, size, size))

@@ -2,7 +2,7 @@
 
 Layout for input side S and base width C (S divisible by 32, C by 4):
 
-    embed      4x4 tiles -> [S/4, S/4, C]
+    embed      4x4 tiles -> [B, S/4, S/4, C]
     enc0..enc3 gated scan stages at widths C, 2C, 4C, 8C,
                with a 2x patch merge (down0..down2) between stages
     dec0..dec3 mirror stages at widths 8C, 4C, 2C, C, with an up-step
@@ -11,6 +11,9 @@ Layout for input side S and base width C (S divisible by 32, C by 4):
                encoder stage
     head       4x pixel shuffle to full resolution, affine to one channel,
                then a sigmoid
+
+Every stage runs on the batch: [B, S, S, 3] images in, [B, S, S] maps out,
+[B, H, W, C] grids between (a lone image is a batch of one, [1, S, S, 3]).
 
 Conditioning: per-domain knobs (scales and shifts), one [B, 5] array computed
 once per forward and applied inside a placement-dependent subset of blocks --
@@ -396,18 +399,15 @@ class Model:
         imgs = T.as_tensor(images)
         if imgs.data.dtype != self.dtype:
             imgs = Tensor(imgs.data.astype(self.dtype))
-        shape = (1,) + imgs.shape if imgs.ndim == 3 else imgs.shape
         s = self.cfg.input_size
-        if len(shape) != 4 or shape[1:] != (s, s, 3):
-            raise ShapeError(f"expected [B, {s}, {s}, 3] images, got {shape}")
-        batch = shape[0]
+        if imgs.ndim != 4 or imgs.shape[1:] != (s, s, 3):
+            raise ShapeError(f"expected [B, {s}, {s}, 3] images, got {imgs.shape}")
+        batch = imgs.shape[0]
         if T.checked_mode():
-            finite = np.isfinite(imgs.data.reshape(shape)).all(axis=(1, 2, 3))
+            finite = np.isfinite(imgs.data).all(axis=(1, 2, 3))
             if not finite.all():
                 raise NumericError(f"input image {int(np.argmin(finite))} "
                                    "has a non-finite pixel")
-        if imgs.ndim == 3:  # one image, as data: a batch of one
-            imgs = imgs.data.reshape(shape)
         if self.cfg.conditioning != "none":
             if labels is None:
                 raise ConfigError("conditioned model needs domain labels")

@@ -1,21 +1,22 @@
-"""Differentiable training losses over 2-D saliency maps or stacks of them.
+"""Differentiable training losses over batches of 2-D saliency maps.
 
-The loss takes a single [H, W] map or a [B, H, W] stack of maps: statistics
-are per map, over the last two axes, and a stack returns the mean of its
-rows' losses.  It computes in float64 whatever the prediction's dtype, and
-returns its value and the prediction's gradient in that dtype: a map's mass
-and spread sum and square values that float32 underflows (the squares of a
-spread below 1e-19, the square of a mass below 1e-19), and on [B, S, S]
-values the two casts cost little next to the network.  `composite_loss`,
-the objective training runs, is one numpy forward/backward pair recorded as
-one node over the prediction: the targets' statistics are batch constants,
-computed once per call, and the forward runs the numpy operations of its
-five terms (KL, CC, SIM, NSS, MSE) in the order a tape of generic ops
-would, so its value equals the weighted sum of the five term functions the
-tests keep as its oracle, bit for bit.  Guard terms (1e-12 on denominators)
-keep training stable on degenerate batches; the strict evaluation-time
-formulas live in `metrics`, implemented separately in plain numpy so the
-two routes can cross-check each other.
+The loss takes [B, H, W] stacks of maps, the layout the model predicts,
+and refuses any other with a ShapeError: statistics are per map, over the
+last two axes, and the loss is the mean of the rows' losses.  It computes
+in float64 whatever the prediction's dtype, and returns its value and the
+prediction's gradient in that dtype: a map's mass and spread sum and
+square values that float32 underflows (the squares of a spread below
+1e-19, the square of a mass below 1e-19), and on [B, S, S] values the two
+casts cost little next to the network.  `composite_loss`, the objective
+training runs, is one numpy forward/backward pair recorded as one node over
+the prediction: the targets' statistics are batch constants, computed once
+per call, and the forward runs the numpy operations of its five terms (KL,
+CC, SIM, NSS, MSE) in the order a tape of generic ops would, so its value
+equals the weighted sum of the five term functions the tests keep as its
+oracle, bit for bit.  Guard terms (1e-12 on denominators) keep training
+stable on degenerate batches; the strict evaluation-time formulas live in
+`metrics`, implemented separately in plain numpy so the two routes can
+cross-check each other.
 
 Sign conventions follow the composite weighting (10, -2, -1, -1, 5) for
 (KL, CC, SIM, NSS, MSE): similarity terms enter negatively, divergences
@@ -42,8 +43,8 @@ class NormalizationError(ValueError):
 
 def _as_map(x, name: str) -> Tensor:
     t = T.as_tensor(x)
-    if t.ndim not in (2, 3):
-        raise ShapeError(f"{name} must be a 2-D map or a [B, H, W] stack, got {t.shape}")
+    if t.ndim != 3:
+        raise ShapeError(f"{name} must be a [B, H, W] stack of maps, got {t.shape}")
     return t
 
 
@@ -56,12 +57,11 @@ def _refuse(bad: np.ndarray, t: Tensor, name: str, problem: str) -> None:
     """Raise NormalizationError naming the first map of t flagged in bad."""
     bad = np.asarray(bad).reshape(-1)
     if bad.any():
-        where = f" row {int(np.argmax(bad))}" if t.ndim == 3 else ""
-        raise NormalizationError(f"{name}{where} {problem}")
+        raise NormalizationError(f"{name} row {int(np.argmax(bad))} {problem}")
 
 
 def _checked_mass(t: Tensor, name: str) -> np.ndarray:
-    """Each map's total mass, [.., 1, 1]; a map with a negative entry or no
+    """Each map's total mass, [B, 1, 1]; a map with a negative entry or no
     mass is refused."""
     total = t.data.sum(axis=_MAP_AXES, keepdims=True)
     _refuse(t.data.min(axis=_MAP_AXES) < 0.0, t, name, "has negative entries")
@@ -73,7 +73,7 @@ def composite_loss(gt, fixations, pred, weights=DEFAULT_WEIGHTS,
                    kl_literal: bool = False) -> Tensor:
     """Weighted sum: w1*KL + w2*CC + w3*SIM + w4*NSS + w5*MSE; one tape node.
 
-    On a [B, H, W] stack every term is its mean over the rows, so the result
+    On [B, H, W] stacks every term is its mean over the rows, so the result
     is the mean of the per-map composites.  The node's one input is `pred`:
     `gt` and `fixations` are targets, and their statistics are computed here
     once per call, in plain numpy.  The inputs are checked as the five term
@@ -107,7 +107,7 @@ def _composite_fwd(p, targets, weights, literal):
     `targets` are the batch constants: the raw target, its unit-mass
     normalization (KL and SIM share it), its centred copy and sigma (CC),
     the fixation map and its per-map counts, all per-map statistics kept as
-    [.., 1, 1].  Each term is the same numpy expression, in the same order,
+    [B, 1, 1].  Each term is the same numpy expression, in the same order,
     as the tape ops of its term function, so the loss is bit-identical to
     theirs.  With per-op checks on, a non-finite term raises NumericError
     naming it, e.g. "composite_loss cc: produced a non-finite value".
@@ -116,10 +116,10 @@ def _composite_fwd(p, targets, weights, literal):
     gt, gn, gc, sg, fix, n_fix = targets
     dtype, p = p.dtype, p.astype(np.float64, copy=False)
     w1, w2, w3, w4, w5 = weights
-    ax, stack, check = _MAP_AXES, p.ndim == 3, T._check
+    ax, check = _MAP_AXES, T._check
 
-    def row_mean(per_map):  # per-map values [.., 1, 1] -> the loss's scalar
-        return per_map.reshape(-1).mean() if stack else per_map.reshape(())
+    def row_mean(per_map):  # per-map values [B, 1, 1] -> the loss's scalar
+        return per_map.reshape(-1).mean()
 
     with np.errstate(divide="ignore", invalid="ignore"):
         total = p.sum(axis=ax, keepdims=True)
@@ -147,7 +147,7 @@ def _composite_fwd(p, targets, weights, literal):
     loss = kl * w1 + cc * w2 + sim * w3 + nss * w4 + mse * w5
 
     def grad_fn(g):
-        rows = p.shape[0] if stack else 1
+        rows = len(p)
         g = np.asarray(g, dtype=np.float64)
         c1, c2, c3, c4, c5 = (g * w / rows for w in weights)
         n = p.shape[-2] * p.shape[-1]

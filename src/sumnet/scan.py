@@ -1,10 +1,11 @@
 """Directional sequence scanning and the selective state-space recurrence.
 
-A feature grid [H, W, C] is flattened into four 1-D traversals (row-major
-forward/backward, column-major forward/backward), each traversal runs an
-input-dependent linear state-space recurrence left to right, and the four
-outputs are scattered back to the grid and summed.  The recurrence is the
-O(L) sequential form (no parallel prefix tricks here).
+A batch of feature grids [B, H, W, C], the one layout `ss2d` takes, is
+flattened into four 1-D traversals per grid (row-major forward/backward,
+column-major forward/backward), each traversal runs an input-dependent
+linear state-space recurrence left to right, and the four outputs are
+scattered back to the grid and summed.  The recurrence is the O(L)
+sequential form (no parallel prefix tricks here).
 
 The scan has one grouped layout and one parameterization.  Its kernels
 take G groups of B rows: the batch axis holds G consecutive groups, and
@@ -57,9 +58,10 @@ sequences at once (projections, softplus, A = -exp(A_log), recurrence and
 skip; `saved` keeps the rank-R delta projection, the softplus derivative,
 delta, the B/C projections, A, exp(A_log) and the kernel's state, and the
 caller passes the sequences back), and `ss2d_fwd`/`_bwd`, which chain the
-traversals, one grouped call and the merge, and keep the grid, not its
-four traversals, rebuilding them for the backward pass.  `tensor.primitive`
-records `ss2d` as one node; `blocks.gated_block` chains the same pairs.
+traversals, one grouped call and the merge; the caller passes the grid
+back, and the backward rebuilds its four traversals.  `tensor.primitive`
+records `ss2d` as one node that keeps its grid; `blocks.gated_block` chains
+the same pairs and rebuilds its scan's grid for the backward.
 
 Recurrence, per step t, channel c, state n:
     delta_t  = softplus(x_t W_d V_d + b_d)            [C]  (low-rank, rank R)
@@ -555,8 +557,9 @@ def ss2d_fwd(grid, params, keep):
     selective_scan_fwd's own checks; the traversals only copy values
     already checked.  In the model's forward these names surface through a
     boundary's checked replay (`tensor.checked_at_boundary`).  `saved` is
-    the grouped scan's, the grid and the set count: the grid, not its four
-    traversals, a quarter of their bytes, which ss2d_bwd rebuilds.
+    the grouped scan's and the set count; it keeps neither the grid nor its
+    four traversals: the caller passes the grid back to ss2d_bwd, which
+    rebuilds them.
     """
     _, h, w, _ = grid.shape
     k, sets = len(DIRECTION_ORDER), len(params[0])
@@ -568,12 +571,13 @@ def ss2d_fwd(grid, params, keep):
     T._check("selective_scan", y)
     merged = cross_merge_fwd(y, h, w)
     T._check("cross_merge", merged)
-    return merged, (saved, grid, sets)
+    return merged, (saved, sets)
 
 
-def ss2d_bwd(saved, g):
-    """Gradients of ss2d_fwd for the merged grid's gradient g [B, H, W, C]:
-    (the grid's, the seven parameter gradients stacked like the parameters).
+def ss2d_bwd(saved, grid, g):
+    """Gradients of ss2d_fwd on the grid [B, H, W, C] for the merged grid's
+    gradient g: the grid's, then the seven parameter gradients stacked like
+    the parameters.
 
     The grid's traversals are rebuilt, the forward's own copies, and they
     and the grid gradient's run back through one grouped
@@ -581,7 +585,7 @@ def ss2d_bwd(saved, g):
     ((col_bwd + col_fwd) + row_bwd) + row_fwd, and a shared set's four
     parameter gradients in the same order, keeping its [1, ...] shape.
     """
-    saved, grid, sets = saved
+    saved, sets = saved
     b, h, w, c = g.shape
     # the gradient's traversals are laid out time-major, as the kernel reads
     # them; the grid's batch-major, as the projections' gradients read them
@@ -593,28 +597,32 @@ def ss2d_bwd(saved, g):
     g_grid += rf
     if sets == 1:
         g_params = [((g_p[3:] + g_p[2:3]) + g_p[1:2]) + g_p[:1] for g_p in g_params]
-    return g_grid, g_params
+    return (g_grid, *g_params)
+
+
+def as_grid(x, op: str, channels: int) -> Tensor:
+    """x as a Tensor, refused with a ShapeError that names `op` and the
+    layout unless it is a [B, H, W, channels] grid: the grid ops' one layout."""
+    x = T.as_tensor(x)
+    if x.ndim != 4 or x.shape[-1] != channels:
+        raise ShapeError(f"{op} expects a [B, H, W, {channels}] grid, got {x.shape}")
+    return x
 
 
 def ss2d(f: Tensor, params: SSMParams) -> Tensor:
-    """Scan a grid in all four directions and merge back (unnormalized sum).
+    """Scan a [B, H, W, C] grid in all four directions and merge back
+    (unnormalized sum).
 
-    One tape node over the grid and `params.tensors()` (see ss2d_fwd).
+    One tape node over the grid, which it keeps for ss2d_bwd, and
+    `params.tensors()` (see ss2d_fwd).
     """
-    f = T.as_tensor(f)
-    if f.ndim not in (3, 4):
-        raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
-    if f.shape[-1] != params.channels:
-        raise ShapeError(f"grid has {f.shape[-1]} channels, params have {params.channels}")
-    def fwd(grid, *params, keep):
-        merged, saved = ss2d_fwd(grid if grid.ndim == 4 else grid[None], params, keep=keep)
-        return merged.reshape(f.shape), saved
+    f = as_grid(f, "ss2d", params.channels)
 
-    def bwd(saved, g):
-        g_grid, g_params = ss2d_bwd(saved, g if g.ndim == 4 else g[None])
-        return (g_grid.reshape(f.shape), *g_params)
+    def fwd(grid, *arrays, keep):
+        merged, saved = ss2d_fwd(grid, arrays, keep)
+        return merged, (saved, grid)
 
-    return T.primitive("ss2d", (f,) + params.tensors(), fwd, bwd)
+    return T.primitive("ss2d", (f,) + params.tensors(), fwd, lambda saved, g: ss2d_bwd(*saved, g))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ through `primitive`.  The model's ops are the stage pairs of `blocks`,
 `scan` and `objective`: the conditioner, the patch embedding, the whole
 gated block, the merges, the decoder up-steps, the saliency head and the
 composite loss, with `linear`, `layer_norm`, depthwise conv and `ss2d` as
-pairs of their own.  A node's inputs may repeat; `backward` then adds up
-each occurrence's gradient in input order.  Tensors wrap C-order numpy
+pairs of their own.  All but `linear` and `layer_norm`, which take any
+rank, take the batched shapes the model sends and refuse any other with a
+ShapeError: [B, H, W, C] grids, [B, 5] knobs, [B, H, W] maps.
+
+A node's inputs may repeat; `backward` then adds up each occurrence's
+gradient in input order.  Tensors wrap C-order numpy
 arrays of float32 or float64, kept as given; any other input is converted
 to float64.  Every pair allocates in its inputs' dtype, so a float32 model
 computes, records and differentiates in float32 throughout; the float64
@@ -18,9 +22,9 @@ the tape; `backward` replays the node list once in reverse, accumulating
 gradients additively so a value consumed twice gets the sum of both branch
 gradients.  The tape is rebuilt on every forward pass.  The numpy helpers
 the pairs share (`_sum_rows`, `_unbroadcast`, `_sigmoid_raw`, `_silu_grad`,
-`_gelu_fwd`) live here too; `_sum_rows` reads its vector of ones from a
-cache bounded and keyed on the length and dtype, which hands out read-only
-arrays.
+`_gelu_fwd`) live here too, with `_filled`, the one cache of constant
+vectors (`_sum_rows`' ones, the layer norm's 1/C): bounded, keyed on the
+length, value and dtype, and handing out read-only arrays.
 
 `finite_diff_grad` is the independent oracle for the gradient-check suite:
 central differences evaluated with recording suspended.
@@ -359,10 +363,11 @@ def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndar
 # numpy helpers of the fused pairs
 
 
-@lru_cache(maxsize=64)
-def _ones(n: int, dtype: np.dtype) -> np.ndarray:
-    """A read-only vector of n ones in `dtype`, built once per (length, dtype)."""
-    v = np.ones(n, dtype=dtype)
+@lru_cache(maxsize=128)
+def _filled(n: int, value: float, dtype: np.dtype) -> np.ndarray:
+    """A read-only vector of n copies of `value` in `dtype`, built once per
+    (length, value, dtype): `_sum_rows`' ones, `blocks`' 1/C."""
+    v = np.full(n, value, dtype=dtype)
     v.flags.writeable = False
     return v
 
@@ -372,7 +377,7 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     which BLAS runs several times faster than ``ndarray.sum`` over a
     non-trailing axis; the order of the additions differs, so the last bits
     may."""
-    return _ones(x.shape[-2], x.dtype) @ x
+    return _filled(x.shape[-2], 1.0, x.dtype) @ x
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -345,8 +345,8 @@ def pad(x, pad_width) -> Tensor:
 
 
 def _row_mean(per_map: Tensor) -> Tensor:
-    """A single map's value as is; a stack's per-row values averaged."""
-    return per_map if per_map.ndim == 0 else reduce_mean(per_map)
+    """A stack's per-row values averaged."""
+    return reduce_mean(per_map)
 
 
 def normalize_sum(x, name: str = "map") -> Tensor:

@@ -152,7 +152,7 @@ def test_conditional_identity(capsys):
     w = init_vss(channels=8, state_size=4, seed=2, name="blk")
     f = T.Tensor(rng.uniforms(2 * 6 * 6 * 8).reshape(2, 6, 6, 8))
     block_ok = np.array_equal(gated_block(f, w).data,
-                              gated_block(f, w, np.array([1.0, 0.0, 1.0, 0.0, 1.0])).data)
+                              gated_block(f, w, np.tile([1.0, 0.0, 1.0, 0.0, 1.0], (2, 1))).data)
 
     imgs = rng.uniforms(2 * 32 * 32 * 3).reshape(2, 32, 32, 3)
     none_out = Model(micro_cfg(conditioning="none")).forward(imgs).data
@@ -182,15 +182,15 @@ def test_metric_oracles(capsys, corpus64, tmp_path):
 
     v = kld_metric([[1.0, 0.0]], [[0.5, 0.5]])
     checks.append(("kld two-cell", abs(v - np.log(2.0)) < 1e-6, f"{v:.6f}~log2"))
-    v = float(kl_loss([[1.0, 0.0]], [[0.5, 0.5]]).data)
+    v = float(kl_loss([[[1.0, 0.0]]], [[[0.5, 0.5]]]).data)  # the losses take [B, H, W] maps
     checks.append(("kl loss two-cell", abs(v - np.log(2.0)) < 1e-6, f"{v:.6f}~log2"))
-    lit = float(kl_loss([[0.7, 0.3]], [[0.4, 0.6]], literal=True).data)
-    can = float(kl_loss([[0.7, 0.3]], [[0.4, 0.6]]).data)
+    lit = float(kl_loss([[[0.7, 0.3]]], [[[0.4, 0.6]]], literal=True).data)
+    can = float(kl_loss([[[0.7, 0.3]]], [[[0.4, 0.6]]]).data)
     checks.append(("literal kl differs", abs(lit - can) > 1e-6, f"{lit:.4f} vs {can:.4f}"))
 
     v = sim_metric([[0.7, 0.3]], [[0.4, 0.6]])
     checks.append(("sim two-cell", abs(v - 0.7) < 1e-12, f"{v:.6f}=0.7"))
-    v = float(sim_loss([[0.7, 0.3]], [[0.4, 0.6]]).data)
+    v = float(sim_loss([[[0.7, 0.3]]], [[[0.4, 0.6]]]).data)
     checks.append(("sim loss two-cell", abs(v - 0.7) < 1e-12, f"{v:.6f}=0.7"))
 
     fix = np.array([[0.0, 0.0, 1.0]])
@@ -222,9 +222,10 @@ def test_metric_oracles(capsys, corpus64, tmp_path):
     gt /= gt.sum()
     fmax = np.zeros_like(gt)
     fmax[np.unravel_index(np.argmax(gt), gt.shape)] = 1.0
+    gt, fmax = gt[None], fmax[None]  # a batch of one map
     v = float(composite_loss(gt, fmax, gt, weights=DEFAULT_WEIGHTS).data)
     checks.append(("composite identity < 0", v < 0.0, f"{v:.3f}<0"))
-    pred0 = T.Tensor(0.25 + 0.5 * SplitMix64(9).uniforms(256).reshape(16, 16),
+    pred0 = T.Tensor(0.25 + 0.5 * SplitMix64(9).uniforms(256).reshape(1, 16, 16),
                      requires_grad=True)
     err, _, _ = T.check_gradient(lambda q: composite_loss(gt, fmax, q), pred0)
     checks.append(("composite grad fd", err < 1e-4, f"rel {err:.2e}<1e-4"))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from sumnet.blocks import (
     PatchEmbedParams,
     PatchExpandParams,
     conditioner,
-    conditioner_param_count,
     depthwise_conv3x3,
     downsample,
     dwconv_bwd,
@@ -53,7 +53,8 @@ def rnd(shape, seed, lo=-1.0, hi=1.0):
 
 def patch_expand(x, p):
     """The expand pair that up_step and head chain, as one node of its own."""
-    return T.primitive("patch_expand", (B._expand_input(x, p), p.proj.weight, p.proj.bias),
+    return T.primitive("patch_expand", (B.as_grid(x, "patch_expand", p.proj.weight.shape[0]),
+                                        p.proj.weight, p.proj.bias),
                        lambda x, w, b, keep: B._expand_fwd(x, w, b, p.factor), B._expand_bwd)
 
 
@@ -103,7 +104,7 @@ def test_dwconv_identity_kernel_bit_exact():
     p.kernel.data[:] = 0.0
     p.kernel.data[:, 1, 1] = 1.0
     p.bias.data[:] = 0.0
-    x = rnd((5, 7, 3), 7)
+    x = rnd((1, 5, 7, 3), 7)
     y = depthwise_conv3x3(x, p)
     assert np.array_equal(y.data, x.data)
 
@@ -113,20 +114,20 @@ def test_dwconv_box_kernel_hand_oracle():
     p = init_dwconv(1, seed=8, name="t")
     p.kernel.data[:] = 1.0
     p.bias.data[:] = 0.0
-    x = Tensor(np.arange(9.0).reshape(3, 3, 1))
-    y = depthwise_conv3x3(x, p)
-    assert y.data[1, 1, 0] == np.arange(9.0).sum()
-    assert y.data[0, 0, 0] == 0 + 1 + 3 + 4
-    assert y.data[2, 2, 0] == 4 + 5 + 7 + 8
+    x = Tensor(np.arange(9.0).reshape(1, 3, 3, 1))
+    y = depthwise_conv3x3(x, p).data[0]
+    assert y[1, 1, 0] == np.arange(9.0).sum()
+    assert y[0, 0, 0] == 0 + 1 + 3 + 4
+    assert y[2, 2, 0] == 4 + 5 + 7 + 8
 
 
 def test_dwconv_no_channel_mixing():
     p = init_dwconv(2, seed=9, name="t")
-    x = np.zeros((4, 4, 2))
-    x[:, :, 0] = 1.0
+    x = np.zeros((1, 4, 4, 2))
+    x[..., 0] = 1.0
     y = depthwise_conv3x3(Tensor(x), p)
     # channel 1 sees only its own (zero) input plus its bias
-    assert np.allclose(y.data[:, :, 1], p.bias.data[1])
+    assert np.allclose(y.data[..., 1], p.bias.data[1])
 
 
 def test_dwconv_batched_matches_single():
@@ -134,8 +135,8 @@ def test_dwconv_batched_matches_single():
     xb = rnd((2, 4, 5, 3), 11)
     yb = depthwise_conv3x3(xb, p)
     for i in range(2):
-        yi = depthwise_conv3x3(Tensor(xb.data[i]), p)
-        assert np.array_equal(yb.data[i], yi.data)
+        yi = depthwise_conv3x3(Tensor(xb.data[i:i + 1]), p)
+        assert np.array_equal(yb.data[i], yi.data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +172,16 @@ def _reference_linear(x, p):
 
 def _reference_depthwise_conv3x3(x, p):
     x = T.as_tensor(x)
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"expected a grid, got {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"expected a [B, H, W, C] grid, got {x.shape}")
     if x.shape[-1] != p.kernel.shape[0]:
         raise ShapeError(f"grid has {x.shape[-1]} channels, kernel has {p.kernel.shape[0]}")
-    h_ax, w_ax = x.ndim - 3, x.ndim - 2
-    h, w = x.shape[h_ax], x.shape[w_ax]
-    pw = [(0, 0)] * x.ndim
-    pw[h_ax] = (1, 1)
-    pw[w_ax] = (1, 1)
-    padded = ops.pad(x, pw)
-    lead = (slice(None),) * (x.ndim - 3)
+    _, h, w, _ = x.shape
+    padded = ops.pad(x, [(0, 0), (1, 1), (1, 1), (0, 0)])
     acc = None
     for dy in range(3):
         for dx in range(3):
-            window = ops.index(padded, lead + (slice(dy, dy + h), slice(dx, dx + w)))
+            window = ops.index(padded, (slice(None), slice(dy, dy + h), slice(dx, dx + w)))
             term = ops.mul(window, ops.index(p.kernel, (slice(None), dy, dx)))
             acc = term if acc is None else ops.add(acc, term)
     return ops.add(acc, p.bias)
@@ -214,16 +210,16 @@ def _assert_grads_close(got, want):
 
 # C >= 3: with two channels a normalized row is +-1 whatever x is, so its
 # gradient is pure round-off and no relative bound can hold
-FUSED_GRIDS = [(1, 1, 4), (5, 6, 3), (1, 1, 1, 3), (2, 4, 3, 5)]
+FUSED_GRIDS = [(1, 1, 1, 4), (1, 5, 6, 3), (1, 1, 1, 3), (2, 4, 3, 5)]
 
 
 @pytest.mark.parametrize("shape", FUSED_GRIDS)
 @pytest.mark.parametrize("affine", ["channel", "per-sample"])
 def test_layer_norm_matches_reference_composition(shape, affine):
     # [C] affine params, or per-sample [B, 1, 1, C] ones as a modulated
-    # gated block folds them (they broadcast a 3-D grid to a batch)
+    # gated block folds them
     c = shape[-1]
-    p_shape = (c,) if affine == "channel" else (shape[0] if len(shape) == 4 else 2, 1, 1, c)
+    p_shape = (c,) if affine == "channel" else (shape[0], 1, 1, c)
     inputs = [rnd(shape, 41, -2.0, 2.0).data, rnd(p_shape, 43, 0.5, 1.5).data,
               rnd(p_shape, 44).data]
     got, got_g, n_ops = _forward_and_grads(
@@ -249,7 +245,7 @@ def test_layer_norm_statistics_match_reduce_mean(shape):
 
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
-SHAPE_CACHES = [(T._ones, (7, F64)), (B._inv_count, (7, F64)), (B._tap_windows, (4, 3, 5))]
+SHAPE_CACHES = [(T._filled, (7, 1.0 / 7, F64)), (B._tap_windows, (3, 5))]
 
 
 @pytest.mark.parametrize("cache, key", SHAPE_CACHES)
@@ -264,11 +260,13 @@ def test_shape_caches_are_read_only_bounded_and_keyed_on_shapes(cache, key):
         with pytest.raises(ValueError):
             a[0] = 0.0
     keyed_on_dtype = isinstance(key[-1], np.dtype)
-    if keyed_on_dtype:  # a vector per (length, dtype), in that dtype
-        single = cache(key[0], F32)
+    if keyed_on_dtype:  # a vector per (length, value, dtype): 1/C and ones alike
+        n, value, _ = key
+        single, ones = cache(n, value, F32), cache(n, 1.0, F64)
         assert got.dtype == F64 and single.dtype == F32
-        assert np.array_equal(single, got.astype(F32))
-    assert all(isinstance(k, int) for k in key[:-1 if keyed_on_dtype else None])
+        assert np.array_equal(got, np.full(n, value)) and np.array_equal(single, got.astype(F32))
+        assert np.array_equal(ones, np.ones(n))
+    assert all(isinstance(k, int) for k in key[:1 if keyed_on_dtype else None])
     size = cache.cache_info().maxsize
     assert size is not None
     at = 0 if keyed_on_dtype else len(key) - 1  # the length it varies
@@ -305,20 +303,19 @@ def test_linear_matches_reference_composition(shape):
 # The backward pairs against the numpy expressions they replaced: a scatter
 # of g * k into a padded buffer, ndarray.sum column sums and ndarray.mean
 # channel means.
-ORACLE_GRIDS = [(5, 6, 3), (16, 16, 8), (2, 4, 3, 5), (8, 16, 16, 16)]
+ORACLE_GRIDS = [(1, 5, 6, 3), (1, 16, 16, 8), (2, 4, 3, 5), (8, 16, 16, 16)]
 
 
 def _scatter_dwconv_bwd(saved, g):
     padded, k9, windows = saved
-    h, w = g.shape[-3], g.shape[-2]
-    taps = "bhwc,bhwc->c" if g.ndim == 4 else "hwc,hwc->c"
+    _, h, w, _ = g.shape
     g_pad = np.zeros(padded.shape)
     g_k = np.empty(k9.shape)
     for tap, win in enumerate(windows):
         g_pad[win] += g * k9[:, tap]
-        g_k[:, tap] = np.einsum(taps, padded[win], g)
-    g_x = np.ascontiguousarray(g_pad[windows[0][:-2] + (slice(1, h + 1), slice(1, w + 1))])
-    return g_x, g_k.reshape(-1, 3, 3), g.sum(axis=tuple(range(g.ndim - 1)))
+        g_k[:, tap] = np.einsum("bhwc,bhwc->c", padded[win], g)
+    g_x = np.ascontiguousarray(g_pad[:, 1:h + 1, 1:w + 1])
+    return g_x, g_k.reshape(-1, 3, 3), g.sum(axis=(0, 1, 2))
 
 
 def _mean_ln_core_bwd(saved, g):
@@ -368,13 +365,15 @@ def test_dwconv_input_gradient_equals_the_scatter_bit_for_bit(shape):
 
 def test_patch_embed_tile_order_and_shape():
     p = init_patch_embed(8, seed=12)
-    img = rnd((8, 8, 3), 13, 0.0, 1.0)
+    img = rnd((1, 8, 8, 3), 13, 0.0, 1.0)
     y = patch_embed(img, p)
-    assert y.shape == (2, 2, 8)
+    assert y.shape == (1, 2, 2, 8)
     with pytest.raises(ShapeError):
-        patch_embed(rnd((6, 6, 3), 14), p)  # not divisible by 4
+        patch_embed(rnd((1, 6, 6, 3), 14), p)  # not divisible by 4
     with pytest.raises(ShapeError):
-        patch_embed(rnd((8, 8, 4), 15), p)  # not RGB
+        patch_embed(rnd((1, 8, 8, 4), 15), p)  # not RGB
+    with pytest.raises(ShapeError, match=r"patch_embed expects a \[B, H, W, 3\] grid"):
+        patch_embed(img.data[0], p)  # a lone image is not a batch of one
 
 
 def test_patch_embed_tile_vector_is_row_major():
@@ -392,8 +391,8 @@ def test_patch_embed_tile_vector_is_row_major():
     )
     from sumnet.blocks import _space_to_depth
 
-    tiles = _space_to_depth(img, 4)
-    assert np.array_equal(tiles[0, 0], tiles_wanted)
+    tiles = _space_to_depth(img[None], 4)
+    assert np.array_equal(tiles[0, 0, 0], tiles_wanted)
 
 
 def test_downsample_order_and_hand_oracle():
@@ -403,14 +402,14 @@ def test_downsample_order_and_hand_oracle():
     p.proj.weight.data[0, 0] = 1.0  # pick out normalized TL
     p.proj.weight.data[1, 1] = 1.0  # and normalized TR
     p.proj.bias.data[:] = 0.0
-    x = Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]))
+    x = Tensor(np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]]))
     y = downsample(x, p)
     merged = np.array([1.0, 2.0, 3.0, 4.0])
     normed = (merged - merged.mean()) / np.sqrt(merged.var() + 1e-6)
-    assert y.shape == (1, 1, 2)
-    assert np.allclose(y.data[0, 0], normed[:2], atol=1e-12)
+    assert y.shape == (1, 1, 1, 2)
+    assert np.allclose(y.data[0, 0, 0], normed[:2], atol=1e-12)
     with pytest.raises(ShapeError):
-        downsample(rnd((3, 3, 1), 18), p)
+        downsample(rnd((1, 3, 3, 1), 18), p)
 
 
 def _reference_downsample(x, p):
@@ -426,7 +425,7 @@ def _reference_downsample(x, p):
     return linear(layer_norm(merged, p.norm), p.proj)
 
 
-@pytest.mark.parametrize("shape", [(4, 4, 3), (1, 2, 2, 1), (2, 8, 6, 5)])
+@pytest.mark.parametrize("shape", [(1, 4, 4, 3), (1, 2, 2, 1), (2, 8, 6, 5)])
 def test_downsample_matches_reference_gather(shape):
     c = shape[-1]
     inputs = [rnd(shape, 23).data, rnd((4 * c,), 24, 0.5, 1.5).data, rnd((4 * c,), 25).data,
@@ -450,10 +449,10 @@ def test_downsample_matches_reference_gather(shape):
 
 def test_downsample_constant_stays_constant():
     p = init_downsample(4, seed=19, name="t")
-    x = Tensor(np.full((4, 4, 4), 3.25))
+    x = Tensor(np.full((1, 4, 4, 4), 3.25))
     y = downsample(x, p)
-    assert y.shape == (2, 2, 8)
-    assert np.abs(y.data - y.data[0, 0]).max() == 0.0
+    assert y.shape == (1, 2, 2, 8)
+    assert np.abs(y.data - y.data[0, 0, 0]).max() == 0.0
 
 
 def test_patch_expand_pixel_shuffle_layout():
@@ -461,12 +460,12 @@ def test_patch_expand_pixel_shuffle_layout():
     p.proj.weight.data[:] = 0.0
     p.proj.weight.data[0, :] = np.arange(1.0, 9.0)
     p.proj.bias.data[:] = 0.0
-    x = np.zeros((1, 1, 4))
-    x[0, 0, 0] = 1.0
+    x = np.zeros((1, 1, 1, 4))
+    x[0, 0, 0, 0] = 1.0
     y = patch_expand(Tensor(x), p)
-    assert y.shape == (2, 2, 2)
+    assert y.shape == (1, 2, 2, 2)
     expect = np.array([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]])
-    assert np.array_equal(y.data, expect)
+    assert np.array_equal(y.data[0], expect)
 
 
 def test_expand_then_merge_constancy():
@@ -474,12 +473,12 @@ def test_expand_then_merge_constancy():
     # and merging back gives a spatially constant grid again
     pe = init_patch_expand(8, 2, seed=21, name="t1")
     pm = init_downsample(4, seed=22, name="t2")
-    x = Tensor(np.full((2, 2, 8), -1.5))
-    up = patch_expand(x, pe)  # [4, 4, 4]
-    down = downsample(up, pm)  # [2, 2, 8]
+    x = Tensor(np.full((1, 2, 2, 8), -1.5))
+    up = patch_expand(x, pe)  # [1, 4, 4, 4]
+    down = downsample(up, pm)  # [1, 2, 2, 8]
     tiles = up.data.reshape(2, 2, 2, 2, 4)  # [H, f, W, f, C]
     assert np.abs(tiles - tiles[0:1, :, 0:1]).max() == 0.0
-    assert np.abs(down.data - down.data[0, 0]).max() == 0.0
+    assert np.abs(down.data - down.data[0, 0, 0]).max() == 0.0
 
 
 def test_patch_expand_rejects_bad_factor():
@@ -489,16 +488,48 @@ def test_patch_expand_rejects_bad_factor():
 
 def test_patch_expand_and_head_reject_a_wrong_channel_count():
     p = init_patch_expand(8, 4, seed=24, name="t")
-    with pytest.raises(ShapeError, match="patch_expand expects trailing dim 8"):
-        patch_expand(np.ones((2, 2, 4)), p)
-    with pytest.raises(ShapeError, match="patch_expand expects trailing dim 8"):
-        head(np.ones((2, 2, 4)), p, init_linear(2, 1, seed=25, name="r"))
+    with pytest.raises(ShapeError, match=r"patch_expand expects a \[B, H, W, 8\] grid"):
+        patch_expand(np.ones((1, 2, 2, 4)), p)
+    with pytest.raises(ShapeError, match=r"head expects a \[B, H, W, 8\] grid"):
+        head(np.ones((1, 2, 2, 4)), p, init_linear(2, 1, seed=25, name="r"))
+
+
+def _up_params():
+    return init_patch_expand(4, 2, seed=4, name="t"), init_linear(2, 2, seed=5, name="s")
+
+
+UNBATCHED = [  # (op, its call on the unbatched [H, W, C] grid g)
+    ("depthwise_conv3x3", lambda g: depthwise_conv3x3(g, init_dwconv(4, seed=1, name="t"))),
+    ("gated_block", lambda g: gated_block(g, init_vss(4, 2, seed=2, name="t"))),
+    ("downsample", lambda g: downsample(g, init_downsample(4, seed=3, name="t"))),
+    ("up_step", lambda g: up_step(g, np.ones((1, 8, 8, 2)), *_up_params())),
+    ("up_step skip", lambda g: up_step(g[None, :2, :2], g[..., :2], *_up_params())),
+    ("head", lambda g: head(g, init_patch_expand(4, 4, seed=6, name="t"),
+                            init_linear(1, 1, seed=7, name="r"))),
+]
+
+
+@pytest.mark.parametrize("op, call", UNBATCHED, ids=[op for op, _ in UNBATCHED])
+def test_grid_ops_refuse_an_unbatched_grid(op, call):
+    # a lone grid is not read as a batch of one: the op names the layout it takes
+    with pytest.raises(ShapeError, match=op + r" expects a \[B, H, W, \d\] grid, got \(4, 4, "):
+        call(np.ones((4, 4, 4)))
+
+
+def test_up_step_refuses_a_skip_that_does_not_fit_the_expand():
+    # a skip of another batch would broadcast in the sum and fail only in
+    # the backward; one of another size would fail inside numpy
+    x = np.ones((2, 2, 2, 4))
+    for skip in (np.ones((1, 4, 4, 2)), np.ones((2, 8, 8, 2))):
+        with pytest.raises(ShapeError, match=r"up_step skip \(\d, \d, \d, 2\) does not fit the "
+                                             r"expand of \(2, 2, 2, 4\)"):
+            up_step(x, skip, *_up_params())
 
 
 def test_patch_embed_untiles_no_gradient_for_a_constant_image():
     pe = init_patch_embed(4, seed=26)
     with T.Tape() as tape:
-        out = patch_embed(rnd((8, 4, 3), 27, 0.0, 1.0), pe)
+        out = patch_embed(rnd((1, 8, 4, 3), 27, 0.0, 1.0), pe)
         (node,) = [n for n in tape.nodes if n.grad_fn is not None]
     g_img, *g_params = node.grad_fn(np.ones(out.shape))
     assert g_img is None and all(g is not None for g in g_params)
@@ -573,7 +604,7 @@ def _stage_case(stage, lead):
         x, PatchExpandParams(Linear(w, b), f), Linear(wr, br)), reference_head)
 
 
-@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("lead", [(1,), (2,)])
 @pytest.mark.parametrize("stage", ["patch_embed", "downsample", "patch_expand", "up_step",
                                    "head"])
 def test_stage_pairs_match_reference_composition(stage, lead):
@@ -589,16 +620,16 @@ def test_stage_pairs_checked_mode_name_the_step():
     pe = init_patch_embed(4, seed=31)
     pe.proj.weight.data[0, 0] = np.inf
     with pytest.raises(NumericError, match="patch_embed proj: produced a non-finite value"):
-        patch_embed(np.ones((4, 4, 3)), pe)
-    x = np.ones((2, 2, 4))
-    x[1, 1, 2] = np.nan
+        patch_embed(np.ones((1, 4, 4, 3)), pe)
+    x = np.ones((1, 2, 2, 4))
+    x[0, 1, 1, 2] = np.nan
     with pytest.raises(NumericError, match="downsample norm core"):
         downsample(x, init_downsample(4, seed=32, name="t"))
     up = init_patch_expand(8, 4, seed=33, name="t")
     readout = init_linear(2, 1, seed=34, name="r")
     readout.bias.data[0] = np.inf
     with pytest.raises(NumericError, match="head readout: produced a non-finite value"):
-        head(np.ones((1, 1, 8)), up, readout)
+        head(np.ones((1, 1, 1, 8)), up, readout)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +640,7 @@ def test_vss_zero_fuse_is_residual_identity():
     w = init_vss(4, 2, seed=24, name="t")
     w.outproj.weight.data[:] = 0.0
     w.outproj.bias.data[:] = 0.0
-    f = rnd((5, 6, 4), 25)
+    f = rnd((1, 5, 6, 4), 25)
     y = gated_block(f, w)
     assert np.array_equal(y.data, f.data)
 
@@ -620,15 +651,15 @@ def test_vss_shapes_and_batch_consistency():
     yb = gated_block(fb, w)
     assert yb.shape == fb.shape
     for i in range(2):
-        yi = gated_block(Tensor(fb.data[i]), w)
-        assert np.allclose(yb.data[i], yi.data, atol=1e-12)
+        yi = gated_block(Tensor(fb.data[i:i + 1]), w)
+        assert np.allclose(yb.data[i], yi.data[0], atol=1e-12)
 
 
 def test_cvss_identity_modulation_bit_exact():
     w = init_vss(6, 3, seed=28, name="t")
-    f = rnd((4, 5, 6), 29)
+    f = rnd((1, 4, 5, 6), 29)
     a = gated_block(f, w)
-    b = gated_block(f, w, IDENTITY)
+    b = gated_block(f, w, IDENTITY[None])
     assert np.array_equal(a.data, b.data)
 
 
@@ -648,9 +679,8 @@ def _reference_vss(f, w):
 
 
 def _knob_columns(knobs):
-    """The five knobs of a [B, 5] or [5] tensor, as [B, 1, 1, 1] or () tensors."""
-    key = (lambda j: (slice(None), j, None, None, None)) if knobs.ndim == 2 else (lambda j: j)
-    return [ops.index(knobs, key(j)) for j in range(5)]
+    """The five knobs of a [B, 5] tensor, as [B, 1, 1, 1] tensors."""
+    return [ops.index(knobs, (slice(None), j, None, None, None)) for j in range(5)]
 
 
 def _reference_cvss(f, w, knobs):
@@ -687,11 +717,11 @@ def _vss_tensors(w):
 
 # C >= 3 (see FUSED_GRIDS); 1x1 grids leave each scan a single step
 @pytest.mark.parametrize("shape, mod, shared", [
-    ((1, 1, 4), None, False),
-    ((1, 1, 4), "identity", False),
-    ((4, 5, 4), None, False),
-    ((4, 5, 4), "identity", False),
-    ((4, 5, 4), "random", False),  # [2, 5] knobs broadcast the grid to a batch
+    ((1, 1, 1, 4), None, False),
+    ((1, 1, 1, 4), "identity", False),
+    ((1, 4, 5, 4), None, False),
+    ((1, 4, 5, 4), "identity", False),
+    ((1, 4, 5, 4), "random", False),
     ((1, 1, 1, 4), "random", False),
     ((2, 3, 4, 5), None, False),
     ((2, 3, 4, 5), "identity", False),
@@ -706,10 +736,9 @@ def test_gated_block_matches_reference_composition(shape, mod, shared):
         t.data += rnd(t.shape, 600 + k, -0.3, 0.3).data
     m = None
     if mod == "identity":
-        m = Tensor(IDENTITY, requires_grad=True)
+        m = Tensor(np.tile(IDENTITY, (shape[0], 1)), requires_grad=True)
     elif mod == "random":
-        b = shape[0] if len(shape) == 4 else 2
-        m = Tensor(1.0 + rnd((b, 5), 610, -0.5, 0.5).data, requires_grad=True)
+        m = Tensor(1.0 + rnd((shape[0], 5), 610, -0.5, 0.5).data, requires_grad=True)
     f = Tensor(rnd(shape, 61).data, requires_grad=True)
     leaves = [f] + _vss_tensors(w) + ([] if m is None else [m])
 
@@ -763,7 +792,7 @@ def test_gated_block_gradients_match_ndarray_sum_column_sums(monkeypatch):
 
 def test_gated_block_checked_mode_names_the_intermediate():
     w = init_vss(4, 2, seed=63, name="t")
-    f = rnd((3, 3, 4), 64)
+    f = rnd((1, 3, 3, 4), 64)
     bad_gate = w.gate.weight.data.copy()
     bad_gate[1, 2] = np.nan
     with pytest.raises(NumericError, match="gated_block gate linear"):
@@ -781,16 +810,52 @@ def test_gated_block_checked_mode_names_the_intermediate():
 
 def test_cvss_nonidentity_changes_output():
     w = init_vss(4, 2, seed=30, name="t")
-    f = rnd((3, 3, 4), 31)
-    knobs = np.array([1.0, 0.0, 1.5, 0.0, 1.0])  # a2 = 1.5
+    f = rnd((1, 3, 3, 4), 31)
+    knobs = np.array([[1.0, 0.0, 1.5, 0.0, 1.0]])  # a2 = 1.5
     assert not np.array_equal(gated_block(f, w, knobs).data, gated_block(f, w).data)
+
+
+def test_gated_block_refuses_knobs_that_are_not_one_row_per_grid():
+    # neither [5] knobs nor [B', 5] ones with B' != B broadcast over the batch
+    w = init_vss(4, 2, seed=34, name="t")
+    for batch, knobs in ((1, IDENTITY), (3, IDENTITY[None]), (1, np.tile(IDENTITY, (2, 1))),
+                         (2, np.ones((2, 4)))):
+        with pytest.raises(ShapeError, match=r"gated_block expects \[B, 5\] knobs, one row per "
+                                             f"grid of the batch of {batch}, got"):
+            gated_block(np.ones((batch, 2, 2, 4)), w, knobs)
+
+
+def test_a_recorded_gated_block_keeps_each_forward_value_once():
+    # a float32 block at step-std's first level.  The tape holds the output,
+    # the scan's checkpoints and its delta, B and C, and the block's
+    # intermediates: 26 grid-sized arrays' worth.  Keeping gate = silu(gate
+    # linear) or the scan's grid silu(conv), each one multiply of two kept
+    # arrays, beside them would add one grid each
+    w = init_vss(16, 8, seed=35, name="t")
+    for t in _vss_tensors(w):
+        t.data = t.data.astype(np.float32)
+        t.requires_grad = True
+    f = Tensor(rnd((8, 16, 16, 16), 36).data.astype(np.float32), requires_grad=True)
+    knobs = Tensor(np.tile(IDENTITY, (8, 1)).astype(np.float32), requires_grad=True)
+    for m in (None, knobs):
+        gated_block(f, w, m)  # the shape caches, filled before counting
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                y = gated_block(f, w, m)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) and y.data.dtype == np.float32
+        assert held < 27 * f.data.nbytes, held / f.data.nbytes
+        del tape, y
 
 
 def test_cvss_beta_shifts_when_gate_open():
     # with alpha2=0 the scan branch collapses to beta2; output still finite
     w = init_vss(4, 2, seed=32, name="t")
-    f = rnd((3, 3, 4), 33)
-    y = gated_block(f, w, np.array([1.0, 0.0, 0.0, 2.0, 1.0]))
+    f = rnd((1, 3, 3, 4), 33)
+    y = gated_block(f, w, np.array([[1.0, 0.0, 0.0, 2.0, 1.0]]))
     assert np.isfinite(y.data).all()
 
 
@@ -799,11 +864,16 @@ def test_cvss_beta_shifts_when_gate_open():
 
 
 def test_conditioner_param_count_formula():
-    p = init_conditioner(4, 128, seed=34)
-    # 4*128 + (128*128 + 128) + (128*64 + 64) + (64*5 + 5)
-    assert conditioner_param_count(p) == 25605
-    p1 = init_conditioner(4, 128, seed=34, one_hot=True)
-    assert conditioner_param_count(p1) == 25605 - 512
+    from sumnet.model import Model, SumConfig
+
+    def count(conditioning):
+        return Model(SumConfig(input_size=32, base_channels=4, token_dim=128,
+                               conditioning=conditioning)).num_parameters()
+
+    # 4*128 + (128*128 + 128) + (128*64 + 64) + (64*5 + 5); a one-hot table
+    # is fixed, so not a parameter
+    assert count("prompt") - count("none") == 25605
+    assert count("one-hot") - count("none") == 25605 - 512
 
 
 def test_zero_final_layer_gives_identity_modulation():
@@ -880,8 +950,8 @@ def test_batched_modulation_matches_per_sample():
     labels = [0, 2, 1]
     yb = gated_block(fb, w, conditioner(p, labels))
     for i, lab in enumerate(labels):
-        yi = gated_block(Tensor(fb.data[i]), w, conditioner(p, [lab]).data[0])  # [5] knobs
-        assert np.allclose(yb.data[i], yi.data, atol=1e-12)
+        yi = gated_block(Tensor(fb.data[i:i + 1]), w, conditioner(p, [lab]))
+        assert np.allclose(yb.data[i], yi.data[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -890,12 +960,12 @@ def test_batched_modulation_matches_per_sample():
 
 
 def test_grad_resampling():
-    img = rnd((8, 8, 3), 47, 0.0, 1.0)
+    img = rnd((1, 8, 8, 3), 47, 0.0, 1.0)
     pe = init_patch_embed(4, seed=48)
-    wts = T.uniform((2, 2, 4), -1.0, 1.0, 470).data
+    wts = T.uniform((1, 2, 2, 4), -1.0, 1.0, 470).data
     err, _, _ = check_gradient(lambda t: ops.reduce_sum(ops.mul(patch_embed(t, pe), wts)), img)
     assert err < TOL
-    x = rnd((4, 4, 4), 49)
+    x = rnd((1, 4, 4, 4), 49)
     pd = init_downsample(4, seed=50, name="t")
     err, _, _ = check_gradient(lambda t: ops.reduce_sum(ops.mul(downsample(t, pd), 0.5)), x)
     assert err < TOL

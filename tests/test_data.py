@@ -365,7 +365,8 @@ def test_checkpoint_round_trip(tmp_path):
     for name, arr in arrays.items():
         assert back[name].shape == np.asarray(arr).shape
         assert np.max(np.abs(back[name] - arr)) < 1e-6  # float32 rounding only
-        assert back[name].dtype == np.float64
+        assert back[name].dtype == np.float32  # read back in the dtype stored
+        assert np.array_equal(back[name], np.asarray(arr, dtype=np.float32))  # rounded once
 
 
 def test_checkpoint_write_that_fails_part_way_keeps_the_previous_file(tmp_path, monkeypatch):

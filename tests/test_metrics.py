@@ -71,10 +71,12 @@ def test_metric_route_matches_loss_route():
         fix = np.zeros((7, 7))
         for _ in range(5):
             fix[sm.next_below(7), sm.next_below(7)] = 1.0
-        assert abs(cc_metric(g, p) - cc_loss(g, p).item()) < 1e-9
-        assert abs(sim_metric(g, p) - sim_loss(g, p).item()) < 1e-12
-        assert abs(kld_metric(g, p) - kl_loss(g, p).item()) < 1e-12
-        assert abs(nss_metric(fix, p) - nss_loss(fix, p).item()) < 1e-9
+        # the metrics score one [H, W] map, the losses a [B, H, W] stack
+        gb, pb, fb = g[None], p[None], fix[None]
+        assert abs(cc_metric(g, p) - cc_loss(gb, pb).item()) < 1e-9
+        assert abs(sim_metric(g, p) - sim_loss(gb, pb).item()) < 1e-12
+        assert abs(kld_metric(g, p) - kl_loss(gb, pb).item()) < 1e-12
+        assert abs(nss_metric(fix, p) - nss_loss(fb, pb).item()) < 1e-9
 
 
 # ---------------------------------------------------------------------------

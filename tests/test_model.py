@@ -314,7 +314,7 @@ def test_forward_shapes_and_range():
     out = m.forward(imgs, [0, 3])
     assert out.shape == (2, 32, 32)
     assert out.data.min() > 0.0 and out.data.max() < 1.0  # sigmoid range
-    single = m.forward(imgs[0], [0])
+    single = m.forward(imgs[:1], [0])
     assert single.shape == (1, 32, 32)
     assert np.allclose(single.data[0], out.data[0], atol=1e-9)
 
@@ -325,6 +325,8 @@ def test_forward_validation():
     imgs = rng.uniforms(32 * 32 * 3).reshape(1, 32, 32, 3)
     with pytest.raises(T.ShapeError):
         m.forward(imgs[:, :16])
+    with pytest.raises(T.ShapeError, match=r"expected \[B, 32, 32, 3\] images, got \(32, 32, 3\)"):
+        m.forward(imgs[0], [0])  # a lone image is not a batch of one
     with pytest.raises(ConfigError, match="labels"):
         m.forward(imgs)
     with pytest.raises(T.ShapeError, match="labels"):
@@ -678,7 +680,7 @@ def _reference_batch_loss(model, samples, idxs):
     total = None
     for row, i in enumerate(idxs):
         s = samples[i]
-        term = composite_loss(s.smap, s.fmap, ops.index(pred, row),
+        term = composite_loss(s.smap[None], s.fmap[None], ops.index(pred, slice(row, row + 1)),
                               weights=model.cfg.loss_weights,
                               kl_literal=model.cfg.kl_literal)
         total = term if total is None else ops.add(total, term)
@@ -711,7 +713,7 @@ def test_batch_loss_matches_manual_mean():
     pred = m.forward(np.stack([s.image for s in samples]),
                      [s.label for s in samples])
     manual = np.mean([
-        float(composite_loss(s.smap, s.fmap, T.Tensor(pred.data[i])).data)
+        float(composite_loss(s.smap[None], s.fmap[None], T.Tensor(pred.data[i:i + 1])).data)
         for i, s in enumerate(samples)
     ])
     assert abs(float(loss.data) - manual) < 1e-9

@@ -23,49 +23,49 @@ def rmap(shape, seed, lo=0.05, hi=1.0):
 
 def test_kl_two_cell_oracle():
     # gt (1, 0) vs uniform (0.5, 0.5): KL = log 2
-    v = kl_loss(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]))
+    v = kl_loss(np.array([[[1.0, 0.0]]]), np.array([[[0.5, 0.5]]]))
     assert abs(v.item() - np.log(2.0)) < 1e-6
 
 
 def test_kl_self_is_tiny_and_bounded_below():
-    m = rmap((8, 8), 1)
+    m = rmap((1, 8, 8), 1)
     v = kl_loss(m, m).item()
     assert abs(v) <= 1e-9
     for seed in range(5):
-        a, b = rmap((6, 6), 10 + seed), rmap((6, 6), 20 + seed)
+        a, b = rmap((1, 6, 6), 10 + seed), rmap((1, 6, 6), 20 + seed)
         assert kl_loss(a, b).item() >= -1e-9
 
 
 def test_kl_literal_orientation_differs():
-    g = np.array([[0.8, 0.2]])
-    p = np.array([[0.3, 0.7]])
+    g = np.array([[[0.8, 0.2]]])
+    p = np.array([[[0.3, 0.7]]])
     std = kl_loss(g, p).item()
     lit = kl_loss(g, p, literal=True).item()
     assert std > 0.0
     assert abs(std - lit) > 1e-3
     # literal form decreases as predicted mass shrinks where gt has mass:
     # that is the behavior that makes it unusable as a training divergence
-    p_small = np.array([[0.03, 0.07]])
+    p_small = np.array([[[0.03, 0.07]]])
     assert kl_loss(g, p_small / p_small.sum(), literal=True).item() == pytest.approx(lit)
 
 
 def test_cc_oracles_and_invariances():
-    m = rmap((8, 8), 2)
+    m = rmap((1, 8, 8), 2)
     assert abs(cc_loss(m, m).item() - 1.0) < 1e-9
     anti = m.max() + m.min() - m  # perfectly anti-correlated
     assert abs(cc_loss(m, anti).item() + 1.0) < 1e-9
-    other = rmap((8, 8), 3)
+    other = rmap((1, 8, 8), 3)
     base = cc_loss(m, other).item()
     assert abs(cc_loss(m * 3.0 + 0.7, other).item() - base) < 1e-9
     assert -1.0 - 1e-9 <= base <= 1.0 + 1e-9
 
 
 def test_sim_two_cell_oracle_and_bounds():
-    v = sim_loss(np.array([[0.7, 0.3]]), np.array([[0.4, 0.6]]))
+    v = sim_loss(np.array([[[0.7, 0.3]]]), np.array([[[0.4, 0.6]]]))
     assert abs(v.item() - 0.7) < 1e-12
-    m = rmap((5, 5), 4)
+    m = rmap((1, 5, 5), 4)
     assert abs(sim_loss(m, m).item() - 1.0) < 1e-12
-    o = rmap((5, 5), 5)
+    o = rmap((1, 5, 5), 5)
     v = sim_loss(m, o).item()
     assert 0.0 <= v <= 1.0
     assert abs(sim_loss(o, m).item() - v) < 1e-15  # symmetric
@@ -73,43 +73,42 @@ def test_sim_two_cell_oracle_and_bounds():
 
 def test_nss_three_cell_oracle():
     # pred (0, 1, 2), one fixation on the 2: z = (2-1)/sqrt(2/3) = sqrt(3/2)
-    pred = np.array([[0.0, 1.0, 2.0]])
-    fix = np.array([[0.0, 0.0, 1.0]])
+    pred = np.array([[[0.0, 1.0, 2.0]]])
+    fix = np.array([[[0.0, 0.0, 1.0]]])
     v = nss_loss(fix, pred).item()
     assert abs(v - np.sqrt(1.5)) < 1e-6
 
 
 def test_nss_uniform_pred_is_zero_and_affine_invariant():
-    fix = np.zeros((4, 4))
-    fix[1, 2] = 1.0
-    assert abs(nss_loss(fix, np.full((4, 4), 0.3)).item()) < 1e-6
-    pred = rmap((4, 4), 6)
+    fix = np.zeros((1, 4, 4))
+    fix[0, 1, 2] = 1.0
+    assert abs(nss_loss(fix, np.full((1, 4, 4), 0.3)).item()) < 1e-6
+    pred = rmap((1, 4, 4), 6)
     base = nss_loss(fix, pred).item()
     assert abs(nss_loss(fix, pred * 2.0 + 1.0).item() - base) < 1e-9
 
 
 def test_nss_requires_fixations():
     with pytest.raises(NormalizationError):
-        nss_loss(np.zeros((3, 3)), rmap((3, 3), 7))
+        nss_loss(np.zeros((1, 3, 3)), rmap((1, 3, 3), 7))
 
 
 def test_mse_oracle_and_shape_guard():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.full((2, 2), 0.5)
+    a = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    b = np.full((1, 2, 2), 0.5)
     assert abs(mse_loss(a, b).item() - 0.25) < 1e-15
     with pytest.raises(ShapeError):
-        mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
-        mse_loss(np.zeros(4), np.zeros(4))
-    with pytest.raises(ShapeError, match="stack"):
-        mse_loss(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2)))
+        mse_loss(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
+    for shape in ((4,), (2, 2), (1, 2, 2, 2)):  # a lone [H, W] map too
+        with pytest.raises(ShapeError, match=r"\[B, H, W\] stack of maps"):
+            mse_loss(np.zeros(shape), np.zeros(shape))
 
 
 def test_normalize_guards():
     with pytest.raises(NormalizationError):
-        normalize_sum(np.zeros((2, 2)))
+        normalize_sum(np.zeros((1, 2, 2)))
     with pytest.raises(NormalizationError):
-        normalize_sum(np.array([[1.0, -0.5]]))
+        normalize_sum(np.array([[[1.0, -0.5]]]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +116,10 @@ def test_normalize_guards():
 
 
 def test_composite_matches_manual_sum():
-    g, p = rmap((6, 6), 8), rmap((6, 6), 9)
-    fix = np.zeros((6, 6))
-    fix[2, 3] = 1.0
-    fix[4, 1] = 1.0
+    g, p = rmap((1, 6, 6), 8), rmap((1, 6, 6), 9)
+    fix = np.zeros((1, 6, 6))
+    fix[0, 2, 3] = 1.0
+    fix[0, 4, 1] = 1.0
     manual = (
         10.0 * kl_loss(g, p).item()
         - 2.0 * cc_loss(g, p).item()
@@ -133,14 +132,14 @@ def test_composite_matches_manual_sum():
 
 
 def test_composite_perfect_prediction_is_negative():
-    g = rmap((8, 8), 10)
-    fix = np.zeros((8, 8))
+    g = rmap((1, 8, 8), 10)
+    fix = np.zeros((1, 8, 8))
     fix[np.unravel_index(np.argmax(g), g.shape)] = 1.0
     assert composite_loss(g, fix, g).item() < 0.0
 
 
 def test_composite_weight_count():
-    g = rmap((4, 4), 11)
+    g = rmap((1, 4, 4), 11)
     with pytest.raises(ValueError):
         composite_loss(g, g, g, weights=(1.0, 2.0))
 
@@ -172,7 +171,8 @@ def test_stack_is_mean_of_per_map_calls(kl_literal):
     for name, fn in cases:
         stacked = fn(gt, fix, pred)
         assert stacked.shape == (), name
-        per_map = np.mean([fn(gt[i], fix[i], pred[i]).item() for i in range(len(gt))])
+        per_map = np.mean([fn(gt[i:i + 1], fix[i:i + 1], pred[i:i + 1]).item()
+                           for i in range(len(gt))])
         assert abs(stacked.item() - per_map) <= 1e-12 * abs(per_map), name
 
 
@@ -217,18 +217,26 @@ def _value_grad_nodes(fn, gt, fix, pred, kl_literal):
 
 
 @pytest.mark.parametrize("kl_literal", [False, True])
-@pytest.mark.parametrize("b", [None, 1, 3])
+@pytest.mark.parametrize("b", [1, 3])
 def test_composite_matches_reference_composition(b, kl_literal):
     # sparse targets, as the corpus's maps are: SIM's min switches sides
-    gt, fix, pred = _stack_case(b or 1, size=7)
+    gt, fix, pred = _stack_case(b, size=7)
     gt[gt < 0.5] = 0.0
-    if b is None:
-        gt, fix, pred = gt[0], fix[0], pred[0]
     got, got_g, n_ops = _value_grad_nodes(composite_loss, gt, fix, pred, kl_literal)
     want, want_g, _ = _value_grad_nodes(_reference_composite, gt, fix, pred, kl_literal)
     assert n_ops == 1
     assert got.shape == () and np.array_equal(got, want)
     assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max()
+
+
+@pytest.mark.parametrize("unbatched", ["gt map", "pred map", "fixation map"])
+def test_composite_refuses_a_lone_map(unbatched):
+    # [H, W] maps are not a batch of one: every map must be a [B, H, W] stack
+    gt, fix, pred = _stack_case(1)
+    maps = {"gt map": gt, "pred map": pred, "fixation map": fix}
+    maps[unbatched] = maps[unbatched][0]
+    with pytest.raises(ShapeError, match=unbatched + r" must be a \[B, H, W\] stack of maps"):
+        composite_loss(maps["gt map"], maps["fixation map"], maps["pred map"])
 
 
 def test_composite_checked_mode_names_the_term():
@@ -243,11 +251,11 @@ def test_composite_checked_mode_names_the_term():
 
 
 def test_grad_all_losses_wrt_pred():
-    g = rmap((5, 5), 12)
-    fix = np.zeros((5, 5))
-    fix[1, 1] = 1.0
-    fix[3, 2] = 1.0
-    pred0 = Tensor(rmap((5, 5), 13, 0.2, 1.0))
+    g = rmap((1, 5, 5), 12)
+    fix = np.zeros((1, 5, 5))
+    fix[0, 1, 1] = 1.0
+    fix[0, 3, 2] = 1.0
+    pred0 = Tensor(rmap((1, 5, 5), 13, 0.2, 1.0))
     cases = [
         ("kl", lambda p: kl_loss(g, p)),
         ("kl literal", lambda p: kl_loss(g, p, literal=True)),

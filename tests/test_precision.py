@@ -191,9 +191,9 @@ def test_composite_loss_normalizations_at_the_float32_edge(kl_literal):
     for name, pred in _edge_maps(size).items():
         results = {}
         for dtype in (F32, F64):
-            p = T.Tensor(pred.astype(dtype), requires_grad=True)
+            p = T.Tensor(pred.astype(dtype)[None], requires_grad=True)
             with T.Tape() as tape:
-                loss = composite_loss(gt, fix, p, kl_literal=kl_literal)
+                loss = composite_loss(gt[None], fix[None], p, kl_literal=kl_literal)
                 (g,) = T.backward(tape, loss).values()
             assert loss.data.dtype == g.dtype == dtype, name
             assert np.isfinite(loss.data) and np.isfinite(g).all(), (name, dtype)

@@ -83,23 +83,13 @@ def test_merge_with_one_direction_zeroed_is_3x():
 
 def test_ss2d_rejects_bad_rank():
     pp = init_ss2d_params(3, 2, seed=1)
-    for shape in ((3, 3), (1, 1, 2, 2, 3)):
-        with pytest.raises(ShapeError, match="expected"):
+    for shape in ((3, 3), (2, 2, 3), (1, 1, 2, 2, 3)):  # [H, W, C] too: grids are batched
+        with pytest.raises(ShapeError, match=r"ss2d expects a \[B, H, W, 3\] grid"):
             ss2d(Tensor(np.zeros(shape)), pp)
 
 
 # ---------------------------------------------------------------------------
 # the numpy pairs against the tape compositions they replaced
-
-
-def _grid4(f: Tensor):
-    """Normalize a grid to [B, H, W, C]; returns (tensor, had_batch)."""
-    if f.ndim == 3:
-        h, w, c = f.shape
-        return ops.reshape(f, (1, h, w, c)), False
-    if f.ndim == 4:
-        return f, True
-    raise ShapeError(f"expected [H, W, C] or [B, H, W, C], got {f.shape}")
 
 
 def _reference_cross_scan(f4):
@@ -126,16 +116,15 @@ def _assert_grads_close(got, want):
         assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300), i
 
 
-GRIDS = [(1, 1, 2), (3, 4, 2), (1, 1, 1, 3), (2, 3, 5, 2)]
+GRIDS = [(1, 1, 1, 2), (1, 3, 4, 2), (1, 1, 1, 3), (2, 3, 5, 2)]
 
 
 @pytest.mark.parametrize("shape", GRIDS)
 def test_cross_scan_matches_reference_composition(shape):
     # _traversals against the composition; its backward is cross_merge_fwd
-    shape4 = (1,) * (4 - len(shape)) + shape
-    b, h, w, c = shape4
+    b, h, w, c = shape
     weights = np.stack([rnd((b, h * w, c), 50 + i).data for i in range(4)])
-    f = Tensor(rnd(shape4, 49).data, requires_grad=True)
+    f = Tensor(rnd(shape, 49).data, requires_grad=True)
     with T.Tape() as tape:
         seqs = _reference_cross_scan(f)
         T.backward(tape, ops.reduce_sum(ops.mul(ops.concat(seqs), weights.reshape(-1, h * w, c))))
@@ -148,7 +137,7 @@ def test_cross_scan_matches_reference_composition(shape):
 @pytest.mark.parametrize("shape", GRIDS)
 def test_cross_merge_matches_reference_composition(shape):
     # cross_merge_fwd against the composition; its backward is _traversals
-    b, h, w, c = (1,) * (4 - len(shape)) + shape
+    b, h, w, c = shape
     weights = rnd((b, h, w, c), 59).data
     parts = [Tensor(rnd((b, h * w, c), 60 + i).data, requires_grad=True) for i in range(4)]
     with T.Tape() as tape:
@@ -493,8 +482,8 @@ def _assert_chunked_ss2d_keeps_no_decay_factors_or_traversals(monkeypatch, bsz, 
 
 
 def test_recurrence_shape_errors():
-    for shape in ((4, 4, 3), (2, 4, 4, 3)):
-        with pytest.raises(ShapeError, match="grid has 3 channels, params have 5"):
+    for shape in ((1, 4, 4, 3), (2, 4, 4, 3)):
+        with pytest.raises(ShapeError, match=r"ss2d expects a \[B, H, W, 5\] grid, got \(\d, 4"):
             ss2d(rnd(shape, 1), init_ss2d_params(5, 2, seed=1))
 
 
@@ -581,24 +570,27 @@ def test_softplus_derivative_from_its_own_exp():
     assert np.all(deriv[:, pre > 30.0] == 1.0)
 
 
-def _reference_ss2d(f, params):
-    """Scan a grid in all four directions and merge back (unnormalized sum)."""
-    f4, had_batch = _grid4(T.as_tensor(f))
+def _reference_ss2d(f4, params):
+    """Scan a [B, H, W, C] grid in all four directions and merge back
+    (unnormalized sum)."""
+    f4 = T.as_tensor(f4)
+    if f4.ndim != 4:
+        raise ShapeError(f"expected [B, H, W, C], got {f4.shape}")
     if f4.shape[-1] != params.channels:
         raise ShapeError(f"grid has {f4.shape[-1]} channels, params have {params.channels}")
     sets = len(params.a_log.data)  # 4, or 1 shared by every direction
     scanned = [_reference_selective_scan(t, *(ops.index(p, k % sets) for p in params.tensors()))
                for k, t in enumerate(_reference_cross_scan(f4))]
-    merged = _reference_cross_merge(scanned, *f4.shape[1:3])
-    return merged if had_batch else ops.reshape(merged, f4.shape[1:])
+    return _reference_cross_merge(scanned, *f4.shape[1:3])
 
 
 # ss2d scans its four traversals as one G=4 kernel call over 4B rows.  At
 # N=3 the B=1 grids below split time into chunks that the per-direction
 # reference does not: [1, 16, 16, 16] runs K=170 of L=256 (2 chunks, the
-# last partial), [1, 12, 20, 32] K=85 of L=240 (3); (1, 1, 16) is a 1x1
-# grid and (5, 2, 3) a non-square one.
-SS2D_GRIDS = GRIDS + [(2, 3, 4, 16), (1, 16, 16, 16), (1, 12, 20, 32), (1, 1, 16), (5, 2, 3)]
+# last partial), [1, 12, 20, 32] K=85 of L=240 (3); [1, 1, 1, 16] is a 1x1
+# grid and [1, 5, 2, 3] a non-square one.
+SS2D_GRIDS = GRIDS + [(2, 3, 4, 16), (1, 16, 16, 16), (1, 12, 20, 32), (1, 1, 1, 16),
+                      (1, 5, 2, 3)]
 
 
 def _stacked_params(sets, requires_grad=False):
@@ -691,7 +683,7 @@ def test_one_kernel_call_per_ss2d_and_gated_block(monkeypatch):
 
     forward_then_backward(lambda f: ss2d(f, pp))
     forward_then_backward(lambda f: gated_block(f, w))
-    forward_then_backward(lambda f: gated_block(f, w, np.array([1.0, 0.0, 1.0, 0.0, 1.0])))
+    forward_then_backward(lambda f: gated_block(f, w, np.tile([1.0, 0.0, 1.0, 0.0, 1.0], (2, 1))))
     calls.clear()
     ss2d(Tensor(grid), pp)  # untaped
     assert calls == ["_scan_forward"]
@@ -718,7 +710,7 @@ def test_ss2d_checked_mode_names_one_directions_projection():
 
 def test_selective_scan_checked_mode_names_the_intermediate():
     p = init_ss2d_params(3, 2, seed=3)
-    grid = rnd((5, 2, 3), 4)
+    grid = rnd((1, 5, 2, 3), 4)
     # exp(800) overflows, but abar = exp(delta * -inf) = 0 keeps the output finite
     huge = dataclasses.replace(p, a_log=Tensor(np.full((4, 3, 2), 800.0)))
     with T._op_checks(False):
@@ -726,7 +718,7 @@ def test_selective_scan_checked_mode_names_the_intermediate():
     with pytest.raises(NumericError, match=r"selective_scan exp\(a_log\)"):
         ss2d(grid, huge)
     bad = grid.data.copy()
-    bad[2, 1, 0] = np.nan
+    bad[0, 2, 1, 0] = np.nan
     with pytest.raises(NumericError, match="selective_scan delta pre-activation"):
         ss2d(Tensor(bad), p)
     w_c = p.w_c.data.copy()
@@ -761,7 +753,7 @@ def test_grad_recurrence_all_inputs():
 def test_grad_selective_scan_params_and_input():
     # every stacked field whole, all four directions at once, through ss2d
     p = init_ss2d_params(3, 2, seed=7)
-    grid = rnd((2, 3, 3), 21)
+    grid = rnd((1, 2, 3, 3), 21)
     for field in SSM_FIELDS:
         def f(t, field=field):
             return ops.reduce_sum(
@@ -775,7 +767,7 @@ def test_grad_selective_scan_params_and_input():
 
 def test_grad_ss2d_end_to_end():
     pp = init_ss2d_params(3, 2, seed=9)
-    g = rnd((4, 5, 3), 31)
+    g = rnd((1, 4, 5, 3), 31)
     err, _, _ = check_gradient(lambda t: ops.reduce_sum(ops.mul(ss2d(t, pp), 0.2)), g)
     assert err < TOL
 
@@ -843,7 +835,7 @@ def test_ss2d_shared_set_gradient_sums_directions_in_tape_order():
 def test_ss2d_rejects_a_stack_of_neither_one_nor_four_sets():
     sets = [_random_ssm_arrays(3, 2, seed=150 + k) for k in range(2)]
     with pytest.raises(ShapeError, match="stack 2 sets, need 1 or 4"):
-        ss2d(rnd((3, 4, 3), 151), _stacked_params(sets))
+        ss2d(rnd((1, 3, 4, 3), 151), _stacked_params(sets))
 
 
 def test_ss2d_batch_matches_per_sample():
@@ -851,8 +843,8 @@ def test_ss2d_batch_matches_per_sample():
     batch = rnd((2, 3, 4, 2), 41)
     full = ss2d(batch, pp)
     for i in range(2):
-        single = ss2d(Tensor(batch.data[i]), pp)
-        assert np.allclose(full.data[i], single.data, atol=1e-12)
+        single = ss2d(Tensor(batch.data[i:i + 1]), pp)
+        assert np.allclose(full.data[i], single.data[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("runs", [0, -2])
