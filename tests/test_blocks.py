@@ -245,7 +245,11 @@ def test_layer_norm_statistics_match_reduce_mean(shape):
 
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
-SHAPE_CACHES = [(T._filled, (7, 1.0 / 7, F64)), (B._tap_windows, (3, 5))]
+# `_filled` serves two roles, each a case under the name it had as its own
+# cache: the ones vector of `_sum_rows` and the 1/C vector of `_channel_mean`
+SHAPE_CACHES = [pytest.param(T._filled, (7, 1.0, F64), id="_ones-key0"),
+                pytest.param(T._filled, (7, 1.0 / 7, F64), id="_inv_count-key1"),
+                pytest.param(B._tap_windows, (3, 5), id="_tap_windows-key2")]
 
 
 @pytest.mark.parametrize("cache, key", SHAPE_CACHES)
