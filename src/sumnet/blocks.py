@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as T
 from .scan import SSMParams, as_grid, init_ss2d_params, ss2d_bwd, ss2d_fwd
@@ -239,18 +240,22 @@ def dwconv_bwd(saved, g):
     zero-padded g with the flipped taps -- tap t reads window 8 - t --
     accumulated in tap order into one buffer, so each element sums the same
     products in the order a scatter of g * k[:, dy, dx] would.  The kernel's
-    contracts g with each tap's window; the bias's is a column sum."""
+    contracts g with every tap's window at once, through a read-only
+    [B, H, W, 3, 3, C] view of the padded input (element (y, x, dy, dx) is
+    padded[y + dy, x + dx]): one einsum, whose sums match the per-tap
+    einsums' bit for bit.  The bias's is a column sum."""
     padded, k9, windows = saved
     g_pad = np.zeros_like(padded)
     g_pad[windows[4]] = g  # the centre window is the interior
     g_x = g_pad[windows[8]] * k9[:, 0]
     tmp = np.empty_like(g_x)
-    g_k = np.empty_like(k9)
-    for tap, win in enumerate(windows):
-        if tap:
-            g_x += np.multiply(g_pad[windows[8 - tap]], k9[:, tap], out=tmp)
-        g_k[:, tap] = np.einsum("bhwc,bhwc->c", padded[win], g)
-    return g_x, g_k.reshape(-1, 3, 3), T._sum_rows(g.reshape(-1, g.shape[-1]))
+    for tap in range(1, 9):
+        g_x += np.multiply(g_pad[windows[8 - tap]], k9[:, tap], out=tmp)
+    b, h, w, c = g.shape
+    sb, sh, sw, sc = padded.strides
+    taps = as_strided(padded, (b, h, w, 3, 3, c), (sb, sh, sw, sh, sw, sc), writeable=False)
+    g_k = np.einsum("bhwyxc,bhwc->cyx", taps, g)
+    return g_x, g_k, T._sum_rows(g.reshape(-1, c))
 
 
 def depthwise_conv3x3(x: Tensor, p: DWConvParams) -> Tensor:

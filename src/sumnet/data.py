@@ -31,6 +31,7 @@ registry is ``Model.load_state``'s check.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -550,7 +551,7 @@ def load_checkpoint(path) -> dict:
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:8]!r}")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF != stored_crc:  # no copy of the blob
         raise CheckpointError(f"{path}: checksum mismatch")
     end = len(blob) - 4  # the CRC is not payload
     (count,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))  # in bounds: len >= 16
@@ -582,14 +583,12 @@ def load_checkpoint(path) -> dict:
         dims_at = pos
         dims = struct.unpack_from(f"<{ndim}I", blob, pos)
         pos += 4 * ndim
-        n_items = 1
-        for d in dims:
-            n_items *= d
+        n_items = math.prod(dims)
         if pos + 4 * n_items > end:
             raise CheckpointError(f"{path}: truncated at byte {pos}")
-        arr = np.frombuffer(blob, dtype="<f4", count=n_items, offset=pos)
         try:  # a zero dim lets the bounds test pass whatever the others are
-            arrays[name] = arr.reshape(dims).copy()  # writable, not a view of the file's bytes
+            # a copy: writable and aligned, not a view of the file's bytes
+            arrays[name] = np.ndarray(dims, "<f4", blob, pos).copy()
         except ValueError:
             raise CheckpointError(
                 f"{path}: array {name!r} dims {dims} at byte {dims_at} are too big") from None

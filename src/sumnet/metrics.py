@@ -90,24 +90,29 @@ def nss_metric(fixations, pred) -> float:
     return float((z * f).sum() / n_fix)
 
 
+def _at_or_above(ascending: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of the `ascending` values (NaN last, as np.sort leaves them)
+    are >= each threshold, counted as `>=` counts: NaN is never >= anything
+    and nothing is >= NaN.  searchsorted ranks NaN above every number, so the
+    NaN-free prefix ends at NaN's rank, and a NaN threshold ranks at that
+    prefix's end: a count of 0."""
+    numbers = ascending[: np.searchsorted(ascending, np.nan)]
+    return len(numbers) - np.searchsorted(numbers, thresholds)
+
+
 def auc_judd_metric(fixations, pred) -> float:
-    """Fixation-threshold ROC area; see module docstring for conventions."""
+    """Fixation-threshold ROC area; see module docstring for conventions.
+    Both counts of each threshold are ranks in the sorted values, not one
+    pass over the map per threshold."""
     f, p = _pair(fixations, pred, "fixation map")
-    fix_mask = f > 0.0
-    n_fix = int(fix_mask.sum())
+    fix_values = np.sort(p[f > 0.0])
+    n_fix = len(fix_values)
     if n_fix == 0:
         raise UndefinedMetricError("no fixations")
-    values = p.ravel()
-    fix_values = p[fix_mask]
-    n_pix = values.size
-    thresholds = np.sort(fix_values)[::-1]
-    tpr = [0.0]
-    fpr = [0.0]
-    for thr in thresholds:
-        tpr.append(float((fix_values >= thr).sum()) / n_fix)
-        fpr.append(float((values >= thr).sum()) / n_pix)
-    tpr.append(1.0)
-    fpr.append(1.0)
+    n_pix = p.size
+    thresholds = fix_values[::-1]
+    tpr = np.concatenate(([0.0], _at_or_above(fix_values, thresholds) / n_fix, [1.0]))
+    fpr = np.concatenate(([0.0], _at_or_above(np.sort(p, axis=None), thresholds) / n_pix, [1.0]))
     return float(np.trapezoid(tpr, fpr))
 
 

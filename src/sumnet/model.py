@@ -39,15 +39,18 @@ and ``from_state`` are the checkpoint pair: the registry plus the config as
 its exact JSON record, and back.  ``from_state`` (and ``loaded``, for a config
 given apart from the checkpoint) builds the registry through the same init
 helpers as ``Model(cfg)``, with their draws skipped (``tensor.skip_draws``),
-and takes every value from the checkpoint; ``load_state`` refuses a missing
-name, a wrong shape or a non-finite value before it writes anything.  The
-config record carries the dtype; a record without one loads as float64.
+and gives every parameter its slice of one vector the checkpoint's values
+are cast into once; ``load_state`` copies the same checked values in place.
+Both refuse a missing name, a wrong shape or a non-finite value before they
+keep anything.  The config record carries the dtype; a record without one
+loads as float64.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,15 +204,23 @@ class SumConfig:
 # parameter registry
 
 
+@lru_cache(maxsize=32)
+def _field_names(cls) -> tuple:
+    """The field names of a weight dataclass in declaration order; () for
+    anything else (an int field, the None of an unconditioned model)."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
+
+
 def _collect_tensors(prefix: str, obj, out: dict) -> None:
     """Flatten nested weight dataclasses into name -> tensor, each tensor
     named by its field path, e.g. ``enc0.b0.ssm.a_log``; fixed tensors (a
     one-hot token table) too."""
-    if isinstance(obj, Tensor):
-        out[prefix] = obj
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            _collect_tensors(f"{prefix}.{f.name}", getattr(obj, f.name), out)
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, Tensor):
+            out[f"{prefix}.{name}"] = value
+        else:
+            _collect_tensors(f"{prefix}.{name}", value, out)
 
 
 def recorded_config(arrays: dict) -> SumConfig:
@@ -288,9 +299,8 @@ class Model:
             self.cond = B.init_conditioner(cfg.num_domains, cfg.token_dim, seed,
                                            one_hot=cfg.conditioning == "one-hot")
         tensors = self._tensors()
-        with np.errstate(all="ignore"):  # a skip_draws build casts unset memory
-            for t in tensors.values():
-                t.data = t.data.astype(self.dtype, copy=False)
+        for t in tensors.values():  # a skip_draws build allocated its draws in the dtype
+            t.data = t.data.astype(self.dtype, copy=False)
         self._params = {name: t for name, t in tensors.items() if t.requires_grad}
         self._conditioned = (set() if cfg.conditioning == "none"
                              else set(PLACEMENT_STAGES[cfg.placement]))
@@ -336,45 +346,59 @@ class Model:
         """cfg's model with every parameter taken from `arrays`.
 
         Construction runs the same init helpers as ``Model(cfg)`` under
-        ``T.skip_draws``, so each parameter is allocated but never drawn, and
-        ``load_state`` overwrites every one of them after its checks.  A
+        ``T.skip_draws``, so each parameter is allocated in the model's dtype
+        but never drawn.  Each then takes its checked view of the one vector
+        ``_staged`` casts the values into, so every value is copied once.  A
         rejected checkpoint raises before the model is returned.
         """
-        with T.skip_draws():
+        with T.skip_draws(cfg.dtype):
             model = cls(cfg)
-        model.load_state(arrays)
+        for t, value in zip(model._params.values(), model._staged(arrays)):
+            t.data = value
         return model
 
     def load_state(self, arrays: dict) -> None:
         """Copy checkpoint arrays into the parameters, in place, in the
         model's dtype (exact for the float32 values a checkpoint stores).
 
-        Every name, shape and value is checked before anything is written, so
-        a rejected checkpoint leaves the model as it was: a value must be
-        finite in the model's dtype, tested in one pass over all of them.
-        The copy goes into each existing ``Tensor.data``, so parameters
-        packed into an Adam's flat vector stay packed.
+        Every name, shape and value is checked (``_staged``) before anything
+        is written, so a rejected checkpoint leaves the model as it was.  The
+        copy goes into each existing ``Tensor.data``, so parameters packed
+        into an Adam's flat vector stay packed.
         """
+        for t, value in zip(self._params.values(), self._staged(arrays)):
+            np.copyto(t.data, value)
+
+    def _staged(self, arrays: dict) -> list:
+        """Each parameter's value in `arrays`, in registry order, as a view
+        of one new vector in the model's dtype, shaped like the parameter
+        (aligned, C-contiguous, writable, and sharing memory with nothing
+        else).  A missing name, a wrong shape or a value not finite in the
+        dtype raises ConfigError; finiteness is one test over the vector."""
         missing = sorted(set(self._params) - set(arrays))
         if missing:
             raise ConfigError(f"checkpoint lacks parameters: {', '.join(missing[:4])}")
-        for name, t in self._params.items():
-            shape = np.shape(arrays[name])
-            if shape != t.data.shape:
-                raise ConfigError(
-                    f"shape mismatch for {name}: checkpoint {shape}, model {t.data.shape}")
+        flat = np.empty(sum(t.data.size for t in self._params.values()), dtype=self.dtype)
+        views, at = [], 0
         with np.errstate(over="ignore"):  # a value past the dtype's range casts to inf
-            cast = {name: np.asarray(arrays[name], dtype=self.dtype) for name in self._params}
-        if not np.isfinite(np.concatenate(list(cast.values()), axis=None)).all():
-            for name, value in cast.items():  # find the first bad value to name it
+            for name, t in self._params.items():
+                value, shape = np.asarray(arrays[name]), t.data.shape
+                if value.shape != shape:
+                    raise ConfigError(f"shape mismatch for {name}: checkpoint "
+                                      f"{value.shape}, model {shape}")
+                view = flat[at : at + t.data.size].reshape(shape)
+                view[...] = value
+                views.append(view)
+                at += t.data.size
+        if not np.isfinite(flat).all():
+            for name, value in zip(self._params, views):  # name the first bad value
                 bad = np.argwhere(~np.isfinite(value))
                 if len(bad):
-                    at = tuple(map(int, bad[0]))
-                    given = float(np.asarray(arrays[name])[at])
+                    index = tuple(map(int, bad[0]))
+                    given = float(np.asarray(arrays[name])[index])
                     raise ConfigError(f"checkpoint parameter {name} is {given!r} "
-                                      f"at index {at}, not finite in {self.dtype}")
-        for name, t in self._params.items():
-            np.copyto(t.data, cast[name])
+                                      f"at index {index}, not finite in {self.dtype}")
+        return views
 
     # -- forward -----------------------------------------------------------
 

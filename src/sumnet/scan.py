@@ -77,6 +77,7 @@ bounded inputs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -425,6 +426,9 @@ class SSMParams:
                 self.b_delta)
 
 
+_B_DELTA0 = float(np.log(np.expm1(0.01)))  # softplus(b) = 0.01  =>  b = log(expm1(0.01))
+
+
 def delta_rank(channels: int) -> int:
     return max(1, channels // 8)
 
@@ -439,23 +443,22 @@ def init_ss2d_params(channels: int, state_size: int, seed: int,
         raise ShapeError("channels and state_size must be positive")
     labels = [f"{name}.{t}" for t in (("shared",) if shared else DIRECTION_ORDER)]
     k, r = len(labels), delta_rank(channels)
-    a_row = np.log(np.linspace(1.0, float(state_size), state_size))
-    glorot_bn = np.sqrt(6.0 / (channels + state_size))
-    glorot_wd = np.sqrt(6.0 / (channels + r))
+    a_log = np.empty((k, channels, state_size), dtype=np.float64)
+    a_log[...] = np.log(np.arange(1.0, state_size + 1.0))  # log 1 .. log N on every row
+    glorot_bn = math.sqrt(6.0 / (channels + state_size))
+    glorot_wd = math.sqrt(6.0 / (channels + r))
 
     def draw(field, shape, a):  # one pass over every label's stream
         return Tensor(T.init_uniforms(shape, a, seed, labels, field), requires_grad=True)
 
     return SSMParams(
-        a_log=Tensor(np.tile(a_row, (k, channels, 1)), requires_grad=True),
+        a_log=Tensor(a_log, requires_grad=True),
         d_skip=Tensor(np.ones((k, channels), dtype=np.float64), requires_grad=True),
         w_b=draw("w_b", (channels, state_size), glorot_bn),
         w_c=draw("w_c", (channels, state_size), glorot_bn),
         w_delta=draw("w_delta", (channels, r), glorot_wd),
         v_delta=draw("v_delta", (r, channels), glorot_wd),
-        # softplus(b) = 0.01  =>  b = log(expm1(0.01))
-        b_delta=Tensor(np.full((k, channels), np.log(np.expm1(0.01)), dtype=np.float64),
-                       requires_grad=True),
+        b_delta=Tensor(np.full((k, channels), _B_DELTA0, dtype=np.float64), requires_grad=True),
     )
 
 

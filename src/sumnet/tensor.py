@@ -62,7 +62,7 @@ class _ThreadState(threading.local):
 
     def __init__(self):
         self.stack = []
-        self.skip_draws = False
+        self.skip_draws = None  # the dtype `init_uniforms` allocates in, or None: draw
         # per-op checks, the one checked-mode switch: None at the top level
         # (on), False in a boundary's first run or under _op_checks(False),
         # True in a replay; a boundary inside False or True calls through
@@ -113,11 +113,12 @@ class _scope:
         return False
 
 
-def skip_draws() -> _scope:
-    """Context in which `init_uniforms` allocates without drawing: for a build
-    whose every parameter is overwritten next (``Model.from_state``).  Per
-    thread, and restored on exit, exceptions included."""
-    return _scope("skip_draws", True)
+def skip_draws(dtype) -> _scope:
+    """Context in which `init_uniforms` allocates in `dtype` without drawing:
+    for a build whose every parameter is replaced next (``Model.loaded``),
+    so a model of that dtype casts nothing it allocated.  Per thread, and
+    restored on exit, exceptions included."""
+    return _scope("skip_draws", np.dtype(dtype))
 
 
 def _op_checks(on: bool) -> _scope:
@@ -331,9 +332,10 @@ def backward(tape: Tape, loss: Tensor) -> dict:
 
 
 def _validate_shape(shape) -> tuple:
-    dims = tuple(int(d) for d in shape)
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"dimensions must be positive, got {dims}")
+    dims = tuple(map(int, shape))
+    for d in dims:  # a plain loop: the fastest form at the ranks of a parameter
+        if d < 1:
+            raise ShapeError(f"dimensions must be positive, got {dims}")
     return dims
 
 
@@ -352,10 +354,11 @@ def uniform(shape, lo: float, hi: float, seed: int, requires_grad: bool = False)
 def init_uniforms(shape, bound: float, seed: int, labels, field: str) -> np.ndarray:
     """[len(labels), *shape] uniforms in [-bound, bound), row k from the stream
     derive(seed, labels[k], field), in one uniform_stack pass: the one source
-    of the init helpers' random values.  Under `skip_draws`, uninitialized."""
+    of the init helpers' random values.  Under `skip_draws`, uninitialized,
+    in the scope's dtype."""
     dims = _validate_shape(shape)
-    if _local.skip_draws:
-        return np.empty((len(labels),) + dims, dtype=np.float64)
+    if _local.skip_draws is not None:
+        return np.empty((len(labels),) + dims, dtype=_local.skip_draws)
     return uniform_stack(dims, -bound, bound, [derive(seed, label, field) for label in labels])
 
 

@@ -3,7 +3,8 @@
 broadcasting ones sum each gradient back to its operand's shape), the five
 loss terms (the tape oracle of `objective.composite_loss`) and the bare scan
 kernel, `ssm_recurrence`.  Checked mode also refuses log/sqrt of a negative
-and division by zero."""
+and division by zero.  Beside them, the loop form of AUC-Judd,
+`auc_judd_loop`, the oracle of `metrics.auc_judd_metric`."""
 
 import math
 from typing import Sequence
@@ -21,6 +22,7 @@ from sumnet.objective import (
     _refuse,
 )
 from sumnet import scan as S
+from sumnet.metrics import UndefinedMetricError, _pair
 from sumnet.tensor import NumericError, ShapeError, Tensor, as_tensor
 
 # ---------------------------------------------------------------------------
@@ -432,3 +434,29 @@ def ssm_recurrence(delta, a, b_seq, c_seq, x) -> Tensor:
 
     return T.primitive("ssm_recurrence", (delta, a, b_seq, c_seq, x), fwd,
                      lambda saved, g: S._scan_backward(g, *saved))
+
+
+# ---------------------------------------------------------------------------
+# AUC-Judd, one full-map pass per threshold
+
+
+def auc_judd_loop(fixations, pred) -> float:
+    """The fixation-threshold ROC area that `metrics.auc_judd_metric` takes
+    from sorted counts, as a loop over the thresholds."""
+    f, p = _pair(fixations, pred, "fixation map")
+    fix_mask = f > 0.0
+    n_fix = int(fix_mask.sum())
+    if n_fix == 0:
+        raise UndefinedMetricError("no fixations")
+    values = p.ravel()
+    fix_values = p[fix_mask]
+    n_pix = values.size
+    thresholds = np.sort(fix_values)[::-1]
+    tpr = [0.0]
+    fpr = [0.0]
+    for thr in thresholds:
+        tpr.append(float((fix_values >= thr).sum()) / n_fix)
+        fpr.append(float((values >= thr).sum()) / n_pix)
+    tpr.append(1.0)
+    fpr.append(1.0)
+    return float(np.trapezoid(tpr, fpr))

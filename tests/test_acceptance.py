@@ -7,7 +7,10 @@ models and dominate the suite's wall clock.
 """
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from sumnet.objective import DEFAULT_WEIGHTS, composite_loss
 from sumnet.rng import SplitMix64
 from sumnet.scan import _traversals, bench_lengths, cross_merge_fwd, fit_loglog_slope
 
+from blas_threads import openblas_threads, set_blas_threads
 from oracles import kl_loss, sim_loss, ssm_recurrence
 
 
@@ -324,6 +328,55 @@ def _run_conflict(tr, va, **kw):
     }
 
 
+# the conflict runs by name, longest first: two at 45 epochs, then the
+# ablation's 13-epoch runs.  The ablation orderings are read in the
+# adaptation regime (13 epochs, averaged over 3 seeds): at full convergence
+# every variant solves this toy task and the ordering collapses into seed noise
+CONFLICT_RUNS = {
+    "prompt": {},
+    "none": dict(conditioning="none"),
+    **{(seed, variant): dict(epochs=13, seed=seed, **kw)
+       for seed in (0, 1, 2)
+       for variant, kw in (("decoder", {}), ("bottleneck", dict(placement="bottleneck")),
+                           ("one-hot", dict(conditioning="one-hot")))},
+}
+
+_worker_data = None  # (train, val) samples of a pool worker, set by _pool_worker_start
+
+
+def _pool_worker_start(tr, va):
+    """Each worker trains on one BLAS thread (bit-identical to any other
+    count, see test_blas_threads.py), so the pool does not oversubscribe."""
+    global _worker_data
+    _worker_data = (tr, va)
+    if openblas_threads() is not None:
+        set_blas_threads(1)
+
+
+def _pool_run(name, kw):
+    """One run in a worker.  Its exception comes back as a RuntimeError that
+    names the run and its config, and that pickles whatever the cause's
+    constructor takes (NumericAbort's does not rebuild from its message)."""
+    try:
+        return _run_conflict(*_worker_data, **kw)
+    except Exception as exc:
+        raise RuntimeError(f"conflict run {name!r} with {kw} failed: {exc!r}") from None
+
+
+def run_in_pool(tr, va, runs: dict) -> dict:
+    """{name: _run_conflict(tr, va, **kw)} for each run of `runs`, in a pool
+    of forked processes, one per usable core, started in the order given.
+    Forked, the workers inherit the samples instead of unpickling them;
+    OpenBLAS shuts its thread pool down around a fork (its pthread_atfork
+    handler), so a child starts with none."""
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(runs)))
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_pool_worker_start,
+                             initargs=(tr, va)) as pool:
+        futures = {name: pool.submit(_pool_run, name, kw) for name, kw in runs.items()}
+        return {name: fut.result() for name, fut in futures.items()}
+
+
 @pytest.fixture(scope="session")
 def conflict_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("conflict")
@@ -331,22 +384,16 @@ def conflict_runs(tmp_path_factory):
                              n_conflict_pairs=48)
     tr = load_samples(paths["conflict_train"])
     va = load_samples(paths["conflict_val"])
-    out = {"prompt": _run_conflict(tr, va),
-           "none": _run_conflict(tr, va, conditioning="none")}
-    # the ablation orderings are read in the adaptation regime (13 epochs,
-    # averaged over 3 seeds): at full convergence every variant solves this
-    # toy task and the ordering collapses into seed noise
-    ablation = []
-    for seed in (0, 1, 2):
-        ablation.append({
-            "decoder": _run_conflict(tr, va, epochs=13, seed=seed),
-            "bottleneck": _run_conflict(tr, va, epochs=13, seed=seed,
-                                        placement="bottleneck"),
-            "one-hot": _run_conflict(tr, va, epochs=13, seed=seed,
-                                     conditioning="one-hot"),
-        })
-    out["ablation"] = ablation
-    return out
+    done = run_in_pool(tr, va, CONFLICT_RUNS)
+    return {"prompt": done["prompt"], "none": done["none"],
+            "ablation": [{v: done[(seed, v)] for v in ("decoder", "bottleneck", "one-hot")}
+                         for seed in (0, 1, 2)]}
+
+
+def test_a_failed_pool_run_names_its_config():
+    with pytest.raises(RuntimeError, match=r"conflict run 'bad' with \{'epochs': 0\} failed: "
+                                           r"ConfigError\('epochs must be >= 1, got 0'\)"):
+        run_in_pool([], [], {"bad": dict(epochs=0)})
 
 
 def test_conditioning_separation(capsys, conflict_runs):

@@ -15,7 +15,7 @@ from sumnet.metrics import (
 )
 from sumnet.rng import SplitMix64, uniform_array
 
-from oracles import cc_loss, kl_loss, nss_loss, sim_loss
+from oracles import auc_judd_loop, cc_loss, kl_loss, nss_loss, sim_loss
 
 
 def rmap(shape, seed, lo=0.05, hi=1.0):
@@ -144,6 +144,67 @@ def test_auc_monotone_transform_invariant():
     a = auc_judd_metric(fix, p)
     b = auc_judd_metric(fix, 2.0 * p + 1.0)
     assert abs(a - b) < 1e-12
+
+
+def _auc_case(name):
+    """(fixation map, prediction) of one named AUC edge case."""
+    sm = SplitMix64(17)
+    pred = rmap((9, 7), 40)
+    fix = np.zeros((9, 7))
+    for _ in range(8):
+        fix[sm.next_below(9), sm.next_below(7)] = 1.0
+    if name == "ties":  # four levels, so fixated and other cells share values
+        pred = np.floor(pred * 4.0) / 4.0
+    elif name == "duplicate fixations":  # a cell fixated twice, two fixated cells of one value
+        fix[0, 0], fix[8, 6] = 2.0, 1.0
+        pred[8, 6] = pred[0, 0]
+    elif name == "constant map":
+        pred = np.full((9, 7), 0.3)
+    elif name == "single fixation":
+        fix = np.zeros((9, 7))
+        fix[4, 3] = 1.0
+    elif name == "NaN entries":  # at a fixated cell and elsewhere
+        pred[fix > 0.0] = np.where(np.arange(int((fix > 0.0).sum())) % 3 == 0, np.nan,
+                                   pred[fix > 0.0])
+        pred[0, 1] = pred[5, 5] = np.nan
+    elif name == "infinities":
+        pred[fix > 0.0] = np.where(np.arange(int((fix > 0.0).sum())) % 2 == 0, np.inf,
+                                   pred[fix > 0.0])
+        pred[1, 1], pred[2, 2], pred[3, 3] = -np.inf, np.inf, -np.inf
+    return fix, pred
+
+
+AUC_CASES = ["ties", "duplicate fixations", "constant map", "single fixation", "NaN entries",
+             "infinities"]
+
+
+@pytest.mark.parametrize("name", AUC_CASES)
+def test_auc_equals_the_threshold_loop_on_edge_cases(name):
+    fix, pred = _auc_case(name)
+    assert auc_judd_metric(fix, pred) == auc_judd_loop(fix, pred)
+
+
+def test_auc_equals_the_threshold_loop_on_random_maps_with_ties_and_infinities():
+    sm = SplitMix64(23)
+    for trial in range(300):
+        h, w = 1 + sm.next_below(10), 1 + sm.next_below(10)
+        levels = 1 + sm.next_below(5)
+        pred = np.floor(sm.uniforms(h * w).reshape(h, w) * levels) / levels
+        marks = sm.uniforms(h * w).reshape(h, w)
+        pred[marks < 0.05] = np.inf
+        pred[(marks >= 0.05) & (marks < 0.1)] = -np.inf
+        if trial % 3 == 0:
+            pred[(marks >= 0.1) & (marks < 0.15)] = np.nan
+        fix = (sm.uniforms(h * w).reshape(h, w) < 0.3) * (1.0 + (marks > 0.9))
+        if not fix.any():
+            fix.flat[sm.next_below(h * w)] = 1.0
+        assert auc_judd_metric(fix, pred) == auc_judd_loop(fix, pred), trial
+
+
+def test_auc_without_fixations_is_undefined_in_both_forms():
+    for fn in (auc_judd_metric, auc_judd_loop):
+        with pytest.raises(UndefinedMetricError, match="no fixations"):
+            fn(np.zeros((4, 4)), rmap((4, 4), 3))
 
 
 # ---------------------------------------------------------------------------

@@ -530,12 +530,37 @@ def test_adam_over_a_loaded_model_steps_like_one_over_a_built_model():
     assert flats[0].tobytes() == flats[1].tobytes()
 
 
+@pytest.mark.parametrize("kw", [dict(), dict(dtype="float64", conditioning="one-hot")])
+def test_a_loaded_model_owns_aligned_writable_parameters(tmp_path, kw):
+    m = _perturbed(micro_cfg(**kw))
+    for t in m.params().values():  # float32 values, so the checkpoint holds them exactly
+        t.data[...] = t.data.astype(np.float32)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, m.state_arrays())
+    arrays = load_checkpoint(p)
+    loaded = Model.from_state(arrays)
+    spans = []
+    for name, t in loaded.params().items():
+        a = t.data
+        assert a.dtype == loaded.dtype == m.dtype, name
+        assert a.flags.aligned and a.flags.c_contiguous and a.flags.writeable, name
+        assert not np.shares_memory(a, arrays[name]), name
+        start = a.__array_interface__["data"][0]
+        spans.append((start, start + a.nbytes, name))
+    spans.sort()
+    overlapping = [(x[2], y[2]) for x, y in zip(spans, spans[1:]) if y[0] < x[1]]
+    assert not overlapping
+    img = SplitMix64(5).uniforms(2 * 32 * 32 * 3).reshape(2, 32, 32, 3)
+    labels = None if kw.get("conditioning") == "none" else [1, 3]
+    assert loaded.predict(img, labels).tobytes() == m.predict(img, labels).tobytes()
+
+
 def test_skip_draws_is_restored_after_an_exception(monkeypatch):
     passes = []
     real = T.uniform_stack
     monkeypatch.setattr(T, "uniform_stack", lambda *a: passes.append(1) or real(*a))
     with pytest.raises(ConfigError, match="mid-build"):
-        with T.skip_draws():
+        with T.skip_draws(micro_cfg().dtype):
             Model(micro_cfg())
             raise ConfigError("mid-build failure")
     assert not passes
